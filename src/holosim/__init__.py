@@ -1,7 +1,6 @@
 """Pulse-level simulator for time-optimal holonomic gates on Lambda systems."""
 
 from . import protocols, twoqubit
-from .backend import backend_name
 from .evolve import (
     DEFAULT_CONFIG,
     NO_ERROR,
@@ -46,7 +45,6 @@ from .quantum import (
     basis_state,
     bloch_coordinates,
     density,
-    hermitian_propagator,
     partial_trace,
     tensor_product,
     unattenuated_fidelity,

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from . import protocols, twoqubit
-from .backend import backend_name
 from .evolve import (
     ErrorInjection,
     IntegratorConfig,
@@ -34,7 +33,7 @@ from .evolve import (
     propagator,
 )
 from .gates import ideal_single_qubit
-from .pulses import GateSpec, synthesize
+from .pulses import GateSpec, nhqc_duration, synthesize, tounhqc_duration
 from .quantum import average_gate_fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -46,6 +45,13 @@ class ConfigError(Exception):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = problems
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed flags as configuration errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError([message])
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +87,6 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def _metadata_lines(args: dict, config_hash: str) -> list[str]:
     return [
         f"# tool = holosim {__version__}",
-        f"# backend = {backend_name()}",
         f"# command = {args['command']}",
         f"# config_hash = {config_hash}",
     ]
@@ -152,7 +157,7 @@ def _add_gate_params(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holosim",
         description="Pulse-level simulator for time-optimal holonomic gates",
     )
@@ -257,9 +262,19 @@ def _parse_with_config(
     return args
 
 
+#: Flags (by argparse destination) that must be positive whenever given.
+_POSITIVE_FLAGS = (
+    "dt_ns", "omega0_mhz", "g_eff_mhz",
+    "t1_e0_us", "t1_1e_us", "tphi_e_us", "tphi_1_us", "t1_a_us",
+)
+
+
 def _validate_common(args, problems: list[str]) -> None:
-    if args.dt_ns is not None and args.dt_ns <= 0.0:
-        problems.append("--dt-ns must be positive")
+    for dest in _POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not value > 0.0:
+            flag = "--" + dest.replace("_", "-")
+            problems.append(f"{flag} must be positive, got {value}")
     if args.shots is not None and args.shots < 1:
         problems.append("--shots must be a positive integer")
     if args.threads < 1:
@@ -276,22 +291,32 @@ def _validate_gate_spec(args, problems: list[str]) -> None:
             f"--gamma must lie strictly inside (0, 2 pi), got {args.gamma} "
             "(degenerate loop)"
         )
-    if getattr(args, "omega0_mhz", 1.0) <= 0.0:
-        problems.append("--omega0-mhz must be positive")
+    ramp = args.edge_ramp_ns * 1e-9
+    if not ramp >= 0.0:
+        problems.append(f"--edge-ramp-ns must be non-negative, got {args.edge_ramp_ns}")
+    elif 0.0 < args.gamma < TWO_PI and args.omega0_mhz > 0.0:
+        omega0 = TWO_PI * args.omega0_mhz * 1e6
+        if args.scheme == "tounhqc":
+            tau = tounhqc_duration(args.gamma, omega0)
+        else:
+            tau = nhqc_duration(omega0)
+        if 2.0 * ramp > tau:
+            problems.append(
+                f"--edge-ramp-ns must be at most half the {tau * 1e9:.6g} ns loop, "
+                f"got {args.edge_ramp_ns}"
+            )
 
 
 def _noise_from_args(args) -> NoiseModel:
-    if getattr(args, "default_noise", False):
+    if args.default_noise:
         return protocols.default_noise_model()
-    kwargs = {}
-    if getattr(args, "t1_e0_us", None):
-        kwargs["t1_e_to_0"] = args.t1_e0_us * 1e-6
-    if getattr(args, "t1_1e_us", None):
-        kwargs["t1_1_to_e"] = args.t1_1e_us * 1e-6
-    if getattr(args, "tphi_e_us", None):
-        kwargs["tphi_e"] = args.tphi_e_us * 1e-6
-    if getattr(args, "tphi_1_us", None):
-        kwargs["tphi_1"] = args.tphi_1_us * 1e-6
+    flags = {
+        "t1_e_to_0": args.t1_e0_us,
+        "t1_1_to_e": args.t1_1e_us,
+        "tphi_e": args.tphi_e_us,
+        "tphi_1": args.tphi_1_us,
+    }
+    kwargs = {name: us * 1e-6 for name, us in flags.items() if us is not None}
     if not kwargs:
         return NoiseModel()
     return NoiseModel.qutrit_relaxation(**kwargs)
@@ -434,7 +459,7 @@ def _cmd_ramsey(args, params: dict) -> None:
 
 def _noise_from_args_5d(args) -> NoiseModel:
     """Composite-model noise: ancilla relaxation from the --t1-a-us flag."""
-    if getattr(args, "t1_a_us", None):
+    if args.t1_a_us is not None:
         return twoqubit.ancilla_decay(args.t1_a_us * 1e-6)
     return NoiseModel()
 

@@ -5,9 +5,9 @@ fourth-order commutator-free exponential scheme (two exponentials per
 step with the Hamiltonian sampled at the Gauss-Legendre nodes); for a
 constant Hamiltonian this reduces exactly to exp(-i H dt).  The
 open-system path integrates the Lindblad master equation with fixed-step
-RK4 (default) or per-step exponentials of the Liouvillian at the same
-order.  Integration grids always place a node at segment boundaries so
-phase jumps are never smeared across a step.
+RK4.  Integration grids always place a node at segment boundaries, and
+every step samples only its own segment, so phase jumps are never
+smeared across a step.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .backend import kernels
 from .pulses import PulseSchedule, drive_arrays, stepping_grid
 
 #: Qutrit basis ordering used throughout: (|0>, |1>, |e>).
@@ -133,22 +132,14 @@ NO_NOISE = NoiseModel()
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings.
-
-    ``dt = None`` resolves to duration / 2000.  ``method`` selects the
-    density-matrix integrator: "rk4" (fast path) or "expm" (per-step
-    exponential of the Liouvillian, unconditionally trace preserving).
-    """
+    """Fixed-step integration settings; ``dt = None`` resolves to duration / 2000."""
 
     dt: Optional[float] = None
-    method: str = "rk4"
     record_stride: int = 20
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.method not in ("rk4", "expm"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -175,15 +166,17 @@ def hamiltonian_stack(
     err: ErrorInjection = NO_ERROR,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+    side: str = "right",
 ) -> np.ndarray:
     """Rotating-frame Hamiltonians at ``times``, shape (n, dim, dim).
 
     ``levels`` maps the Lambda-system roles (|0>, |1>, |e>) onto matrix
     indices; the |0> slot may be None when that leg of the drive is unused
-    (then the schedule must have zero amplitude on it).
+    (then the schedule must have zero amplitude on it).  ``side`` picks
+    the one-sided limit at segment boundaries, as in :func:`drive_arrays`.
     """
     i0, i1, ie = levels
-    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times)
+    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times, side)
     scale = 0.5 * (1.0 + err.amp_fraction)
     h = np.zeros((len(times), dim, dim), dtype=complex)
     if i0 is None:
@@ -247,6 +240,39 @@ def _cf4_generators(
     return gens, np.repeat(grid.dts, 2)
 
 
+def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """Exact exp(-i G_k dt_k) for a stack of Hermitian generators."""
+    w, v = np.linalg.eigh(gens)
+    phases = np.exp(-1j * w * dts[:, None])
+    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+
+
+def propagate_unitary(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """Ordered product of step propagators exp(-i G_k dt_k), last step leftmost.
+
+    ``gens``: (n, d, d) Hermitian generators, ``dts``: (n,) steps.
+    """
+    u = np.eye(gens.shape[1], dtype=complex)
+    for step in _step_propagators(gens, dts):
+        u = step @ u
+    return u
+
+
+def evolve_states(
+    gens: np.ndarray, dts: np.ndarray, psi0: np.ndarray, stride: int
+) -> np.ndarray:
+    """Propagate a state, recording every ``stride``-th step plus endpoints."""
+    n = gens.shape[0]
+    psi = psi0.astype(complex).copy()
+    out = [psi.copy()]
+    steps = _step_propagators(gens, dts)
+    for k in range(n):
+        psi = steps[k] @ psi
+        if (k + 1) % stride == 0 or k == n - 1:
+            out.append(psi.copy())
+    return np.array(out)
+
+
 def propagator(
     schedule: PulseSchedule,
     err: ErrorInjection = NO_ERROR,
@@ -257,7 +283,7 @@ def propagator(
     """Full-schedule unitary as an ordered product of step propagators."""
     grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
     gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    return kernels.propagate_unitary(gens, dts)
+    return propagate_unitary(gens, dts)
 
 
 def dt_halving_delta(
@@ -292,27 +318,85 @@ def evolve_pure(
     gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
     # two exponentials per physical step: double the recording stride so
     # states are only captured at step boundaries
-    states = kernels.evolve_states(gens, dts, psi, 2 * config.record_stride)
+    states = evolve_states(gens, dts, psi, 2 * config.record_stride)
     times = grid.nodes[_recorded_indices(len(grid.dts), config.record_stride)]
     return Trajectory(times=times, states=states)
 
 
-def _interleaved_nodes(grid) -> np.ndarray:
-    ts = np.empty(2 * len(grid.dts) + 1)
-    ts[0::2] = grid.nodes
-    ts[1::2] = grid.mids
-    return ts
+def _rk4_hamiltonians(
+    schedule: PulseSchedule,
+    grid,
+    err: ErrorInjection,
+    dim: int,
+    levels: tuple[Optional[int], int, int],
+) -> np.ndarray:
+    """Per-step (start, midpoint, end) Hamiltonians, shape (n, 3, dim, dim).
+
+    All three samples come from the step's own segment: the end sample is
+    the left limit at the next node, so a phase jump at a segment boundary
+    never reaches the step before it.
+    """
+    def stack(times, side="right"):
+        return hamiltonian_stack(schedule, times, err, dim, levels, side)
+
+    return np.stack(
+        [stack(grid.nodes[:-1]), stack(grid.mids), stack(grid.nodes[1:], "left")],
+        axis=1,
+    )
 
 
-def _liouvillian(h: np.ndarray, c_ops: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    eye = np.eye(d)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+def _lindblad_rhs(h, rho, c_ops, cdc_sum):
+    drho = -1j * (h @ rho - rho @ h)
     for c in c_ops:
-        cdc = c.conj().T @ c
-        lv += np.kron(c, c.conj())
-        lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    return lv
+        drho += c @ rho @ c.conj().T
+    drho -= 0.5 * (cdc_sum @ rho + rho @ cdc_sum)
+    return drho
+
+
+def lindblad_rk4(
+    h_steps: np.ndarray,
+    dts: np.ndarray,
+    rho0: np.ndarray,
+    c_ops: np.ndarray,
+    stride: int,
+) -> np.ndarray:
+    """RK4 integration of the Lindblad master equation.
+
+    ``h_steps``: (n, 3, d, d) Hamiltonians at each step's start, midpoint
+    and end; ``c_ops``: (K, d, d) collapse operators with the decay rates
+    already folded in as sqrt(rate).  ``rho0`` has shape (..., d, d): a
+    stack of matrices is integrated in one pass.  Records every
+    ``stride``-th step plus endpoints.  Inputs may be any complex matrices
+    (linearity is preserved; no hermitization is applied).
+    """
+    n = dts.shape[0]
+    rho = rho0.astype(complex).copy()
+    cdc_sum = np.zeros(c_ops.shape[1:], dtype=complex)
+    for c in c_ops:
+        cdc_sum += c.conj().T @ c
+    out = [rho.copy()]
+    for k in range(n):
+        dt = dts[k]
+        h0, h1, h2 = h_steps[k]
+        k1 = _lindblad_rhs(h0, rho, c_ops, cdc_sum)
+        k2 = _lindblad_rhs(h1, rho + 0.5 * dt * k1, c_ops, cdc_sum)
+        k3 = _lindblad_rhs(h1, rho + 0.5 * dt * k2, c_ops, cdc_sum)
+        k4 = _lindblad_rhs(h2, rho + dt * k3, c_ops, cdc_sum)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % stride == 0 or k == n - 1:
+            out.append(rho.copy())
+    return np.array(out)
+
+
+def _checked_grid(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig):
+    """Stepping grid, rejecting steps too coarse for the fastest decay rate."""
+    dt = config.resolve_dt(schedule.duration)
+    if noise.max_rate * dt >= MAX_RATE_DT:
+        raise ValueError(
+            f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
+            f"must stay below {MAX_RATE_DT}"
+        )
+    return stepping_grid(schedule, dt)
 
 
 def evolve_density(
@@ -333,38 +417,11 @@ def evolve_density(
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
-    dt = config.resolve_dt(schedule.duration)
-    if noise.max_rate * dt >= MAX_RATE_DT:
-        raise ValueError(
-            f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
-            f"must stay below {MAX_RATE_DT}"
-        )
-    grid = stepping_grid(schedule, dt)
-    c_ops = noise.scaled_ops(dim)
-    rec = _recorded_indices(len(grid.dts), config.record_stride)
-    times = grid.nodes[rec]
-
-    if config.method == "rk4":
-        h = hamiltonian_stack(schedule, _interleaved_nodes(grid), err, dim=dim, levels=levels)
-        rhos = kernels.lindblad_rk4(h, grid.dts, rho, c_ops, config.record_stride)
-        return Trajectory(times=times, states=rhos)
-
-    # expm: two Liouvillian exponentials per step at the same fourth order;
-    # the time-independent dissipator carries half weight in each factor
-    from scipy.linalg import expm
-
-    gens, _ = _cf4_generators(schedule, grid, err, dim, levels)
-    half_ops = c_ops / math.sqrt(2.0)
-    vec = rho.reshape(-1)
-    out = [rho.copy()]
-    n = len(grid.dts)
-    for k in range(n):
-        dt_k = grid.dts[k]
-        vec = expm(_liouvillian(gens[2 * k], half_ops) * dt_k) @ vec
-        vec = expm(_liouvillian(gens[2 * k + 1], half_ops) * dt_k) @ vec
-        if (k + 1) % config.record_stride == 0 or k == n - 1:
-            out.append(vec.reshape(dim, dim).copy())
-    return Trajectory(times=times, states=np.array(out))
+    grid = _checked_grid(schedule, noise, config)
+    h = _rk4_hamiltonians(schedule, grid, err, dim, levels)
+    rhos = lindblad_rk4(h, grid.dts, rho, noise.scaled_ops(dim), config.record_stride)
+    times = grid.nodes[_recorded_indices(len(grid.dts), config.record_stride)]
+    return Trajectory(times=times, states=rhos)
 
 
 def gate_channel(
@@ -378,25 +435,18 @@ def gate_channel(
     """Superoperator of one full schedule, row-major vectorization.
 
     Satisfies vec(rho_out) = S vec(rho_in).  Without noise this is
-    U (x) conj(U) for the schedule propagator U.
+    U (x) conj(U) for the schedule propagator U.  With noise, all dim^2
+    matrix units are integrated together in one RK4 pass.
     """
     if noise.is_empty:
         u = propagator(schedule, err, config, dim=dim, levels=levels)
         return np.kron(u, u.conj())
-    dt = config.resolve_dt(schedule.duration)
-    if noise.max_rate * dt >= MAX_RATE_DT:
-        raise ValueError("step size violation for the requested noise model")
-    grid = stepping_grid(schedule, dt)
-    c_ops = noise.scaled_ops(dim)
-    h = hamiltonian_stack(schedule, _interleaved_nodes(grid), err, dim=dim, levels=levels)
-    n = len(grid.dts)
-    s = np.empty((dim * dim, dim * dim), dtype=complex)
-    for j in range(dim * dim):
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[j // dim, j % dim] = 1.0
-        final = kernels.lindblad_rk4(h, grid.dts, unit, c_ops, n)[-1]
-        s[:, j] = final.reshape(-1)
-    return s
+    grid = _checked_grid(schedule, noise, config)
+    h = _rk4_hamiltonians(schedule, grid, err, dim, levels)
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    final = lindblad_rk4(h, grid.dts, units, noise.scaled_ops(dim), len(grid.dts))[-1]
+    # unit j evolves into column j of the superoperator
+    return np.ascontiguousarray(final.reshape(dim * dim, dim * dim).T)
 
 
 def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

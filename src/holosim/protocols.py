@@ -221,8 +221,8 @@ class SimulatedSequenceExecutor:
     Unitary runs cache one propagator per GateSpec.  Noisy runs cache
     superoperators for recurring gates (the Cliffords plus any declared
     extras); one-off gates such as per-sequence recovery rotations are
-    integrated directly, which costs one run instead of the d^2 runs a
-    superoperator would take.
+    integrated directly on the state, which evolves one matrix instead of
+    the d^2 matrix units a superoperator takes.
     """
 
     def __init__(

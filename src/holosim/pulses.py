@@ -76,9 +76,6 @@ class Segment:
         if self.omega < 0.0:
             raise ValueError("drive amplitude must be non-negative")
 
-    def phi1(self, t: float) -> float:
-        return self.phi1_offset + self.phi1_slope * (t - self.t_start)
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -111,15 +108,6 @@ class PulseSchedule:
         if self.edge_ramp < 0.0 or 2.0 * self.edge_ramp > self.duration:
             raise ValueError("edge ramp must satisfy 0 <= 2*ramp <= duration")
 
-    def segment_at(self, t: float) -> Segment:
-        """Segment containing ``t``; boundaries belong to the later segment."""
-        if t < 0.0 or t > self.duration * (1.0 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        for seg in self.segments[:-1]:
-            if t < seg.t_end:
-                return seg
-        return self.segments[-1]
-
     def envelope_factor(self, t: float) -> float:
         """Edge-ramp multiplier in [0, 1]; identically 1 when edge_ramp is 0."""
         r = self.edge_ramp
@@ -130,11 +118,6 @@ class PulseSchedule:
         if t > self.duration - r:
             return math.sin(0.5 * math.pi * (self.duration - t) / r) ** 2
         return 1.0
-
-    def drive_values(self, t: float) -> tuple[float, float, float, float]:
-        """Instantaneous (omega_0e, omega_1e, phi_0, phi_1) at time ``t``."""
-        om0e, om1e, phi0, phi1 = drive_arrays(self, np.array([t]))
-        return (float(om0e[0]), float(om1e[0]), float(phi0[0]), float(phi1[0]))
 
 
 @dataclass(frozen=True)
@@ -324,17 +307,18 @@ def geometric_phase(loop: LoopParams, n_points: int = 10001) -> float:
 
 
 def drive_arrays(
-    schedule: PulseSchedule, times: np.ndarray
+    schedule: PulseSchedule, times: np.ndarray, side: str = "right"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (omega_0e, omega_1e, phi_0, phi_1) over an array of times.
 
-    Exact segment boundaries take the later segment's values.
+    Exact segment boundaries take the later segment's values (the right
+    limit); ``side="left"`` takes the earlier segment's (the left limit).
     """
     t = np.asarray(times, dtype=float)
     if t.size and (t.min() < -1e-15 or t.max() > schedule.duration * (1.0 + 1e-12)):
         raise ValueError("sample times outside the schedule window")
     ends = np.array([seg.t_end for seg in schedule.segments])
-    idx = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
+    idx = np.minimum(np.searchsorted(ends, t, side=side), len(ends) - 1)
 
     starts = np.array([seg.t_start for seg in schedule.segments])[idx]
     omegas = np.array([seg.omega for seg in schedule.segments])[idx]

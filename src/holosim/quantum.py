@@ -8,9 +8,8 @@ Conventions
 -----------
 * Composite (tensor-product) indices are row-major: the first factor is the
   most significant index, matching ``numpy.kron``.
-* Hermiticity / unitarity / trace checks use an absolute elementwise
-  tolerance of 1e-9, far below any simulated physical effect and far above
-  double-precision noise.
+* The unitarity check uses an absolute elementwise tolerance of 1e-9, far
+  below any simulated physical effect and far above double-precision noise.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 ATOL = 1e-9
-EIGENVALUE_FLOOR = -1e-9
 EMPTY_SUBSPACE_TOL = 1e-12
 
 
@@ -32,58 +30,10 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return psi
 
 
-def normalized(psi: Sequence[complex]) -> np.ndarray:
-    """Return a unit-norm copy of ``psi``."""
-    vec = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return vec / norm
-
-
 def density(psi: Sequence[complex]) -> np.ndarray:
     """Outer product |psi><psi| as a density matrix."""
     vec = np.asarray(psi, dtype=complex)
     return np.outer(vec, vec.conj())
-
-
-def as_state_vector(psi: Sequence[complex], atol: float = ATOL) -> np.ndarray:
-    """Validate and return ``psi`` as a complex array.
-
-    Raises ``ValueError`` if the Euclidean norm deviates from 1 by more
-    than ``atol``.
-    """
-    vec = np.asarray(psi, dtype=complex)
-    if vec.ndim != 1:
-        raise ValueError(f"state vector must be 1-d, got shape {vec.shape}")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector norm {norm!r} deviates from 1")
-    return vec
-
-
-def as_density_matrix(rho: Sequence[Sequence[complex]], atol: float = ATOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of ``rho``.
-
-    Eigenvalues may dip to ``EIGENVALUE_FLOOR`` to absorb round-off from
-    numerical propagation.
-    """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-    if not is_hermitian(mat, atol):
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
-    return mat
-
-
-def is_hermitian(mat: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= atol)
 
 
 def is_unitary(mat: np.ndarray, atol: float = ATOL) -> bool:
@@ -94,20 +44,6 @@ def is_unitary(mat: np.ndarray, atol: float = ATOL) -> bool:
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of states or operators, first factor most significant."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """Exact step propagator exp(-i H dt) of a Hermitian generator.
-
-    Computed by eigendecomposition, which is exact to machine precision at
-    the small dimensions used here.  Raises ``ValueError`` for non-Hermitian
-    input.
-    """
-    mat = np.asarray(h, dtype=complex)
-    if not is_hermitian(mat):
-        raise ValueError("Hamiltonian must be Hermitian within 1e-9")
-    w, v = np.linalg.eigh(mat)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosim import cli
 
@@ -67,6 +71,10 @@ class TestGateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "--gamma" in err and "--theta" in err and "--omega0-mhz" in err
+
+    def test_malformed_flag_is_config_error(self, tmp_path, capsys):
+        assert run(tmp_path, "gate", "--scheme", "foo") == 1
+        assert "--scheme" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # a 50 ns step on a 100 ns schedule violates the step-size contract
@@ -177,6 +185,55 @@ class TestConfigFile:
         meta2 = (d2 / "gate_summary.txt").read_text().splitlines()[:4]
         assert meta1 == meta2
         assert h1 == h2
+
+
+NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
+
+#: flags that take a positive value, per command; --edge-ramp-ns a non-negative one
+CHECKED_FLAGS = {
+    "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns"),
+    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS),
+    "ramsey": ("--g-eff-mhz", "--t1-a-us"),
+    "rb": ("--omega0-mhz", *NOISE_FLAGS),
+    "scan": ("--omega0-mhz", *NOISE_FLAGS),
+    "compare": ("--omega0-mhz", *NOISE_FLAGS),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(CHECKED_FLAGS)))
+    flags = data.draw(st.lists(st.sampled_from(CHECKED_FLAGS[command]), min_size=1, unique=True))
+    argv = [command]
+    for flag in flags:
+        if flag == "--edge-ramp-ns":
+            value = data.draw(st.floats(min_value=-1e6, max_value=-1e-6))
+        else:
+            value = data.draw(st.floats(min_value=-1e6, max_value=0.0))
+        argv.append(f"{flag}={value!r}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out-dir", str(tmp_path_factory.getbasetemp())])
+    assert code != 2, argv
+    assert code == 1, argv
+    assert all(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("scan", "--resolution", "5"), ("scan_grid.csv", "scan_summary.txt")),
+        (("rb", "--lengths", "1,2,3", "--sequences", "10"), ("rb_survival.csv", "rb_summary.txt")),
+    ],
+)
+def test_thread_count_leaves_outputs_byte_identical(tmp_path, argv, files):
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        assert cli.main([*argv, "--threads", threads, "--out-dir", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes() for name in files])
+    assert outputs[0] == outputs[1]
 
 
 class TestFormatting:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from holosim import evolve, pulses
 from holosim.gates import ideal_single_qubit
@@ -191,32 +192,28 @@ class TestEvolveDensity:
         for rho in traj.states[:: len(traj.states) // 10 + 1]:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
-    def test_rk4_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # halving dt divides the error by ~16 away from the roundoff floor
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+    @staticmethod
+    def _rk4_error_ratio(schedule):
+        # ratio of successive final-state changes under dt-halving
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, t1_1_to_e=3e-6)
         rho0 = density(basis_state(3, 0))
 
         def final(steps):
-            cfg = evolve.IntegratorConfig(dt=sched.duration / steps, record_stride=10**9)
-            return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
+            cfg = evolve.IntegratorConfig(dt=schedule.duration / steps, record_stride=10**9)
+            return evolve.evolve_density(rho0, schedule, noise, config=cfg).states[-1]
 
         r1, r2, r3 = final(200), final(400), final(800)
-        e12 = np.max(np.abs(r1 - r2))
-        e23 = np.max(np.abs(r2 - r3))
-        assert 10.0 < e12 / e23 < 22.0
+        return np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3))
 
-    def test_expm_method_agrees_with_rk4(self, sqrt_x_spec):
+    def test_rk4_fourth_order_on_smooth_segment(self, sqrt_x_spec):
+        # halving dt divides the error by ~16 away from the roundoff floor
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
-        rho0 = density(basis_state(3, 0))
-        cfg_rk4 = evolve.IntegratorConfig(dt=sched.duration / 500, record_stride=10**9)
-        cfg_expm = evolve.IntegratorConfig(
-            dt=sched.duration / 500, method="expm", record_stride=10**9
-        )
-        a = evolve.evolve_density(rho0, sched, noise, config=cfg_rk4).states[-1]
-        b = evolve.evolve_density(rho0, sched, noise, config=cfg_expm).states[-1]
-        assert np.max(np.abs(a - b)) < 1e-8
+        assert 10.0 < self._rk4_error_ratio(sched) < 22.0
+
+    def test_rk4_fourth_order_across_phase_jump(self, sqrt_x_spec):
+        # the nhqc midpoint jump must not drop RK4 to first order (ratio ~2)
+        sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
+        assert 10.0 < self._rk4_error_ratio(sched) < 22.0
 
     def test_step_size_violation_raises(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
@@ -248,6 +245,93 @@ class TestGateChannel:
         rho = evolve.apply_superop(s, density(basis_state(3, 1)))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
         assert np.linalg.eigvalsh(rho).min() > -1e-7
+
+
+def frame_oracle(schedule, c_ops=None):
+    """Exact map of a ramp-free schedule, one matrix exponential per segment.
+
+    In the co-rotating frame psi = D(t) psi~, D(t) = exp(-i phi1(t) |e><e|),
+    a segment's generator G = H(phi1 = 0) - phi1' |e><e| is constant, so the
+    segment maps by D(t_end) exp(-i G dt) D(t_start)^dag.  Matrix-unit and
+    diagonal collapse operators only pick up phases in that frame, so the
+    noisy map is D(t_end) exp(L dt) D(t_start)^dag on superoperators, with
+    L the row-major Liouvillian of G.  Returns the unitary when ``c_ops`` is
+    None, else the superoperator.
+    """
+    noisy = c_ops is not None
+    eye = np.eye(3)
+    total = np.eye(9 if noisy else 3, dtype=complex)
+    for seg in schedule.segments:
+        g = np.zeros((3, 3), dtype=complex)
+        g[0, 2] = 0.5 * seg.omega * math.sin(0.5 * seg.theta_mix) * np.exp(1j * seg.phi0_offset)
+        g[1, 2] = 0.5 * seg.omega * math.cos(0.5 * seg.theta_mix)
+        g[2, 0], g[2, 1] = np.conj(g[0, 2]), np.conj(g[1, 2])
+        g[2, 2] = -seg.phi1_slope
+        if noisy:
+            gen = -1j * (np.kron(g, eye) - np.kron(eye, g.T))
+            for c in c_ops:
+                cdc = c.conj().T @ c
+                gen += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        else:
+            gen = -1j * g
+
+        def frame(t):
+            d = np.ones(3, dtype=complex)
+            d[2] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
+            return np.kron(d, d.conj()) if noisy else d
+
+        step = expm(gen * (seg.t_end - seg.t_start))
+        total = frame(seg.t_end)[:, None] * step @ (frame(seg.t_start).conj()[:, None] * total)
+    return total
+
+
+@pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+class TestFrameOracle:
+    SPEC = pulses.GateSpec(theta=1.1, phi=0.4, gamma=2.3)
+
+    def test_propagator_matches_oracle(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        assert np.max(np.abs(evolve.propagator(sched) - frame_oracle(sched))) < 1e-10
+
+    def test_noiseless_density_matches_unitary(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        rho0 = density(np.array([0.6, 0.8j, 0.0]))
+        u = frame_oracle(sched)
+        rho = evolve.evolve_density(rho0, sched).states[-1]
+        assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-10
+
+    def test_noisy_channel_matches_oracle(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        noise = evolve.NoiseModel.qutrit_relaxation(
+            t1_e_to_0=5e-6, t1_1_to_e=3e-6, tphi_e=10e-6, tphi_1=10e-6
+        )
+        exact = frame_oracle(sched, noise.scaled_ops(3))
+        assert np.max(np.abs(evolve.gate_channel(sched, noise) - exact)) < 1e-9
+
+    def test_batched_channel_equals_column_by_column(self, scheme):
+        # every column is the evolution of one matrix unit on its own
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
+        columns = []
+        for j in range(9):
+            unit = np.zeros((3, 3), dtype=complex)
+            unit[j // 3, j % 3] = 1.0
+            final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
+            columns.append(final.reshape(-1))
+        assert np.array_equal(evolve.gate_channel(sched, noise, config=cfg), np.column_stack(columns))
+
+
+def test_step_propagators_unitary_for_many_random_hermitian(rng):
+    # 1e4 random Hermitian generators with |H| dt <= pi
+    n = 10_000
+    a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    h = 0.5 * (a + np.conj(np.transpose(a, (0, 2, 1))))
+    norms = np.linalg.norm(h, axis=(1, 2))
+    h *= (math.pi / np.maximum(norms, 1e-30))[:, None, None]
+    u = evolve._step_propagators(h, np.ones(n))
+    defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(3))
+    assert defect.max() < 1e-9
 
 
 class TestNoiseModel:

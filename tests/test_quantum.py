@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from holosim import quantum as q
 
-from conftest import random_density, random_state
+from conftest import random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestTensorProduct:
@@ -48,39 +45,6 @@ class TestTensorProduct:
             left = q.tensor_product(q.tensor_product(a, b), c)
             right = q.tensor_product(a, q.tensor_product(b, c))
             assert np.allclose(left, right, atol=1e-12)
-
-
-class TestHermitianPropagator:
-    def test_zero_generator(self):
-        assert np.allclose(q.hermitian_propagator(np.zeros((3, 3)), 1.0), np.eye(3))
-
-    def test_pi_pulse_closed_form(self):
-        # H = (Omega/2) sigma_x with Omega dt = pi gives -i sigma_x
-        omega = 2.0 * math.pi * 5e6
-        u = q.hermitian_propagator(0.5 * omega * SX, math.pi / omega)
-        assert np.allclose(u, -1j * SX, atol=1e-12)
-
-    def test_diagonal_case(self):
-        omega, dt = 3.0, 0.7
-        u = q.hermitian_propagator(0.5 * omega * SZ, dt)
-        expected = np.diag([np.exp(-0.5j * omega * dt), np.exp(0.5j * omega * dt)])
-        assert np.allclose(u, expected, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            q.hermitian_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-    def test_unitary_for_many_random_hermitian(self, rng):
-        # 1e4 random Hermitian generators with |H| dt <= pi
-        n = 10_000
-        a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-        h = 0.5 * (a + np.conj(np.transpose(a, (0, 2, 1))))
-        norms = np.linalg.norm(h, axis=(1, 2))
-        h *= (math.pi / np.maximum(norms, 1e-30))[:, None, None]
-        w, v = np.linalg.eigh(h)
-        u = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj())
-        defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(3))
-        assert defect.max() < 1e-9
 
 
 class TestUnattenuatedFidelity:
@@ -192,32 +156,3 @@ class TestPartialTrace:
     def test_inconsistent_dims(self):
         with pytest.raises(ValueError, match="inconsistent"):
             q.partial_trace(np.eye(4) / 4, 0, (2, 3))
-
-
-class TestValidators:
-    def test_state_vector_norm_check(self):
-        with pytest.raises(ValueError, match="norm"):
-            q.as_state_vector([1.0, 1.0])
-        vec = q.as_state_vector([1.0, 0.0])
-        assert vec.dtype == complex
-
-    def test_density_checks(self, rng):
-        q.as_density_matrix(random_density(rng, 3))
-        with pytest.raises(ValueError, match="trace"):
-            q.as_density_matrix(np.eye(3))
-        with pytest.raises(ValueError, match="Hermitian"):
-            q.as_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="negative"):
-            q.as_density_matrix(np.diag([1.5, -0.5]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    amps=st.lists(
-        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-        min_size=2,
-        max_size=5,
-    ).filter(lambda xs: sum(abs(x) ** 2 for x in xs) > 1e-6)
-)
-def test_normalized_always_unit(amps):
-    assert np.linalg.norm(q.normalized(amps)) == pytest.approx(1.0, abs=1e-12)
