@@ -33,7 +33,7 @@ from .evolve import (
     propagator,
 )
 from .gates import ideal_single_qubit
-from .pulses import GateSpec, nhqc_duration, synthesize, tounhqc_duration
+from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize, tounhqc_duration
 from .quantum import average_gate_fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -239,6 +239,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
+#: JSON types a config value may take, by the argparse type of its flag
+#: (argparse converts string values itself).
+_CONFIG_TYPES = {float: (int, float, str), int: (int, str), None: (str,)}
+
+
+def _config_value_problem(action: argparse.Action, value) -> Optional[str]:
+    """Why a config-file value cannot stand in for its flag, or None if it can."""
+    if value is None:
+        return None if action.default is None else "must not be null"
+    # store_true switches take JSON true/false, which no other flag takes
+    switch = action.nargs == 0
+    types = (bool,) if switch else _CONFIG_TYPES[action.type]
+    if isinstance(value, bool) != switch or not isinstance(value, types):
+        return f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}"
+    if isinstance(value, str) and action.type is not None:
+        try:
+            action.type(value)
+        except ValueError:
+            return f"expected {action.type.__name__}, got {value!r}"
+    if action.choices is not None and value not in action.choices:
+        return f"must be one of {', '.join(action.choices)}, got {value!r}"
+    return None
+
+
 def _parse_with_config(
     parser: argparse.ArgumentParser, subparsers: dict, argv
 ) -> argparse.Namespace:
@@ -251,13 +275,21 @@ def _parse_with_config(
             raise ConfigError([f"cannot read config file {args.config}: {exc}"])
         if not isinstance(file_values, dict):
             raise ConfigError([f"config file {args.config} must hold a JSON object"])
-        unknown = [k for k in file_values if not hasattr(args, k.replace("-", "_"))]
-        if unknown:
-            raise ConfigError([f"unknown config keys: {', '.join(sorted(unknown))}"])
+        defaults = {k.replace("-", "_"): v for k, v in file_values.items()}
+        unknown = sorted(k for k in file_values if not hasattr(args, k.replace("-", "_")))
+        problems = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
+        subparser = subparsers[args.command]
+        actions = {action.dest: action for action in subparser._actions}
+        problems += [
+            f"config key {key!r}: {problem}"
+            for key, value in defaults.items()
+            if key in actions and (problem := _config_value_problem(actions[key], value))
+        ]
+        if problems:
+            raise ConfigError(problems)
         # defaults must land on the active subparser: its own defaults would
         # otherwise win over values seeded on the main parser
-        defaults = {k.replace("-", "_"): v for k, v in file_values.items()}
-        subparsers[args.command].set_defaults(**defaults)
+        subparser.set_defaults(**defaults)
         args = parser.parse_args(argv)  # explicit flags still win
     return args
 
@@ -281,20 +313,26 @@ def _validate_common(args, problems: list[str]) -> None:
         problems.append("--threads must be at least 1")
 
 
+def _check_loop_angle(flag: str, gamma: float, problems: list[str]) -> bool:
+    """Reject a loop angle that synthesis would find degenerate; True if usable."""
+    tol = DEGENERATE_GAMMA_TOL
+    # the negation of the synthesis check, written so that NaN fails it
+    if gamma >= tol and TWO_PI - gamma >= tol:
+        return True
+    problems.append(f"{flag} must lie {tol:g} or more inside (0, 2 pi), got {gamma}")
+    return False
+
+
 def _validate_gate_spec(args, problems: list[str]) -> None:
     if not 0.0 <= args.theta <= math.pi:
         problems.append(f"--theta must lie in [0, pi], got {args.theta}")
     if not 0.0 <= args.phi < TWO_PI:
         problems.append(f"--phi must lie in [0, 2 pi), got {args.phi}")
-    if not 0.0 < args.gamma < TWO_PI:
-        problems.append(
-            f"--gamma must lie strictly inside (0, 2 pi), got {args.gamma} "
-            "(degenerate loop)"
-        )
+    gamma_ok = _check_loop_angle("--gamma", args.gamma, problems)
     ramp = args.edge_ramp_ns * 1e-9
     if not ramp >= 0.0:
         problems.append(f"--edge-ramp-ns must be non-negative, got {args.edge_ramp_ns}")
-    elif 0.0 < args.gamma < TWO_PI and args.omega0_mhz > 0.0:
+    elif gamma_ok and args.omega0_mhz > 0.0:
         omega0 = TWO_PI * args.omega0_mhz * 1e6
         if args.scheme == "tounhqc":
             tau = tounhqc_duration(args.gamma, omega0)
@@ -604,13 +642,9 @@ def _validate(args) -> None:
     if extra is not None:
         extra(args, problems)
     if args.command in ("ramsey", "scan", "compare"):
-        if not 0.0 < args.gamma < TWO_PI:
-            problems.append(f"--gamma must lie strictly inside (0, 2 pi), got {args.gamma}")
-    if args.command == "ramsey":
-        if args.points < 3:
-            problems.append("--points must be at least 3")
-        if args.g_eff_mhz <= 0.0:
-            problems.append("--g-eff-mhz must be positive")
+        _check_loop_angle("--gamma", args.gamma, problems)
+    if args.command == "ramsey" and args.points < 3:
+        problems.append("--points must be at least 3")
     if args.command == "scan" and args.resolution < 5:
         problems.append("--resolution must be at least 5")
     if args.command == "rb":
@@ -627,8 +661,8 @@ def _validate(args) -> None:
                 problems.append("--lengths needs at least 3 values to fit a decay")
         if args.sequences < 10:
             problems.append("--sequences must be at least 10 for a stable fit")
-        if args.interleaved_gamma is not None and not 0.0 < args.interleaved_gamma < TWO_PI:
-            problems.append("--interleaved-gamma must lie strictly inside (0, 2 pi)")
+        if args.interleaved_gamma is not None:
+            _check_loop_angle("--interleaved-gamma", args.interleaved_gamma, problems)
     if problems:
         raise ConfigError(problems)
 

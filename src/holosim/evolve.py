@@ -1,13 +1,15 @@
 """Time-ordered propagation under a pulse schedule.
 
-The unitary path multiplies exact step propagators built from a
-fourth-order commutator-free exponential scheme (two exponentials per
-step with the Hamiltonian sampled at the Gauss-Legendre nodes); for a
-constant Hamiltonian this reduces exactly to exp(-i H dt).  The
-open-system path integrates the Lindblad master equation with fixed-step
-RK4.  Integration grids always place a node at segment boundaries, and
-every step samples only its own segment, so phase jumps are never
-smeared across a step.
+Both paths step with one fourth-order commutator-free exponential scheme
+(CF4): two exponentials per step, whose generators mix the Hamiltonian
+sampled at the step's two Gauss-Legendre nodes.  The unitary path
+multiplies exact Hermitian step propagators; the open-system path
+exponentiates the row-major Liouvillians of the same generators, each
+carrying half the (constant) dissipator, and applies the resulting d^2 x
+d^2 step maps to vec(rho) or multiplies them into a channel.  On a
+constant segment the scheme is exact.  Integration grids place a node at
+every segment boundary and the Gauss nodes lie strictly inside a step,
+so phase jumps are never smeared across a step.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .pulses import PulseSchedule, drive_arrays, stepping_grid
 
@@ -26,6 +29,9 @@ QUTRIT_DIM = 3
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
 MAX_RATE_DT = 0.01
+#: Physical steps whose Lindblad step maps are exponentiated in one batched
+#: call; bounds the memory of the (2 * MAP_CHUNK, d^2, d^2) map stack.
+MAP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -166,17 +172,15 @@ def hamiltonian_stack(
     err: ErrorInjection = NO_ERROR,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-    side: str = "right",
 ) -> np.ndarray:
     """Rotating-frame Hamiltonians at ``times``, shape (n, dim, dim).
 
     ``levels`` maps the Lambda-system roles (|0>, |1>, |e>) onto matrix
     indices; the |0> slot may be None when that leg of the drive is unused
-    (then the schedule must have zero amplitude on it).  ``side`` picks
-    the one-sided limit at segment boundaries, as in :func:`drive_arrays`.
+    (then the schedule must have zero amplitude on it).
     """
     i0, i1, ie = levels
-    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times, side)
+    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times)
     scale = 0.5 * (1.0 + err.amp_fraction)
     h = np.zeros((len(times), dim, dim), dtype=complex)
     if i0 is None:
@@ -247,30 +251,38 @@ def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 
+def _ordered_product(maps, dim: int) -> np.ndarray:
+    """Product of ``maps`` in order of application, the last one leftmost."""
+    out = np.eye(dim, dtype=complex)
+    for step in maps:
+        out = step @ out
+    return out
+
+
+def _recorded(maps, v0: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """Apply ``n`` maps to ``v0``, recording every ``stride``-th result plus endpoints."""
+    v = v0
+    out = [v]
+    for k, step in enumerate(maps):
+        v = step @ v
+        if (k + 1) % stride == 0 or k == n - 1:
+            out.append(v)
+    return np.array(out)
+
+
 def propagate_unitary(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """Ordered product of step propagators exp(-i G_k dt_k), last step leftmost.
 
     ``gens``: (n, d, d) Hermitian generators, ``dts``: (n,) steps.
     """
-    u = np.eye(gens.shape[1], dtype=complex)
-    for step in _step_propagators(gens, dts):
-        u = step @ u
-    return u
+    return _ordered_product(_step_propagators(gens, dts), gens.shape[1])
 
 
 def evolve_states(
     gens: np.ndarray, dts: np.ndarray, psi0: np.ndarray, stride: int
 ) -> np.ndarray:
     """Propagate a state, recording every ``stride``-th step plus endpoints."""
-    n = gens.shape[0]
-    psi = psi0.astype(complex).copy()
-    out = [psi.copy()]
-    steps = _step_propagators(gens, dts)
-    for k in range(n):
-        psi = steps[k] @ psi
-        if (k + 1) % stride == 0 or k == n - 1:
-            out.append(psi.copy())
-    return np.array(out)
+    return _recorded(_step_propagators(gens, dts), psi0.astype(complex), len(dts), stride)
 
 
 def propagator(
@@ -323,69 +335,30 @@ def evolve_pure(
     return Trajectory(times=times, states=states)
 
 
-def _rk4_hamiltonians(
-    schedule: PulseSchedule,
-    grid,
-    err: ErrorInjection,
-    dim: int,
-    levels: tuple[Optional[int], int, int],
-) -> np.ndarray:
-    """Per-step (start, midpoint, end) Hamiltonians, shape (n, 3, dim, dim).
+def lindblad_maps(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray) -> np.ndarray:
+    """Step maps exp(dt_k L_k) on row-major vec(rho), shape (n, d^2, d^2).
 
-    All three samples come from the step's own segment: the end sample is
-    the left limit at the next node, so a phase jump at a segment boundary
-    never reaches the step before it.
+    L_k = -i (G_k (x) 1 - 1 (x) G_k^T) + D / 2 for the CF4 generators
+    ``gens`` (n, d, d) and the dissipator D of ``c_ops`` (K, d, d), which
+    carry the decay rates as sqrt(rate).  Each step's two generators
+    weigh the Hamiltonian by a1 + a2 = 1/2, so half of the constant
+    dissipator goes with each and a step's pair of maps carries all of it.
     """
-    def stack(times, side="right"):
-        return hamiltonian_stack(schedule, times, err, dim, levels, side)
-
-    return np.stack(
-        [stack(grid.nodes[:-1]), stack(grid.mids), stack(grid.nodes[1:], "left")],
-        axis=1,
-    )
-
-
-def _lindblad_rhs(h, rho, c_ops, cdc_sum):
-    drho = -1j * (h @ rho - rho @ h)
-    for c in c_ops:
-        drho += c @ rho @ c.conj().T
-    drho -= 0.5 * (cdc_sum @ rho + rho @ cdc_sum)
-    return drho
+    d = gens.shape[1]
+    eye = np.eye(d)
+    cdc = np.einsum("kji,kjl->il", c_ops.conj(), c_ops)
+    jump = np.einsum("kij,klm->iljm", c_ops, c_ops.conj()).reshape(d * d, d * d)
+    dissipator = jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    comm = np.einsum("nik,jl->nijkl", gens, eye) - np.einsum("ik,nlj->nijkl", eye, gens)
+    liou = -1j * comm.reshape(-1, d * d, d * d) + 0.5 * dissipator
+    return expm(dts[:, None, None] * liou)
 
 
-def lindblad_rk4(
-    h_steps: np.ndarray,
-    dts: np.ndarray,
-    rho0: np.ndarray,
-    c_ops: np.ndarray,
-    stride: int,
-) -> np.ndarray:
-    """RK4 integration of the Lindblad master equation.
-
-    ``h_steps``: (n, 3, d, d) Hamiltonians at each step's start, midpoint
-    and end; ``c_ops``: (K, d, d) collapse operators with the decay rates
-    already folded in as sqrt(rate).  ``rho0`` has shape (..., d, d): a
-    stack of matrices is integrated in one pass.  Records every
-    ``stride``-th step plus endpoints.  Inputs may be any complex matrices
-    (linearity is preserved; no hermitization is applied).
-    """
-    n = dts.shape[0]
-    rho = rho0.astype(complex).copy()
-    cdc_sum = np.zeros(c_ops.shape[1:], dtype=complex)
-    for c in c_ops:
-        cdc_sum += c.conj().T @ c
-    out = [rho.copy()]
-    for k in range(n):
-        dt = dts[k]
-        h0, h1, h2 = h_steps[k]
-        k1 = _lindblad_rhs(h0, rho, c_ops, cdc_sum)
-        k2 = _lindblad_rhs(h1, rho + 0.5 * dt * k1, c_ops, cdc_sum)
-        k3 = _lindblad_rhs(h1, rho + 0.5 * dt * k2, c_ops, cdc_sum)
-        k4 = _lindblad_rhs(h2, rho + dt * k3, c_ops, cdc_sum)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % stride == 0 or k == n - 1:
-            out.append(rho.copy())
-    return np.array(out)
+def _lindblad_map_stream(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray):
+    """:func:`lindblad_maps` of the whole stack, built MAP_CHUNK steps at a time."""
+    for start in range(0, len(dts), 2 * MAP_CHUNK):
+        part = slice(start, start + 2 * MAP_CHUNK)
+        yield from lindblad_maps(gens[part], dts[part], c_ops)
 
 
 def _checked_grid(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig):
@@ -408,20 +381,24 @@ def evolve_density(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> Trajectory:
-    """Integrate the Lindblad master equation along the schedule.
+    """Evolve a density matrix under the Lindblad master equation.
 
-    With an empty noise model this reproduces the pure-state evolution of
-    the corresponding projector.  Raises on step-size violations
-    (rate * dt must stay below 0.01).
+    Applies the CF4 step maps of :func:`lindblad_maps` to vec(rho) and
+    records states as :func:`evolve_pure` does.  With an empty noise model
+    this reproduces the pure-state evolution of the corresponding
+    projector.  Raises on step-size violations (rate * dt must stay below
+    0.01).
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
     grid = _checked_grid(schedule, noise, config)
-    h = _rk4_hamiltonians(schedule, grid, err, dim, levels)
-    rhos = lindblad_rk4(h, grid.dts, rho, noise.scaled_ops(dim), config.record_stride)
+    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
+    maps = _lindblad_map_stream(gens, dts, noise.scaled_ops(dim))
+    # two maps per physical step, as in evolve_pure
+    vecs = _recorded(maps, rho.reshape(-1), len(dts), 2 * config.record_stride)
     times = grid.nodes[_recorded_indices(len(grid.dts), config.record_stride)]
-    return Trajectory(times=times, states=rhos)
+    return Trajectory(times=times, states=vecs.reshape(-1, dim, dim))
 
 
 def gate_channel(
@@ -435,18 +412,16 @@ def gate_channel(
     """Superoperator of one full schedule, row-major vectorization.
 
     Satisfies vec(rho_out) = S vec(rho_in).  Without noise this is
-    U (x) conj(U) for the schedule propagator U.  With noise, all dim^2
-    matrix units are integrated together in one RK4 pass.
+    U (x) conj(U) for the schedule propagator U.  With noise it is the
+    ordered product of the step maps that :func:`evolve_density` applies,
+    so a channel costs the same exponentials as one evolved state.
     """
     if noise.is_empty:
         u = propagator(schedule, err, config, dim=dim, levels=levels)
         return np.kron(u, u.conj())
     grid = _checked_grid(schedule, noise, config)
-    h = _rk4_hamiltonians(schedule, grid, err, dim, levels)
-    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    final = lindblad_rk4(h, grid.dts, units, noise.scaled_ops(dim), len(grid.dts))[-1]
-    # unit j evolves into column j of the superoperator
-    return np.ascontiguousarray(final.reshape(dim * dim, dim * dim).T)
+    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
+    return _ordered_product(_lindblad_map_stream(gens, dts, noise.scaled_ops(dim)), dim * dim)
 
 
 def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

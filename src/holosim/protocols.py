@@ -25,7 +25,6 @@ from .evolve import (
     NoiseModel,
     apply_superop,
     gate_channel,
-    propagator,
 )
 from .gates import (
     clifford_group,
@@ -218,11 +217,11 @@ class RBResult:
 class SimulatedSequenceExecutor:
     """Runs gate sequences through pulse synthesis and time evolution.
 
-    Unitary runs cache one propagator per GateSpec.  Noisy runs cache
-    superoperators for recurring gates (the Cliffords plus any declared
-    extras); one-off gates such as per-sequence recovery rotations are
-    integrated directly on the state, which evolves one matrix instead of
-    the d^2 matrix units a superoperator takes.
+    Every gate acts on the density matrix through its superoperator.
+    Superoperators of recurring gates (the Cliffords plus any declared
+    extras) are cached; one-off gates such as per-sequence recovery
+    rotations are built, applied and dropped, which costs the same step
+    maps as evolving the state through them.
     """
 
     def __init__(
@@ -239,46 +238,26 @@ class SimulatedSequenceExecutor:
         self.noise = noise
         self.err = err
         self.config = config
-        self._unitary = noise.is_empty
         self._cache: dict[GateSpec, np.ndarray] = {}
         cacheable = {compile_clifford(i) for i in range(24)}
         cacheable.update(extra_cached)
         cacheable.discard(None)
         self._cacheable: set[GateSpec] = cacheable
 
-    def _schedule(self, spec: GateSpec) -> PulseSchedule:
-        return synthesize(spec, self.omega0, self.scheme)
-
-    def _gate_operator(self, spec: GateSpec) -> np.ndarray:
-        op = self._cache.get(spec)
-        if op is None:
-            schedule = self._schedule(spec)
-            if self._unitary:
-                op = propagator(schedule, self.err, self.config)
-            else:
-                op = gate_channel(schedule, self.noise, self.err, self.config)
-            self._cache[spec] = op
-        return op
+    def _channel(self, spec: GateSpec) -> np.ndarray:
+        channel = self._cache.get(spec)
+        if channel is None:
+            schedule = synthesize(spec, self.omega0, self.scheme)
+            channel = gate_channel(schedule, self.noise, self.err, self.config)
+            if spec in self._cacheable:
+                self._cache[spec] = channel
+        return channel
 
     def __call__(self, specs: Sequence[Optional[GateSpec]], rng=None) -> float:
-        if self._unitary:
-            psi = basis_state(3, 0)
-            for spec in specs:
-                if spec is None:
-                    continue
-                psi = self._gate_operator(spec) @ psi
-            return float(abs(psi[0]) ** 2)
         rho = density(basis_state(3, 0))
         for spec in specs:
-            if spec is None:
-                continue
-            if spec in self._cacheable:
-                rho = apply_superop(self._gate_operator(spec), rho)
-            else:
-                traj = _evolve.evolve_density(
-                    rho, self._schedule(spec), self.noise, self.err, self.config
-                )
-                rho = traj.states[-1]
+            if spec is not None:
+                rho = apply_superop(self._channel(spec), rho)
         return float(rho[0, 0].real)
 
 

@@ -307,18 +307,17 @@ def geometric_phase(loop: LoopParams, n_points: int = 10001) -> float:
 
 
 def drive_arrays(
-    schedule: PulseSchedule, times: np.ndarray, side: str = "right"
+    schedule: PulseSchedule, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (omega_0e, omega_1e, phi_0, phi_1) over an array of times.
 
-    Exact segment boundaries take the later segment's values (the right
-    limit); ``side="left"`` takes the earlier segment's (the left limit).
+    Exact segment boundaries take the later segment's values.
     """
     t = np.asarray(times, dtype=float)
     if t.size and (t.min() < -1e-15 or t.max() > schedule.duration * (1.0 + 1e-12)):
         raise ValueError("sample times outside the schedule window")
     ends = np.array([seg.t_end for seg in schedule.segments])
-    idx = np.minimum(np.searchsorted(ends, t, side=side), len(ends) - 1)
+    idx = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
 
     starts = np.array([seg.t_start for seg in schedule.segments])[idx]
     omegas = np.array([seg.omega for seg in schedule.segments])[idx]
@@ -363,14 +362,13 @@ def sample_schedule(schedule: PulseSchedule, dt: float) -> ScheduleSamples:
 
 
 class SteppingGrid(NamedTuple):
-    """Midpoint/node grid for piecewise-constant propagation.
+    """Node grid for stepwise propagation.
 
     Nodes are aligned to segment boundaries so phase jumps are never
-    smeared across a step.  ``nodes`` has one more entry than ``mids``.
+    smeared across a step.  ``nodes`` has one more entry than ``dts``.
     """
 
     nodes: np.ndarray
-    mids: np.ndarray
     dts: np.ndarray
 
 
@@ -385,5 +383,4 @@ def stepping_grid(schedule: PulseSchedule, dt: float) -> SteppingGrid:
         inner = np.linspace(seg.t_start, seg.t_end, steps + 1)[1:]
         nodes.extend(inner.tolist())
     nodes = np.asarray(nodes)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return SteppingGrid(nodes=nodes, mids=mids, dts=np.diff(nodes))
+    return SteppingGrid(nodes=nodes, dts=np.diff(nodes))

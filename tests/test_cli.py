@@ -175,6 +175,18 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"no_such_flag": 1}))
         assert cli.main(["gate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
+    def test_wrongly_typed_values_listed(self, tmp_path, capsys):
+        cfg = tmp_path / "typed.json"
+        bad = {"omega0_mhz": [1], "theta": "x", "seed": 1.5, "threads": True,
+               "scheme": "foo", "initial": 0}
+        cfg.write_text(json.dumps({**bad, "gamma": 1, "dt_ns": None}))
+        code = cli.main(["trajectory", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        problems = [line for line in err.splitlines() if line.startswith("  - ")]
+        assert len(problems) == len(bad)
+        assert all(any(repr(key) in line for line in problems) for key in bad)
+
     def test_config_hash_stable_across_out_dirs(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["gate", "--out-dir", str(d1)]) == 0
@@ -217,7 +229,28 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
         code = cli.main([*argv, "--out-dir", str(tmp_path_factory.getbasetemp())])
     assert code != 2, argv
     assert code == 1, argv
-    assert all(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
+    problems = [line for line in err.getvalue().splitlines() if line.startswith("  - ")]
+    assert len(problems) == len(set(problems)), (argv, problems)
+    for flag in flags:
+        assert sum(flag in line for line in problems) == 1, (argv, problems)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gate", "--gamma", "1e-12"),
+        ("gate", "--gamma", repr(2 * PI - 1e-12)),
+        ("trajectory", "--gamma", "1e-12"),
+        ("ramsey", "--gamma", "1e-12"),
+        ("scan", "--gamma", repr(2 * PI - 1e-12)),
+        ("compare", "--gamma", "1e-12"),
+        ("rb", "--interleaved-gamma", "1e-12"),
+    ],
+)
+def test_degenerate_loop_angle_is_config_error(tmp_path, capsys, argv):
+    # within pulses.DEGENERATE_GAMMA_TOL of 0 or 2 pi synthesis would fail
+    assert run(tmp_path, *argv) == 1
+    assert argv[1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

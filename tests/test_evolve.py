@@ -192,28 +192,18 @@ class TestEvolveDensity:
         for rho in traj.states[:: len(traj.states) // 10 + 1]:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
-    @staticmethod
-    def _rk4_error_ratio(schedule):
-        # ratio of successive final-state changes under dt-halving
+    def test_fourth_order_on_smooth_segment(self, sqrt_x_spec):
+        # halving dt divides the error by ~16 away from the roundoff floor
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, t1_1_to_e=3e-6)
         rho0 = density(basis_state(3, 0))
 
         def final(steps):
-            cfg = evolve.IntegratorConfig(dt=schedule.duration / steps, record_stride=10**9)
-            return evolve.evolve_density(rho0, schedule, noise, config=cfg).states[-1]
+            cfg = evolve.IntegratorConfig(dt=sched.duration / steps, record_stride=10**9)
+            return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
 
         r1, r2, r3 = final(200), final(400), final(800)
-        return np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3))
-
-    def test_rk4_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # halving dt divides the error by ~16 away from the roundoff floor
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        assert 10.0 < self._rk4_error_ratio(sched) < 22.0
-
-    def test_rk4_fourth_order_across_phase_jump(self, sqrt_x_spec):
-        # the nhqc midpoint jump must not drop RK4 to first order (ratio ~2)
-        sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
-        assert 10.0 < self._rk4_error_ratio(sched) < 22.0
+        assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
 
     def test_step_size_violation_raises(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
@@ -288,6 +278,9 @@ def frame_oracle(schedule, c_ops=None):
 @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
 class TestFrameOracle:
     SPEC = pulses.GateSpec(theta=1.1, phi=0.4, gamma=2.3)
+    NOISE = evolve.NoiseModel.qutrit_relaxation(
+        t1_e_to_0=5e-6, t1_1_to_e=3e-6, tphi_e=10e-6, tphi_1=10e-6
+    )
 
     def test_propagator_matches_oracle(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
@@ -302,24 +295,31 @@ class TestFrameOracle:
 
     def test_noisy_channel_matches_oracle(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        noise = evolve.NoiseModel.qutrit_relaxation(
-            t1_e_to_0=5e-6, t1_1_to_e=3e-6, tphi_e=10e-6, tphi_1=10e-6
-        )
-        exact = frame_oracle(sched, noise.scaled_ops(3))
-        assert np.max(np.abs(evolve.gate_channel(sched, noise) - exact)) < 1e-9
+        exact = frame_oracle(sched, self.NOISE.scaled_ops(3))
+        assert np.max(np.abs(evolve.gate_channel(sched, self.NOISE) - exact)) < 1e-12
 
-    def test_batched_channel_equals_column_by_column(self, scheme):
-        # every column is the evolution of one matrix unit on its own
+    def test_noisy_density_matches_oracle(self, scheme):
+        # CF4 is exact on nhqc's constant segments, so a coarse grid meets
+        # the oracle there; tounhqc's swept phase needs the default grid
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        rho0 = density(np.array([0.6, 0.8j, 0.0]))
+        steps = 200 if scheme == "nhqc" else evolve.DEFAULT_STEPS
+        cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
+        rho = evolve.evolve_density(rho0, sched, self.NOISE, config=cfg).states[-1]
+        exact = evolve.apply_superop(frame_oracle(sched, self.NOISE.scaled_ops(3)), rho0)
+        assert np.max(np.abs(rho - exact)) < 1e-12
+
+    def test_channel_columns_match_evolve_density(self, scheme):
+        # column j of the channel is the evolution of matrix unit j on its own
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
-        columns = []
+        channel = evolve.gate_channel(sched, noise, config=cfg)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
             unit[j // 3, j % 3] = 1.0
             final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
-            columns.append(final.reshape(-1))
-        assert np.array_equal(evolve.gate_channel(sched, noise, config=cfg), np.column_stack(columns))
+            assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
 
 
 def test_step_propagators_unitary_for_many_random_hermitian(rng):

@@ -206,13 +206,6 @@ class TestSampling:
         )
         assert samples.phi_1[mid] == samples.phi_1[-1]
 
-    def test_one_sided_limits_at_phase_jump(self):
-        gamma = PI / 4
-        sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, gamma), OMEGA0)
-        jump = np.array([sched.segments[0].t_end])
-        assert pulses.drive_arrays(sched, jump, side="left")[3][0] == 0.0
-        assert pulses.drive_arrays(sched, jump)[3][0] == gamma - PI
-
     def test_dt_exceeding_duration(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         with pytest.raises(ValueError, match="exceeds"):
