@@ -572,7 +572,6 @@ def _cmd_scan(args, params: dict) -> None:
         config=_integrator_from_args(args),
         omega0=TWO_PI * args.omega0_mhz * 1e6,
         detuning_absolute=args.detuning_absolute,
-        threads=args.threads,
     )
     meta = _metadata_lines(params, _config_hash(params))
     rows = []

@@ -1,15 +1,26 @@
 """Time-ordered propagation under a pulse schedule.
 
-Both paths step with one fourth-order commutator-free exponential scheme
-(CF4): two exponentials per step, whose generators mix the Hamiltonian
-sampled at the step's two Gauss-Legendre nodes.  The unitary path
-multiplies exact Hermitian step propagators; the open-system path
-exponentiates the row-major Liouvillians of the same generators, each
-carrying half the (constant) dissipator, and applies the resulting d^2 x
-d^2 step maps to vec(rho) or multiplies them into a channel.  On a
-constant segment the scheme is exact.  Integration grids place a node at
-every segment boundary and the Gauss nodes lie strictly inside a step,
-so phase jumps are never smeared across a step.
+Every ramp-free schedule is propagated exactly.  Its segments have a
+constant drive amplitude and a common drive phase phi1(t) that is linear
+in time, so in the co-rotating frame psi = D(t) psi~ with
+D(t) = exp(-i phi1(t) |e><e|) each segment has the constant generator
+G = H(phi1 = 0) - phi1' |e><e|, control errors included, and maps by
+D(t_end) exp(-i G dt) D(t_start)^dag.  Collapse operators that are
+diagonal or a single matrix unit only pick up phases in that frame, so a
+noisy segment maps by one exponential of a constant Liouvillian.  A
+propagator or channel is one exponential per segment; a trajectory
+evaluates the exact map at all recorded grid nodes in one batch.
+
+Edge-ramped schedules and other collapse operators run on a fourth-order
+commutator-free exponential stepper (CF4): two exponentials per step,
+whose generators mix the Hamiltonian sampled at the step's two
+Gauss-Legendre nodes.  Its unitary path multiplies exact Hermitian step
+propagators; its open-system path exponentiates the row-major
+Liouvillians of the same generators, each carrying half the dissipator.
+Grids place a node at every segment boundary and ramp corner, and the
+Gauss nodes lie strictly inside a step, so neither phase jumps nor the
+ramps' kinks are smeared across a step.  Both paths record states at the
+same grid nodes and apply the same step-size checks.
 """
 from __future__ import annotations
 
@@ -138,7 +149,11 @@ NO_NOISE = NoiseModel()
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings; ``dt = None`` resolves to duration / 2000."""
+    """Grid settings; ``dt = None`` resolves to duration / 2000.
+
+    The grid sets the stepper's steps and, on both paths, the times a
+    trajectory records (every ``record_stride``-th node plus endpoints).
+    """
 
     dt: Optional[float] = None
     record_stride: int = 20
@@ -217,6 +232,140 @@ def _recorded_indices(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(idx)
 
 
+def _recorded_times(grid, stride: int) -> np.ndarray:
+    """Grid nodes at which trajectories record: every ``stride``-th plus endpoints."""
+    return grid.nodes[_recorded_indices(len(grid.dts), stride)]
+
+
+def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """Exact exp(-i G_k dt_k) for a stack of Hermitian generators."""
+    w, v = np.linalg.eigh(gens)
+    phases = np.exp(-1j * w * dts[:, None])
+    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+
+
+def _liouvillians(gens: np.ndarray, c_ops: np.ndarray, dissipation: float) -> np.ndarray:
+    """Row-major Liouvillians -i (G (x) 1 - 1 (x) G^T) + dissipation * D, (n, d^2, d^2).
+
+    D is the dissipator of ``c_ops`` (K, d, d), which carry the decay rates
+    as sqrt(rate); ``gens`` is an (n, d, d) stack of Hamiltonian generators.
+    """
+    d = gens.shape[1]
+    eye = np.eye(d)
+    cdc = np.einsum("kji,kjl->il", c_ops.conj(), c_ops)
+    jump = np.einsum("kij,klm->iljm", c_ops, c_ops.conj()).reshape(d * d, d * d)
+    dissipator = jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    comm = np.einsum("nik,jl->nijkl", gens, eye) - np.einsum("ik,nlj->nijkl", eye, gens)
+    return -1j * comm.reshape(-1, d * d, d * d) + dissipation * dissipator
+
+
+# ---------------------------------------------------------------------------
+# Exact propagation in the co-rotating frame
+# ---------------------------------------------------------------------------
+
+
+def _frame_exact(schedule: PulseSchedule, c_ops) -> bool:
+    """Whether the co-rotating frame makes every segment's generator constant.
+
+    Needs a schedule without edge ramps and collapse operators that are
+    diagonal or a single matrix unit, which the frame only multiplies by
+    phases.
+    """
+    if schedule.edge_ramp > 0.0:
+        return False
+    return all(
+        np.count_nonzero(c) <= 1 or not np.count_nonzero(c - np.diag(np.diag(c)))
+        for c in c_ops
+    )
+
+
+def _frame_generators(
+    schedule: PulseSchedule,
+    err: ErrorInjection,
+    dim: int,
+    levels: tuple[Optional[int], int, int],
+) -> np.ndarray:
+    """Constant frame generators G = D^dag H D - phi1' |e><e| per segment, (S, d, d)."""
+    ie = levels[2]
+    segs = schedule.segments
+    starts = np.array([seg.t_start for seg in segs])
+    mids = 0.5 * (starts + np.array([seg.t_end for seg in segs]))
+    slopes = np.array([seg.phi1_slope for seg in segs])
+    phi1 = np.array([seg.phi1_offset for seg in segs]) + slopes * (mids - starts)
+    gens = hamiltonian_stack(schedule, mids, err, dim, levels)
+    turn = np.exp(-1j * phi1)[:, None]
+    rest = np.arange(dim) != ie
+    gens[:, rest, ie] *= turn
+    gens[:, ie, rest] *= turn.conj()
+    gens[:, ie, ie] -= slopes
+    return gens
+
+
+def _frame_phases(seg, times: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarray:
+    """Diagonals of D(t) inside ``seg``, or of D (x) conj(D) for superoperators."""
+    d = np.ones((len(times), dim), dtype=complex)
+    d[:, ie] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (times - seg.t_start)))
+    if noisy:
+        return (d[:, :, None] * d.conj()[:, None, :]).reshape(len(times), dim * dim)
+    return d
+
+
+def _frame_maps(
+    schedule: PulseSchedule,
+    errs,
+    times,
+    c_ops: Optional[np.ndarray],
+    dim: int,
+    levels: tuple[Optional[int], int, int],
+) -> np.ndarray:
+    """Exact maps from t = 0 to each of the ascending ``times``, for every error.
+
+    Returns (len(errs), len(times), m, m): unitaries (m = d) when ``c_ops``
+    is None, row-major superoperators (m = d^2) otherwise.  The segment
+    exponentials of all errors and times come from one batched call: eigh
+    for unitaries, ``expm`` of the constant Liouvillians with noise.
+    """
+    segs = schedule.segments
+    times = np.asarray(times, dtype=float)
+    owner = np.minimum(np.searchsorted([seg.t_end for seg in segs], times), len(segs) - 1)
+    # each segment's own times, plus its end when another segment follows
+    spans = [
+        np.append(times[owner == k], [seg.t_end] * (k < len(segs) - 1))
+        for k, seg in enumerate(segs)
+    ]
+    taus = np.concatenate([at - seg.t_start for at, seg in zip(spans, segs)])
+    seg_of = np.repeat(np.arange(len(segs)), [len(at) for at in spans])
+    gens = np.stack([_frame_generators(schedule, err, dim, levels) for err in errs])
+    gens = gens[:, seg_of].reshape(-1, dim, dim)
+    dts = np.tile(taus, len(errs))
+    if c_ops is None:
+        exps = _step_propagators(gens, dts)
+    else:
+        exps = expm(dts[:, None, None] * _liouvillians(gens, c_ops, 1.0))
+    m = exps.shape[-1]
+    exps = exps.reshape(len(errs), len(taus), m, m)
+
+    noisy = c_ops is not None
+    out = np.empty((len(errs), len(times), m, m), dtype=complex)
+    start = np.broadcast_to(np.eye(m, dtype=complex), (len(errs), m, m))
+    pos = 0
+    for k, (seg, at) in enumerate(zip(segs, spans)):
+        back = _frame_phases(seg, np.array([seg.t_start]), dim, levels[2], noisy)
+        back = back.conj()[0, :, None] * start
+        phases = _frame_phases(seg, at, dim, levels[2], noisy)
+        maps = phases[None, :, :, None] * (exps[:, pos : pos + len(at)] @ back[:, None])
+        out[:, owner == k] = maps[:, : np.count_nonzero(owner == k)]
+        if k < len(segs) - 1:
+            start = maps[:, -1]
+        pos += len(at)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# CF4 stepper: edge-ramped schedules and other collapse operators
+# ---------------------------------------------------------------------------
+
+
 # Fourth-order commutator-free scheme: per step, the propagator is
 # exp(-i dt G2) exp(-i dt G1) with generators G1 = a1 H(t1) + a2 H(t2),
 # G2 = a2 H(t1) + a1 H(t2) sampled at the Gauss-Legendre nodes t1, t2.
@@ -242,13 +391,6 @@ def _cf4_generators(
     gens[0::2] = _CF_A1 * h1 + _CF_A2 * h2
     gens[1::2] = _CF_A2 * h1 + _CF_A1 * h2
     return gens, np.repeat(grid.dts, 2)
-
-
-def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Exact exp(-i G_k dt_k) for a stack of Hermitian generators."""
-    w, v = np.linalg.eigh(gens)
-    phases = np.exp(-1j * w * dts[:, None])
-    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 
 def _ordered_product(maps, dim: int) -> np.ndarray:
@@ -285,73 +427,15 @@ def evolve_states(
     return _recorded(_step_propagators(gens, dts), psi0.astype(complex), len(dts), stride)
 
 
-def propagator(
-    schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> np.ndarray:
-    """Full-schedule unitary as an ordered product of step propagators."""
-    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    return propagate_unitary(gens, dts)
-
-
-def dt_halving_delta(
-    schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-) -> float:
-    """Max-norm change of the propagator when the step size is halved.
-
-    Reported as a convergence diagnostic alongside simulation results.
-    """
-    dt = config.resolve_dt(schedule.duration)
-    u_coarse = propagator(schedule, err, IntegratorConfig(dt=dt, record_stride=1))
-    u_fine = propagator(schedule, err, IntegratorConfig(dt=dt / 2.0, record_stride=1))
-    return float(np.max(np.abs(u_coarse - u_fine)))
-
-
-def evolve_pure(
-    psi0: np.ndarray,
-    schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> Trajectory:
-    """Propagate a pure state, recording every ``record_stride`` steps."""
-    psi = np.asarray(psi0, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    # two exponentials per physical step: double the recording stride so
-    # states are only captured at step boundaries
-    states = evolve_states(gens, dts, psi, 2 * config.record_stride)
-    times = grid.nodes[_recorded_indices(len(grid.dts), config.record_stride)]
-    return Trajectory(times=times, states=states)
-
-
 def lindblad_maps(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray) -> np.ndarray:
     """Step maps exp(dt_k L_k) on row-major vec(rho), shape (n, d^2, d^2).
 
-    L_k = -i (G_k (x) 1 - 1 (x) G_k^T) + D / 2 for the CF4 generators
-    ``gens`` (n, d, d) and the dissipator D of ``c_ops`` (K, d, d), which
-    carry the decay rates as sqrt(rate).  Each step's two generators
-    weigh the Hamiltonian by a1 + a2 = 1/2, so half of the constant
-    dissipator goes with each and a step's pair of maps carries all of it.
+    L_k is the Liouvillian of the CF4 generator ``gens[k]`` plus half the
+    dissipator of ``c_ops``: each step's two generators weigh the
+    Hamiltonian by a1 + a2 = 1/2, so half of the constant dissipator goes
+    with each and a step's pair of maps carries all of it.
     """
-    d = gens.shape[1]
-    eye = np.eye(d)
-    cdc = np.einsum("kji,kjl->il", c_ops.conj(), c_ops)
-    jump = np.einsum("kij,klm->iljm", c_ops, c_ops.conj()).reshape(d * d, d * d)
-    dissipator = jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    comm = np.einsum("nik,jl->nijkl", gens, eye) - np.einsum("ik,nlj->nijkl", eye, gens)
-    liou = -1j * comm.reshape(-1, d * d, d * d) + 0.5 * dissipator
-    return expm(dts[:, None, None] * liou)
+    return expm(dts[:, None, None] * _liouvillians(gens, c_ops, 0.5))
 
 
 def _lindblad_map_stream(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray):
@@ -372,6 +456,152 @@ def _checked_grid(schedule: PulseSchedule, noise: NoiseModel, config: Integrator
     return stepping_grid(schedule, dt)
 
 
+def _stepped_propagator(
+    schedule: PulseSchedule,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> np.ndarray:
+    """CF4 counterpart of :func:`propagator`: ordered product of step propagators."""
+    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
+    return propagate_unitary(*_cf4_generators(schedule, grid, err, dim, levels))
+
+
+def _stepped_pure(
+    psi: np.ndarray,
+    schedule: PulseSchedule,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> Trajectory:
+    """CF4 counterpart of :func:`evolve_pure`."""
+    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
+    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
+    # two exponentials per physical step: double the recording stride so
+    # states are only captured at step boundaries
+    states = evolve_states(gens, dts, psi, 2 * config.record_stride)
+    return Trajectory(times=_recorded_times(grid, config.record_stride), states=states)
+
+
+def _stepped_density(
+    rho: np.ndarray,
+    schedule: PulseSchedule,
+    noise: NoiseModel = NO_NOISE,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> Trajectory:
+    """CF4 counterpart of :func:`evolve_density`: step maps applied to vec(rho)."""
+    grid = _checked_grid(schedule, noise, config)
+    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
+    maps = _lindblad_map_stream(gens, dts, noise.scaled_ops(dim))
+    # two maps per physical step, as in _stepped_pure
+    vecs = _recorded(maps, np.asarray(rho, dtype=complex).reshape(-1), len(dts),
+                     2 * config.record_stride)
+    times = _recorded_times(grid, config.record_stride)
+    return Trajectory(times=times, states=vecs.reshape(-1, dim, dim))
+
+
+def _stepped_channel(
+    schedule: PulseSchedule,
+    noise: NoiseModel = NO_NOISE,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> np.ndarray:
+    """CF4 counterpart of :func:`gate_channel`: ordered product of the step maps."""
+    grid = _checked_grid(schedule, noise, config)
+    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
+    return _ordered_product(_lindblad_map_stream(gens, dts, noise.scaled_ops(dim)), dim * dim)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points: the exact frame where it applies, else the stepper
+# ---------------------------------------------------------------------------
+
+
+def error_maps(
+    schedule: PulseSchedule,
+    errs,
+    noise: NoiseModel = NO_NOISE,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> np.ndarray:
+    """Full-schedule maps under each control error in ``errs``, built together.
+
+    Unitaries (n, d, d) when ``noise`` is empty, else row-major
+    superoperators (n, d^2, d^2).  Where the frame applies, every error's
+    segment exponentials come from one batched call; otherwise each error
+    runs on the CF4 stepper.
+    """
+    c_ops = noise.scaled_ops(dim)
+    if not _frame_exact(schedule, c_ops):
+        if noise.is_empty:
+            return np.stack([_stepped_propagator(schedule, e, config, dim, levels) for e in errs])
+        return np.stack([_stepped_channel(schedule, noise, e, config, dim, levels) for e in errs])
+    _checked_grid(schedule, noise, config)
+    c_ops = None if noise.is_empty else c_ops
+    return _frame_maps(schedule, errs, [schedule.duration], c_ops, dim, levels)[:, 0]
+
+
+def propagator(
+    schedule: PulseSchedule,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> np.ndarray:
+    """Full-schedule unitary: one exact exponential per segment when ramp-free."""
+    return error_maps(schedule, [err], NO_NOISE, config, dim, levels)[0]
+
+
+def dt_halving_delta(
+    schedule: PulseSchedule,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+) -> float:
+    """Accuracy diagnostic of the propagator, reported alongside results.
+
+    On a ramp-free schedule, the max-norm distance between the exact frame
+    propagator and the CF4 stepper at the configured dt; on an edge-ramped
+    one, where the stepper is the engine, the max-norm change of its
+    propagator when the step size is halved.
+    """
+    dt = config.resolve_dt(schedule.duration)
+    stepped = _stepped_propagator(schedule, err, IntegratorConfig(dt=dt))
+    if _frame_exact(schedule, ()):
+        reference = propagator(schedule, err, config)
+    else:
+        reference = _stepped_propagator(schedule, err, IntegratorConfig(dt=dt / 2.0))
+    return float(np.max(np.abs(stepped - reference)))
+
+
+def evolve_pure(
+    psi0: np.ndarray,
+    schedule: PulseSchedule,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> Trajectory:
+    """Propagate a pure state, recording every ``record_stride`` grid steps."""
+    psi = np.asarray(psi0, dtype=complex)
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"initial state norm {norm!r} deviates from 1")
+    if not _frame_exact(schedule, ()):
+        return _stepped_pure(psi, schedule, err, config, dim, levels)
+    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
+    times = _recorded_times(grid, config.record_stride)
+    states = _frame_maps(schedule, [err], times[1:], None, dim, levels)[0] @ psi
+    return Trajectory(times=times, states=np.concatenate([psi[None], states]))
+
+
 def evolve_density(
     rho0: np.ndarray,
     schedule: PulseSchedule,
@@ -383,22 +613,25 @@ def evolve_density(
 ) -> Trajectory:
     """Evolve a density matrix under the Lindblad master equation.
 
-    Applies the CF4 step maps of :func:`lindblad_maps` to vec(rho) and
-    records states as :func:`evolve_pure` does.  With an empty noise model
-    this reproduces the pure-state evolution of the corresponding
-    projector.  Raises on step-size violations (rate * dt must stay below
-    0.01).
+    Records states at the grid nodes :func:`evolve_pure` records.  With an
+    empty noise model this reproduces the pure-state evolution of the
+    corresponding projector.  Raises on step-size violations (rate * dt
+    must stay below 0.01).
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
-    grid = _checked_grid(schedule, noise, config)
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    maps = _lindblad_map_stream(gens, dts, noise.scaled_ops(dim))
-    # two maps per physical step, as in evolve_pure
-    vecs = _recorded(maps, rho.reshape(-1), len(dts), 2 * config.record_stride)
-    times = grid.nodes[_recorded_indices(len(grid.dts), config.record_stride)]
-    return Trajectory(times=times, states=vecs.reshape(-1, dim, dim))
+    c_ops = noise.scaled_ops(dim)
+    if not _frame_exact(schedule, c_ops):
+        return _stepped_density(rho, schedule, noise, err, config, dim, levels)
+    times = _recorded_times(_checked_grid(schedule, noise, config), config.record_stride)
+    if noise.is_empty:
+        u = _frame_maps(schedule, [err], times[1:], None, dim, levels)[0]
+        states = u @ rho @ u.conj().transpose(0, 2, 1)
+    else:
+        maps = _frame_maps(schedule, [err], times[1:], c_ops, dim, levels)[0]
+        states = (maps @ rho.reshape(-1)).reshape(-1, dim, dim)
+    return Trajectory(times=times, states=np.concatenate([rho[None], states]))
 
 
 def gate_channel(
@@ -412,16 +645,14 @@ def gate_channel(
     """Superoperator of one full schedule, row-major vectorization.
 
     Satisfies vec(rho_out) = S vec(rho_in).  Without noise this is
-    U (x) conj(U) for the schedule propagator U.  With noise it is the
-    ordered product of the step maps that :func:`evolve_density` applies,
-    so a channel costs the same exponentials as one evolved state.
+    U (x) conj(U) for the schedule propagator U.  With noise it is one
+    exponential of the frame Liouvillian per segment, or the ordered
+    product of the stepper's maps where the frame does not apply.
     """
     if noise.is_empty:
         u = propagator(schedule, err, config, dim=dim, levels=levels)
         return np.kron(u, u.conj())
-    grid = _checked_grid(schedule, noise, config)
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    return _ordered_product(_lindblad_map_stream(gens, dts, noise.scaled_ops(dim)), dim * dim)
+    return error_maps(schedule, [err], noise, config, dim, levels)[0]
 
 
 def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -400,14 +400,14 @@ def robustness_scan(
     config: IntegratorConfig = DEFAULT_CONFIG,
     omega0: float = DEFAULT_OMEGA0,
     detuning_absolute: bool = False,
-    threads: int = 1,
 ) -> ScanResult:
     """Phase-gate fidelity versus amplitude and detuning control errors.
 
     Simulates the gamma phase gate from (|0> - i |1>)/sqrt(2) at every grid
     point and scores the unattenuated fidelity against the ideal output.
     ``detuning_absolute`` switches the detuning axis from fractions of
-    omega0 to absolute rad/s.
+    omega0 to absolute rad/s.  The gate maps of all grid points are built
+    in one batch (:func:`holosim.evolve.error_maps`).
     """
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
@@ -418,24 +418,20 @@ def robustness_scan(
 
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
-    rho0 = density(SCAN_INITIAL)
 
-    def point(pair):
-        amp, det = pair
+    def error(amp, det):
         if detuning_absolute:
-            err = ErrorInjection(amp_fraction=amp, detuning_rad_s=det)
-        else:
-            err = ErrorInjection(amp_fraction=amp, detuning_fraction=det)
-        if noise.is_empty:
-            traj = _evolve.evolve_pure(SCAN_INITIAL, schedule, err, config)
-            rho_out = density(traj.states[-1])
-        else:
-            traj = _evolve.evolve_density(rho0, schedule, noise, err, config)
-            rho_out = traj.states[-1]
-        return unattenuated_fidelity(rho_th, rho_out)
+            return ErrorInjection(amp_fraction=amp, detuning_rad_s=det)
+        return ErrorInjection(amp_fraction=amp, detuning_fraction=det)
 
-    pairs = [(a, d) for a in amp_axis for d in det_axis]
-    values = _parallel_map(point, pairs, threads)
+    errs = [error(amp, det) for amp in amp_axis for det in det_axis]
+    maps = _evolve.error_maps(schedule, errs, noise, config)
+    if noise.is_empty:
+        psis = maps @ SCAN_INITIAL
+        rhos = np.einsum("ni,nj->nij", psis, psis.conj())
+    else:
+        rhos = (maps @ density(SCAN_INITIAL).reshape(-1)).reshape(-1, 3, 3)
+    values = [unattenuated_fidelity(rho_th, rho) for rho in rhos]
     fidelity = np.asarray(values).reshape(resolution, resolution)
     return ScanResult(amp_axis=amp_axis, detuning_axis=det_axis, fidelity=fidelity)
 

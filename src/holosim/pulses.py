@@ -364,8 +364,9 @@ def sample_schedule(schedule: PulseSchedule, dt: float) -> ScheduleSamples:
 class SteppingGrid(NamedTuple):
     """Node grid for stepwise propagation.
 
-    Nodes are aligned to segment boundaries so phase jumps are never
-    smeared across a step.  ``nodes`` has one more entry than ``dts``.
+    Nodes are aligned to segment boundaries and edge-ramp corners, so
+    neither phase jumps nor the envelope's kinks are smeared across a
+    step.  ``nodes`` has one more entry than ``dts``.
     """
 
     nodes: np.ndarray
@@ -373,14 +374,21 @@ class SteppingGrid(NamedTuple):
 
 
 def stepping_grid(schedule: PulseSchedule, dt: float) -> SteppingGrid:
-    """Integration grid with a node at every segment boundary."""
+    """Integration grid with a node at every segment boundary and ramp corner."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    breaks = [0.0] + [seg.t_end for seg in schedule.segments]
+    r = schedule.edge_ramp
+    corners = (r, schedule.duration - r) if r > 0.0 else ()
+    # the sin^2 envelope's second derivative jumps where each ramp meets the
+    # plateau; corners that coincide with a break are already nodes
+    for corner in corners:
+        if min(abs(corner - b) for b in breaks) > 1e-12 * schedule.duration:
+            breaks.append(corner)
+    breaks.sort()
     nodes = [0.0]
-    for seg in schedule.segments:
-        length = seg.t_end - seg.t_start
-        steps = max(1, math.ceil(length / dt - 1e-12))
-        inner = np.linspace(seg.t_start, seg.t_end, steps + 1)[1:]
-        nodes.extend(inner.tolist())
+    for a, b in zip(breaks, breaks[1:]):
+        steps = max(1, math.ceil((b - a) / dt - 1e-12))
+        nodes.extend(np.linspace(a, b, steps + 1)[1:].tolist())
     nodes = np.asarray(nodes)
     return SteppingGrid(nodes=nodes, dts=np.diff(nodes))

@@ -171,19 +171,11 @@ def ramsey_protocol(
         raise ValueError("theta_grid must not be empty")
     psi0 = (basis_state(DIM, 0) - 1j * basis_state(DIM, 1)) / math.sqrt(2.0)
 
+    rho = np.outer(psi0, psi0.conj())
     if gate_on:
         schedule = build_cphase_schedule(gamma, model.g_eff, scheme)
-        if noise.is_empty:
-            traj = evolve.evolve_pure(psi0, schedule, err, config, dim=DIM, levels=LEVELS)
-            rho = np.outer(traj.states[-1], traj.states[-1].conj())
-        else:
-            traj = evolve.evolve_density(
-                np.outer(psi0, psi0.conj()), schedule, noise, err, config,
-                dim=DIM, levels=LEVELS,
-            )
-            rho = traj.states[-1]
-    else:
-        rho = np.outer(psi0, psi0.conj())
+        channel = evolve.gate_channel(schedule, noise, err, config, dim=DIM, levels=LEVELS)
+        rho = evolve.apply_superop(channel, rho)
 
     excited = np.zeros(DIM)
     excited[1] = excited[3] = 1.0  # target in |1>: states |01> and |11>

@@ -95,6 +95,38 @@ class TestPropagator:
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         assert evolve.dt_halving_delta(sched) < 1e-6
 
+    def test_delta_is_exact_versus_stepper_when_ramp_free(self, sqrt_x_spec):
+        sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
+        stepped = evolve._stepped_propagator(sched, config=cfg)
+        expected = np.max(np.abs(evolve.propagator(sched, config=cfg) - stepped))
+        assert evolve.dt_halving_delta(sched, config=cfg) == expected
+
+    def test_delta_halves_dt_on_ramped_schedule(self, sqrt_x_spec):
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=10e-9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
+        fine = evolve.IntegratorConfig(dt=sched.duration / 600)
+        expected = np.max(np.abs(evolve.propagator(sched, config=cfg)
+                                 - evolve.propagator(sched, config=fine)))
+        assert evolve.dt_halving_delta(sched, config=cfg) == expected
+
+    def test_fourth_order_across_ramp_corners(self):
+        # the sin^2 envelope's second derivative jumps where the ramps meet
+        # the plateau; with grid nodes there the stepper stays fourth order
+        spec = pulses.GateSpec(theta=1.1, phi=0.4, gamma=2.3)
+        sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=25e-9)
+        # the corners fall between the uniform nodes of all three grids
+        for steps in (100, 200, 400):
+            offset = (sched.edge_ramp / (sched.duration / steps)) % 1.0
+            assert 0.05 < offset < 0.95
+
+        def unitary(steps):
+            cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
+            return evolve._stepped_propagator(sched, config=cfg)
+
+        u1, u2, u3 = unitary(100), unitary(200), unitary(400)
+        assert 10.0 < np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u3)) < 22.0
+
 
 class TestEvolvePure:
     def test_sqrt_x_endpoint_from_ground(self, sqrt_x_spec):
@@ -193,14 +225,15 @@ class TestEvolveDensity:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
     def test_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # halving dt divides the error by ~16 away from the roundoff floor
+        # the CF4 stepper: halving dt divides the error by ~16 away from the
+        # roundoff floor
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, t1_1_to_e=3e-6)
         rho0 = density(basis_state(3, 0))
 
         def final(steps):
             cfg = evolve.IntegratorConfig(dt=sched.duration / steps, record_stride=10**9)
-            return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
+            return evolve._stepped_density(rho0, sched, noise, config=cfg).states[-1]
 
         r1, r2, r3 = final(200), final(400), final(800)
         assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
@@ -237,8 +270,8 @@ class TestGateChannel:
         assert np.linalg.eigvalsh(rho).min() > -1e-7
 
 
-def frame_oracle(schedule, c_ops=None):
-    """Exact map of a ramp-free schedule, one matrix exponential per segment.
+def frame_oracle(schedule, c_ops=None, until=None):
+    """Exact map of a ramp-free schedule from t = 0 to ``until`` (default: the end).
 
     In the co-rotating frame psi = D(t) psi~, D(t) = exp(-i phi1(t) |e><e|),
     a segment's generator G = H(phi1 = 0) - phi1' |e><e| is constant, so the
@@ -249,9 +282,12 @@ def frame_oracle(schedule, c_ops=None):
     None, else the superoperator.
     """
     noisy = c_ops is not None
+    until = schedule.duration if until is None else until
     eye = np.eye(3)
     total = np.eye(9 if noisy else 3, dtype=complex)
     for seg in schedule.segments:
+        if seg.t_start >= until:
+            break
         g = np.zeros((3, 3), dtype=complex)
         g[0, 2] = 0.5 * seg.omega * math.sin(0.5 * seg.theta_mix) * np.exp(1j * seg.phi0_offset)
         g[1, 2] = 0.5 * seg.omega * math.cos(0.5 * seg.theta_mix)
@@ -270,8 +306,9 @@ def frame_oracle(schedule, c_ops=None):
             d[2] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
             return np.kron(d, d.conj()) if noisy else d
 
-        step = expm(gen * (seg.t_end - seg.t_start))
-        total = frame(seg.t_end)[:, None] * step @ (frame(seg.t_start).conj()[:, None] * total)
+        t_end = min(seg.t_end, until)
+        step = expm(gen * (t_end - seg.t_start))
+        total = frame(t_end)[:, None] * step @ (frame(seg.t_start).conj()[:, None] * total)
     return total
 
 
@@ -281,17 +318,20 @@ class TestFrameOracle:
     NOISE = evolve.NoiseModel.qutrit_relaxation(
         t1_e_to_0=5e-6, t1_1_to_e=3e-6, tphi_e=10e-6, tphi_1=10e-6
     )
+    RHO0 = density(np.array([0.6, 0.8j, 0.0]))
+
+    # the exact frame path, which serves every ramp-free schedule
 
     def test_propagator_matches_oracle(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        assert np.max(np.abs(evolve.propagator(sched) - frame_oracle(sched))) < 1e-10
+        assert np.max(np.abs(evolve.propagator(sched) - frame_oracle(sched))) < 1e-12
 
     def test_noiseless_density_matches_unitary(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        rho0 = density(np.array([0.6, 0.8j, 0.0]))
-        u = frame_oracle(sched)
-        rho = evolve.evolve_density(rho0, sched).states[-1]
-        assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-10
+        traj = evolve.evolve_density(self.RHO0, sched)
+        for t, rho in zip(traj.times, traj.states):
+            u = frame_oracle(sched, until=t)
+            assert np.max(np.abs(rho - u @ self.RHO0 @ u.conj().T)) < 1e-12
 
     def test_noisy_channel_matches_oracle(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
@@ -299,15 +339,11 @@ class TestFrameOracle:
         assert np.max(np.abs(evolve.gate_channel(sched, self.NOISE) - exact)) < 1e-12
 
     def test_noisy_density_matches_oracle(self, scheme):
-        # CF4 is exact on nhqc's constant segments, so a coarse grid meets
-        # the oracle there; tounhqc's swept phase needs the default grid
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        rho0 = density(np.array([0.6, 0.8j, 0.0]))
-        steps = 200 if scheme == "nhqc" else evolve.DEFAULT_STEPS
-        cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-        rho = evolve.evolve_density(rho0, sched, self.NOISE, config=cfg).states[-1]
-        exact = evolve.apply_superop(frame_oracle(sched, self.NOISE.scaled_ops(3)), rho0)
-        assert np.max(np.abs(rho - exact)) < 1e-12
+        traj = evolve.evolve_density(self.RHO0, sched, self.NOISE)
+        for t, rho in zip(traj.times, traj.states):
+            s = frame_oracle(sched, self.NOISE.scaled_ops(3), until=t)
+            assert np.max(np.abs(rho - evolve.apply_superop(s, self.RHO0))) < 1e-12
 
     def test_channel_columns_match_evolve_density(self, scheme):
         # column j of the channel is the evolution of matrix unit j on its own
@@ -320,6 +356,100 @@ class TestFrameOracle:
             unit[j // 3, j % 3] = 1.0
             final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
             assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
+
+    # the CF4 stepper, which serves edge ramps and other collapse operators
+
+    def test_stepped_propagator_matches_oracle(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        assert np.max(np.abs(evolve._stepped_propagator(sched) - frame_oracle(sched))) < 1e-10
+
+    def test_stepped_noiseless_density_matches_unitary(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        u = frame_oracle(sched)
+        rho = evolve._stepped_density(self.RHO0, sched).states[-1]
+        assert np.max(np.abs(rho - u @ self.RHO0 @ u.conj().T)) < 1e-10
+
+    def test_stepped_noisy_channel_matches_oracle(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        exact = frame_oracle(sched, self.NOISE.scaled_ops(3))
+        assert np.max(np.abs(evolve._stepped_channel(sched, self.NOISE) - exact)) < 1e-12
+
+    def test_stepped_noisy_density_matches_oracle(self, scheme):
+        # CF4 is exact on nhqc's constant segments, so a coarse grid meets
+        # the oracle there; tounhqc's swept phase needs the default grid
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        steps = 200 if scheme == "nhqc" else evolve.DEFAULT_STEPS
+        cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
+        rho = evolve._stepped_density(self.RHO0, sched, self.NOISE, config=cfg).states[-1]
+        exact = evolve.apply_superop(frame_oracle(sched, self.NOISE.scaled_ops(3)), self.RHO0)
+        assert np.max(np.abs(rho - exact)) < 1e-12
+
+    def test_stepped_channel_columns_match_stepped_density(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
+        channel = evolve._stepped_channel(sched, noise, config=cfg)
+        for j in range(9):
+            unit = np.zeros((3, 3), dtype=complex)
+            unit[j // 3, j % 3] = 1.0
+            final = evolve._stepped_density(unit, sched, noise, config=cfg).states[-1]
+            assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
+
+
+class TestEngineChoice:
+    SPEC = TestFrameOracle.SPEC
+
+    def test_non_covariant_collapse_falls_back_to_stepper(self):
+        # |0><e| + |e><0| is neither diagonal nor one matrix unit: the frame
+        # would turn it into a time-dependent operator
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2] = op[2, 0] = 1.0
+        noise = evolve.NoiseModel(collapse_ops=((op, 1e5),))
+        sched = pulses.synthesize_tounhqc(self.SPEC, OMEGA0)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
+        rho0 = TestFrameOracle.RHO0
+        traj = evolve.evolve_density(rho0, sched, noise, config=cfg)
+        stepped = evolve._stepped_density(rho0, sched, noise, config=cfg)
+        assert np.array_equal(traj.states, stepped.states)
+        assert np.array_equal(traj.times, stepped.times)
+        channel = evolve.gate_channel(sched, noise, config=cfg)
+        assert np.array_equal(channel, evolve._stepped_channel(sched, noise, config=cfg))
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_ramped_schedule_runs_on_stepper(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
+        u = evolve.propagator(sched, config=cfg)
+        assert np.array_equal(u, evolve._stepped_propagator(sched, config=cfg))
+        psi0 = basis_state(3, 0)
+        traj = evolve.evolve_pure(psi0, sched, config=cfg)
+        assert np.array_equal(traj.states, evolve._stepped_pure(psi0, sched, config=cfg).states)
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_frame_records_the_stepper_times(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 333, record_stride=7)
+        psi0 = basis_state(3, 0)
+        exact = evolve.evolve_pure(psi0, sched, config=cfg)
+        stepped = evolve._stepped_pure(psi0, sched, config=cfg)
+        assert np.array_equal(exact.times, stepped.times)
+        assert np.array_equal(exact.states[0], psi0)
+        assert np.max(np.abs(exact.states - stepped.states)) < 1e-9
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_error_maps_match_single_error_calls(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        errs = [
+            evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d)
+            for a in (-0.04, 0.0, 0.03)
+            for d in (-0.02, 0.05)
+        ]
+        unitaries = evolve.error_maps(sched, errs)
+        channels = evolve.error_maps(sched, errs, TestFrameOracle.NOISE)
+        for err, u, s in zip(errs, unitaries, channels):
+            assert np.max(np.abs(u - evolve.propagator(sched, err))) < 1e-14
+            single = evolve.gate_channel(sched, TestFrameOracle.NOISE, err)
+            assert np.max(np.abs(s - single)) < 1e-14
 
 
 def test_step_propagators_unitary_for_many_random_hermitian(rng):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from holosim import evolve, pulses
 from holosim import protocols as pr
-from holosim import pulses
 from holosim.evolve import ErrorInjection, NoiseModel
 from holosim.gates import ideal_single_qubit
-from holosim.quantum import basis_state, density
+from holosim.quantum import basis_state, density, unattenuated_fidelity
 
 from conftest import OMEGA0
 
@@ -191,10 +191,20 @@ class TestRobustnessScan:
         )
         assert np.allclose(rel.fidelity, absolute.fidelity, atol=1e-9)
 
-    def test_threads_match_serial(self):
-        serial = pr.robustness_scan("tounhqc", PI / 2, resolution=5)
-        threaded = pr.robustness_scan("tounhqc", PI / 2, resolution=5, threads=4)
-        assert np.array_equal(serial.fidelity, threaded.fidelity)
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_batched_grid_matches_pointwise_evolution(self, noisy):
+        noise = pr.default_noise_model() if noisy else evolve.NO_NOISE
+        result = pr.robustness_scan("nhqc", PI / 2, resolution=5, noise=noise)
+        spec = pulses.GateSpec(0.0, 0.0, PI / 2)
+        sched = pulses.synthesize(spec, pr.DEFAULT_OMEGA0, "nhqc")
+        rho_th = density(np.append(ideal_single_qubit(spec) @ pr.SCAN_INITIAL[:2], 0.0))
+        rho0 = density(pr.SCAN_INITIAL)
+        for i, amp in enumerate(result.amp_axis):
+            for j, det in enumerate(result.detuning_axis):
+                err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=det)
+                rho = evolve.evolve_density(rho0, sched, noise, err).states[-1]
+                expected = unattenuated_fidelity(rho_th, rho)
+                assert result.fidelity[i, j] == pytest.approx(expected, abs=1e-13)
 
 
 class TestAverageChannelFidelity:

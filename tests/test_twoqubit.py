@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holosim import evolve
 from holosim import twoqubit as tq
 from holosim.evolve import ErrorInjection, IntegratorConfig
 from holosim.gates import ideal_control_rk
@@ -135,6 +136,21 @@ class TestPopulationTrace:
             model, sched, basis_state(5, 1), noise=tq.ancilla_decay(5e-6)
         )
         assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_noisy_frame_trace_matches_stepper(self, model, scheme):
+        # ancilla decay |01><a| is one matrix unit: the five-level run takes
+        # the exact frame path, checked here against the CF4 stepper
+        sched = tq.build_cphase_schedule(PI / 4, model.g_eff, scheme)
+        psi0 = (basis_state(5, 1) + basis_state(5, 3) - 1j * basis_state(5, 4)) / math.sqrt(3)
+        noise = tq.ancilla_decay(20e-6)
+        traj = tq.population_trace(model, sched, psi0, noise=noise)
+        stepped = evolve._stepped_density(
+            np.outer(psi0, psi0.conj()), sched, noise, dim=5, levels=tq.LEVELS
+        )
+        assert np.array_equal(traj.times, stepped.times)
+        pops = np.einsum("nii->ni", stepped.states).real
+        assert np.max(np.abs(traj.states - pops)) < 1e-10
 
     def test_dimension_check(self, model):
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
