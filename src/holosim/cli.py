@@ -397,7 +397,7 @@ def _cmd_gate(args, params: dict) -> None:
     fidelity = average_gate_fidelity(ideal, block)
     leakage = 1.0 - float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
-    delta = dt_halving_delta(schedule, config=config)
+    delta = dt_halving_delta(schedule, config=config, u=u)
 
     meta = _metadata_lines(params, _config_hash(params))
     entries = [

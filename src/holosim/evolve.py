@@ -21,6 +21,10 @@ Grids place a node at every segment boundary and ramp corner, and the
 Gauss nodes lie strictly inside a step, so neither phase jumps nor the
 ramps' kinks are smeared across a step.  Both paths record states at the
 same grid nodes and apply the same step-size checks.
+
+Hermitian generators are exponentiated through their eigendecomposition;
+Liouvillians, which are not normal, through :func:`_expm`, a batched
+scaling-and-squaring Pade exponential (Higham 2005) on numpy alone.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .pulses import PulseSchedule, drive_arrays, stepping_grid
 
@@ -244,6 +247,84 @@ def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 
+# Scaling and squaring with Pade approximants (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005)): the [m/m] approximant of exp(A) is accurate to
+# double precision while ||A||_1 <= theta_m.
+_PADE_THETAS = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                         9.504178996162932e-1, 2.097847961257068e0, 5.371920351148152e0])
+_PADE_COEFFS = (
+    (120.0, 60.0, 12.0, 1.0),
+    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+     2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+)
+
+
+def _pade_rows(b: tuple) -> np.ndarray:
+    """Coefficients that combine (1, A^2, A^4, ...) into the approximant's parts.
+
+    Rows give U' and V of exp(A) ~ (V - A U')^-1 (V + A U'), the odd part
+    A U' = b1 A + b3 A^3 + ... and the even part V = b0 + b2 A^2 + ... of
+    the numerator.  Degree 13 factors A^6 out of its high powers, so it
+    needs only 1, A^2, A^4 and A^6: its first two rows are the high parts,
+    its last two the low ones.
+    """
+    if len(b) == 14:
+        return np.array([(0.0, *b[9::2]), (0.0, *b[8::2]), b[1:8:2], b[0:7:2]])
+    return np.array([b[1::2], b[0::2]])
+
+
+_PADE_ROWS = tuple(_pade_rows(b) for b in _PADE_COEFFS)
+
+
+def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pade approximant of exp on an (n, d, d) stack, from :func:`_pade_rows`."""
+    n, d, _ = a.shape
+    powers = np.empty((rows.shape[1], n, d, d), dtype=a.dtype)
+    powers[0] = np.eye(d)
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    parts = (rows @ powers.reshape(len(powers), -1)).reshape(len(rows), n, d, d)
+    if len(rows) == 4:
+        parts = powers[3] @ parts[:2] + parts[2:]
+    u, v = a @ parts[0], parts[1]
+    # (V - U)^-1 (V + U) = 1 + 2 (V - U)^-1 U: the identity is added exactly,
+    # so a small exponent keeps its relative accuracy
+    return powers[0] + np.linalg.solve(v - u, 2.0 * u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of an (n, d, d) stack.
+
+    Each matrix gets the lowest Pade degree (3, 5, 7, 9 or 13) whose theta
+    bounds its 1-norm.  Above theta_13 it is scaled by 2^-s into range, with
+    its own s, and only the matrices with s > k are squared in round k.
+    """
+    a = np.asarray(a, dtype=np.result_type(a, float))
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    degree = np.searchsorted(_PADE_THETAS, norms)
+    top = len(_PADE_THETAS) - 1
+    squarings = np.zeros(len(a), dtype=int)
+    high = degree > top
+    if high.any():
+        squarings[high] = np.ceil(np.log2(norms[high] / _PADE_THETAS[top]))
+        degree[high] = top
+        a = a * np.exp2(-squarings)[:, None, None]
+    out = np.empty_like(a)
+    for k in set(degree.tolist()):
+        sel = degree == k
+        out[sel] = _pade(a[sel], _PADE_ROWS[k])
+    for k in range(squarings.max(initial=0)):
+        sel = squarings > k
+        out[sel] = out[sel] @ out[sel]
+    return out
+
+
 def _liouvillians(gens: np.ndarray, c_ops: np.ndarray, dissipation: float) -> np.ndarray:
     """Row-major Liouvillians -i (G (x) 1 - 1 (x) G^T) + dissipation * D, (n, d^2, d^2).
 
@@ -323,7 +404,7 @@ def _frame_maps(
     Returns (len(errs), len(times), m, m): unitaries (m = d) when ``c_ops``
     is None, row-major superoperators (m = d^2) otherwise.  The segment
     exponentials of all errors and times come from one batched call: eigh
-    for unitaries, ``expm`` of the constant Liouvillians with noise.
+    for unitaries, :func:`_expm` of the constant Liouvillians with noise.
     """
     segs = schedule.segments
     times = np.asarray(times, dtype=float)
@@ -341,7 +422,7 @@ def _frame_maps(
     if c_ops is None:
         exps = _step_propagators(gens, dts)
     else:
-        exps = expm(dts[:, None, None] * _liouvillians(gens, c_ops, 1.0))
+        exps = _expm(dts[:, None, None] * _liouvillians(gens, c_ops, 1.0))
     m = exps.shape[-1]
     exps = exps.reshape(len(errs), len(taus), m, m)
 
@@ -435,7 +516,7 @@ def lindblad_maps(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray) -> np.nd
     Hamiltonian by a1 + a2 = 1/2, so half of the constant dissipator goes
     with each and a step's pair of maps carries all of it.
     """
-    return expm(dts[:, None, None] * _liouvillians(gens, c_ops, 0.5))
+    return _expm(dts[:, None, None] * _liouvillians(gens, c_ops, 0.5))
 
 
 def _lindblad_map_stream(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray):
@@ -564,21 +645,24 @@ def dt_halving_delta(
     schedule: PulseSchedule,
     err: ErrorInjection = NO_ERROR,
     config: IntegratorConfig = DEFAULT_CONFIG,
+    u: Optional[np.ndarray] = None,
 ) -> float:
     """Accuracy diagnostic of the propagator, reported alongside results.
 
     On a ramp-free schedule, the max-norm distance between the exact frame
     propagator and the CF4 stepper at the configured dt; on an edge-ramped
     one, where the stepper is the engine, the max-norm change of its
-    propagator when the step size is halved.
+    propagator when the step size is halved.  ``u`` is
+    ``propagator(schedule, err, config)`` when the caller already holds it.
     """
-    dt = config.resolve_dt(schedule.duration)
-    stepped = _stepped_propagator(schedule, err, IntegratorConfig(dt=dt))
+    if u is None:
+        u = propagator(schedule, err, config)
     if _frame_exact(schedule, ()):
-        reference = propagator(schedule, err, config)
+        reference = _stepped_propagator(schedule, err, config)
     else:
-        reference = _stepped_propagator(schedule, err, IntegratorConfig(dt=dt / 2.0))
-    return float(np.max(np.abs(stepped - reference)))
+        half = IntegratorConfig(dt=config.resolve_dt(schedule.duration) / 2.0)
+        reference = _stepped_propagator(schedule, err, half)
+    return float(np.max(np.abs(u - reference)))
 
 
 def evolve_pure(

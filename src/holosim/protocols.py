@@ -7,13 +7,11 @@ a given configuration regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import evolve as _evolve
 from .evolve import (
@@ -92,12 +90,112 @@ class FitResult:
     message: str = ""
 
 
+#: Bounds of (A, p, B) in the F = A p^m + B fit, the p it starts from and
+#: its step cap.
+_FIT_LOWER = np.array([-0.5, 1e-6, -0.5])
+_FIT_UPPER = np.array([1.5, 1.0, 1.5])
+_FIT_P0 = 0.99
+_FIT_MAX_STEPS = 200
+
+
+def _decay_residuals(x: np.ndarray, ms: np.ndarray, fs: np.ndarray):
+    """Residuals of A p^m + B against ``fs`` and their Jacobian in (A, p, B)."""
+    a, p, b = x
+    pm = p**ms
+    jac = np.column_stack([pm, a * ms * p ** (ms - 1.0), np.ones_like(ms)])
+    return a * pm + b - fs, jac
+
+
+def _best_amplitudes(p: float, ms: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Least-squares (A, B) at fixed p, within their bounds."""
+    basis = np.column_stack([p**ms, np.ones_like(ms)])
+    lo, hi = _FIT_LOWER[::2], _FIT_UPPER[::2]
+    ab = np.linalg.lstsq(basis, fs, rcond=None)[0]
+    if np.all((lo <= ab) & (ab <= hi)):
+        return ab
+    # outside the box the optimum of this convex problem lies on an edge:
+    # one coefficient on a bound, the other its clipped 1-D least squares
+    edges = []
+    for k in (0, 1):
+        for bound in (lo[k], hi[k]):
+            rest = fs - bound * basis[:, k]
+            other = np.linalg.lstsq(basis[:, 1 - k : 2 - k], rest, rcond=None)[0][0]
+            edge = np.empty(2)
+            edge[k], edge[1 - k] = bound, np.clip(other, lo[1 - k], hi[1 - k])
+            edges.append(edge)
+    return min(edges, key=lambda e: np.sum((basis @ e - fs) ** 2))
+
+
+def _fit_decay_lm(ms: np.ndarray, fs: np.ndarray):
+    """Bounded Levenberg-Marquardt fit of A p^m + B from p = 0.99.
+
+    Each step solves the damped normal equations in (A, p, B), holding any
+    parameter on a bound that the gradient pushes outward, and moves p
+    (clipped to its bounds).  A and B are then set to their exact bounded
+    least-squares values at the new p, so the search never stalls in the
+    flat A-B valley or on p = 1 with A of the wrong sign.  The damping
+    follows the gain ratio (Nielsen's rule), and an accepted step is
+    doubled while that lowers the cost further.  Converged when no damping
+    lowers the sum of squares; returns (x, residuals, Jacobian) there, or
+    None after _FIT_MAX_STEPS steps.
+    """
+    def at(p):
+        a, b = _best_amplitudes(p, ms, fs)
+        x = np.array([a, p, b])
+        r, jac = _decay_residuals(x, ms, fs)
+        return x, r, jac, r @ r
+
+    def moved(x, dp):
+        return at(np.clip(x[1] + dp, _FIT_LOWER[1], _FIT_UPPER[1]))
+
+    x, r, jac, cost = at(_FIT_P0)
+    damping, growth = 1e-3, 2.0
+    for _ in range(_FIT_MAX_STEPS):
+        grad = jac.T @ r
+        free = ~((x <= _FIT_LOWER) & (grad > 0.0) | (x >= _FIT_UPPER) & (grad < 0.0))
+        normal = jac[:, free].T @ jac[:, free]
+        scale = np.maximum(normal.diagonal(), 1e-12 * normal.diagonal().max(initial=1.0))
+        while True:
+            step = np.zeros(3)
+            step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad[free])
+            trial = moved(x, step[1])
+            if trial[3] < cost:
+                break
+            damping *= growth
+            growth *= 2.0
+            if damping > 1e16:
+                return x, r, jac
+        predicted = step[free] @ (damping * scale * step[free] - grad[free])
+        gain = min((cost - trial[3]) / predicted, 1.0)
+        damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-13)
+        growth = 2.0
+        dp = step[1]
+        while True:
+            dp *= 2.0
+            longer = moved(x, dp)
+            if not longer[3] < trial[3]:
+                break
+            trial = longer
+        x, r, jac, cost = trial
+    return None
+
+
+def _failed_fit(reason: str) -> FitResult:
+    nan = float("nan")
+    return FitResult(a=nan, p=nan, b=nan, a_err=nan, p_err=nan, b_err=nan,
+                     success=False, message=f"fit did not converge: {reason}")
+
+
 def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
     """Least-squares fit of survival data to F = A p^m + B.
 
-    Initial guesses (0.5, 0.99, 0.5).  Constant data is reported as
-    degenerate with p = 1; optimizer failure yields an explicit
-    non-success result instead of raising.
+    Starts from p = 0.99, with A and B at their best values there, within
+    the bounds [-0.5, 1.5] x [1e-6, 1] x [-0.5, 1.5].  Standard errors
+    come from the pseudo-inverse of J^T J at the optimum times the residual
+    variance sum(r^2) / (n - 3), and are infinite when n <= 3.  Constant
+    data is reported as degenerate with p = 1; non-finite data or a fit
+    that does not converge yields an explicit non-success result instead
+    of raising.
     """
     ms = np.asarray(m_values, dtype=float)
     fs = np.asarray(f_values, dtype=float)
@@ -110,29 +208,23 @@ def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
             b_err=float("nan"), success=True, degenerate=True,
             message=f"constant survival {level:.6g}; A + B = {level:.6g} with p = 1",
         )
-
-    def model(m, a, p, b):
-        return a * p**m + b
-
-    try:
-        with warnings.catch_warnings():
-            # an inestimable covariance already shows up as inf standard errors
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                model, ms, fs,
-                p0=[0.5, 0.99, 0.5],
-                bounds=([-0.5, 1e-6, -0.5], [1.5, 1.0, 1.5]),
-                maxfev=20000,
-            )
-    except (RuntimeError, ValueError) as exc:
-        return FitResult(
-            a=float("nan"), p=float("nan"), b=float("nan"),
-            a_err=float("nan"), p_err=float("nan"), b_err=float("nan"),
-            success=False, message=f"fit did not converge: {exc}",
-        )
-    errs = np.sqrt(np.abs(np.diag(pcov)))
+    if not np.all(np.isfinite(fs)):
+        return _failed_fit("non-finite survival data")
+    solved = _fit_decay_lm(ms, fs)
+    if solved is None:
+        return _failed_fit(f"no optimum within {_FIT_MAX_STEPS} steps")
+    x, r, jac = solved
+    # covariance as scipy's curve_fit forms it: a pseudo-inverse dropping
+    # singular values at roundoff level, scaled by the residual variance
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(jac.shape) * sv[0]
+    cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
+    if len(fs) > 3:
+        errs = np.sqrt(np.abs(np.diag(cov)) * (r @ r) / (len(fs) - 3))
+    else:
+        errs = np.full(3, np.inf)
     return FitResult(
-        a=float(popt[0]), p=float(popt[1]), b=float(popt[2]),
+        a=float(x[0]), p=float(x[1]), b=float(x[2]),
         a_err=float(errs[0]), p_err=float(errs[1]), b_err=float(errs[2]),
         success=True,
     )

@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim import cli
+from holosim import cli, evolve
 
 PI = math.pi
 
@@ -267,6 +271,62 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path, argv, files):
         assert cli.main([*argv, "--threads", threads, "--out-dir", str(out_dir)]) == 0
         outputs.append([(out_dir / name).read_bytes() for name in files])
     assert outputs[0] == outputs[1]
+
+
+#: Commands that between them reach every propagation path: the exact frame
+#: (unitary and noisy), the CF4 stepper's unitaries and Lindblad maps, the
+#: five-level model, the batched scan, the channel cache and the RB fit.
+NUMPY_ONLY_COMMANDS = [
+    ["gate"],
+    ["gate", "--edge-ramp-ns", "10"],
+    ["trajectory", "--default-noise"],
+    ["trajectory", "--default-noise", "--edge-ramp-ns", "10"],
+    ["ramsey", "--t1-a-us", "20"],
+    ["scan", "--resolution", "5"],
+    ["compare", "--default-noise"],
+    ["rb", "--scheme", "nhqc", "--default-noise", "--dt-ns", "1.0",
+     "--lengths", "1,2,3", "--sequences", "10"],
+]
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # scipy is only the tests' reference: importing holosim must not load it,
+    # and with every scipy import blocked each command must still succeed
+    script = textwrap.dedent("""
+        import json, sys
+        import holosim.cli
+        loaded = [name for name in sys.modules if name.startswith("scipy")]
+        sys.modules["scipy"] = None
+        codes = [holosim.cli.main([*argv, "--out-dir", f"{sys.argv[1]}/{k}"])
+                 for k, argv in enumerate(json.loads(sys.argv[2]))]
+        print(json.dumps({"loaded": loaded, "codes": codes}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(NUMPY_ONLY_COMMANDS)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    assert dict(zip(map(" ".join, NUMPY_ONLY_COMMANDS), result["codes"])) == {
+        " ".join(argv): 0 for argv in NUMPY_ONLY_COMMANDS
+    }
+
+
+def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
+    # the gate's own propagator doubles as the coarse half of dt_halving_delta
+    calls = []
+    stepped = evolve._stepped_propagator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stepped(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "_stepped_propagator", counted)
+    assert run(tmp_path, "gate", "--edge-ramp-ns", "10") == 0
+    assert len(calls) == 2
 
 
 class TestFormatting:

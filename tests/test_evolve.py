@@ -464,6 +464,73 @@ def test_step_propagators_unitary_for_many_random_hermitian(rng):
     assert defect.max() < 1e-9
 
 
+def assert_matches_scipy_expm(stack):
+    ours = evolve._expm(stack)
+    for mat, got in zip(stack, ours):
+        ref = expm(mat)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestPadeExpm:
+    """The batched Pade exponential against scipy.linalg.expm."""
+
+    NOISE = evolve.NoiseModel.qutrit_relaxation(
+        t1_e_to_0=5e-6, t1_1_to_e=3e-6, tphi_e=10e-6, tphi_1=10e-6
+    )
+
+    @pytest.mark.parametrize("size", [3, 9, 25])
+    def test_random_complex_stacks(self, rng, size):
+        a = rng.normal(size=(20, size, size)) + 1j * rng.normal(size=(20, size, size))
+        a *= rng.uniform(0.01, 3.0, size=20)[:, None, None] / size
+        assert_matches_scipy_expm(a)
+
+    def test_mixed_norms_take_own_degree_and_scaling(self, rng):
+        # 1-norms from 1e-8 to 40: every Pade degree, and 0 to 3 squarings
+        norms = np.array([1e-8, 1e-2, 0.2, 0.8, 2.0, 5.0, 12.0, 40.0])
+        a = rng.normal(size=(8, 6, 6)) + 1j * rng.normal(size=(8, 6, 6))
+        a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        degree = np.searchsorted(evolve._PADE_THETAS, norms)
+        assert set(degree) == {0, 1, 2, 3, 4, 5}
+        assert_matches_scipy_expm(a)
+
+    def test_zero_matrix_is_identity(self):
+        out = evolve._expm(np.zeros((2, 4, 4), dtype=complex))
+        assert np.array_equal(out, np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+    def test_small_exponent_rounds_like_its_series(self, rng):
+        # CF4 step maps are the identity plus a small correction, which must
+        # not pick up roundoff of the identity's size
+        a = (rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))) * 1e-6
+        correction, term = np.zeros_like(a), np.broadcast_to(np.eye(9), a.shape)
+        for k in range(1, 6):  # the next term is below 1e-35
+            term = term @ a / k
+            correction += term
+        assert np.max(np.abs(evolve._expm(a) - (np.eye(9) + correction))) < 1e-17
+
+    def test_defective_jordan_block(self):
+        lam = 2.0
+        jordan = lam * np.eye(3) + np.diag([1.0, 1.0], k=1)
+        closed = math.exp(lam) * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        assert np.max(np.abs(evolve._expm(jordan[None])[0] - closed)) < 1e-13 * closed.max()
+        assert_matches_scipy_expm(jordan[None])
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_frame_liouvillians(self, scheme):
+        sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
+        gens = evolve._frame_generators(sched, evolve.NO_ERROR, 3, evolve.QUTRIT_LEVELS)
+        taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
+        c_ops = self.NOISE.scaled_ops(3)
+        assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, c_ops, 1.0))
+
+    def test_cf4_liouvillians(self):
+        spec = pulses.GateSpec(1.1, 0.4, 2.3)
+        sched = pulses.synthesize(spec, OMEGA0, "tounhqc", edge_ramp=10e-9)
+        grid = pulses.stepping_grid(sched, sched.duration / 200)
+        gens, dts = evolve._cf4_generators(sched, grid, evolve.NO_ERROR, 3, evolve.QUTRIT_LEVELS)
+        liou = evolve._liouvillians(gens, self.NOISE.scaled_ops(3), 0.5)
+        assert_matches_scipy_expm(dts[:, None, None] * liou)
+
+
 class TestNoiseModel:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from holosim import evolve, pulses
 from holosim import protocols as pr
@@ -46,13 +50,75 @@ class TestFitDecay:
             pr.fit_decay([3, 3, 3], [0.9, 0.9, 0.9])
 
     def test_optimizer_failure_reported_not_raised(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise RuntimeError("maximum number of function evaluations exceeded")
-
-        monkeypatch.setattr(pr, "curve_fit", explode)
+        # two steps are too few to reach the optimum of this linear data
+        monkeypatch.setattr(pr, "_FIT_MAX_STEPS", 2)
         fit = pr.fit_decay([1, 2, 3], [0.9, 0.8, 0.7])
         assert not fit.success
         assert "converge" in fit.message
+
+    def test_non_finite_data_reported_not_raised(self):
+        fit = pr.fit_decay([1, 2, 3, 4], [0.9, 0.8, float("nan"), 0.6])
+        assert not fit.success
+        assert "converge" in fit.message
+
+    def test_errors_infinite_without_spare_points(self):
+        fit = pr.fit_decay([1, 2, 4], [0.9, 0.8, 0.7])
+        assert fit.success
+        assert np.isinf([fit.a_err, fit.p_err, fit.b_err]).all()
+
+
+def scipy_fit(ms, fs):
+    """The reference: scipy's curve_fit with fit_decay's start and bounds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, pcov = curve_fit(
+            lambda m, a, p, b: a * p**m + b, ms, fs,
+            p0=[0.5, 0.99, 0.5], bounds=([-0.5, 1e-6, -0.5], [1.5, 1.0, 1.5]),
+            maxfev=20000,
+        )
+    return popt, np.sqrt(np.abs(np.diag(pcov)))
+
+
+def sum_squares(x, ms, fs):
+    return float(np.sum((x[0] * x[1] ** ms + x[2] - fs) ** 2))
+
+
+RB_LENGTH_SETS = ((1, 2, 4, 8, 16, 32), (2, 4, 8, 16, 24, 32), (1, 2, 5, 10, 20, 40),
+                  tuple(range(1, 60, 3)))
+
+
+class TestFitDecayAgainstCurveFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.sampled_from(RB_LENGTH_SETS),
+        a=st.floats(0.3, 0.6), p=st.floats(0.85, 0.98), b=st.floats(0.3, 0.6),
+        # a noise floor keeps the residual far above roundoff, so that the
+        # relative comparison below is meaningful
+        noise=st.floats(1e-4, 2e-3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_decay(self, lengths, a, p, b, noise, seed):
+        ms = np.array(lengths, dtype=float)
+        fs = a * p**ms + b + np.random.default_rng(seed).normal(scale=noise, size=len(ms))
+        fit = pr.fit_decay(ms, fs)
+        popt, perr = scipy_fit(ms, fs)
+        assert fit.success and not fit.degenerate
+        assert sum_squares([fit.a, fit.p, fit.b], ms, fs) <= sum_squares(popt, ms, fs) * (1 + 1e-9)
+        assert fit.p == pytest.approx(popt[1], abs=1e-4)
+        assert fit.p_err == pytest.approx(perr[1], rel=1e-2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(level=st.floats(1.55, 1.9), slope=st.floats(1e-3, 1e-2),
+           noise=st.floats(1e-5, 1e-4), seed=st.integers(0, 2**32 - 1))
+    def test_data_driving_p_to_its_bound(self, level, slope, noise, seed):
+        # data above the bound of B needs A > 0, and with A > 0 only p = 1
+        # does not fall; the rise stays far above the noise
+        ms = np.array([1, 2, 4, 8, 16, 32], dtype=float)
+        fs = level + slope * ms + np.random.default_rng(seed).normal(scale=noise, size=len(ms))
+        fit = pr.fit_decay(ms, fs)
+        popt, _ = scipy_fit(ms, fs)
+        assert fit.success
+        assert fit.p == 1.0
+        assert sum_squares([fit.a, fit.p, fit.b], ms, fs) <= sum_squares(popt, ms, fs) * (1 + 1e-9)
 
 
 class TestInterleavedGateError:
