@@ -1,26 +1,29 @@
-"""Time-ordered propagation under a pulse schedule.
+"""Time-ordered propagation under a pulse schedule, in the co-rotating frame.
 
-Every ramp-free schedule is propagated exactly.  Its segments have a
-constant drive amplitude and a common drive phase phi1(t) that is linear
-in time, so in the co-rotating frame psi = D(t) psi~ with
-D(t) = exp(-i phi1(t) |e><e|) each segment has the constant generator
-G = H(phi1 = 0) - phi1' |e><e|, control errors included, and maps by
-D(t_end) exp(-i G dt) D(t_start)^dag.  Collapse operators that are
-diagonal or a single matrix unit only pick up phases in that frame, so a
-noisy segment maps by one exponential of a constant Liouvillian.  A
-propagator or channel is one exponential per segment; a trajectory
-evaluates the exact map at all recorded grid nodes in one batch.
+Every segment of a schedule has a drive phase phi1(t) that is linear in
+time, so in the co-rotating frame psi = D(t) psi~ with
+D(t) = exp(-i phi1(t) |e><e|) the generator is
+G(t) = D^dag H D - phi1' |e><e|, control errors included, and a collapse
+operator c becomes D^dag c D.  One engine propagates every schedule in
+that frame.  It cuts the schedule into pieces at segment boundaries and
+edge-ramp corners:
 
-Edge-ramped schedules and other collapse operators run on a fourth-order
-commutator-free exponential stepper (CF4): two exponentials per step,
-whose generators mix the Hamiltonian sampled at the step's two
-Gauss-Legendre nodes.  Its unitary path multiplies exact Hermitian step
-propagators; its open-system path exponentiates the row-major
-Liouvillians of the same generators, each carrying half the dissipator.
-Grids place a node at every segment boundary and ramp corner, and the
-Gauss nodes lie strictly inside a step, so neither phase jumps nor the
-ramps' kinks are smeared across a step.  Both paths record states at the
-same grid nodes and apply the same step-size checks.
+* a constant piece, where the frame generator does not vary, maps by one
+  exact exponential per recorded time.  These are the ramp-free stretches
+  of a schedule whose collapse operators are diagonal or a single matrix
+  unit, which the frame only multiplies by phases;
+* a varying piece -- an edge-ramp window, or any segment whose other
+  collapse operators the frame turns into time-dependent ones -- runs a
+  fourth-order commutator-free exponential stepper (CF4) on its own grid
+  nodes: two exponentials per step, whose generators mix the full frame
+  generator, dissipator included, at the step's two Gauss-Legendre nodes.
+
+Each piece's frame map is rebased to the lab frame at its ends,
+D(t_end) M D(t_start)^dag, and the pieces are chained.  A propagator or
+channel takes one exponential per constant piece and builds no grid; a
+trajectory records the maps at grid nodes, which the varying pieces step
+through.  The step size therefore sets only the steps of varying pieces
+and the nodes a trajectory records.
 
 Hermitian generators are exponentiated through their eigendecomposition;
 Liouvillians, which are not normal, through :func:`_expm`, a batched
@@ -34,7 +37,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .pulses import PulseSchedule, drive_arrays, stepping_grid
+from .pulses import (
+    PulseSchedule,
+    Segment,
+    drive_arrays,
+    interval_nodes,
+    stepping_breaks,
+    stepping_grid,
+)
 
 #: Qutrit basis ordering used throughout: (|0>, |1>, |e>).
 QUTRIT_LEVELS = (0, 1, 2)
@@ -43,8 +53,8 @@ QUTRIT_DIM = 3
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
 MAX_RATE_DT = 0.01
-#: Physical steps whose Lindblad step maps are exponentiated in one batched
-#: call; bounds the memory of the (2 * MAP_CHUNK, d^2, d^2) map stack.
+#: Steps of a varying piece whose exponentials are built in one batched
+#: call; bounds the memory of the (errors, MAP_CHUNK, 2, m, m) stack.
 MAP_CHUNK = 64
 
 
@@ -154,8 +164,8 @@ NO_NOISE = NoiseModel()
 class IntegratorConfig:
     """Grid settings; ``dt = None`` resolves to duration / 2000.
 
-    The grid sets the stepper's steps and, on both paths, the times a
-    trajectory records (every ``record_stride``-th node plus endpoints).
+    The grid sets the steps of varying pieces and the times a trajectory
+    records (every ``record_stride``-th node plus endpoints).
     """
 
     dt: Optional[float] = None
@@ -197,19 +207,24 @@ def hamiltonian_stack(
     indices; the |0> slot may be None when that leg of the drive is unused
     (then the schedule must have zero amplitude on it).
     """
+    return _hamiltonians(schedule, times, [err], dim, levels)[0]
+
+
+def _hamiltonians(schedule, times, errs, dim, levels) -> np.ndarray:
+    """:func:`hamiltonian_stack` under each error in ``errs``, (len(errs), n, dim, dim)."""
     i0, i1, ie = levels
     om0e, om1e, phi0, phi1 = drive_arrays(schedule, times)
-    scale = 0.5 * (1.0 + err.amp_fraction)
-    h = np.zeros((len(times), dim, dim), dtype=complex)
+    scale = 0.5 * (1.0 + np.array([err.amp_fraction for err in errs]))[:, None]
+    h = np.zeros((len(errs), len(times), dim, dim), dtype=complex)
     if i0 is None:
         if np.max(np.abs(om0e), initial=0.0) > 0.0:
             raise ValueError("schedule drives the |0> leg but no level is mapped to it")
     else:
-        h[:, i0, ie] = scale * om0e * np.exp(1j * phi0)
-        h[:, ie, i0] = np.conj(h[:, i0, ie])
-    h[:, i1, ie] = scale * om1e * np.exp(1j * phi1)
-    h[:, ie, i1] = np.conj(h[:, i1, ie])
-    h[:, ie, ie] = err.detuning(schedule.omega0)
+        h[..., i0, ie] = scale * om0e * np.exp(1j * phi0)
+        h[..., ie, i0] = np.conj(h[..., i0, ie])
+    h[..., i1, ie] = scale * om1e * np.exp(1j * phi1)
+    h[..., ie, i1] = np.conj(h[..., i1, ie])
+    h[..., ie, ie] = np.array([err.detuning(schedule.omega0) for err in errs])[:, None]
     return h
 
 
@@ -225,19 +240,6 @@ def assemble_hamiltonian(
     if t < 0.0 or t > schedule.duration * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside schedule window [0, {schedule.duration}]")
     return hamiltonian_stack(schedule, np.array([t]), err)[0]
-
-
-def _recorded_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = [0]
-    for k in range(n_steps):
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            idx.append(k + 1)
-    return np.asarray(idx)
-
-
-def _recorded_times(grid, stride: int) -> np.ndarray:
-    """Grid nodes at which trajectories record: every ``stride``-th plus endpoints."""
-    return grid.nodes[_recorded_indices(len(grid.dts), stride)]
 
 
 def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -325,60 +327,107 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _liouvillians(gens: np.ndarray, c_ops: np.ndarray, dissipation: float) -> np.ndarray:
-    """Row-major Liouvillians -i (G (x) 1 - 1 (x) G^T) + dissipation * D, (n, d^2, d^2).
-
-    D is the dissipator of ``c_ops`` (K, d, d), which carry the decay rates
-    as sqrt(rate); ``gens`` is an (n, d, d) stack of Hamiltonian generators.
-    """
-    d = gens.shape[1]
+def _dissipator(c_ops: np.ndarray) -> np.ndarray:
+    """Row-major dissipator of ``c_ops`` (K, d, d), which carry sqrt(rate), (d^2, d^2)."""
+    d = c_ops.shape[-1]
     eye = np.eye(d)
     cdc = np.einsum("kji,kjl->il", c_ops.conj(), c_ops)
     jump = np.einsum("kij,klm->iljm", c_ops, c_ops.conj()).reshape(d * d, d * d)
-    dissipator = jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    comm = np.einsum("nik,jl->nijkl", gens, eye) - np.einsum("ik,nlj->nijkl", eye, gens)
-    return -1j * comm.reshape(-1, d * d, d * d) + dissipation * dissipator
+    return jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
 
 
-# ---------------------------------------------------------------------------
-# Exact propagation in the co-rotating frame
-# ---------------------------------------------------------------------------
+def _liouvillians(gens: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
+    """Row-major Liouvillians -i (G (x) 1 - 1 (x) G^T) + dissipator, (..., d^2, d^2).
 
-
-def _frame_exact(schedule: PulseSchedule, c_ops) -> bool:
-    """Whether the co-rotating frame makes every segment's generator constant.
-
-    Needs a schedule without edge ramps and collapse operators that are
-    diagonal or a single matrix unit, which the frame only multiplies by
-    phases.
+    ``gens`` is a (..., d, d) stack of Hamiltonian generators; ``dissipator``
+    broadcasts against the result.
     """
-    if schedule.edge_ramp > 0.0:
-        return False
+    d = gens.shape[-1]
+    eye = np.eye(d)
+    comm = np.einsum("...ik,jl->...ijkl", gens, eye) - np.einsum("ik,...lj->...ijkl", eye, gens)
+    return -1j * comm.reshape(*gens.shape[:-2], d * d, d * d) + dissipator
+
+
+def _exponentials(gens: np.ndarray, taus, dissipator: Optional[np.ndarray]) -> np.ndarray:
+    """Exponentials of a (..., d, d) generator stack over ``taus``.
+
+    exp(-i G tau) of Hermitian generators without a ``dissipator``, else
+    exp(L tau) of their Liouvillians; ``taus`` broadcasts against the
+    leading axes.
+    """
+    lead = gens.shape[:-2]
+    taus = np.broadcast_to(taus, lead).reshape(-1)
+    if dissipator is None:
+        d = gens.shape[-1]
+        out = _step_propagators(gens.reshape(-1, d, d), taus)
+    else:
+        liou = _liouvillians(gens, dissipator)
+        m = liou.shape[-1]
+        out = _expm(taus[:, None, None] * liou.reshape(-1, m, m))
+    return out.reshape(*lead, *out.shape[-2:])
+
+
+# ---------------------------------------------------------------------------
+# The frame engine
+# ---------------------------------------------------------------------------
+
+
+def _covariant(c_ops: np.ndarray) -> bool:
+    """Whether the frame only multiplies each collapse operator by a phase.
+
+    True for operators that are diagonal or a single matrix unit: their
+    dissipator is the same in the frame as in the lab.
+    """
     return all(
         np.count_nonzero(c) <= 1 or not np.count_nonzero(c - np.diag(np.diag(c)))
         for c in c_ops
     )
 
 
+class _Piece(NamedTuple):
+    start: float
+    end: float
+    seg: Segment
+    varying: bool
+
+
+def _pieces(schedule: PulseSchedule, covariant: bool) -> list[_Piece]:
+    """The schedule cut at segment boundaries and edge-ramp corners.
+
+    A piece varies inside a ramp window, and everywhere when the collapse
+    operators are not ``covariant``.
+    """
+    rise, fall = schedule.edge_ramp, schedule.duration - schedule.edge_ramp
+    breaks = stepping_breaks(schedule)
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
+        mid = 0.5 * (a + b)
+        seg = next(seg for seg in schedule.segments if mid < seg.t_end)
+        pieces.append(_Piece(a, b, seg, not covariant or mid < rise or mid > fall))
+    return pieces
+
+
 def _frame_generators(
     schedule: PulseSchedule,
-    err: ErrorInjection,
+    times: np.ndarray,
+    errs,
     dim: int,
     levels: tuple[Optional[int], int, int],
 ) -> np.ndarray:
-    """Constant frame generators G = D^dag H D - phi1' |e><e| per segment, (S, d, d)."""
+    """Frame generators G = D^dag H D - phi1' |e><e|, (len(errs), len(times), d, d)."""
     ie = levels[2]
     segs = schedule.segments
-    starts = np.array([seg.t_start for seg in segs])
-    mids = 0.5 * (starts + np.array([seg.t_end for seg in segs]))
-    slopes = np.array([seg.phi1_slope for seg in segs])
-    phi1 = np.array([seg.phi1_offset for seg in segs]) + slopes * (mids - starts)
-    gens = hamiltonian_stack(schedule, mids, err, dim, levels)
+    idx = np.searchsorted([seg.t_end for seg in segs], times, side="right")
+    idx = np.minimum(idx, len(segs) - 1)
+    starts = np.array([seg.t_start for seg in segs])[idx]
+    slopes = np.array([seg.phi1_slope for seg in segs])[idx]
+    phi1 = np.array([seg.phi1_offset for seg in segs])[idx] + slopes * (times - starts)
+    gens = _hamiltonians(schedule, times, errs, dim, levels)
     turn = np.exp(-1j * phi1)[:, None]
     rest = np.arange(dim) != ie
-    gens[:, rest, ie] *= turn
-    gens[:, ie, rest] *= turn.conj()
-    gens[:, ie, ie] -= slopes
+    gens[:, :, rest, ie] *= turn
+    gens[:, :, ie, rest] *= turn.conj()
+    gens[:, :, ie, ie] -= slopes
     return gens
 
 
@@ -391,218 +440,151 @@ def _frame_phases(seg, times: np.ndarray, dim: int, ie: int, noisy: bool) -> np.
     return d
 
 
+# Fourth-order commutator-free scheme (Alvermann & Fehske, J. Comput. Phys.
+# 230, 5930 (2011)): per step, the map is exp(dt A2) exp(dt A1) with
+# A1 = a1 L(t1) + a2 L(t2) and A2 = a2 L(t1) + a1 L(t2), L the generator at
+# the Gauss-Legendre nodes t1, t2 of the step.
+_GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CF_A1 = 0.25 + math.sqrt(3.0) / 6.0
+_CF_A2 = 0.25 - math.sqrt(3.0) / 6.0
+_CF_WEIGHTS = np.array([[_CF_A1, _CF_A2], [_CF_A2, _CF_A1]])
+
+
+def _varying_maps(
+    schedule: PulseSchedule,
+    errs,
+    pieces: list[_Piece],
+    spans: list[np.ndarray],
+    dt: float,
+    dissipator: Optional[np.ndarray],
+    covariant: bool,
+    dim: int,
+    levels: tuple[Optional[int], int, int],
+) -> list[np.ndarray]:
+    """CF4 frame maps of varying ``pieces``, each from the identity at its start.
+
+    Each piece steps through its own grid nodes at step ``dt``.  ``spans[k]``
+    are the ascending nodes of piece k, after its start, at which its map is
+    wanted.  Without a ``dissipator`` the maps are unitaries, else row-major
+    superoperators; a non-``covariant`` dissipator is rotated into the frame
+    at every Gauss node.  Returns one (len(errs), len(spans[k]), m, m) stack
+    per piece.
+    """
+    ie = levels[2]
+    m = dim if dissipator is None else dim * dim
+    out = []
+    for piece, at in zip(pieces, spans):
+        nodes = interval_nodes(piece.start, piece.end, dt)
+        steps = np.diff(nodes)
+        wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
+        gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
+        gens = _frame_generators(schedule, gauss, errs, dim, levels)
+        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(len(errs), -1, 2, dim, dim))
+        diss = dissipator
+        if not covariant:
+            # the frame dissipator rho -> D^dag Diss(D rho D^dag) D at each Gauss node
+            p = _frame_phases(piece.seg, gauss, dim, ie, noisy=True).reshape(-1, 2, m)
+            diss = p.conj()[..., :, None] * dissipator * p[..., None, :]
+            diss = np.einsum("ab,nbij->naij", _CF_WEIGHTS, diss)
+        elif dissipator is not None:
+            diss = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
+
+        maps = np.empty((len(errs), len(at), m, m), dtype=complex)
+        cur = np.broadcast_to(np.eye(m, dtype=complex), (len(errs), m, m))
+        k = 0
+        for lo in range(0, len(steps), MAP_CHUNK):
+            part = slice(lo, lo + MAP_CHUNK)
+            chunk_diss = diss if covariant else diss[part]
+            exps = _exponentials(gens[:, part], steps[part, None], chunk_diss)
+            for j in range(exps.shape[1]):
+                cur = exps[:, j, 1] @ (exps[:, j, 0] @ cur)
+                while k < len(at) and wanted[k] == lo + j + 1:
+                    maps[:, k] = cur
+                    k += 1
+        out.append(maps)
+    return out
+
+
 def _frame_maps(
     schedule: PulseSchedule,
     errs,
     times,
     c_ops: Optional[np.ndarray],
+    dt: float,
     dim: int,
     levels: tuple[Optional[int], int, int],
 ) -> np.ndarray:
-    """Exact maps from t = 0 to each of the ascending ``times``, for every error.
+    """Maps from t = 0 to each of the ascending ``times`` in (0, duration], for every error.
 
     Returns (len(errs), len(times), m, m): unitaries (m = d) when ``c_ops``
-    is None, row-major superoperators (m = d^2) otherwise.  The segment
-    exponentials of all errors and times come from one batched call: eigh
-    for unitaries, :func:`_expm` of the constant Liouvillians with noise.
+    is None, row-major superoperators (m = d^2) otherwise.  Times inside a
+    varying piece must be nodes of the stepping grid at ``dt``.  The
+    exponentials of all constant pieces, errors and times come from one
+    batched call.
     """
-    segs = schedule.segments
+    dissipator = None if c_ops is None else _dissipator(c_ops)
+    covariant = c_ops is None or _covariant(c_ops)
+    pieces = _pieces(schedule, covariant)
     times = np.asarray(times, dtype=float)
-    owner = np.minimum(np.searchsorted([seg.t_end for seg in segs], times), len(segs) - 1)
-    # each segment's own times, plus its end when another segment follows
+    owner = np.minimum(np.searchsorted([p.end for p in pieces], times), len(pieces) - 1)
+    # each piece's own times, plus its end when another piece follows
     spans = [
-        np.append(times[owner == k], [seg.t_end] * (k < len(segs) - 1))
-        for k, seg in enumerate(segs)
+        np.append(times[owner == k], [p.end] * (k < len(pieces) - 1))
+        for k, p in enumerate(pieces)
     ]
-    taus = np.concatenate([at - seg.t_start for at, seg in zip(spans, segs)])
-    seg_of = np.repeat(np.arange(len(segs)), [len(at) for at in spans])
-    gens = np.stack([_frame_generators(schedule, err, dim, levels) for err in errs])
-    gens = gens[:, seg_of].reshape(-1, dim, dim)
-    dts = np.tile(taus, len(errs))
-    if c_ops is None:
-        exps = _step_propagators(gens, dts)
-    else:
-        exps = _expm(dts[:, None, None] * _liouvillians(gens, c_ops, 1.0))
-    m = exps.shape[-1]
-    exps = exps.reshape(len(errs), len(taus), m, m)
+    frame = {}
+    varying = [k for k, p in enumerate(pieces) if p.varying]
+    if varying:
+        stepped = _varying_maps(schedule, errs, [pieces[k] for k in varying],
+                                [spans[k] for k in varying], dt, dissipator, covariant,
+                                dim, levels)
+        frame.update(zip(varying, stepped))
+    constant = [k for k, p in enumerate(pieces) if not p.varying]
+    if constant:
+        mids = np.array([0.5 * (pieces[k].start + pieces[k].end) for k in constant])
+        gens = _frame_generators(schedule, mids, errs, dim, levels)
+        counts = [len(spans[k]) for k in constant]
+        taus = np.concatenate([spans[k] - pieces[k].start for k in constant])
+        gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
+        exps = _exponentials(gens, taus, dissipator)
+        frame.update(zip(constant, np.split(exps, np.cumsum(counts)[:-1], axis=1)))
 
     noisy = c_ops is not None
+    m = dim * dim if noisy else dim
     out = np.empty((len(errs), len(times), m, m), dtype=complex)
     start = np.broadcast_to(np.eye(m, dtype=complex), (len(errs), m, m))
-    pos = 0
-    for k, (seg, at) in enumerate(zip(segs, spans)):
-        back = _frame_phases(seg, np.array([seg.t_start]), dim, levels[2], noisy)
+    for k, (piece, at) in enumerate(zip(pieces, spans)):
+        back = _frame_phases(piece.seg, np.array([piece.start]), dim, levels[2], noisy)
         back = back.conj()[0, :, None] * start
-        phases = _frame_phases(seg, at, dim, levels[2], noisy)
-        maps = phases[None, :, :, None] * (exps[:, pos : pos + len(at)] @ back[:, None])
+        phases = _frame_phases(piece.seg, at, dim, levels[2], noisy)
+        maps = phases[None, :, :, None] * (frame[k] @ back[:, None])
         out[:, owner == k] = maps[:, : np.count_nonzero(owner == k)]
-        if k < len(segs) - 1:
+        if k < len(pieces) - 1:
             start = maps[:, -1]
-        pos += len(at)
     return out
 
 
 # ---------------------------------------------------------------------------
-# CF4 stepper: edge-ramped schedules and other collapse operators
+# Public entry points
 # ---------------------------------------------------------------------------
 
 
-# Fourth-order commutator-free scheme: per step, the propagator is
-# exp(-i dt G2) exp(-i dt G1) with generators G1 = a1 H(t1) + a2 H(t2),
-# G2 = a2 H(t1) + a1 H(t2) sampled at the Gauss-Legendre nodes t1, t2.
-_GL_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_GL_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF_A1 = 0.25 + math.sqrt(3.0) / 6.0
-_CF_A2 = 0.25 - math.sqrt(3.0) / 6.0
-
-
-def _cf4_generators(
-    schedule: PulseSchedule,
-    grid,
-    err: ErrorInjection,
-    dim: int,
-    levels: tuple[Optional[int], int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step generator pairs and matching (duplicated) step sizes."""
-    starts = grid.nodes[:-1]
-    h1 = hamiltonian_stack(schedule, starts + _GL_C1 * grid.dts, err, dim, levels)
-    h2 = hamiltonian_stack(schedule, starts + _GL_C2 * grid.dts, err, dim, levels)
-    n = len(grid.dts)
-    gens = np.empty((2 * n, dim, dim), dtype=complex)
-    gens[0::2] = _CF_A1 * h1 + _CF_A2 * h2
-    gens[1::2] = _CF_A2 * h1 + _CF_A1 * h2
-    return gens, np.repeat(grid.dts, 2)
-
-
-def _ordered_product(maps, dim: int) -> np.ndarray:
-    """Product of ``maps`` in order of application, the last one leftmost."""
-    out = np.eye(dim, dtype=complex)
-    for step in maps:
-        out = step @ out
-    return out
-
-
-def _recorded(maps, v0: np.ndarray, n: int, stride: int) -> np.ndarray:
-    """Apply ``n`` maps to ``v0``, recording every ``stride``-th result plus endpoints."""
-    v = v0
-    out = [v]
-    for k, step in enumerate(maps):
-        v = step @ v
-        if (k + 1) % stride == 0 or k == n - 1:
-            out.append(v)
-    return np.array(out)
-
-
-def propagate_unitary(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Ordered product of step propagators exp(-i G_k dt_k), last step leftmost.
-
-    ``gens``: (n, d, d) Hermitian generators, ``dts``: (n,) steps.
-    """
-    return _ordered_product(_step_propagators(gens, dts), gens.shape[1])
-
-
-def evolve_states(
-    gens: np.ndarray, dts: np.ndarray, psi0: np.ndarray, stride: int
-) -> np.ndarray:
-    """Propagate a state, recording every ``stride``-th step plus endpoints."""
-    return _recorded(_step_propagators(gens, dts), psi0.astype(complex), len(dts), stride)
-
-
-def lindblad_maps(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray) -> np.ndarray:
-    """Step maps exp(dt_k L_k) on row-major vec(rho), shape (n, d^2, d^2).
-
-    L_k is the Liouvillian of the CF4 generator ``gens[k]`` plus half the
-    dissipator of ``c_ops``: each step's two generators weigh the
-    Hamiltonian by a1 + a2 = 1/2, so half of the constant dissipator goes
-    with each and a step's pair of maps carries all of it.
-    """
-    return _expm(dts[:, None, None] * _liouvillians(gens, c_ops, 0.5))
-
-
-def _lindblad_map_stream(gens: np.ndarray, dts: np.ndarray, c_ops: np.ndarray):
-    """:func:`lindblad_maps` of the whole stack, built MAP_CHUNK steps at a time."""
-    for start in range(0, len(dts), 2 * MAP_CHUNK):
-        part = slice(start, start + 2 * MAP_CHUNK)
-        yield from lindblad_maps(gens[part], dts[part], c_ops)
-
-
-def _checked_grid(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig):
-    """Stepping grid, rejecting steps too coarse for the fastest decay rate."""
+def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> float:
+    """Resolved step size, rejecting steps too coarse for the fastest decay rate."""
     dt = config.resolve_dt(schedule.duration)
     if noise.max_rate * dt >= MAX_RATE_DT:
         raise ValueError(
             f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
             f"must stay below {MAX_RATE_DT}"
         )
-    return stepping_grid(schedule, dt)
+    return dt
 
 
-def _stepped_propagator(
-    schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> np.ndarray:
-    """CF4 counterpart of :func:`propagator`: ordered product of step propagators."""
-    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
-    return propagate_unitary(*_cf4_generators(schedule, grid, err, dim, levels))
-
-
-def _stepped_pure(
-    psi: np.ndarray,
-    schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> Trajectory:
-    """CF4 counterpart of :func:`evolve_pure`."""
-    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    # two exponentials per physical step: double the recording stride so
-    # states are only captured at step boundaries
-    states = evolve_states(gens, dts, psi, 2 * config.record_stride)
-    return Trajectory(times=_recorded_times(grid, config.record_stride), states=states)
-
-
-def _stepped_density(
-    rho: np.ndarray,
-    schedule: PulseSchedule,
-    noise: NoiseModel = NO_NOISE,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> Trajectory:
-    """CF4 counterpart of :func:`evolve_density`: step maps applied to vec(rho)."""
-    grid = _checked_grid(schedule, noise, config)
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    maps = _lindblad_map_stream(gens, dts, noise.scaled_ops(dim))
-    # two maps per physical step, as in _stepped_pure
-    vecs = _recorded(maps, np.asarray(rho, dtype=complex).reshape(-1), len(dts),
-                     2 * config.record_stride)
-    times = _recorded_times(grid, config.record_stride)
-    return Trajectory(times=times, states=vecs.reshape(-1, dim, dim))
-
-
-def _stepped_channel(
-    schedule: PulseSchedule,
-    noise: NoiseModel = NO_NOISE,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> np.ndarray:
-    """CF4 counterpart of :func:`gate_channel`: ordered product of the step maps."""
-    grid = _checked_grid(schedule, noise, config)
-    gens, dts = _cf4_generators(schedule, grid, err, dim, levels)
-    return _ordered_product(_lindblad_map_stream(gens, dts, noise.scaled_ops(dim)), dim * dim)
-
-
-# ---------------------------------------------------------------------------
-# Public entry points: the exact frame where it applies, else the stepper
-# ---------------------------------------------------------------------------
+def _recorded_times(schedule: PulseSchedule, dt: float, stride: int) -> np.ndarray:
+    """Grid nodes at which trajectories record: every ``stride``-th plus endpoints."""
+    nodes = stepping_grid(schedule, dt).nodes
+    n = len(nodes) - 1
+    return nodes[np.unique(np.append(np.arange(0, n + 1, stride), n))]
 
 
 def error_maps(
@@ -616,18 +598,13 @@ def error_maps(
     """Full-schedule maps under each control error in ``errs``, built together.
 
     Unitaries (n, d, d) when ``noise`` is empty, else row-major
-    superoperators (n, d^2, d^2).  Where the frame applies, every error's
-    segment exponentials come from one batched call; otherwise each error
-    runs on the CF4 stepper.
+    superoperators (n, d^2, d^2).  Every error's exponentials come from the
+    same batched calls.
     """
     c_ops = noise.scaled_ops(dim)
-    if not _frame_exact(schedule, c_ops):
-        if noise.is_empty:
-            return np.stack([_stepped_propagator(schedule, e, config, dim, levels) for e in errs])
-        return np.stack([_stepped_channel(schedule, noise, e, config, dim, levels) for e in errs])
-    _checked_grid(schedule, noise, config)
+    dt = _checked_dt(schedule, noise, config)
     c_ops = None if noise.is_empty else c_ops
-    return _frame_maps(schedule, errs, [schedule.duration], c_ops, dim, levels)[:, 0]
+    return _frame_maps(schedule, errs, [schedule.duration], c_ops, dt, dim, levels)[:, 0]
 
 
 def propagator(
@@ -637,7 +614,7 @@ def propagator(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
-    """Full-schedule unitary: one exact exponential per segment when ramp-free."""
+    """Full-schedule unitary: exact on constant pieces, CF4 on ramp windows."""
     return error_maps(schedule, [err], NO_NOISE, config, dim, levels)[0]
 
 
@@ -649,20 +626,15 @@ def dt_halving_delta(
 ) -> float:
     """Accuracy diagnostic of the propagator, reported alongside results.
 
-    On a ramp-free schedule, the max-norm distance between the exact frame
-    propagator and the CF4 stepper at the configured dt; on an edge-ramped
-    one, where the stepper is the engine, the max-norm change of its
-    propagator when the step size is halved.  ``u`` is
-    ``propagator(schedule, err, config)`` when the caller already holds it.
+    The max-norm change of :func:`propagator` when the step size is halved.
+    Only varying pieces depend on the step, so it is exactly 0.0 on a
+    ramp-free schedule.  ``u`` is ``propagator(schedule, err, config)`` when
+    the caller already holds it.
     """
     if u is None:
         u = propagator(schedule, err, config)
-    if _frame_exact(schedule, ()):
-        reference = _stepped_propagator(schedule, err, config)
-    else:
-        half = IntegratorConfig(dt=config.resolve_dt(schedule.duration) / 2.0)
-        reference = _stepped_propagator(schedule, err, half)
-    return float(np.max(np.abs(u - reference)))
+    half = IntegratorConfig(dt=config.resolve_dt(schedule.duration) / 2.0)
+    return float(np.max(np.abs(u - propagator(schedule, err, half))))
 
 
 def evolve_pure(
@@ -678,11 +650,9 @@ def evolve_pure(
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    if not _frame_exact(schedule, ()):
-        return _stepped_pure(psi, schedule, err, config, dim, levels)
-    grid = stepping_grid(schedule, config.resolve_dt(schedule.duration))
-    times = _recorded_times(grid, config.record_stride)
-    states = _frame_maps(schedule, [err], times[1:], None, dim, levels)[0] @ psi
+    dt = _checked_dt(schedule, NO_NOISE, config)
+    times = _recorded_times(schedule, dt, config.record_stride)
+    states = _frame_maps(schedule, [err], times[1:], None, dt, dim, levels)[0] @ psi
     return Trajectory(times=times, states=np.concatenate([psi[None], states]))
 
 
@@ -706,14 +676,13 @@ def evolve_density(
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
     c_ops = noise.scaled_ops(dim)
-    if not _frame_exact(schedule, c_ops):
-        return _stepped_density(rho, schedule, noise, err, config, dim, levels)
-    times = _recorded_times(_checked_grid(schedule, noise, config), config.record_stride)
+    dt = _checked_dt(schedule, noise, config)
+    times = _recorded_times(schedule, dt, config.record_stride)
     if noise.is_empty:
-        u = _frame_maps(schedule, [err], times[1:], None, dim, levels)[0]
+        u = _frame_maps(schedule, [err], times[1:], None, dt, dim, levels)[0]
         states = u @ rho @ u.conj().transpose(0, 2, 1)
     else:
-        maps = _frame_maps(schedule, [err], times[1:], c_ops, dim, levels)[0]
+        maps = _frame_maps(schedule, [err], times[1:], c_ops, dt, dim, levels)[0]
         states = (maps @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(times=times, states=np.concatenate([rho[None], states]))
 
@@ -729,9 +698,8 @@ def gate_channel(
     """Superoperator of one full schedule, row-major vectorization.
 
     Satisfies vec(rho_out) = S vec(rho_in).  Without noise this is
-    U (x) conj(U) for the schedule propagator U.  With noise it is one
-    exponential of the frame Liouvillian per segment, or the ordered
-    product of the stepper's maps where the frame does not apply.
+    U (x) conj(U) for the schedule propagator U; with noise, the chained
+    frame maps of :func:`error_maps`.
     """
     if noise.is_empty:
         u = propagator(schedule, err, config, dim=dim, levels=levels)

@@ -373,22 +373,34 @@ class SteppingGrid(NamedTuple):
     dts: np.ndarray
 
 
+def stepping_breaks(schedule: PulseSchedule) -> list[float]:
+    """Ascending segment boundaries and edge-ramp corners, from 0 to the end.
+
+    The sin^2 envelope's second derivative jumps where each ramp meets the
+    plateau; a corner that coincides with a boundary is listed once.
+    """
+    breaks = [0.0] + [seg.t_end for seg in schedule.segments]
+    r = schedule.edge_ramp
+    corners = (r, schedule.duration - r) if r > 0.0 else ()
+    for corner in corners:
+        if min(abs(corner - b) for b in breaks) > 1e-12 * schedule.duration:
+            breaks.append(corner)
+    return sorted(breaks)
+
+
+def interval_nodes(a: float, b: float, dt: float) -> np.ndarray:
+    """Uniform nodes from ``a`` to ``b`` inclusive, spaced at most ``dt``."""
+    steps = max(1, math.ceil((b - a) / dt - 1e-12))
+    return np.linspace(a, b, steps + 1)
+
+
 def stepping_grid(schedule: PulseSchedule, dt: float) -> SteppingGrid:
     """Integration grid with a node at every segment boundary and ramp corner."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    breaks = [0.0] + [seg.t_end for seg in schedule.segments]
-    r = schedule.edge_ramp
-    corners = (r, schedule.duration - r) if r > 0.0 else ()
-    # the sin^2 envelope's second derivative jumps where each ramp meets the
-    # plateau; corners that coincide with a break are already nodes
-    for corner in corners:
-        if min(abs(corner - b) for b in breaks) > 1e-12 * schedule.duration:
-            breaks.append(corner)
-    breaks.sort()
+    breaks = stepping_breaks(schedule)
     nodes = [0.0]
     for a, b in zip(breaks, breaks[1:]):
-        steps = max(1, math.ceil((b - a) / dt - 1e-12))
-        nodes.extend(np.linspace(a, b, steps + 1)[1:].tolist())
+        nodes.extend(interval_nodes(a, b, dt)[1:].tolist())
     nodes = np.asarray(nodes)
     return SteppingGrid(nodes=nodes, dts=np.diff(nodes))

@@ -316,17 +316,21 @@ def test_runs_on_numpy_alone(tmp_path):
 
 
 def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
-    # the gate's own propagator doubles as the coarse half of dt_halving_delta
+    # a ramped gate steps its windows twice: its own propagator doubles as
+    # the coarse half of dt_halving_delta; a ramp-free gate steps nothing
     calls = []
-    stepped = evolve._stepped_propagator
+    stepped = evolve._varying_maps
 
     def counted(*args, **kwargs):
         calls.append(args)
         return stepped(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, "_stepped_propagator", counted)
+    monkeypatch.setattr(evolve, "_varying_maps", counted)
     assert run(tmp_path, "gate", "--edge-ramp-ns", "10") == 0
     assert len(calls) == 2
+    calls.clear()
+    assert run(tmp_path, "gate") == 0
+    assert calls == []
 
 
 class TestFormatting:

@@ -8,7 +8,7 @@ from holosim import evolve, pulses
 from holosim.gates import ideal_single_qubit
 from holosim.quantum import average_gate_fidelity, basis_state, density
 
-from conftest import OMEGA0, phase_aligned_distance, random_gate_spec
+from conftest import OMEGA0, ivp_evolve, phase_aligned_distance, random_gate_spec
 
 PI = math.pi
 
@@ -95,12 +95,12 @@ class TestPropagator:
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         assert evolve.dt_halving_delta(sched) < 1e-6
 
-    def test_delta_is_exact_versus_stepper_when_ramp_free(self, sqrt_x_spec):
-        sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
-        stepped = evolve._stepped_propagator(sched, config=cfg)
-        expected = np.max(np.abs(evolve.propagator(sched, config=cfg) - stepped))
-        assert evolve.dt_halving_delta(sched, config=cfg) == expected
+    def test_delta_is_zero_when_ramp_free(self, sqrt_x_spec):
+        # nothing is stepped without ramps, so the step size cannot matter
+        for scheme in pulses.SCHEMES:
+            sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme)
+            cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
+            assert evolve.dt_halving_delta(sched, config=cfg) == 0.0
 
     def test_delta_halves_dt_on_ramped_schedule(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=10e-9)
@@ -112,7 +112,8 @@ class TestPropagator:
 
     def test_fourth_order_across_ramp_corners(self):
         # the sin^2 envelope's second derivative jumps where the ramps meet
-        # the plateau; with grid nodes there the stepper stays fourth order
+        # the plateau; with grid nodes there the ramp-window stepper stays
+        # fourth order
         spec = pulses.GateSpec(theta=1.1, phi=0.4, gamma=2.3)
         sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=25e-9)
         # the corners fall between the uniform nodes of all three grids
@@ -122,7 +123,7 @@ class TestPropagator:
 
         def unitary(steps):
             cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-            return evolve._stepped_propagator(sched, config=cfg)
+            return evolve.propagator(sched, config=cfg)
 
         u1, u2, u3 = unitary(100), unitary(200), unitary(400)
         assert 10.0 < np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u3)) < 22.0
@@ -225,17 +226,20 @@ class TestEvolveDensity:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
     def test_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # the CF4 stepper: halving dt divides the error by ~16 away from the
-        # roundoff floor
+        # |0><e| + |e><0| turns time-dependent in the frame, so the whole
+        # swept segment is stepped: halving dt divides the error by ~16 away
+        # from the roundoff floor
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, t1_1_to_e=3e-6)
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2] = op[2, 0] = 1.0
+        noise = evolve.NoiseModel(collapse_ops=((op, 1e6),))
         rho0 = density(basis_state(3, 0))
 
         def final(steps):
             cfg = evolve.IntegratorConfig(dt=sched.duration / steps, record_stride=10**9)
-            return evolve._stepped_density(rho0, sched, noise, config=cfg).states[-1]
+            return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
 
-        r1, r2, r3 = final(200), final(400), final(800)
+        r1, r2, r3 = final(100), final(200), final(400)
         assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
 
     def test_step_size_violation_raises(self, sqrt_x_spec):
@@ -357,42 +361,40 @@ class TestFrameOracle:
             final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
             assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
 
-    # the CF4 stepper, which serves edge ramps and other collapse operators
+    # ramp windows, stepped in the frame, against an independent integration
 
     def test_stepped_propagator_matches_oracle(self, scheme):
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        assert np.max(np.abs(evolve._stepped_propagator(sched) - frame_oracle(sched))) < 1e-10
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        exact = ivp_evolve(sched, np.eye(3), [sched.duration])[0]
+        assert np.max(np.abs(evolve.propagator(sched) - exact)) < 2e-12
 
     def test_stepped_noiseless_density_matches_unitary(self, scheme):
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        u = frame_oracle(sched)
-        rho = evolve._stepped_density(self.RHO0, sched).states[-1]
-        assert np.max(np.abs(rho - u @ self.RHO0 @ u.conj().T)) < 1e-10
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        traj = evolve.evolve_density(self.RHO0, sched)
+        exact = ivp_evolve(sched, np.eye(3), traj.times)
+        for u, rho in zip(exact, traj.states):
+            assert np.max(np.abs(rho - u @ self.RHO0 @ u.conj().T)) < 2e-12
 
     def test_stepped_noisy_channel_matches_oracle(self, scheme):
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        exact = frame_oracle(sched, self.NOISE.scaled_ops(3))
-        assert np.max(np.abs(evolve._stepped_channel(sched, self.NOISE) - exact)) < 1e-12
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        exact = ivp_evolve(sched, np.eye(9), [sched.duration], self.NOISE.scaled_ops(3))[0]
+        assert np.max(np.abs(evolve.gate_channel(sched, self.NOISE) - exact)) < 2e-12
 
     def test_stepped_noisy_density_matches_oracle(self, scheme):
-        # CF4 is exact on nhqc's constant segments, so a coarse grid meets
-        # the oracle there; tounhqc's swept phase needs the default grid
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        steps = 200 if scheme == "nhqc" else evolve.DEFAULT_STEPS
-        cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-        rho = evolve._stepped_density(self.RHO0, sched, self.NOISE, config=cfg).states[-1]
-        exact = evolve.apply_superop(frame_oracle(sched, self.NOISE.scaled_ops(3)), self.RHO0)
-        assert np.max(np.abs(rho - exact)) < 1e-12
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        traj = evolve.evolve_density(self.RHO0, sched, self.NOISE)
+        exact = ivp_evolve(sched, self.RHO0.reshape(-1), traj.times, self.NOISE.scaled_ops(3))
+        assert np.max(np.abs(traj.states.reshape(len(exact), -1) - exact)) < 2e-12
 
     def test_stepped_channel_columns_match_stepped_density(self, scheme):
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
-        channel = evolve._stepped_channel(sched, noise, config=cfg)
+        channel = evolve.gate_channel(sched, noise, config=cfg)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
             unit[j // 3, j % 3] = 1.0
-            final = evolve._stepped_density(unit, sched, noise, config=cfg).states[-1]
+            final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
             assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
 
 
@@ -401,7 +403,7 @@ class TestEngineChoice:
 
     def test_non_covariant_collapse_falls_back_to_stepper(self):
         # |0><e| + |e><0| is neither diagonal nor one matrix unit: the frame
-        # would turn it into a time-dependent operator
+        # turns it into a time-dependent operator, so its segment is stepped
         op = np.zeros((3, 3), dtype=complex)
         op[0, 2] = op[2, 0] = 1.0
         noise = evolve.NoiseModel(collapse_ops=((op, 1e5),))
@@ -409,47 +411,49 @@ class TestEngineChoice:
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
         rho0 = TestFrameOracle.RHO0
         traj = evolve.evolve_density(rho0, sched, noise, config=cfg)
-        stepped = evolve._stepped_density(rho0, sched, noise, config=cfg)
-        assert np.array_equal(traj.states, stepped.states)
-        assert np.array_equal(traj.times, stepped.times)
+        exact = ivp_evolve(sched, rho0.reshape(-1), traj.times, noise.scaled_ops(3))
+        assert np.max(np.abs(traj.states.reshape(len(exact), -1) - exact)) < 2e-12
         channel = evolve.gate_channel(sched, noise, config=cfg)
-        assert np.array_equal(channel, evolve._stepped_channel(sched, noise, config=cfg))
+        exact = ivp_evolve(sched, np.eye(9), [sched.duration], noise.scaled_ops(3))[0]
+        assert np.max(np.abs(channel - exact)) < 2e-12
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_ramped_schedule_runs_on_stepper(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
-        u = evolve.propagator(sched, config=cfg)
-        assert np.array_equal(u, evolve._stepped_propagator(sched, config=cfg))
         psi0 = basis_state(3, 0)
         traj = evolve.evolve_pure(psi0, sched, config=cfg)
-        assert np.array_equal(traj.states, evolve._stepped_pure(psi0, sched, config=cfg).states)
+        u = evolve.propagator(sched, config=cfg)
+        assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_records_the_stepper_times(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 333, record_stride=7)
         psi0 = basis_state(3, 0)
-        exact = evolve.evolve_pure(psi0, sched, config=cfg)
-        stepped = evolve._stepped_pure(psi0, sched, config=cfg)
-        assert np.array_equal(exact.times, stepped.times)
-        assert np.array_equal(exact.states[0], psi0)
-        assert np.max(np.abs(exact.states - stepped.states)) < 1e-9
+        traj = evolve.evolve_pure(psi0, sched, config=cfg)
+        nodes = pulses.stepping_grid(sched, cfg.dt).nodes
+        assert np.array_equal(traj.times, np.append(nodes[::7], nodes[-1]))
+        assert np.array_equal(traj.states[0], psi0)
+        for t, psi in zip(traj.times, traj.states):
+            assert np.max(np.abs(psi - frame_oracle(sched, until=t) @ psi0)) < 1e-12
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_error_maps_match_single_error_calls(self, scheme):
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
         errs = [
             evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d)
             for a in (-0.04, 0.0, 0.03)
             for d in (-0.02, 0.05)
         ]
-        unitaries = evolve.error_maps(sched, errs)
-        channels = evolve.error_maps(sched, errs, TestFrameOracle.NOISE)
-        for err, u, s in zip(errs, unitaries, channels):
-            assert np.max(np.abs(u - evolve.propagator(sched, err))) < 1e-14
-            single = evolve.gate_channel(sched, TestFrameOracle.NOISE, err)
-            assert np.max(np.abs(s - single)) < 1e-14
+        # with ramps, the windows of every error are stepped together
+        for ramp in (0.0, 10e-9):
+            sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=ramp)
+            unitaries = evolve.error_maps(sched, errs)
+            channels = evolve.error_maps(sched, errs, TestFrameOracle.NOISE)
+            for err, u, s in zip(errs, unitaries, channels):
+                assert np.max(np.abs(u - evolve.propagator(sched, err))) < 1e-14
+                single = evolve.gate_channel(sched, TestFrameOracle.NOISE, err)
+                assert np.max(np.abs(s - single)) < 1e-14
 
 
 def test_step_propagators_unitary_for_many_random_hermitian(rng):
@@ -517,18 +521,27 @@ class TestPadeExpm:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_liouvillians(self, scheme):
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        gens = evolve._frame_generators(sched, evolve.NO_ERROR, 3, evolve.QUTRIT_LEVELS)
+        mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sched.segments])
+        gens = evolve._frame_generators(sched, mids, [evolve.NO_ERROR], 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
-        c_ops = self.NOISE.scaled_ops(3)
-        assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, c_ops, 1.0))
+        dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))
+        assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, dissipator))
 
-    def test_cf4_liouvillians(self):
-        spec = pulses.GateSpec(1.1, 0.4, 2.3)
-        sched = pulses.synthesize(spec, OMEGA0, "tounhqc", edge_ramp=10e-9)
+    def test_cf4_liouvillians(self, monkeypatch):
+        # every stack a ramped run with a frame-rotated operator exponentiates
+        stacks = []
+        pade = evolve._expm
+        monkeypatch.setattr(evolve, "_expm", lambda a: stacks.append(a) or pade(a))
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2] = op[2, 0] = 1.0
+        noise = evolve.NoiseModel(collapse_ops=(*self.NOISE.collapse_ops, (op, 1e5)))
+        sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
+        evolve.gate_channel(sched, noise, config=evolve.IntegratorConfig(dt=sched.duration / 200))
+        monkeypatch.undo()
         grid = pulses.stepping_grid(sched, sched.duration / 200)
-        gens, dts = evolve._cf4_generators(sched, grid, evolve.NO_ERROR, 3, evolve.QUTRIT_LEVELS)
-        liou = evolve._liouvillians(gens, self.NOISE.scaled_ops(3), 0.5)
-        assert_matches_scipy_expm(dts[:, None, None] * liou)
+        assert sum(map(len, stacks)) == 2 * len(grid.dts)
+        for stack in stacks:
+            assert_matches_scipy_expm(stack)
 
 
 class TestNoiseModel:
