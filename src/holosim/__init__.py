@@ -14,6 +14,7 @@ from .evolve import (
     evolve_density,
     evolve_pure,
     gate_channel,
+    gate_channels,
     propagator,
 )
 from .gates import (

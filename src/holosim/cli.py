@@ -130,7 +130,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults (flags override)")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; no command runs threads")
     p.add_argument("--dt-ns", type=float, default=None, help="integration step (ns)")
     p.add_argument("--shots", type=int, default=None, help="binomial sampling count")
 
@@ -521,7 +522,7 @@ def _cmd_rb(args, params: dict) -> None:
         integrator=_integrator_from_args(args),
         shots=args.shots,
     )
-    result = protocols.rb_run(config, threads=args.threads)
+    result = protocols.rb_run(config)
 
     meta = _metadata_lines(params, _config_hash(params))
     rows = []

@@ -25,6 +25,12 @@ trajectory records the maps at grid nodes, which the varying pieces step
 through.  The step size therefore sets only the steps of varying pieces
 and the nodes a trajectory records.
 
+One engine call can cover many schedules.  :func:`gate_channels` builds
+the channels of a list of schedules: the constant pieces of all of them
+are exponentiated in one batched call, and piece k of every schedule is
+rebased and chained in one step.  :func:`gate_channel` is its
+one-schedule case, so a channel is bitwise the same alone or in a batch.
+
 Hermitian generators are exponentiated through their eigendecomposition;
 Liouvillians, which are not normal, through :func:`_expm`, a batched
 scaling-and-squaring Pade exponential (Higham 2005) on numpy alone.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +48,9 @@ from .pulses import (
     Segment,
     drive_arrays,
     interval_nodes,
+    segment_drive,
+    segment_phase,
+    segment_table,
     stepping_breaks,
     stepping_grid,
 )
@@ -207,15 +216,21 @@ def hamiltonian_stack(
     indices; the |0> slot may be None when that leg of the drive is unused
     (then the schedule must have zero amplitude on it).
     """
-    return _hamiltonians(schedule, times, [err], dim, levels)[0]
+    drive = drive_arrays(schedule, times)
+    return _hamiltonians(drive, [err], schedule.omega0, dim, levels)[0]
 
 
-def _hamiltonians(schedule, times, errs, dim, levels) -> np.ndarray:
-    """:func:`hamiltonian_stack` under each error in ``errs``, (len(errs), n, dim, dim)."""
+def _hamiltonians(drive, errs, omega0, dim, levels) -> np.ndarray:
+    """Hamiltonians of ``drive`` samples under each error in ``errs``, (len(errs), n, dim, dim).
+
+    ``drive`` is (omega_0e, omega_1e, phi_0, phi_1) at n sample times, as
+    :func:`drive_arrays` gives it; ``omega0``, the nominal amplitude that
+    relative detunings scale with, is one number or one per sample.
+    """
     i0, i1, ie = levels
-    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times)
+    om0e, om1e, phi0, phi1 = drive
     scale = 0.5 * (1.0 + np.array([err.amp_fraction for err in errs]))[:, None]
-    h = np.zeros((len(errs), len(times), dim, dim), dtype=complex)
+    h = np.zeros((len(errs), len(phi1), dim, dim), dtype=complex)
     if i0 is None:
         if np.max(np.abs(om0e), initial=0.0) > 0.0:
             raise ValueError("schedule drives the |0> leg but no level is mapped to it")
@@ -224,7 +239,10 @@ def _hamiltonians(schedule, times, errs, dim, levels) -> np.ndarray:
         h[..., ie, i0] = np.conj(h[..., i0, ie])
     h[..., i1, ie] = scale * om1e * np.exp(1j * phi1)
     h[..., ie, i1] = np.conj(h[..., i1, ie])
-    h[..., ie, ie] = np.array([err.detuning(schedule.omega0) for err in errs])[:, None]
+    # ErrorInjection.detuning of every error at every sample's omega0
+    fraction = np.array([err.detuning_fraction for err in errs])[:, None]
+    absolute = np.array([err.detuning_rad_s for err in errs])[:, None]
+    h[..., ie, ie] = fraction * omega0 + absolute
     return h
 
 
@@ -291,7 +309,11 @@ def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     np.matmul(a, a, out=powers[1])
     for j in range(2, len(powers)):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
-    parts = (rows @ powers.reshape(len(powers), -1)).reshape(len(rows), n, d, d)
+    # one small product per matrix: a single product over the flattened
+    # stack is large enough for the BLAS library to split across threads,
+    # which at these sizes costs far more than it saves
+    parts = rows @ powers.reshape(len(powers), n, d * d).swapaxes(0, 1)
+    parts = parts.swapaxes(0, 1).reshape(len(rows), n, d, d)
     if len(rows) == 4:
         parts = powers[3] @ parts[:2] + parts[2:]
     u, v = a @ parts[0], parts[1]
@@ -408,22 +430,16 @@ def _pieces(schedule: PulseSchedule, covariant: bool) -> list[_Piece]:
 
 
 def _frame_generators(
-    schedule: PulseSchedule,
-    times: np.ndarray,
-    errs,
-    dim: int,
-    levels: tuple[Optional[int], int, int],
+    drive, slopes, errs, omega0, dim: int, levels: tuple[Optional[int], int, int]
 ) -> np.ndarray:
-    """Frame generators G = D^dag H D - phi1' |e><e|, (len(errs), len(times), d, d)."""
+    """Frame generators G = D^dag H D - phi1' |e><e| of ``drive`` samples, (len(errs), n, d, d).
+
+    ``drive`` and ``omega0`` are as in :func:`_hamiltonians`; ``slopes`` is
+    phi1' at each sample (or one value for all).
+    """
     ie = levels[2]
-    segs = schedule.segments
-    idx = np.searchsorted([seg.t_end for seg in segs], times, side="right")
-    idx = np.minimum(idx, len(segs) - 1)
-    starts = np.array([seg.t_start for seg in segs])[idx]
-    slopes = np.array([seg.phi1_slope for seg in segs])[idx]
-    phi1 = np.array([seg.phi1_offset for seg in segs])[idx] + slopes * (times - starts)
-    gens = _hamiltonians(schedule, times, errs, dim, levels)
-    turn = np.exp(-1j * phi1)[:, None]
+    gens = _hamiltonians(drive, errs, omega0, dim, levels)
+    turn = np.exp(-1j * drive[3])[:, None]
     rest = np.arange(dim) != ie
     gens[:, :, rest, ie] *= turn
     gens[:, :, ie, rest] *= turn.conj()
@@ -431,12 +447,12 @@ def _frame_generators(
     return gens
 
 
-def _frame_phases(seg, times: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarray:
-    """Diagonals of D(t) inside ``seg``, or of D (x) conj(D) for superoperators."""
-    d = np.ones((len(times), dim), dtype=complex)
-    d[:, ie] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (times - seg.t_start)))
+def _frame_phases(phi1: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarray:
+    """Diagonals of D = exp(-i phi1 |e><e|) at each phase, or of D (x) conj(D) for superoperators."""
+    d = np.ones((len(phi1), dim), dtype=complex)
+    d[:, ie] = np.exp(-1j * phi1)
     if noisy:
-        return (d[:, :, None] * d.conj()[:, None, :]).reshape(len(times), dim * dim)
+        return (d[:, :, None] * d.conj()[:, None, :]).reshape(len(phi1), dim * dim)
     return d
 
 
@@ -478,12 +494,13 @@ def _varying_maps(
         steps = np.diff(nodes)
         wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
         gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
-        gens = _frame_generators(schedule, gauss, errs, dim, levels)
+        drive = drive_arrays(schedule, gauss)
+        gens = _frame_generators(drive, piece.seg.phi1_slope, errs, schedule.omega0, dim, levels)
         gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(len(errs), -1, 2, dim, dim))
         diss = dissipator
         if not covariant:
             # the frame dissipator rho -> D^dag Diss(D rho D^dag) D at each Gauss node
-            p = _frame_phases(piece.seg, gauss, dim, ie, noisy=True).reshape(-1, 2, m)
+            p = _frame_phases(drive[3], dim, ie, noisy=True).reshape(-1, 2, m)
             diss = p.conj()[..., :, None] * dissipator * p[..., None, :]
             diss = np.einsum("ab,nbij->naij", _CF_WEIGHTS, diss)
         elif dissipator is not None:
@@ -506,62 +523,85 @@ def _varying_maps(
 
 
 def _frame_maps(
-    schedule: PulseSchedule,
+    schedules: Sequence[PulseSchedule],
     errs,
     times,
     c_ops: Optional[np.ndarray],
-    dt: float,
+    dts: Sequence[float],
     dim: int,
     levels: tuple[Optional[int], int, int],
-) -> np.ndarray:
-    """Maps from t = 0 to each of the ascending ``times`` in (0, duration], for every error.
+) -> list[np.ndarray]:
+    """Maps from t = 0 to ascending times in (0, duration] of each schedule, for every error.
 
-    Returns (len(errs), len(times), m, m): unitaries (m = d) when ``c_ops``
-    is None, row-major superoperators (m = d^2) otherwise.  Times inside a
-    varying piece must be nodes of the stepping grid at ``dt``.  The
-    exponentials of all constant pieces, errors and times come from one
-    batched call.
+    ``times[s]`` and the step ``dts[s]`` belong to ``schedules[s]``; times
+    inside a varying piece must be nodes of its stepping grid.  Returns one
+    (len(errs), len(times[s]), m, m) stack per schedule: unitaries (m = d)
+    when ``c_ops`` is None, row-major superoperators (m = d^2) otherwise.
+    The exponentials of the constant pieces of every schedule, error and
+    time come from one batched call, and piece k of every schedule is
+    rebased and chained in one step.
     """
     dissipator = None if c_ops is None else _dissipator(c_ops)
     covariant = c_ops is None or _covariant(c_ops)
-    pieces = _pieces(schedule, covariant)
-    times = np.asarray(times, dtype=float)
-    owner = np.minimum(np.searchsorted([p.end for p in pieces], times), len(pieces) - 1)
+    noisy = c_ops is not None
+    m = dim * dim if noisy else dim
+    cuts = [_pieces(schedule, covariant) for schedule in schedules]
     # each piece's own times, plus its end when another piece follows
-    spans = [
-        np.append(times[owner == k], [p.end] * (k < len(pieces) - 1))
-        for k, p in enumerate(pieces)
-    ]
+    owned, spans = [], []
+    for pieces, at in zip(cuts, times):
+        at = np.asarray(at, dtype=float)
+        owner = np.minimum(np.searchsorted([p.end for p in pieces], at), len(pieces) - 1)
+        owned.append([np.count_nonzero(owner == k) for k in range(len(pieces))])
+        spans.append([
+            np.append(at[owner == k], [p.end] * (k < len(pieces) - 1))
+            for k, p in enumerate(pieces)
+        ])
+
     frame = {}
-    varying = [k for k, p in enumerate(pieces) if p.varying]
-    if varying:
-        stepped = _varying_maps(schedule, errs, [pieces[k] for k in varying],
-                                [spans[k] for k in varying], dt, dissipator, covariant,
-                                dim, levels)
-        frame.update(zip(varying, stepped))
-    constant = [k for k, p in enumerate(pieces) if not p.varying]
+    for s, (schedule, pieces) in enumerate(zip(schedules, cuts)):
+        varying = [k for k, p in enumerate(pieces) if p.varying]
+        if varying:
+            stepped = _varying_maps(schedule, errs, [pieces[k] for k in varying],
+                                    [spans[s][k] for k in varying], dts[s], dissipator,
+                                    covariant, dim, levels)
+            frame.update(((s, k), maps) for k, maps in zip(varying, stepped))
+    constant = [(s, k) for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if not p.varying]
     if constant:
-        mids = np.array([0.5 * (pieces[k].start + pieces[k].end) for k in constant])
-        gens = _frame_generators(schedule, mids, errs, dim, levels)
-        counts = [len(spans[k]) for k in constant]
-        taus = np.concatenate([spans[k] - pieces[k].start for k in constant])
+        table = segment_table([cuts[s][k].seg for s, k in constant])
+        mids = np.array([0.5 * (cuts[s][k].start + cuts[s][k].end) for s, k in constant])
+        omega0 = np.array([schedules[s].omega0 for s, _ in constant])
+        gens = _frame_generators(segment_drive(table, mids), table[3], errs, omega0, dim, levels)
+        counts = [len(spans[s][k]) for s, k in constant]
+        taus = np.concatenate([spans[s][k] - cuts[s][k].start for s, k in constant])
         gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
         exps = _exponentials(gens, taus, dissipator)
         frame.update(zip(constant, np.split(exps, np.cumsum(counts)[:-1], axis=1)))
 
-    noisy = c_ops is not None
-    m = dim * dim if noisy else dim
-    out = np.empty((len(errs), len(times), m, m), dtype=complex)
-    start = np.broadcast_to(np.eye(m, dtype=complex), (len(errs), m, m))
-    for k, (piece, at) in enumerate(zip(pieces, spans)):
-        back = _frame_phases(piece.seg, np.array([piece.start]), dim, levels[2], noisy)
-        back = back.conj()[0, :, None] * start
-        phases = _frame_phases(piece.seg, at, dim, levels[2], noisy)
-        maps = phases[None, :, :, None] * (frame[k] @ back[:, None])
-        out[:, owner == k] = maps[:, : np.count_nonzero(owner == k)]
-        if k < len(pieces) - 1:
-            start = maps[:, -1]
-    return out
+    # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
+    # and chain it onto the map at its start
+    out = [[] for _ in schedules]
+    start = np.empty((len(schedules), len(errs), m, m), dtype=complex)
+    start[:] = np.eye(m)
+    for k in range(max(map(len, cuts))):
+        live = [s for s, pieces in enumerate(cuts) if len(pieces) > k]
+        table = segment_table([cuts[s][k].seg for s in live])
+        counts = [len(spans[s][k]) for s in live]
+        rows = np.repeat(np.arange(len(live)), counts)
+        firsts = np.array([cuts[s][k].start for s in live])
+        back = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy)
+        back = back.conj()[:, None, :, None] * start[live]
+        phases = _frame_phases(
+            segment_phase(table[:, rows], np.concatenate([spans[s][k] for s in live])),
+            dim, levels[2], noisy,
+        )
+        frames = np.concatenate([frame[s, k] for s in live], axis=1)
+        maps = phases[:, :, None] * (frames @ back[rows].swapaxes(0, 1))
+        lo = 0
+        for s, count in zip(live, counts):
+            out[s].append(maps[:, lo : lo + owned[s][k]])
+            lo += count
+            start[s] = maps[:, lo - 1]
+    return [np.concatenate(parts, axis=1) for parts in out]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +644,7 @@ def error_maps(
     c_ops = noise.scaled_ops(dim)
     dt = _checked_dt(schedule, noise, config)
     c_ops = None if noise.is_empty else c_ops
-    return _frame_maps(schedule, errs, [schedule.duration], c_ops, dt, dim, levels)[:, 0]
+    return _frame_maps([schedule], errs, [[schedule.duration]], c_ops, [dt], dim, levels)[0][:, 0]
 
 
 def propagator(
@@ -652,7 +692,7 @@ def evolve_pure(
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
     dt = _checked_dt(schedule, NO_NOISE, config)
     times = _recorded_times(schedule, dt, config.record_stride)
-    states = _frame_maps(schedule, [err], times[1:], None, dt, dim, levels)[0] @ psi
+    states = _frame_maps([schedule], [err], [times[1:]], None, [dt], dim, levels)[0][0] @ psi
     return Trajectory(times=times, states=np.concatenate([psi[None], states]))
 
 
@@ -679,12 +719,38 @@ def evolve_density(
     dt = _checked_dt(schedule, noise, config)
     times = _recorded_times(schedule, dt, config.record_stride)
     if noise.is_empty:
-        u = _frame_maps(schedule, [err], times[1:], None, dt, dim, levels)[0]
+        u = _frame_maps([schedule], [err], [times[1:]], None, [dt], dim, levels)[0][0]
         states = u @ rho @ u.conj().transpose(0, 2, 1)
     else:
-        maps = _frame_maps(schedule, [err], times[1:], c_ops, dt, dim, levels)[0]
+        maps = _frame_maps([schedule], [err], [times[1:]], c_ops, [dt], dim, levels)[0][0]
         states = (maps @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(times=times, states=np.concatenate([rho[None], states]))
+
+
+def gate_channels(
+    schedules: Sequence[PulseSchedule],
+    noise: NoiseModel = NO_NOISE,
+    err: ErrorInjection = NO_ERROR,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    dim: int = QUTRIT_DIM,
+    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
+) -> np.ndarray:
+    """Superoperators of full schedules, built together, (len(schedules), d^2, d^2).
+
+    Row-major vectorization: vec(rho_out) = S vec(rho_in).  Without noise
+    each is U (x) conj(U) for the schedule propagator U; with noise, the
+    chained frame maps.  One engine call covers every schedule, and each
+    channel is bitwise the one its schedule gets alone.  Raises, as
+    :func:`gate_channel` does, when any schedule's step is too coarse.
+    """
+    c_ops = noise.scaled_ops(dim)
+    dts = [_checked_dt(schedule, noise, config) for schedule in schedules]
+    ends = [[schedule.duration] for schedule in schedules]
+    c_ops = None if noise.is_empty else c_ops
+    maps = [m[0, 0] for m in _frame_maps(schedules, [err], ends, c_ops, dts, dim, levels)]
+    if c_ops is None:
+        return np.array([np.kron(u, u.conj()) for u in maps])
+    return np.array(maps)
 
 
 def gate_channel(
@@ -695,16 +761,8 @@ def gate_channel(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
-    """Superoperator of one full schedule, row-major vectorization.
-
-    Satisfies vec(rho_out) = S vec(rho_in).  Without noise this is
-    U (x) conj(U) for the schedule propagator U; with noise, the chained
-    frame maps of :func:`error_maps`.
-    """
-    if noise.is_empty:
-        u = propagator(schedule, err, config, dim=dim, levels=levels)
-        return np.kron(u, u.conj())
-    return error_maps(schedule, [err], noise, config, dim, levels)[0]
+    """Superoperator of one full schedule: :func:`gate_channels` of it alone."""
+    return gate_channels([schedule], noise, err, config, dim, levels)[0]
 
 
 def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

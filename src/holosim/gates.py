@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .pulses import TWO_PI, GateSpec
-from .quantum import average_gate_fidelity, is_unitary
+from .quantum import is_unitary
 
 # Rotations this close to the identity compile to a no-op; matches the
 # degenerate-loop threshold in pulse synthesis.
@@ -189,10 +189,17 @@ def compile_clifford(index: int) -> Optional[GateSpec]:
     return AxisAngle(axis=axis, angle=angle, global_phase=0.0).to_gate_spec()
 
 
-def clifford_index_of(u: np.ndarray, atol: float = 1e-9) -> int:
-    """Canonical index of the Clifford matching ``u`` up to global phase."""
-    fidelities = [average_gate_fidelity(c, u) for c in _clifford_unitaries()]
-    best = int(np.argmax(fidelities))
-    if 1.0 - fidelities[best] > atol:
+def clifford_index_of(u: np.ndarray, atol: float = 1e-9):
+    """Canonical index of the Clifford matching ``u`` up to global phase.
+
+    A stack of unitaries, shape (..., 2, 2), gives an integer array of its
+    leading shape; every matrix must match a Clifford.
+    """
+    mat = np.asarray(u, dtype=complex)
+    # average gate fidelity (|Tr(C^dag U)|^2 + d) / (d (d + 1)) against each C
+    traces = np.einsum("kij,...ij->...k", np.conj(_clifford_unitaries()), mat)
+    fidelities = (np.abs(traces) ** 2 + 2.0) / 6.0
+    if np.any(1.0 - fidelities.max(axis=-1) > atol):
         raise ValueError("matrix does not match any Clifford up to global phase")
-    return best
+    best = np.argmax(fidelities, axis=-1)
+    return int(best) if best.ndim == 0 else best

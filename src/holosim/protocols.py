@@ -2,12 +2,13 @@
 
 Randomized benchmarking draws one pseudo-random stream per (length,
 sequence) slot from the master seed, so results are bitwise identical for
-a given configuration regardless of execution order or thread count.
+a given configuration.  A simulated run builds the channels of all its
+gates in one engine call and applies them to every sequence of a length
+at once.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,8 +22,7 @@ from .evolve import (
     ErrorInjection,
     IntegratorConfig,
     NoiseModel,
-    apply_superop,
-    gate_channel,
+    gate_channels,
 )
 from .gates import (
     clifford_group,
@@ -61,13 +61,6 @@ def t1_limited_noise_model() -> NoiseModel:
     return NoiseModel.qutrit_relaxation(
         t1_e_to_0=DEFAULT_T1_E_TO_0, t1_1_to_e=DEFAULT_T1_1_TO_E
     )
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +303,12 @@ class SimulatedSequenceExecutor:
     """Runs gate sequences through pulse synthesis and time evolution.
 
     Every gate acts on the density matrix through its superoperator.
-    Superoperators of recurring gates (the Cliffords plus any declared
-    extras) are cached; one-off gates such as per-sequence recovery
-    rotations are built, applied and dropped, which costs the same step
-    maps as evolving the state through them.
+    :meth:`survivals` runs many sequences together: it builds the channels
+    of all gates it has not cached in one :func:`gate_channels` call, then
+    applies gate j of every sequence of a length as one stacked product.
+    Channels of recurring gates (the Cliffords plus any declared extras)
+    stay cached across calls; one-off gates such as per-sequence recovery
+    rotations are built for the call and dropped.
     """
 
     def __init__(
@@ -336,21 +331,39 @@ class SimulatedSequenceExecutor:
         cacheable.discard(None)
         self._cacheable: set[GateSpec] = cacheable
 
-    def _channel(self, spec: GateSpec) -> np.ndarray:
-        channel = self._cache.get(spec)
-        if channel is None:
-            schedule = synthesize(spec, self.omega0, self.scheme)
-            channel = gate_channel(schedule, self.noise, self.err, self.config)
-            if spec in self._cacheable:
-                self._cache[spec] = channel
-        return channel
+    def survivals(
+        self, gates: Sequence[Optional[GateSpec]], sequences: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """|0> survival after each sequence of gates, all sequences at once.
+
+        Each (n, L) integer array in ``sequences`` holds n sequences of L
+        indices into ``gates``, applied in order to |0><0|; a None gate is
+        the identity.  Returns one length-n array per index array.
+        """
+        missing = list(dict.fromkeys(
+            spec for spec in gates if spec is not None and spec not in self._cache
+        ))
+        built = {}
+        if missing:
+            schedules = [synthesize(spec, self.omega0, self.scheme) for spec in missing]
+            channels = gate_channels(schedules, self.noise, self.err, self.config)
+            built = dict(zip(missing, channels))
+        built.update(self._cache)
+        eye = np.eye(9, dtype=complex)
+        stack = np.array([eye if spec is None else built[spec] for spec in gates])
+        self._cache.update((spec, built[spec]) for spec in missing if spec in self._cacheable)
+
+        rho0 = density(basis_state(3, 0)).reshape(-1, 1)
+        out = []
+        for idx in sequences:
+            vecs = np.repeat(rho0[None], len(idx), axis=0)
+            for column in idx.T:
+                vecs = stack[column] @ vecs
+            out.append(vecs[:, 0, 0].real)
+        return out
 
     def __call__(self, specs: Sequence[Optional[GateSpec]], rng=None) -> float:
-        rho = density(basis_state(3, 0))
-        for spec in specs:
-            if spec is not None:
-                rho = apply_superop(self._channel(spec), rho)
-        return float(rho[0, 0].real)
+        return float(self.survivals(specs, [np.arange(len(specs))[None]])[0][0])
 
 
 def depolarizing_executor(lam: float) -> Callable:
@@ -374,48 +387,62 @@ def depolarizing_executor(lam: float) -> Callable:
     return run
 
 
-def _build_sequence(
-    rng: np.random.Generator,
-    m: int,
-    cliffords: list[np.ndarray],
-    interleaved_target: Optional[GateSpec],
-) -> list[Optional[GateSpec]]:
-    indices = rng.integers(0, len(cliffords), size=m)
-    specs: list[Optional[GateSpec]] = []
-    u_total = np.eye(2, dtype=complex)
-    target_u = (
-        ideal_single_qubit(interleaved_target)
-        if interleaved_target is not None
-        else None
-    )
-    for idx in indices:
-        specs.append(compile_clifford(int(idx)))
-        u_total = cliffords[int(idx)] @ u_total
-        if target_u is not None:
-            specs.append(interleaved_target)
-            u_total = target_u @ u_total
-    inverse = u_total.conj().T
-    if interleaved_target is None:
-        # the inverse of a Clifford product is a Clifford: look it up
-        specs.append(compile_clifford(clifford_index_of(inverse)))
-    else:
-        # the product includes non-Clifford gates; compile the exact inverse
-        # as a single loop
-        specs.append(gate_spec_from_unitary(inverse))
-    return specs
+def _draw_sequences(config: RBConfig):
+    """Gate table, sequences and slot streams of a randomized-benchmarking run.
+
+    Slot (i, j), sequence j of length i, draws its Cliffords from its own
+    stream, seeded by (seed, (i, j)).  The ideal products of all sequences
+    of a length are tracked together.  Returns the gate table (the 24
+    compiled Cliffords, then the interleaved target and one recovery per
+    sequence when there is a target), one (n, L) array of table indices per
+    length, and each length's n slot generators, whose streams continue
+    with the shot sampling.
+    """
+    cliffords = np.array(clifford_group())
+    gates: list[Optional[GateSpec]] = [compile_clifford(i) for i in range(len(cliffords))]
+    target = config.interleaved_target
+    if target is not None:
+        target_u = ideal_single_qubit(target)
+        gates.append(target)
+    n = config.sequences_per_length
+    sequences, streams = [], []
+    for i_len, m in enumerate(config.sequence_lengths):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i_len, i_seq)))
+            for i_seq in range(n)
+        ]
+        drawn = np.array([rng.integers(0, len(cliffords), size=m) for rng in rngs])
+        u_total = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+        for column in drawn.T:
+            u_total = cliffords[column] @ u_total
+            if target is not None:
+                u_total = target_u @ u_total
+        inverse = u_total.conj().transpose(0, 2, 1)
+        if target is None:
+            # the inverse of a Clifford product is a Clifford: look it up
+            idx = np.column_stack([drawn, clifford_index_of(inverse)])
+        else:
+            # the product includes non-Clifford gates; compile the exact
+            # inverse as a single loop
+            idx = np.full((n, 2 * m + 1), len(cliffords))
+            idx[:, : 2 * m : 2] = drawn
+            idx[:, -1] = np.arange(len(gates), len(gates) + n)
+            gates.extend(gate_spec_from_unitary(w) for w in inverse)
+        sequences.append(idx)
+        streams.append(rngs)
+    return gates, sequences, streams
 
 
-def rb_run(
-    config: RBConfig,
-    sequence_executor: Optional[Callable] = None,
-    threads: int = 1,
-) -> RBResult:
+def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RBResult:
     """Clifford randomized benchmarking with ground-state survival readout.
 
     Each sequence is ``m`` uniformly random Cliffords (optionally with the
     interleaved target after each) closed by the recovery gate inverting
     the ideal product.  Survival is the |0> population of the qutrit, so
     leakage counts as failure.  Deterministic for a given config and seed.
+    A :class:`SimulatedSequenceExecutor` (the default) runs all sequences
+    at once; any other ``sequence_executor(specs, rng)`` is called once per
+    sequence with that slot's generator.
     """
     executor = sequence_executor or SimulatedSequenceExecutor(
         config.scheme,
@@ -425,30 +452,23 @@ def rb_run(
         config.integrator,
         extra_cached=(config.interleaved_target,),
     )
-    cliffords = clifford_group()
-
-    tasks = []
-    for i_len, m in enumerate(config.sequence_lengths):
-        for i_seq in range(config.sequences_per_length):
-            seed_seq = np.random.SeedSequence(
-                entropy=config.seed, spawn_key=(i_len, i_seq)
-            )
-            tasks.append((m, np.random.default_rng(seed_seq)))
-
-    def run_one(task):
-        m, rng = task
-        specs = _build_sequence(rng, m, cliffords, config.interleaved_target)
-        p = executor(specs, rng)
-        if config.shots is not None:
-            p = rng.binomial(config.shots, min(max(p, 0.0), 1.0)) / config.shots
-        return p
-
-    survivals = _parallel_map(run_one, tasks, threads)
+    gates, sequences, streams = _draw_sequences(config)
+    if isinstance(executor, SimulatedSequenceExecutor):
+        survivals = executor.survivals(gates, sequences)
+    else:
+        survivals = [
+            [executor([gates[i] for i in row], rng) for row, rng in zip(idx, rngs)]
+            for idx, rngs in zip(sequences, streams)
+        ]
 
     per_sequence: dict[int, np.ndarray] = {}
-    n_seq = config.sequences_per_length
-    for i_len, m in enumerate(config.sequence_lengths):
-        per_sequence[m] = np.asarray(survivals[i_len * n_seq : (i_len + 1) * n_seq])
+    for m, values, rngs in zip(config.sequence_lengths, survivals, streams):
+        if config.shots is not None:
+            values = [
+                rng.binomial(config.shots, min(max(p, 0.0), 1.0)) / config.shots
+                for p, rng in zip(values, rngs)
+            ]
+        per_sequence[m] = np.asarray(values, dtype=float)
     mean = {m: float(vals.mean()) for m, vals in per_sequence.items()}
     std = {m: float(vals.std(ddof=1)) for m, vals in per_sequence.items()}
     fit = fit_decay(list(config.sequence_lengths), [mean[m] for m in config.sequence_lengths])
@@ -582,14 +602,13 @@ def compare_schemes(
     """Head-to-head phase-gate comparison under identical noise and error."""
     spec = GateSpec(theta=0.0, phi=0.0, gamma=gamma)
     ideal = ideal_single_qubit(spec)
-    taus = {}
-    errors = {}
-    for scheme in ("tounhqc", "nhqc"):
-        schedule = synthesize(spec, omega0, scheme)
-        taus[scheme] = schedule.duration
-        channel = gate_channel(schedule, noise, err, config)
-        f_avg = average_channel_fidelity(_qubit_block_superop(channel), ideal)
-        errors[scheme] = 1.0 - f_avg
+    schemes = ("tounhqc", "nhqc")
+    schedules = [synthesize(spec, omega0, scheme) for scheme in schemes]
+    taus = {scheme: schedule.duration for scheme, schedule in zip(schemes, schedules)}
+    errors = {
+        scheme: 1.0 - average_channel_fidelity(_qubit_block_superop(channel), ideal)
+        for scheme, channel in zip(schemes, gate_channels(schedules, noise, err, config))
+    }
     e_t, e_n = errors["tounhqc"], errors["nhqc"]
     if e_t < 1e-5 and e_n < 1e-5:
         reduction = None

@@ -306,6 +306,45 @@ def geometric_phase(loop: LoopParams, n_points: int = 10001) -> float:
     return float(h / 3.0 * np.dot(weights, integrand))
 
 
+def segment_table(segments) -> np.ndarray:
+    """Segment parameters as the rows of a (6, len(segments)) array.
+
+    The rows are t_start, omega, phi1_offset, phi1_slope, theta_mix and
+    phi0_offset; column k belongs to ``segments[k]``.
+    """
+    return np.array([
+        [seg.t_start for seg in segments],
+        [seg.omega for seg in segments],
+        [seg.phi1_offset for seg in segments],
+        [seg.phi1_slope for seg in segments],
+        [seg.theta_mix for seg in segments],
+        [seg.phi0_offset for seg in segments],
+    ])
+
+
+def segment_phase(table: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Common drive phase phi1 at ``times``, each in the segment of its ``table`` column."""
+    return table[2] + table[3] * (times - table[0])
+
+
+def segment_drive(
+    table: np.ndarray, times: np.ndarray, env=1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(omega_0e, omega_1e, phi_0, phi_1) at ``times``, each in the segment of its ``table`` column.
+
+    ``table`` comes from :func:`segment_table`, one column per time (or one
+    column for all); ``env`` is the edge-ramp factor at each time.
+    """
+    omega = table[1] * env
+    phi1 = segment_phase(table, times)
+    return (
+        omega * np.sin(0.5 * table[4]),
+        omega * np.cos(0.5 * table[4]),
+        phi1 + table[5],
+        phi1,
+    )
+
+
 def drive_arrays(
     schedule: PulseSchedule, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -319,13 +358,6 @@ def drive_arrays(
     ends = np.array([seg.t_end for seg in schedule.segments])
     idx = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
 
-    starts = np.array([seg.t_start for seg in schedule.segments])[idx]
-    omegas = np.array([seg.omega for seg in schedule.segments])[idx]
-    offsets = np.array([seg.phi1_offset for seg in schedule.segments])[idx]
-    slopes = np.array([seg.phi1_slope for seg in schedule.segments])[idx]
-    thetas = np.array([seg.theta_mix for seg in schedule.segments])[idx]
-    phi0s = np.array([seg.phi0_offset for seg in schedule.segments])[idx]
-
     env = np.ones_like(t)
     r = schedule.edge_ramp
     if r > 0.0:
@@ -333,15 +365,7 @@ def drive_arrays(
         falling = t > schedule.duration - r
         env[rising] = np.sin(0.5 * math.pi * t[rising] / r) ** 2
         env[falling] = np.sin(0.5 * math.pi * (schedule.duration - t[falling]) / r) ** 2
-
-    omega = omegas * env
-    phi1 = offsets + slopes * (t - starts)
-    return (
-        omega * np.sin(0.5 * thetas),
-        omega * np.cos(0.5 * thetas),
-        phi1 + phi0s,
-        phi1,
-    )
+    return segment_drive(segment_table(schedule.segments)[:, idx], t, env)
 
 
 def sample_schedule(schedule: PulseSchedule, dt: float) -> ScheduleSamples:

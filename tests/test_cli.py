@@ -273,9 +273,10 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path, argv, files):
     assert outputs[0] == outputs[1]
 
 
-#: Commands that between them reach every propagation path: the exact frame
-#: (unitary and noisy), the CF4 stepper's unitaries and Lindblad maps, the
-#: five-level model, the batched scan, the channel cache and the RB fit.
+#: Commands that between them reach every propagation path: the constant
+#: frame pieces (unitary and noisy), the stepped ramp windows (unitary and
+#: noisy), the five-level model, the batched scan, the batched channels of
+#: compare and of RB, and the RB fit.
 NUMPY_ONLY_COMMANDS = [
     ["gate"],
     ["gate", "--edge-ramp-ns", "10"],
@@ -291,11 +292,12 @@ NUMPY_ONLY_COMMANDS = [
 
 def test_runs_on_numpy_alone(tmp_path):
     # scipy is only the tests' reference: importing holosim must not load it,
-    # and with every scipy import blocked each command must still succeed
+    # nor a thread pool (concurrent.futures), and with every scipy import
+    # blocked each command must still succeed
     script = textwrap.dedent("""
         import json, sys
         import holosim.cli
-        loaded = [name for name in sys.modules if name.startswith("scipy")]
+        loaded = [name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent")]
         sys.modules["scipy"] = None
         codes = [holosim.cli.main([*argv, "--out-dir", f"{sys.argv[1]}/{k}"])
                  for k, argv in enumerate(json.loads(sys.argv[2]))]
@@ -331,6 +333,27 @@ def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
     calls.clear()
     assert run(tmp_path, "gate") == 0
     assert calls == []
+
+
+def test_rb_builds_every_channel_in_one_exponential_call(tmp_path, monkeypatch):
+    # the Cliffords, the interleaved target and every recovery gate of a run
+    # are exponentiated together
+    calls = []
+    exponentials = evolve._exponentials
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exponentials(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "_exponentials", counted)
+    for argv in (
+        ("rb", "--scheme", "nhqc", "--default-noise", "--interleaved-gamma", "0.7854"),
+        ("rb", "--default-noise"),
+        ("rb", "--interleaved-gamma", "0.7854"),
+    ):
+        calls.clear()
+        assert run(tmp_path, *argv, "--lengths", "1,2,4", "--sequences", "10") == 0
+        assert len(calls) == 1
 
 
 class TestFormatting:

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from holosim import evolve, pulses
 from holosim.gates import ideal_single_qubit
+from holosim.protocols import default_noise_model
 from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import OMEGA0, ivp_evolve, phase_aligned_distance, random_gate_spec
@@ -522,7 +523,9 @@ class TestPadeExpm:
     def test_frame_liouvillians(self, scheme):
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
         mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sched.segments])
-        gens = evolve._frame_generators(sched, mids, [evolve.NO_ERROR], 3, evolve.QUTRIT_LEVELS)[0]
+        slopes = np.array([seg.phi1_slope for seg in sched.segments])
+        gens = evolve._frame_generators(pulses.drive_arrays(sched, mids), slopes, [evolve.NO_ERROR],
+                                        OMEGA0, 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
         dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))
         assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, dissipator))
@@ -557,3 +560,66 @@ class TestNoiseModel:
         noise = evolve.NoiseModel(collapse_ops=((np.eye(2), 1.0),))
         with pytest.raises(ValueError, match="match dim"):
             noise.scaled_ops(3)
+
+
+class TestGateChannels:
+    """One engine call for many schedules gives each schedule its own channel."""
+
+    NON_COVARIANT = np.zeros((3, 3), dtype=complex)
+    NON_COVARIANT[0, 2] = NON_COVARIANT[2, 0] = 1.0
+
+    @staticmethod
+    def schedules(rng, edge_ramp=0.0):
+        # rotation angles whose loops last at least 100 ns in either scheme
+        specs = [
+            pulses.GateSpec(rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI), rng.uniform(1.6, 2 * PI - 1.6))
+            for _ in range(6)
+        ]
+        return [
+            pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=edge_ramp)
+            for spec in specs
+            for scheme in ("tounhqc", "nhqc")
+        ]
+
+    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "non_covariant"])
+    def test_bitwise_equal_to_single_schedule_calls(self, rng, case):
+        default = default_noise_model()
+        noise, ramp, config = {
+            "noiseless": (evolve.NO_NOISE, 0.0, evolve.DEFAULT_CONFIG),
+            "default_noise": (default, 0.0, evolve.DEFAULT_CONFIG),
+            "edge_ramp": (default, 10e-9, evolve.IntegratorConfig(dt=0.5e-9)),
+            "non_covariant": (
+                evolve.NoiseModel(collapse_ops=(*default.collapse_ops, (self.NON_COVARIANT, 1e5))),
+                0.0,
+                evolve.IntegratorConfig(dt=1e-9),
+            ),
+        }[case]
+        scheds = self.schedules(rng, ramp)
+        err = evolve.ErrorInjection(amp_fraction=0.02, detuning_fraction=-0.01)
+        together = evolve.gate_channels(scheds, noise, err, config)
+        assert together.shape == (len(scheds), 9, 9)
+        for got, sched in zip(together, scheds):
+            assert np.array_equal(got, evolve.gate_channel(sched, noise, err, config))
+            if noise.is_empty:
+                # the Kronecker product of the propagator, as a single gate builds it
+                u = evolve.propagator(sched, err, config)
+                assert np.array_equal(got, np.kron(u, u.conj()))
+
+    def test_any_bad_schedule_raises_as_gate_channel(self, rng):
+        scheds = self.schedules(rng)
+        # a 68 ns loop among loops of at least 100 ns: only it is too short for 0.9 ns steps
+        short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
+        coarse = evolve.IntegratorConfig(dt=0.9e-9)
+        with pytest.raises(ValueError, match="too coarse") as single:
+            evolve.gate_channel(short, config=coarse)
+        with pytest.raises(ValueError) as batched:
+            evolve.gate_channels([*scheds[:5], short, *scheds[5:]], config=coarse)
+        assert str(batched.value) == str(single.value)
+        # a 462 ns loop resolves to 0.23 ns steps, the only ones too long for 5e7/s
+        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc")
+        fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
+        with pytest.raises(ValueError, match="step size violation") as single:
+            evolve.gate_channel(slow, fast)
+        with pytest.raises(ValueError) as batched:
+            evolve.gate_channels([*scheds[:5], slow, *scheds[5:]], fast)
+        assert str(batched.value) == str(single.value)

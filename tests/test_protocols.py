@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from holosim import evolve, pulses
+from holosim import evolve, gates, pulses
 from holosim import protocols as pr
 from holosim.evolve import ErrorInjection, NoiseModel
 from holosim.gates import ideal_single_qubit
@@ -177,14 +177,19 @@ class TestRBSimulated:
         for m in a.lengths:
             assert np.array_equal(a.per_sequence[m], b.per_sequence[m])
 
-    def test_threading_does_not_change_results(self):
-        config = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=9)
-        serial = pr.rb_run(config, sequence_executor=pr.depolarizing_executor(0.95))
-        threaded = pr.rb_run(
-            config, sequence_executor=pr.depolarizing_executor(0.95), threads=4
-        )
-        for m in serial.lengths:
-            assert np.array_equal(serial.per_sequence[m], threaded.per_sequence[m])
+    def test_batched_run_matches_per_sequence_calls(self):
+        # the simulator runs all sequences at once; called as a plain
+        # executor it runs the same sequences one by one
+        noise = pr.default_noise_model()
+        for target in (None, pulses.GateSpec(0.0, 0.0, PI / 4)):
+            for shots in (None, 100):
+                config = pr.RBConfig(sequence_lengths=(1, 2, 4, 8), sequences_per_length=10, seed=9,
+                                     scheme="nhqc", interleaved_target=target, noise=noise, shots=shots)
+                executor = pr.SimulatedSequenceExecutor("nhqc", OMEGA0, noise, extra_cached=(target,))
+                batched = pr.rb_run(config, sequence_executor=executor)
+                single = pr.rb_run(config, sequence_executor=lambda specs, rng: executor(specs, rng))
+                for m in config.sequence_lengths:
+                    assert np.array_equal(batched.per_sequence[m], single.per_sequence[m])
 
     def test_shot_sampling_deterministic_and_noisy(self):
         config = pr.RBConfig(
@@ -220,6 +225,95 @@ class TestRBSimulated:
             pr.RBConfig(sequence_lengths=(4, 2), sequences_per_length=10)
         with pytest.raises(ValueError, match="10 sequences"):
             pr.RBConfig(sequence_lengths=(2, 4), sequences_per_length=5)
+
+
+def lifted_clifford_group():
+    """The single-qubit Cliffords lifted to SU(2): element k + 24 s is (-1)^s C_k.
+
+    Returns the (48, 2, 2) elements and their (48, 48) product table.  RB
+    tracks the ideal product in SU(2), and an interleaved run compiles its
+    recovery from that product, so -C_k and C_k close with different loops.
+    """
+    group = np.array(gates.clifford_group())
+    elements = np.concatenate([group, -group])
+    return elements, lifted_index(np.einsum("aij,bjk->abik", elements, elements))
+
+
+def lifted_index(u):
+    """Element of :func:`lifted_clifford_group` equal to each SU(2) matrix in ``u``."""
+    k = gates.clifford_index_of(u)
+    group = np.array(gates.clifford_group())
+    negative = np.einsum("...ij,...ij->...", group[k].conj(), u).real < 0.0
+    return k + 24 * negative
+
+
+def exact_rb_means(channels, recoveries, lengths, target=None):
+    """Exact sequence-averaged survival of Clifford RB under gate-dependent noise.
+
+    ``channels[k]`` is the superoperator of Clifford k (the identity for
+    k = 0) and ``recoveries[g]`` the one that closes a sequence whose ideal
+    product is lifted element g; ``target`` is (lifted element, channel)
+    of a Clifford interleaved after every random gate.  The pair (ideal
+    product, vec rho) evolves linearly, so one length step is a single map
+    on the 48 x 9 dimensional space, averaged over the 24 random Cliffords
+    (the gate-dependent-noise analysis of Proctor et al., PRL 119, 130502
+    (2017)).  Non-Clifford targets generate an infinite group, so
+    interleaved RB with them stays Monte Carlo only.
+    """
+    _, table = lifted_clifford_group()
+    step = np.zeros((48, 9, 48, 9), dtype=complex)
+    everyone = np.arange(48)
+    for k in range(24):
+        dest, gate = table[k], channels[k]
+        if target is not None:
+            dest, gate = table[target[0], dest], target[1] @ gate
+        step[dest, :, everyone, :] += gate / 24.0
+    step = step.reshape(48 * 9, 48 * 9)
+    state = np.zeros((48, 9), dtype=complex)
+    state[0] = density(basis_state(3, 0)).reshape(-1)
+    means, done = {}, 0
+    for m in lengths:
+        for _ in range(m - done):
+            state = (step @ state.reshape(-1)).reshape(48, 9)
+        done = m
+        means[m] = float(np.einsum("gij,gj->gi", recoveries, state)[:, 0].real.sum())
+    return means
+
+
+class TestExactRBOracle:
+    """rb_run's Monte Carlo means against the exact average over all sequences."""
+
+    LENGTHS = (1, 2, 4, 8, 16)
+    SEQUENCES = 200
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    @pytest.mark.parametrize("target", [None, pulses.GateSpec(0.0, 0.0, PI / 2)], ids=["reference", "clifford_target"])
+    def test_means_within_sampling_error_of_exact(self, scheme, target):
+        noise = pr.default_noise_model()
+        config = pr.RBConfig(sequence_lengths=self.LENGTHS, sequences_per_length=self.SEQUENCES,
+                             seed=4, scheme=scheme, interleaved_target=target, noise=noise)
+        executor = pr.SimulatedSequenceExecutor(scheme, OMEGA0, noise, extra_cached=(target,))
+        result = pr.rb_run(config, sequence_executor=executor)
+
+        # the map is built from the channels the run cached: the 23 non-identity
+        # Cliffords, among them the target (the S gate), and no recovery
+        specs = [gates.compile_clifford(k) for k in range(24)]
+        assert set(executor._cache) == set(specs[1:])
+        channels = np.array([np.eye(9)] + [executor._cache[spec] for spec in specs[1:]])
+        elements, _ = lifted_clifford_group()
+        inverses = elements.conj().transpose(0, 2, 1)
+        if target is None:
+            recoveries, lifted = channels[gates.clifford_index_of(inverses)], None
+        else:
+            closing = [gates.gate_spec_from_unitary(u) for u in inverses]
+            built = iter(evolve.gate_channels(
+                [pulses.synthesize(spec, OMEGA0, scheme) for spec in closing if spec is not None], noise))
+            recoveries = np.array([np.eye(9) if spec is None else next(built) for spec in closing])
+            lifted = (int(lifted_index(ideal_single_qubit(target))), executor._cache[target])
+        exact = exact_rb_means(channels, recoveries, self.LENGTHS, lifted)
+        for m in self.LENGTHS:
+            error = result.survival_std[m] / math.sqrt(self.SEQUENCES)
+            assert abs(result.survival_mean[m] - exact[m]) < 4.0 * error
 
 
 class TestRobustnessScan:
