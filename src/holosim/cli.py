@@ -303,9 +303,13 @@ _POSITIVE_FLAGS = (
 
 
 def _validate_common(args, problems: list[str]) -> None:
+    # every later check skips a non-finite value, so that it is listed once
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"--{dest.replace('_', '-')} must be finite, got {value}")
     for dest in _POSITIVE_FLAGS:
         value = getattr(args, dest, None)
-        if value is not None and not value > 0.0:
+        if value is not None and math.isfinite(value) and not value > 0.0:
             flag = "--" + dest.replace("_", "-")
             problems.append(f"{flag} must be positive, got {value}")
     if args.shots is not None and args.shots < 1:
@@ -315,9 +319,13 @@ def _validate_common(args, problems: list[str]) -> None:
 
 
 def _check_loop_angle(flag: str, gamma: float, problems: list[str]) -> bool:
-    """Reject a loop angle that synthesis would find degenerate; True if usable."""
+    """Reject a loop angle that synthesis would find degenerate; True if usable.
+
+    A non-finite angle is not usable, but _validate_common lists it.
+    """
     tol = DEGENERATE_GAMMA_TOL
-    # the negation of the synthesis check, written so that NaN fails it
+    if not math.isfinite(gamma):
+        return False
     if gamma >= tol and TWO_PI - gamma >= tol:
         return True
     problems.append(f"{flag} must lie {tol:g} or more inside (0, 2 pi), got {gamma}")
@@ -325,15 +333,17 @@ def _check_loop_angle(flag: str, gamma: float, problems: list[str]) -> bool:
 
 
 def _validate_gate_spec(args, problems: list[str]) -> None:
-    if not 0.0 <= args.theta <= math.pi:
+    if math.isfinite(args.theta) and not 0.0 <= args.theta <= math.pi:
         problems.append(f"--theta must lie in [0, pi], got {args.theta}")
-    if not 0.0 <= args.phi < TWO_PI:
+    if math.isfinite(args.phi) and not 0.0 <= args.phi < TWO_PI:
         problems.append(f"--phi must lie in [0, 2 pi), got {args.phi}")
     gamma_ok = _check_loop_angle("--gamma", args.gamma, problems)
     ramp = args.edge_ramp_ns * 1e-9
-    if not ramp >= 0.0:
+    if not math.isfinite(ramp):
+        return
+    if ramp < 0.0:
         problems.append(f"--edge-ramp-ns must be non-negative, got {args.edge_ramp_ns}")
-    elif gamma_ok and args.omega0_mhz > 0.0:
+    elif gamma_ok and math.isfinite(args.omega0_mhz) and args.omega0_mhz > 0.0:
         omega0 = TWO_PI * args.omega0_mhz * 1e6
         if args.scheme == "tounhqc":
             tau = tounhqc_duration(args.gamma, omega0)
@@ -645,8 +655,9 @@ def _validate(args) -> None:
         _check_loop_angle("--gamma", args.gamma, problems)
     if args.command == "ramsey" and args.points < 3:
         problems.append("--points must be at least 3")
-    if args.command == "scan" and args.resolution < 5:
-        problems.append("--resolution must be at least 5")
+    if args.command == "scan" and (args.resolution < 5 or args.resolution % 2 == 0):
+        # the summary's fidelity_origin is the centre point of the grid
+        problems.append(f"--resolution must be odd and at least 5, got {args.resolution}")
     if args.command == "rb":
         try:
             lengths = tuple(int(tok) for tok in str(args.lengths).split(","))

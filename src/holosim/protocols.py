@@ -83,94 +83,67 @@ class FitResult:
     message: str = ""
 
 
-#: Bounds of (A, p, B) in the F = A p^m + B fit, the p it starts from and
-#: its step cap.
+#: Bounds of (A, p, B) in the F = A p^m + B fit and the p it starts from.
 _FIT_LOWER = np.array([-0.5, 1e-6, -0.5])
 _FIT_UPPER = np.array([1.5, 1.0, 1.5])
 _FIT_P0 = 0.99
-_FIT_MAX_STEPS = 200
+#: Coarse search grid: p = 1 - q, q from 1 down to 1e-10 at 8 points a decade, and p = 1.
+_FIT_GRID = np.append(np.clip(1.0 - np.geomspace(1.0, 1e-10, 81), _FIT_LOWER[1], None), 1.0)
 
 
-def _decay_residuals(x: np.ndarray, ms: np.ndarray, fs: np.ndarray):
-    """Residuals of A p^m + B against ``fs`` and their Jacobian in (A, p, B)."""
-    a, p, b = x
-    pm = p**ms
-    jac = np.column_stack([pm, a * ms * p ** (ms - 1.0), np.ones_like(ms)])
-    return a * pm + b - fs, jac
+def _profile(ps: np.ndarray, ms: np.ndarray, fs: np.ndarray):
+    """Best bounded (A, B) at each p of ``ps`` and the slope of the profiled cost.
 
-
-def _best_amplitudes(p: float, ms: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Least-squares (A, B) at fixed p, within their bounds."""
-    basis = np.column_stack([p**ms, np.ones_like(ms)])
-    lo, hi = _FIT_LOWER[::2], _FIT_UPPER[::2]
-    ab = np.linalg.lstsq(basis, fs, rcond=None)[0]
-    if np.all((lo <= ab) & (ab <= hi)):
-        return ab
-    # outside the box the optimum of this convex problem lies on an edge:
-    # one coefficient on a bound, the other its clipped 1-D least squares
-    edges = []
-    for k in (0, 1):
-        for bound in (lo[k], hi[k]):
-            rest = fs - bound * basis[:, k]
-            other = np.linalg.lstsq(basis[:, 1 - k : 2 - k], rest, rcond=None)[0][0]
-            edge = np.empty(2)
-            edge[k], edge[1 - k] = bound, np.clip(other, lo[1 - k], hi[1 - k])
-            edges.append(edge)
-    return min(edges, key=lambda e: np.sum((basis @ e - fs) ** 2))
-
-
-def _fit_decay_lm(ms: np.ndarray, fs: np.ndarray):
-    """Bounded Levenberg-Marquardt fit of A p^m + B from p = 0.99.
-
-    Each step solves the damped normal equations in (A, p, B), holding any
-    parameter on a bound that the gradient pushes outward, and moves p
-    (clipped to its bounds).  A and B are then set to their exact bounded
-    least-squares values at the new p, so the search never stalls in the
-    flat A-B valley or on p = 1 with A of the wrong sign.  The damping
-    follows the gain ratio (Nielsen's rule), and an accepted step is
-    doubled while that lowers the cost further.  Converged when no damping
-    lowers the sum of squares; returns (x, residuals, Jacobian) there, or
-    None after _FIT_MAX_STEPS steps.
+    The free optimum is the centred 2x2 least-squares solution, centred on
+    u = p^m - 1 from expm1 so that it stays accurate as p -> 1.  Outside the
+    box the optimum lies on one of the four edges: one coefficient on a
+    bound, the other its clipped 1-D solution.  The slope is d|r|^2/dp at
+    that (A, B) (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
     """
-    def at(p):
-        a, b = _best_amplitudes(p, ms, fs)
-        x = np.array([a, p, b])
-        r, jac = _decay_residuals(x, ms, fs)
-        return x, r, jac, r @ r
+    u = np.expm1(np.log(ps)[:, None] * ms)
+    pm = u + 1.0
+    du = u - u.mean(axis=1, keepdims=True)
+    (a_lo, b_lo), (a_hi, b_hi) = _FIT_LOWER[::2], _FIT_UPPER[::2]
+    # rows: the free optimum, A on its two bounds, B on its two bounds
+    a, b = np.empty((2, 5, len(ps)))
+    a[1:3], b[3:] = [[a_lo], [a_hi]], [[b_lo], [b_hi]]
+    # 0/0 where all p^m agree or underflow: at p = 1 only A + B counts, and
+    # the free optimum is the minimum-norm A = B; a NaN row is never picked
+    with np.errstate(invalid="ignore"):
+        a[0] = du @ (fs - fs.mean()) / np.einsum("ij,ij->i", du, du)
+        a[3:] = (pm @ fs - b[3:] * pm.sum(axis=1)) / np.einsum("ij,ij->i", pm, pm)
+    a[0, ps == 1.0] = fs.mean() / 2.0
+    b[:3] = fs.mean() - a[:3] * pm.mean(axis=1)
+    inside = (a_lo <= a[0]) & (a[0] <= a_hi) & (b_lo <= b[0]) & (b[0] <= b_hi)
+    a, b = np.clip(a, a_lo, a_hi), np.clip(b, b_lo, b_hi)
+    r = a[..., None] * pm + b[..., None] - fs
+    cost = np.einsum("cpk,cpk->cp", r, r)
+    best = np.where(inside, 0, np.nanargmin(cost, axis=0)), np.arange(len(ps))
+    a, b, r = a[best], b[best], r[best]
+    return a, b, 2.0 * a * ((r * pm) @ ms) / ps
 
-    def moved(x, dp):
-        return at(np.clip(x[1] + dp, _FIT_LOWER[1], _FIT_UPPER[1]))
 
-    x, r, jac, cost = at(_FIT_P0)
-    damping, growth = 1e-3, 2.0
-    for _ in range(_FIT_MAX_STEPS):
-        grad = jac.T @ r
-        free = ~((x <= _FIT_LOWER) & (grad > 0.0) | (x >= _FIT_UPPER) & (grad < 0.0))
-        normal = jac[:, free].T @ jac[:, free]
-        scale = np.maximum(normal.diagonal(), 1e-12 * normal.diagonal().max(initial=1.0))
-        while True:
-            step = np.zeros(3)
-            step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad[free])
-            trial = moved(x, step[1])
-            if trial[3] < cost:
-                break
-            damping *= growth
-            growth *= 2.0
-            if damping > 1e16:
-                return x, r, jac
-        predicted = step[free] @ (damping * scale * step[free] - grad[free])
-        gain = min((cost - trial[3]) / predicted, 1.0)
-        damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-13)
-        growth = 2.0
-        dp = step[1]
-        while True:
-            dp *= 2.0
-            longer = moved(x, dp)
-            if not longer[3] < trial[3]:
-                break
-            trial = longer
-        x, r, jac, cost = trial
-    return None
+def _fit_p(ms: np.ndarray, fs: np.ndarray) -> float:
+    """First minimum of the profiled cost downhill from p = 0.99.
+
+    Walks _FIT_GRID along the slope's sign to its first sign change (or
+    returns the bound it reaches), then narrows that bracket on finer grids
+    until its ends are adjacent floats.
+    """
+    slope = _profile(_FIT_GRID, ms, fs)[2]
+    i = int(np.argmin(np.abs(_FIT_GRID - _FIT_P0)))
+    if slope[i] <= 0.0:  # downhill towards p = 1
+        k = i + 1 + np.flatnonzero(slope[i + 1 :] >= 0.0)
+    else:
+        k = 1 + np.flatnonzero(slope[:i] <= 0.0)[::-1]
+    if not k.size:
+        return float(_FIT_GRID[-1 if slope[i] <= 0.0 else 0])
+    lo, hi = _FIT_GRID[k[0] - 1 : k[0] + 1]
+    while np.nextafter(lo, hi) < hi:
+        ps = np.linspace(lo, hi, 64)
+        k = 1 + np.argmax(_profile(ps, ms, fs)[2][1:] >= 0.0)
+        lo, hi = ps[k - 1 : k + 1]
+    return float(hi)
 
 
 def _failed_fit(reason: str) -> FitResult:
@@ -182,18 +155,22 @@ def _failed_fit(reason: str) -> FitResult:
 def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
     """Least-squares fit of survival data to F = A p^m + B.
 
-    Starts from p = 0.99, with A and B at their best values there, within
-    the bounds [-0.5, 1.5] x [1e-6, 1] x [-0.5, 1.5].  Standard errors
-    come from the pseudo-inverse of J^T J at the optimum times the residual
-    variance sum(r^2) / (n - 3), and are infinite when n <= 3.  Constant
-    data is reported as degenerate with p = 1; non-finite data or a fit
-    that does not converge yields an explicit non-success result instead
-    of raising.
+    Fits by variable projection within the bounds [-0.5, 1.5] x [1e-6, 1]
+    x [-0.5, 1.5]: A and B take their exact bounded least-squares values
+    at every p, and p is the first minimum of the remaining cost in p
+    downhill from p = 0.99 (or the bound it runs into), found by slope
+    bracketing down to adjacent floats; there is no step cap.  Standard
+    errors come from the pseudo-inverse of J^T J at the optimum times the
+    residual variance sum(r^2) / (n - 3), and are infinite when n <= 3.
+    Constant data is reported as degenerate with p = 1; non-finite data
+    yields an explicit non-success result instead of raising.
     """
     ms = np.asarray(m_values, dtype=float)
     fs = np.asarray(f_values, dtype=float)
     if len(set(m_values)) < 3:
         raise ValueError("need at least 3 distinct sequence lengths to fit")
+    if not np.all(np.isfinite(fs)):
+        return _failed_fit("non-finite survival data")
     if np.ptp(fs) < 1e-9:
         level = float(np.mean(fs))
         return FitResult(
@@ -201,14 +178,13 @@ def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
             b_err=float("nan"), success=True, degenerate=True,
             message=f"constant survival {level:.6g}; A + B = {level:.6g} with p = 1",
         )
-    if not np.all(np.isfinite(fs)):
-        return _failed_fit("non-finite survival data")
-    solved = _fit_decay_lm(ms, fs)
-    if solved is None:
-        return _failed_fit(f"no optimum within {_FIT_MAX_STEPS} steps")
-    x, r, jac = solved
-    # covariance as scipy's curve_fit forms it: a pseudo-inverse dropping
-    # singular values at roundoff level, scaled by the residual variance
+    p = _fit_p(ms, fs)
+    (a,), (b,), _ = _profile(np.array([p]), ms, fs)
+    r = a * p**ms + b - fs
+    jac = np.column_stack([p**ms, a * ms * p ** (ms - 1.0), np.ones_like(ms)])
+    # covariance as scipy's curve_fit forms it from the Jacobian in (A, p, B):
+    # a pseudo-inverse dropping singular values at roundoff level, scaled by
+    # the residual variance
     _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(jac.shape) * sv[0]
     cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
@@ -217,7 +193,7 @@ def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
     else:
         errs = np.full(3, np.inf)
     return FitResult(
-        a=float(x[0]), p=float(x[1]), b=float(x[2]),
+        a=float(a), p=p, b=float(b),
         a_err=float(errs[0]), p_err=float(errs[1]), b_err=float(errs[2]),
         success=True,
     )

@@ -204,16 +204,19 @@ class TestConfigFile:
 
 
 NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
+ERROR_FLAGS = ("--amp-error", "--detuning-error")
 
-#: flags that take a positive value, per command; --edge-ramp-ns a non-negative one
+#: flags that take a finite value, per command: the errors any finite one,
+#: --edge-ramp-ns a non-negative one and the rest a positive one
 CHECKED_FLAGS = {
     "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns"),
-    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS),
+    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS),
     "ramsey": ("--g-eff-mhz", "--t1-a-us"),
-    "rb": ("--omega0-mhz", *NOISE_FLAGS),
-    "scan": ("--omega0-mhz", *NOISE_FLAGS),
-    "compare": ("--omega0-mhz", *NOISE_FLAGS),
+    "rb": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
+    "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range"),
+    "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
 }
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,10 +226,12 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
     flags = data.draw(st.lists(st.sampled_from(CHECKED_FLAGS[command]), min_size=1, unique=True))
     argv = [command]
     for flag in flags:
-        if flag == "--edge-ramp-ns":
-            value = data.draw(st.floats(min_value=-1e6, max_value=-1e-6))
+        if flag in (*ERROR_FLAGS, "--error-range"):
+            value = data.draw(NON_FINITE)
+        elif flag == "--edge-ramp-ns":
+            value = data.draw(st.floats(min_value=-1e6, max_value=-1e-6) | NON_FINITE)
         else:
-            value = data.draw(st.floats(min_value=-1e6, max_value=0.0))
+            value = data.draw(st.floats(min_value=-1e6, max_value=0.0) | NON_FINITE)
         argv.append(f"{flag}={value!r}")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -249,6 +254,8 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
         ("scan", "--gamma", repr(2 * PI - 1e-12)),
         ("compare", "--gamma", "1e-12"),
         ("rb", "--interleaved-gamma", "1e-12"),
+        # an even grid has no point at zero error for fidelity_origin
+        ("scan", "--resolution", "6"),
     ],
 )
 def test_degenerate_loop_angle_is_config_error(tmp_path, capsys, argv):
