@@ -45,6 +45,7 @@ from .quantum import (
     average_gate_fidelity,
     basis_state,
     bloch_coordinates,
+    bloch_rows,
     density,
     partial_trace,
     tensor_product,

@@ -60,14 +60,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, complex):
         return f"{value.real:.17g}{value.imag:+.17g}j"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     return str(value)
 
 
@@ -93,12 +93,14 @@ def _metadata_lines(args: dict, config_hash: str) -> list[str]:
 
 
 def _write_table(
-    path: str, meta: list[str], header: list[str], rows: list[Sequence]
+    path: str, meta: list[str], header: list[str], rows: list[Sequence] | np.ndarray
 ) -> None:
+    """Write ``rows`` (row sequences, or a 2-d array) below ``meta`` and ``header``."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     lines = list(meta)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write_lines(path, lines)
 
 
@@ -441,21 +443,18 @@ def _cmd_trajectory(args, params: dict) -> None:
         config=_integrator_from_args(args),
     )
     meta = _metadata_lines(params, _config_hash(params))
-    pop_rows = [
-        (t * 1e9, *pops) for t, pops in zip(report.times, report.populations)
-    ]
+    t_ns = report.times * 1e9
     _write_table(
         os.path.join(args.out_dir, "trajectory_populations.csv"),
         meta,
         ["t_ns", "p0", "p1", "pe"],
-        pop_rows,
+        np.column_stack([t_ns, report.populations]),
     )
-    bloch_rows = [(t * 1e9, *row) for t, row in zip(report.times, report.bloch)]
     _write_table(
         os.path.join(args.out_dir, "trajectory_bloch.csv"),
         meta,
         ["t_ns", "x", "y", "z", "subspace_population"],
-        bloch_rows,
+        np.column_stack([t_ns, report.bloch]),
     )
     final_p = report.populations[-1]
     entries = [
@@ -585,15 +584,12 @@ def _cmd_scan(args, params: dict) -> None:
         detuning_absolute=args.detuning_absolute,
     )
     meta = _metadata_lines(params, _config_hash(params))
-    rows = []
-    for i, amp in enumerate(result.amp_axis):
-        for j, det in enumerate(result.detuning_axis):
-            rows.append((amp, det, result.fidelity[i, j]))
+    amp, det = np.meshgrid(result.amp_axis, result.detuning_axis, indexing="ij")
     _write_table(
         os.path.join(args.out_dir, "scan_grid.csv"),
         meta,
         ["amp_err", "det_err", "fidelity"],
-        rows,
+        np.column_stack([amp.ravel(), det.ravel(), result.fidelity.ravel()]),
     )
     origin = result.fidelity[args.resolution // 2, args.resolution // 2]
     entries = [

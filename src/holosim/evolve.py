@@ -624,7 +624,7 @@ def _recorded_times(schedule: PulseSchedule, dt: float, stride: int) -> np.ndarr
     """Grid nodes at which trajectories record: every ``stride``-th plus endpoints."""
     nodes = stepping_grid(schedule, dt).nodes
     n = len(nodes) - 1
-    return nodes[np.unique(np.append(np.arange(0, n + 1, stride), n))]
+    return nodes[np.append(np.arange(0, n, stride), n)]
 
 
 def error_maps(

@@ -32,7 +32,7 @@ from .gates import (
     ideal_single_qubit,
 )
 from .pulses import GateSpec, PulseSchedule, synthesize
-from .quantum import basis_state, bloch_coordinates, density, unattenuated_fidelity
+from .quantum import basis_state, bloch_rows, density, unattenuated_fidelity
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 8.660e6
 
@@ -495,7 +495,8 @@ def robustness_scan(
     point and scores the unattenuated fidelity against the ideal output.
     ``detuning_absolute`` switches the detuning axis from fractions of
     omega0 to absolute rad/s.  The gate maps of all grid points are built
-    in one batch (:func:`holosim.evolve.error_maps`).
+    in one batch (:func:`holosim.evolve.error_maps`) and scored in one
+    :func:`unattenuated_fidelity` call.
     """
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
@@ -519,8 +520,7 @@ def robustness_scan(
         rhos = np.einsum("ni,nj->nij", psis, psis.conj())
     else:
         rhos = (maps @ density(SCAN_INITIAL).reshape(-1)).reshape(-1, 3, 3)
-    values = [unattenuated_fidelity(rho_th, rho) for rho in rhos]
-    fidelity = np.asarray(values).reshape(resolution, resolution)
+    fidelity = unattenuated_fidelity(rho_th, rhos).reshape(resolution, resolution)
     return ScanResult(amp_axis=amp_axis, detuning_axis=det_axis, fidelity=fidelity)
 
 
@@ -637,10 +637,4 @@ def trajectory_report(
         traj = _evolve.evolve_density(rho0, schedule, noise, err, config)
         rhos = traj.states
     populations = np.einsum("nii->ni", rhos).real
-    bloch = np.full((len(rhos), 4), np.nan)
-    for k, rho in enumerate(rhos):
-        try:
-            bloch[k] = bloch_coordinates(rho)
-        except ValueError:
-            pass  # empty subspace: leave the NaN row
-    return TrajectoryReport(times=traj.times, populations=populations, bloch=bloch)
+    return TrajectoryReport(times=traj.times, populations=populations, bloch=bloch_rows(rhos))

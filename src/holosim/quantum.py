@@ -1,7 +1,8 @@
 """Dense complex linear algebra and quantum-state primitives.
 
 Everything operates on plain ``numpy`` arrays: state vectors are 1-d complex
-arrays, density matrices and operators are 2-d complex arrays.  All functions
+arrays, density matrices and operators are 2-d complex arrays, and the
+functions that say so also take (..., d, d) stacks of them.  All functions
 are pure; validated inputs are never mutated.
 
 Conventions
@@ -13,6 +14,7 @@ Conventions
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -46,18 +48,23 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float:
+def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np.ndarray:
     """Normalized state overlap Tr(a b) / sqrt(Tr(a a) Tr(b b)).
 
     Equals 1 when the two states coincide and is symmetric in its arguments.
+    Either argument may be one (d, d) matrix or a (..., d, d) stack; the
+    stacks broadcast against each other.  Returns a float for two single
+    matrices, else an array of the broadcast stack shape.
     """
     a = np.asarray(rho_th, dtype=complex)
     b = np.asarray(rho_out, dtype=complex)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    overlap = np.trace(a @ b).real
-    norm = np.sqrt(np.trace(a @ a).real * np.trace(b @ b).real)
-    return float(overlap / norm)
+    overlap, purity_a, purity_b = (
+        np.trace(m, axis1=-2, axis2=-1).real for m in (a @ b, a @ a, b @ b)
+    )
+    fidelity = overlap / np.sqrt(purity_a * purity_b)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
@@ -74,28 +81,44 @@ def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
     return float((abs(tr) ** 2 + d) / (d * (d + 1)))
 
 
+def bloch_rows(rhos: np.ndarray, subspace: tuple[int, int] = (0, 1)) -> np.ndarray:
+    """Bloch vectors of a (..., d, d) stack of states restricted to a 2-dim subspace.
+
+    Each subspace block is renormalized by its population, so leakage
+    outside the subspace shows up only through the population.  Returns a
+    (..., 4) array of rows (x, y, z, population) with x = 2 Re rho01,
+    y = 2 Im rho10, z = rho00 - rho11 on the renormalized block; a row is
+    NaN throughout where the population is below ``EMPTY_SUBSPACE_TOL``.
+    """
+    mats = np.asarray(rhos, dtype=complex)
+    i, j = subspace
+    population = mats[..., i, i].real + mats[..., j, j].real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r00 = mats[..., i, i].real / population
+        r11 = mats[..., j, j].real / population
+        r01 = mats[..., i, j] / population
+        r10 = mats[..., j, i] / population
+    rows = np.stack([2.0 * r01.real, 2.0 * r10.imag, r00 - r11, population], axis=-1)
+    rows[population < EMPTY_SUBSPACE_TOL] = np.nan
+    return rows
+
+
 def bloch_coordinates(
     rho: np.ndarray, subspace: tuple[int, int] = (0, 1)
 ) -> tuple[float, float, float, float]:
-    """Bloch vector of ``rho`` restricted to a 2-dim subspace.
+    """:func:`bloch_rows` of one (d, d) density matrix, as a tuple of floats.
 
-    The subspace block is renormalized by its population, so leakage outside
-    the subspace shows up only through the returned population.
-
-    Returns ``(x, y, z, population)`` with x = 2 Re rho01, y = 2 Im rho10,
-    z = rho00 - rho11 on the renormalized block.  Raises ``ValueError``
-    when the subspace population is below 1e-12.
+    Returns ``(x, y, z, population)``.  Where :func:`bloch_rows` gives a NaN
+    row this raises ``ValueError``: the subspace population is below
+    ``EMPTY_SUBSPACE_TOL`` (1e-12) or not a number.
     """
     mat = np.asarray(rho, dtype=complex)
-    i, j = subspace
-    population = float(mat[i, i].real + mat[j, j].real)
-    if population < EMPTY_SUBSPACE_TOL:
-        raise ValueError("subspace population is numerically zero")
-    r00 = mat[i, i].real / population
-    r11 = mat[j, j].real / population
-    r01 = mat[i, j] / population
-    r10 = mat[j, i] / population
-    return (2.0 * r01.real, 2.0 * r10.imag, r00 - r11, population)
+    if mat.ndim != 2:
+        raise ValueError(f"expected one density matrix, got shape {mat.shape}")
+    x, y, z, population = bloch_rows(mat, subspace).tolist()
+    if math.isnan(population):
+        raise ValueError("subspace population is numerically zero or NaN")
+    return (x, y, z, population)
 
 
 def partial_trace(rho: np.ndarray, keep: int, dims: Sequence[int]) -> np.ndarray:

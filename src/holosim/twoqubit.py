@@ -133,19 +133,21 @@ def population_trace(
     return Trajectory(times=traj.times, states=pops)
 
 
-def _analysis_half_pi(theta_axis: float) -> np.ndarray:
+def _analysis_half_pi(theta_axis: float | np.ndarray) -> np.ndarray:
     """Instantaneous pi/2 rotation of the target qubit about (cos t, sin t, 0).
 
     Acts on the computational block as identity (x) R and leaves |a>
-    untouched.
+    untouched.  An array of angles gives a (..., 5, 5) stack, one rotation
+    per angle.
     """
-    m = np.array(
-        [[0.0, np.exp(1j * theta_axis)], [np.exp(-1j * theta_axis), 0.0]],
-        dtype=complex,
-    )
+    t = np.asarray(theta_axis, dtype=float)
+    m = np.zeros(t.shape + (2, 2), dtype=complex)
+    m[..., 0, 1] = np.exp(1j * t)
+    m[..., 1, 0] = np.exp(-1j * t)
     r = math.cos(math.pi / 4.0) * np.eye(2) - 1j * math.sin(math.pi / 4.0) * m
-    u = np.eye(DIM, dtype=complex)
-    u[:4, :4] = np.kron(np.eye(2), r)
+    u = np.zeros(t.shape + (DIM, DIM), dtype=complex)
+    u[..., :4, :4] = np.kron(np.eye(2), r)
+    u[..., 4, 4] = 1.0
     return u
 
 
@@ -179,13 +181,10 @@ def ramsey_protocol(
 
     excited = np.zeros(DIM)
     excited[1] = excited[3] = 1.0  # target in |1>: states |01> and |11>
-    results = []
-    for theta in thetas:
-        u = _analysis_half_pi(theta)
-        rho_out = u @ rho @ u.conj().T
-        p = float(np.real(np.diag(rho_out)) @ excited)
-        results.append((float(theta), p))
-    return results
+    u = _analysis_half_pi(thetas)
+    rho_out = u @ rho @ u.conj().transpose(0, 2, 1)
+    probs = np.real(np.diagonal(rho_out, axis1=1, axis2=2)) @ excited
+    return list(zip(map(float, thetas), probs.tolist()))
 
 
 def fringe_phase(thetas: Sequence[float], probs: Sequence[float]) -> float:

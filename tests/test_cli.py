@@ -300,15 +300,22 @@ NUMPY_ONLY_COMMANDS = [
 def test_runs_on_numpy_alone(tmp_path):
     # scipy is only the tests' reference: importing holosim must not load it,
     # nor a thread pool (concurrent.futures), and with every scipy import
-    # blocked each command must still succeed
+    # blocked each command must still succeed.  The commands may load no
+    # numpy submodule beyond those of the import except numpy.random (RB's
+    # seed streams): numpy.ma, say, costs every fresh process its import.
     script = textwrap.dedent("""
         import json, sys
         import holosim.cli
         loaded = [name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent")]
+        imported = set(sys.modules)
         sys.modules["scipy"] = None
         codes = [holosim.cli.main([*argv, "--out-dir", f"{sys.argv[1]}/{k}"])
                  for k, argv in enumerate(json.loads(sys.argv[2]))]
-        print(json.dumps({"loaded": loaded, "codes": codes}))
+        numpy_extra = sorted(
+            name for name in set(sys.modules) - imported
+            if name.split(".")[0] == "numpy" and name.split(".")[:2] != ["numpy", "random"]
+        )
+        print(json.dumps({"loaded": loaded, "codes": codes, "numpy_extra": numpy_extra}))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -319,6 +326,7 @@ def test_runs_on_numpy_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["loaded"] == []
+    assert result["numpy_extra"] == []
     assert dict(zip(map(" ".join, NUMPY_ONLY_COMMANDS), result["codes"])) == {
         " ".join(argv): 0 for argv in NUMPY_ONLY_COMMANDS
     }
@@ -373,3 +381,33 @@ class TestFormatting:
         for _ in range(100):
             z = complex(rng.normal(), rng.normal())
             assert complex(cli._fmt(z)) == z
+
+    def test_edge_values(self):
+        assert [cli._fmt(v) for v in (math.nan, -0.0, 5e-324, 1.7976931348623157e308)] == [
+            "nan", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308"
+        ]
+        assert [cli._fmt(10**17), cli._fmt(np.int64(10**17)), cli._fmt(1e17)] == [
+            "100000000000000000", "100000000000000000", "1e+17"
+        ]
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -math.inf, 1e17])
+TABLE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-10**18, 10**18), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
+def test_table_cells_render_as_fmt(tmp_path_factory, rows):
+    # float cells print as _fmt prints them, from row tuples and from arrays
+    # (through tolist()); an integer column stays integer: 10**17, not 1e+17
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+
+    def cells(table, header):
+        cli._write_table(str(path), ["# meta"], header, table)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# meta", ",".join(header)]
+        return [line.split(",") for line in lines[2:]]
+
+    assert cells(rows, ["m", "x", "y"]) == [[str(m), cli._fmt(x), cli._fmt(y)] for m, x, y in rows]
+    floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 2)
+    assert cells(floats, ["x", "y"]) == [[cli._fmt(x), cli._fmt(y)] for _, x, y in rows]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestEvolvePure:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(sched.duration, rel=1e-12)
         assert len(traj.times) == len(traj.states)
+
+    def test_recorded_nodes_are_every_stride_th_plus_endpoints(self, monkeypatch):
+        # every stride-th node and the last, increasing and without repeats:
+        # the index set np.unique makes of the union
+        monkeypatch.setattr(
+            evolve, "stepping_grid", lambda n, dt: SimpleNamespace(nodes=np.arange(n + 1.0) * dt)
+        )
+        for n in range(1, 41):
+            nodes = np.arange(n + 1.0) * 1e-9
+            for stride in range(1, n + 3):
+                expected = nodes[np.unique(np.append(np.arange(0, n + 1, stride), n))]
+                got = evolve._recorded_times(n, 1e-9, stride)
+                assert got.tolist() == expected.tolist(), (n, stride)
 
 
 class TestEvolveDensity:

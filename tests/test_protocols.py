@@ -12,7 +12,7 @@ from holosim import evolve, gates, pulses
 from holosim import protocols as pr
 from holosim.evolve import ErrorInjection, NoiseModel
 from holosim.gates import ideal_single_qubit
-from holosim.quantum import basis_state, density, unattenuated_fidelity
+from holosim.quantum import basis_state, bloch_coordinates, density, unattenuated_fidelity
 
 from conftest import OMEGA0
 
@@ -468,6 +468,22 @@ class TestTrajectoryReport:
         _, dark = pulses.bright_dark_basis(seg.theta_mix, seg.phi0_offset)
         report = pr.trajectory_report(sched, dark)
         assert np.max(np.ptp(report.bloch[:, :3], axis=0)) < 1e-9
+
+    def test_stacked_bloch_rows_equal_per_row_coordinates(self, sqrt_x_spec):
+        # |e> start under decay: rows go from NaN (empty subspace) to finite
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+        noise = pr.default_noise_model()
+        report = pr.trajectory_report(sched, basis_state(3, 2), noise=noise)
+        rhos = evolve.evolve_density(density(basis_state(3, 2)), sched, noise).states
+        expected = []
+        for rho in rhos:
+            try:
+                expected.append(bloch_coordinates(rho))
+            except ValueError:
+                expected.append((np.nan,) * 4)
+        empty = np.isnan(report.bloch).all(axis=1)
+        assert empty[0] and not empty.all()
+        np.testing.assert_array_equal(report.bloch, np.array(expected), strict=True)
 
     def test_auxiliary_start_yields_nan_bloch(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)

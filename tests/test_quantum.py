@@ -78,6 +78,15 @@ class TestUnattenuatedFidelity:
         with pytest.raises(ValueError, match="mismatch"):
             q.unattenuated_fidelity(np.eye(2) / 2, np.eye(3) / 3)
 
+    def test_stack_equals_per_matrix_loop(self, rng):
+        rho_th = random_density(rng, 3, rank=1)
+        rhos = np.array([random_density(rng, 3, rank=int(rng.integers(1, 4))) for _ in range(50)])
+        stacked = q.unattenuated_fidelity(rho_th, rhos)
+        assert stacked.shape == (50,)
+        assert stacked.tolist() == [q.unattenuated_fidelity(rho_th, rho) for rho in rhos]
+        pairs = q.unattenuated_fidelity(rhos[::-1], rhos)
+        assert pairs.tolist() == [q.unattenuated_fidelity(a, b) for a, b in zip(rhos[::-1], rhos)]
+
 
 class TestAverageGateFidelity:
     def test_equal_unitaries(self, rng):
@@ -121,6 +130,10 @@ class TestBlochCoordinates:
     def test_empty_subspace(self):
         with pytest.raises(ValueError, match="population"):
             q.bloch_coordinates(q.density(q.basis_state(3, 2)))
+
+    def test_stack_rejected_by_single_matrix_wrapper(self, rng):
+        with pytest.raises(ValueError, match="one density matrix"):
+            q.bloch_coordinates(np.array([random_density(rng, 3)] * 2))
 
 
 class TestPartialTrace:

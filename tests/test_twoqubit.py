@@ -95,6 +95,23 @@ class TestRamsey:
             diff = (shift - expected + PI) % (2 * PI) - PI
             assert abs(diff) < 1e-6
 
+    @pytest.mark.parametrize("gate_on", [False, True])
+    @pytest.mark.parametrize("noise", [evolve.NO_NOISE, tq.ancilla_decay(2e-6)])
+    def test_stacked_analysis_equals_per_angle_pulses(self, model, rng, gate_on, noise):
+        thetas = [*np.linspace(0, 2 * PI, 41, endpoint=False), *rng.uniform(-10, 10, 9)]
+        psi0 = (basis_state(5, 0) - 1j * basis_state(5, 1)) / math.sqrt(2.0)
+        rho = np.outer(psi0, psi0.conj())
+        if gate_on:
+            sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
+            channel = evolve.gate_channel(sched, noise, dim=tq.DIM, levels=tq.LEVELS)
+            rho = evolve.apply_superop(channel, rho)
+        expected = []
+        for theta in thetas:
+            u = tq._analysis_half_pi(theta)
+            rho_out = u @ rho @ u.conj().T
+            expected.append((float(theta), float(rho_out[1, 1].real + rho_out[3, 3].real)))
+        assert tq.ramsey_protocol(model, gate_on, PI / 4, thetas, noise=noise) == expected
+
     def test_empty_grid_rejected(self, model):
         with pytest.raises(ValueError, match="theta_grid"):
             tq.ramsey_protocol(model, True, PI / 4, [])
