@@ -9,17 +9,22 @@ byte-identical across reruns with the same configuration and seed.
 Units at this interface: frequencies in MHz (the f/2pi convention), times
 in ns, angles in radians.  Internally everything is rad/s and seconds.
 
+One table, ``_COMMANDS``, lists each command's flags with their types,
+defaults, choices and help.  ``main`` reads argv against it (a unique prefix
+abbreviates a flag), puts flags over ``--config`` file values over defaults,
+and reports every malformed flag or config value at once.
+
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,13 +50,6 @@ class ConfigError(Exception):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = problems
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports malformed flags as configuration errors (exit 1), not exit 2."""
-
-    def error(self, message):
-        raise ConfigError([message])
 
 
 # ---------------------------------------------------------------------------
@@ -128,176 +126,116 @@ def _config_hash(params: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults (flags override)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="accepted for compatibility; no command runs threads")
-    p.add_argument("--dt-ns", type=float, default=None, help="integration step (ns)")
-    p.add_argument("--shots", type=int, default=None, help="binomial sampling count")
+class _Flag(NamedTuple):
+    """One flag of the table; ``type`` bool marks a switch, which takes no value."""
+
+    type: type
+    default: object = None
+    help: str = ""
+    choices: tuple = ()
 
 
-def _add_noise(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t1-e0-us", type=float, default=None, help="T1 of |e> -> |0> (us)")
-    p.add_argument("--t1-1e-us", type=float, default=None, help="T1 of |1> -> |e> (us)")
-    p.add_argument("--tphi-e-us", type=float, default=None, help="pure dephasing of |e> (us)")
-    p.add_argument("--tphi-1-us", type=float, default=None, help="pure dephasing of |1> (us)")
-    p.add_argument(
-        "--default-noise",
-        action="store_true",
-        help="use the documented default relaxation/dephasing rates",
-    )
+def _convert(flag: _Flag, value):
+    """``value``, a flag string or a config-file JSON value, as the flag holds it.
 
-
-def _add_gate_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=("tounhqc", "nhqc"), default="tounhqc")
-    p.add_argument("--theta", type=float, default=0.5 * math.pi)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.5 * math.pi)
-    p.add_argument("--omega0-mhz", type=float, default=8.660)
-    p.add_argument("--edge-ramp-ns", type=float, default=0.0)
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = _Parser(
-        prog="holosim",
-        description="Pulse-level simulator for time-optimal holonomic gates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gate = sub.add_parser("gate", help="synthesize and verify one gate")
-    _add_gate_params(p_gate)
-    _add_common(p_gate)
-
-    p_traj = sub.add_parser("trajectory", help="population/Bloch time series")
-    _add_gate_params(p_traj)
-    p_traj.add_argument(
-        "--initial",
-        choices=("0", "1", "e", "plus", "minus-i"),
-        default="0",
-        help="initial qutrit state",
-    )
-    p_traj.add_argument("--amp-error", type=float, default=0.0)
-    p_traj.add_argument("--detuning-error", type=float, default=0.0)
-    _add_noise(p_traj)
-    _add_common(p_traj)
-
-    p_ram = sub.add_parser("ramsey", help="conditioned-phase Ramsey fringes")
-    p_ram.add_argument("--scheme", choices=("tounhqc", "nhqc"), default="tounhqc")
-    p_ram.add_argument("--gamma", type=float, default=0.25 * math.pi)
-    p_ram.add_argument("--g-eff-mhz", type=float, default=5.0)
-    p_ram.add_argument("--points", type=int, default=41)
-    p_ram.add_argument(
-        "--t1-a-us", type=float, default=None, help="ancilla relaxation |a> -> |01> (us)"
-    )
-    _add_common(p_ram)
-
-    p_rb = sub.add_parser("rb", help="Clifford randomized benchmarking")
-    p_rb.add_argument("--scheme", choices=("tounhqc", "nhqc"), default="tounhqc")
-    p_rb.add_argument("--omega0-mhz", type=float, default=8.660)
-    p_rb.add_argument("--lengths", default="2,4,8,16,24,32", help="comma-separated m values")
-    p_rb.add_argument("--sequences", type=int, default=20)
-    p_rb.add_argument(
-        "--interleaved-gamma",
-        type=float,
-        default=None,
-        help="interleave a phase gate with this loop angle after every Clifford",
-    )
-    p_rb.add_argument("--amp-error", type=float, default=0.0)
-    p_rb.add_argument("--detuning-error", type=float, default=0.0)
-    _add_noise(p_rb)
-    _add_common(p_rb)
-
-    p_scan = sub.add_parser("scan", help="control-error robustness scan")
-    p_scan.add_argument("--scheme", choices=("tounhqc", "nhqc"), default="tounhqc")
-    p_scan.add_argument("--gamma", type=float, default=0.25 * math.pi)
-    p_scan.add_argument("--omega0-mhz", type=float, default=8.660)
-    p_scan.add_argument("--error-range", type=float, default=0.05)
-    p_scan.add_argument("--resolution", type=int, default=21)
-    p_scan.add_argument(
-        "--detuning-absolute",
-        action="store_true",
-        help="treat the detuning axis as absolute rad/s instead of fractions of omega0",
-    )
-    _add_noise(p_scan)
-    _add_common(p_scan)
-
-    p_cmp = sub.add_parser("compare", help="scheme comparison report")
-    p_cmp.add_argument("--gamma", type=float, default=0.25 * math.pi)
-    p_cmp.add_argument("--omega0-mhz", type=float, default=8.660)
-    p_cmp.add_argument("--amp-error", type=float, default=0.0)
-    p_cmp.add_argument("--detuning-error", type=float, default=0.0)
-    _add_noise(p_cmp)
-    _add_common(p_cmp)
-
-    subparsers = {
-        "gate": p_gate,
-        "trajectory": p_traj,
-        "ramsey": p_ram,
-        "rb": p_rb,
-        "scan": p_scan,
-        "compare": p_cmp,
-    }
-    return parser, subparsers
-
-
-#: JSON types a config value may take, by the argparse type of its flag
-#: (argparse converts string values itself).
-_CONFIG_TYPES = {float: (int, float, str), int: (int, str), None: (str,)}
-
-
-def _config_value_problem(action: argparse.Action, value) -> Optional[str]:
-    """Why a config-file value cannot stand in for its flag, or None if it can."""
-    if value is None:
-        return None if action.default is None else "must not be null"
-    # store_true switches take JSON true/false, which no other flag takes
-    switch = action.nargs == 0
-    types = (bool,) if switch else _CONFIG_TYPES[action.type]
-    if isinstance(value, bool) != switch or not isinstance(value, types):
-        return f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}"
-    if isinstance(value, str) and action.type is not None:
+    A string goes through the flag's type; a JSON number keeps its own type,
+    so an int given for a float flag stays an int.  ValueError names the fault.
+    """
+    if value is None and flag.default is None:
+        return None
+    if isinstance(value, str) and flag.type is not bool:
         try:
-            action.type(value)
+            value = flag.type(value)
         except ValueError:
-            return f"expected {action.type.__name__}, got {value!r}"
-    if action.choices is not None and value not in action.choices:
-        return f"must be one of {', '.join(action.choices)}, got {value!r}"
-    return None
+            raise ValueError(f"expected {flag.type.__name__}, got {value!r}") from None
+    elif isinstance(value, bool) != (flag.type is bool) or not isinstance(
+        value, (int, float) if flag.type is float else flag.type
+    ):
+        raise ValueError(f"expected {flag.type.__name__}, got {value!r}")
+    if flag.choices and value not in flag.choices:
+        raise ValueError(f"must be one of {', '.join(flag.choices)}, got {value!r}")
+    return value
 
 
-def _parse_with_config(
-    parser: argparse.ArgumentParser, subparsers: dict, argv
-) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+def _config_values(path: str, table: dict, problems: list[str]) -> dict:
+    """The converted values of a --config file, by flag; its faults go to ``problems``."""
+    try:
+        with open(path) as fh:
+            file_values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        problems.append(f"cannot read config file {path}: {exc}")
+        return {}
+    if not isinstance(file_values, dict):
+        problems.append(f"config file {path} must hold a JSON object")
+        return {}
+    values = {}
+    for key, value in file_values.items():
+        name = "--" + key.replace("_", "-")  # the key is "omega0_mhz" or "omega0-mhz"
         try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError([f"cannot read config file {args.config}: {exc}"])
-        if not isinstance(file_values, dict):
-            raise ConfigError([f"config file {args.config} must hold a JSON object"])
-        defaults = {k.replace("-", "_"): v for k, v in file_values.items()}
-        unknown = sorted(k for k in file_values if not hasattr(args, k.replace("-", "_")))
-        problems = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
-        subparser = subparsers[args.command]
-        actions = {action.dest: action for action in subparser._actions}
-        problems += [
-            f"config key {key!r}: {problem}"
-            for key, value in defaults.items()
-            if key in actions and (problem := _config_value_problem(actions[key], value))
-        ]
-        if problems:
-            raise ConfigError(problems)
-        # defaults must land on the active subparser: its own defaults would
-        # otherwise win over values seeded on the main parser
-        subparser.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # explicit flags still win
-    return args
+            values[name] = _convert(table[name], value)
+        except KeyError:
+            problems.append(f"unknown config key {key!r}")
+        except ValueError as exc:
+            problems.append(f"config key {key!r}: {exc}")
+    return values
 
 
-#: Flags (by argparse destination) that must be positive whenever given.
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Flags over config-file values over defaults; every fault in one ConfigError."""
+    if not argv or argv[0] not in _COMMANDS:
+        fault = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ConfigError([f"{fault}; choose from {', '.join(_COMMANDS)}"])
+    table = _COMMANDS[argv[0]][3]
+    values = {name: flag.default for name, flag in table.items()}
+    given, problems = {}, []
+    tokens = list(argv[1:])
+    while tokens:
+        token = tokens.pop(0)
+        name, has_value, value = token.partition("=")
+        matches = [name] if name in table else [n for n in table if n.startswith(name)]
+        flag = table[matches[0]] if len(matches) == 1 else None
+        if not token.startswith("--"):
+            problems.append(f"unexpected value {token!r}")
+        elif not matches:
+            problems.append(f"unknown flag {name}")
+        elif flag is None:
+            problems.append(f"ambiguous flag {name} could match {', '.join(matches)}")
+        elif flag.type is bool and has_value:
+            problems.append(f"{matches[0]} takes no value")
+        elif flag.type is bool:
+            given[matches[0]] = True
+        elif not has_value and (not tokens or tokens[0].startswith("--")):
+            problems.append(f"{matches[0]} expects a value")
+        else:
+            try:
+                given[matches[0]] = _convert(flag, value if has_value else tokens.pop(0))
+            except ValueError as exc:
+                problems.append(f"{matches[0]}: {exc}")
+    if given.get("--config"):
+        values.update(_config_values(given["--config"], table, problems))
+    if problems:
+        raise ConfigError(problems)
+    values.update(given)
+    return SimpleNamespace(
+        command=argv[0], **{name[2:].replace("-", "_"): value for name, value in values.items()}
+    )
+
+
+def _usage(commands: Sequence[str]) -> str:
+    lines = ["usage: holosim <command> [--flag VALUE | --flag=VALUE | --switch] ...",
+             "A unique prefix abbreviates a flag; <command> --help lists its flags."]
+    for command in commands:
+        summary, table = _COMMANDS[command][2:]
+        lines += ["", f"holosim {command}: {summary}"]
+        for name, flag in table.items():
+            value = "{" + ",".join(flag.choices) + "}" if flag.choices else flag.type.__name__.upper()
+            default = "" if flag.default is None or flag.type is bool else f" (default {flag.default})"
+            spec = name if flag.type is bool else f"{name} {value}"
+            lines.append(f"  {spec:<29} {flag.help}{default}".rstrip())
+    return "\n".join(lines)
+
+
+#: Flags (by destination) that must be positive whenever given.
 _POSITIVE_FLAGS = (
     "dt_ns", "omega0_mhz", "g_eff_mhz",
     "t1_e0_us", "t1_1e_us", "tphi_e_us", "tphi_1_us", "t1_a_us",
@@ -631,13 +569,72 @@ def _cmd_compare(args, params: dict) -> None:
     _write_summary(os.path.join(args.out_dir, "compare_summary.txt"), meta, entries)
 
 
+_SCHEME = {"--scheme": _Flag(str, "tounhqc", choices=("tounhqc", "nhqc"))}
+_OMEGA0 = {"--omega0-mhz": _Flag(float, 8.660)}
+_QUARTER_PI_GAMMA = {"--gamma": _Flag(float, 0.25 * math.pi)}
+_GATE_PARAMS = {
+    **_SCHEME,
+    "--theta": _Flag(float, 0.5 * math.pi),
+    "--phi": _Flag(float, 0.0),
+    "--gamma": _Flag(float, 0.5 * math.pi),
+    **_OMEGA0,
+    "--edge-ramp-ns": _Flag(float, 0.0),
+}
+_ERRORS = {"--amp-error": _Flag(float, 0.0), "--detuning-error": _Flag(float, 0.0)}
+_NOISE = {
+    "--t1-e0-us": _Flag(float, None, "T1 of |e> -> |0> (us)"),
+    "--t1-1e-us": _Flag(float, None, "T1 of |1> -> |e> (us)"),
+    "--tphi-e-us": _Flag(float, None, "pure dephasing of |e> (us)"),
+    "--tphi-1-us": _Flag(float, None, "pure dephasing of |1> (us)"),
+    "--default-noise": _Flag(bool, False, "use the documented default relaxation/dephasing rates"),
+}
+_COMMON = {
+    "--config": _Flag(str, None, "JSON file with defaults (flags override)"),
+    "--out-dir": _Flag(str, ".", "output directory"),
+    "--seed": _Flag(int, 0),
+    "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads"),
+    "--dt-ns": _Flag(float, None, "integration step (ns)"),
+    "--shots": _Flag(int, None, "binomial sampling count"),
+}
+
+#: command -> (run, extra validator, summary, {flag: _Flag}).  Flag ``--a-b``
+#: lands in attribute ``a_b`` of a namespace that holds ``command``, then
+#: every flag of the command in this order.
 _COMMANDS = {
-    "gate": (_cmd_gate, _validate_gate_spec),
-    "trajectory": (_cmd_trajectory, _validate_gate_spec),
-    "ramsey": (_cmd_ramsey, None),
-    "rb": (_cmd_rb, None),
-    "scan": (_cmd_scan, None),
-    "compare": (_cmd_compare, None),
+    "gate": (_cmd_gate, _validate_gate_spec, "synthesize and verify one gate", {
+        **_GATE_PARAMS, **_COMMON,
+    }),
+    "trajectory": (_cmd_trajectory, _validate_gate_spec, "population/Bloch time series", {
+        **_GATE_PARAMS,
+        "--initial": _Flag(str, "0", "initial qutrit state", ("0", "1", "e", "plus", "minus-i")),
+        **_ERRORS, **_NOISE, **_COMMON,
+    }),
+    "ramsey": (_cmd_ramsey, None, "conditioned-phase Ramsey fringes", {
+        **_SCHEME, **_QUARTER_PI_GAMMA,
+        "--g-eff-mhz": _Flag(float, 5.0),
+        "--points": _Flag(int, 41),
+        "--t1-a-us": _Flag(float, None, "ancilla relaxation |a> -> |01> (us)"),
+        **_COMMON,
+    }),
+    "rb": (_cmd_rb, None, "Clifford randomized benchmarking", {
+        **_SCHEME, **_OMEGA0,
+        "--lengths": _Flag(str, "2,4,8,16,24,32", "comma-separated m values"),
+        "--sequences": _Flag(int, 20),
+        "--interleaved-gamma": _Flag(float, None, "interleave a phase gate with this loop "
+                                     "angle after every Clifford"),
+        **_ERRORS, **_NOISE, **_COMMON,
+    }),
+    "scan": (_cmd_scan, None, "control-error robustness scan", {
+        **_SCHEME, **_QUARTER_PI_GAMMA, **_OMEGA0,
+        "--error-range": _Flag(float, 0.05),
+        "--resolution": _Flag(int, 21),
+        "--detuning-absolute": _Flag(bool, False, "treat the detuning axis as absolute rad/s "
+                                     "instead of fractions of omega0"),
+        **_NOISE, **_COMMON,
+    }),
+    "compare": (_cmd_compare, None, "scheme comparison report", {
+        **_QUARTER_PI_GAMMA, **_OMEGA0, **_ERRORS, **_NOISE, **_COMMON,
+    }),
 }
 
 
@@ -675,9 +672,12 @@ def _validate(args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, subparsers = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in (*_COMMANDS, "-h", "--help") and ("-h" in argv or "--help" in argv):
+        print(_usage([argv[0]] if argv[0] in _COMMANDS else list(_COMMANDS)))
+        return 0
     try:
-        args = _parse_with_config(parser, subparsers, argv)
+        args = _parse_args(argv)
         _validate(args)
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)

@@ -80,6 +80,15 @@ class TestGateCommand:
         assert run(tmp_path, "gate", "--scheme", "foo") == 1
         assert "--scheme" in capsys.readouterr().err
 
+    def test_every_malformed_flag_in_one_report(self, tmp_path, capsys):
+        argv = ["gate", "--out-dir", str(tmp_path),
+                "--scheme", "foo", "--seed", "x", "--bogus", "--theta"]
+        assert cli.main(argv) == 1
+        problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+        assert len(problems) == 4, problems
+        for flag in ("--scheme", "--seed", "--bogus", "--theta"):
+            assert sum(flag in line for line in problems) == 1, problems
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # a 50 ns step on a 100 ns schedule violates the step-size contract
         assert run(tmp_path, "gate", "--dt-ns", "50") == 2
@@ -202,6 +211,24 @@ class TestConfigFile:
         assert meta1 == meta2
         assert h1 == h2
 
+    @pytest.mark.parametrize(
+        "argv, config, expected",
+        [
+            (("gate",), None, "502697f11ff1317d"),
+            (("trajectory", "--amp-error=-0.03", "--initial", "e"), None, "7b855077ade068d2"),
+            (("gate", "--omega0", "4.0"), None, "775b1c11e8371fb1"),
+            # an int for a float flag keeps its JSON type and so its own hash
+            (("gate",), {"gamma": 1, "omega0-mhz": "4.0", "dt_ns": None}, "1a0ed361784d77ce"),
+        ],
+    )
+    def test_config_hash_values_are_pinned(self, tmp_path, argv, config, expected):
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv = (*argv, "--config", str(tmp_path / "run.json"))
+        assert run(tmp_path / "out", *argv) == 0
+        (summary,) = (tmp_path / "out").glob("*_summary.txt")
+        assert summary.read_text().splitlines()[2] == f"# config_hash = {expected}"
+
 
 NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
 ERROR_FLAGS = ("--amp-error", "--detuning-error")
@@ -297,16 +324,30 @@ NUMPY_ONLY_COMMANDS = [
 ]
 
 
+def _python(*args, timeout=60):
+    """Run a fresh interpreter that imports holosim from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 def test_runs_on_numpy_alone(tmp_path):
     # scipy is only the tests' reference: importing holosim must not load it,
     # nor a thread pool (concurrent.futures), and with every scipy import
     # blocked each command must still succeed.  The commands may load no
     # numpy submodule beyond those of the import except numpy.random (RB's
     # seed streams): numpy.ma, say, costs every fresh process its import.
+    # Neither the import nor a command may load argparse, or the gettext and
+    # locale modules it brings: with its parser set-up they took about 45% of
+    # a short command's time in cli.main.
     script = textwrap.dedent("""
         import json, sys
+        PARSING = ("argparse", "gettext", "locale")
         import holosim.cli
-        loaded = [name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent")]
+        loaded = [name for name in sys.modules
+                  if name.split(".")[0] in ("scipy", "concurrent", *PARSING)]
         imported = set(sys.modules)
         sys.modules["scipy"] = None
         codes = [holosim.cli.main([*argv, "--out-dir", f"{sys.argv[1]}/{k}"])
@@ -315,21 +356,42 @@ def test_runs_on_numpy_alone(tmp_path):
             name for name in set(sys.modules) - imported
             if name.split(".")[0] == "numpy" and name.split(".")[:2] != ["numpy", "random"]
         )
-        print(json.dumps({"loaded": loaded, "codes": codes, "numpy_extra": numpy_extra}))
+        parsing = [name for name in PARSING if name in sys.modules]
+        print(json.dumps({"loaded": loaded, "codes": codes, "numpy_extra": numpy_extra,
+                          "parsing": parsing}))
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), json.dumps(NUMPY_ONLY_COMMANDS)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = _python("-c", script, str(tmp_path), json.dumps(NUMPY_ONLY_COMMANDS), timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["loaded"] == []
     assert result["numpy_extra"] == []
+    assert result["parsing"] == []
     assert dict(zip(map(" ".join, NUMPY_ONLY_COMMANDS), result["codes"])) == {
         " ".join(argv): 0 for argv in NUMPY_ONLY_COMMANDS
     }
+
+
+def _help_flags(text):
+    return {line.split()[0] for line in text.splitlines() if line.startswith("  --")}
+
+
+def test_help_names_every_flag_of_every_command():
+    top = _python("-m", "holosim.cli", "--help")
+    assert top.returncode == 0, top.stderr
+    for command, (_, _, _, flags) in cli._COMMANDS.items():
+        assert f"holosim {command}:" in top.stdout
+        assert set(flags) <= _help_flags(top.stdout)
+        sub = _python("-m", "holosim.cli", command, "--help")
+        assert sub.returncode == 0, sub.stderr
+        assert _help_flags(sub.stdout) == set(flags)
+
+
+@pytest.mark.parametrize("argv", [(), ("nosuch",), ("trajectory", "--t1", "5")])
+def test_command_level_errors_exit_1(argv):
+    # --t1 is ambiguous in trajectory: --t1-e0-us or --t1-1e-us
+    proc = _python("-m", "holosim.cli", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("configuration error:")
 
 
 def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
