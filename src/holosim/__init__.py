@@ -35,7 +35,6 @@ from .pulses import (
     geometric_phase,
     loop_params,
     nhqc_duration,
-    sample_schedule,
     synthesize,
     synthesize_nhqc,
     synthesize_tounhqc,
@@ -47,8 +46,6 @@ from .quantum import (
     bloch_coordinates,
     bloch_rows,
     density,
-    partial_trace,
-    tensor_product,
     unattenuated_fidelity,
 )
 

@@ -665,10 +665,19 @@ def _validate(args) -> None:
                 problems.append("--lengths needs at least 3 values to fit a decay")
         if args.sequences < 10:
             problems.append("--sequences must be at least 10 for a stable fit")
+        if args.seed < 0:
+            problems.append(f"--seed must be a non-negative integer, got {args.seed}")
         if args.interleaved_gamma is not None:
             _check_loop_angle("--interleaved-gamma", args.interleaved_gamma, problems)
     if problems:
         raise ConfigError(problems)
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out-dir {path!r} is not a usable directory: {exc.strerror}"]) from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -679,6 +688,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse_args(argv)
         _validate(args)
+        _make_out_dir(args.out_dir)
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)
         for problem in exc.problems:
@@ -686,7 +696,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     params = {k: v for k, v in vars(args).items() if k != "config"}
-    os.makedirs(args.out_dir, exist_ok=True)
     command = _COMMANDS[args.command][0]
     try:
         command(args, params)

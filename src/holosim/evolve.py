@@ -74,18 +74,32 @@ class ErrorInjection:
     ``amp_fraction`` scales both drive amplitudes by (1 + amp_fraction).
     ``detuning_fraction`` adds a diagonal term on the auxiliary level of
     size detuning_fraction * omega0 (relative mode); ``detuning_rad_s``
-    adds an absolute diagonal detuning on top.
+    adds an absolute diagonal detuning on top.  This is the one-error case
+    of :func:`error_table`.
     """
 
     amp_fraction: float = 0.0
     detuning_fraction: float = 0.0
     detuning_rad_s: float = 0.0
 
-    def detuning(self, omega0: float) -> float:
-        return self.detuning_fraction * omega0 + self.detuning_rad_s
-
 
 NO_ERROR = ErrorInjection()
+
+
+def error_table(amp_fraction=0.0, detuning_fraction=0.0, detuning_rad_s=0.0) -> np.ndarray:
+    """A batch of control errors as the columns of a (3, n) array.
+
+    The rows are amp_fraction, detuning_fraction and detuning_rad_s, as in
+    :class:`ErrorInjection`.  The arguments broadcast against each other
+    and are flattened in row-major order: column k is error k.
+    """
+    return np.array(np.broadcast_arrays(amp_fraction, detuning_fraction, detuning_rad_s),
+                    dtype=float).reshape(3, -1)
+
+
+def _one_error(err: ErrorInjection) -> np.ndarray:
+    """The one-column :func:`error_table` of ``err``."""
+    return error_table(err.amp_fraction, err.detuning_fraction, err.detuning_rad_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,34 +217,21 @@ class Trajectory(NamedTuple):
     states: np.ndarray
 
 
-def hamiltonian_stack(
-    schedule: PulseSchedule,
-    times: np.ndarray,
-    err: ErrorInjection = NO_ERROR,
-    dim: int = QUTRIT_DIM,
-    levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
-) -> np.ndarray:
-    """Rotating-frame Hamiltonians at ``times``, shape (n, dim, dim).
-
-    ``levels`` maps the Lambda-system roles (|0>, |1>, |e>) onto matrix
-    indices; the |0> slot may be None when that leg of the drive is unused
-    (then the schedule must have zero amplitude on it).
-    """
-    drive = drive_arrays(schedule, times)
-    return _hamiltonians(drive, [err], schedule.omega0, dim, levels)[0]
-
-
-def _hamiltonians(drive, errs, omega0, dim, levels) -> np.ndarray:
-    """Hamiltonians of ``drive`` samples under each error in ``errs``, (len(errs), n, dim, dim).
+def _hamiltonians(drive, errors, omega0, dim, levels) -> np.ndarray:
+    """Hamiltonians of ``drive`` samples under each column of ``errors``, (n_err, n, dim, dim).
 
     ``drive`` is (omega_0e, omega_1e, phi_0, phi_1) at n sample times, as
-    :func:`drive_arrays` gives it; ``omega0``, the nominal amplitude that
-    relative detunings scale with, is one number or one per sample.
+    :func:`drive_arrays` gives it; ``errors`` is an :func:`error_table`;
+    ``omega0``, the nominal amplitude that relative detunings scale with,
+    is one number or one per sample.  ``levels`` maps the Lambda-system
+    roles (|0>, |1>, |e>) onto matrix indices; the |0> slot may be None
+    when that leg of the drive is unused (then it must carry no amplitude).
     """
     i0, i1, ie = levels
     om0e, om1e, phi0, phi1 = drive
-    scale = 0.5 * (1.0 + np.array([err.amp_fraction for err in errs]))[:, None]
-    h = np.zeros((len(errs), len(phi1), dim, dim), dtype=complex)
+    amp, fraction, absolute = errors[:, :, None]
+    scale = 0.5 * (1.0 + amp)
+    h = np.zeros((errors.shape[1], len(phi1), dim, dim), dtype=complex)
     if i0 is None:
         if np.max(np.abs(om0e), initial=0.0) > 0.0:
             raise ValueError("schedule drives the |0> leg but no level is mapped to it")
@@ -239,9 +240,6 @@ def _hamiltonians(drive, errs, omega0, dim, levels) -> np.ndarray:
         h[..., ie, i0] = np.conj(h[..., i0, ie])
     h[..., i1, ie] = scale * om1e * np.exp(1j * phi1)
     h[..., ie, i1] = np.conj(h[..., i1, ie])
-    # ErrorInjection.detuning of every error at every sample's omega0
-    fraction = np.array([err.detuning_fraction for err in errs])[:, None]
-    absolute = np.array([err.detuning_rad_s for err in errs])[:, None]
     h[..., ie, ie] = fraction * omega0 + absolute
     return h
 
@@ -257,7 +255,8 @@ def assemble_hamiltonian(
     """
     if t < 0.0 or t > schedule.duration * (1.0 + 1e-12):
         raise ValueError(f"time {t} outside schedule window [0, {schedule.duration}]")
-    return hamiltonian_stack(schedule, np.array([t]), err)[0]
+    drive = drive_arrays(schedule, np.array([t]))
+    return _hamiltonians(drive, _one_error(err), schedule.omega0, QUTRIT_DIM, QUTRIT_LEVELS)[0, 0]
 
 
 def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -430,15 +429,15 @@ def _pieces(schedule: PulseSchedule, covariant: bool) -> list[_Piece]:
 
 
 def _frame_generators(
-    drive, slopes, errs, omega0, dim: int, levels: tuple[Optional[int], int, int]
+    drive, slopes, errors, omega0, dim: int, levels: tuple[Optional[int], int, int]
 ) -> np.ndarray:
-    """Frame generators G = D^dag H D - phi1' |e><e| of ``drive`` samples, (len(errs), n, d, d).
+    """Frame generators G = D^dag H D - phi1' |e><e| of ``drive`` samples, (n_err, n, d, d).
 
-    ``drive`` and ``omega0`` are as in :func:`_hamiltonians`; ``slopes`` is
-    phi1' at each sample (or one value for all).
+    ``drive``, ``errors`` and ``omega0`` are as in :func:`_hamiltonians`;
+    ``slopes`` is phi1' at each sample (or one value for all).
     """
     ie = levels[2]
-    gens = _hamiltonians(drive, errs, omega0, dim, levels)
+    gens = _hamiltonians(drive, errors, omega0, dim, levels)
     turn = np.exp(-1j * drive[3])[:, None]
     rest = np.arange(dim) != ie
     gens[:, :, rest, ie] *= turn
@@ -468,7 +467,7 @@ _CF_WEIGHTS = np.array([[_CF_A1, _CF_A2], [_CF_A2, _CF_A1]])
 
 def _varying_maps(
     schedule: PulseSchedule,
-    errs,
+    errors: np.ndarray,
     pieces: list[_Piece],
     spans: list[np.ndarray],
     dt: float,
@@ -483,10 +482,11 @@ def _varying_maps(
     are the ascending nodes of piece k, after its start, at which its map is
     wanted.  Without a ``dissipator`` the maps are unitaries, else row-major
     superoperators; a non-``covariant`` dissipator is rotated into the frame
-    at every Gauss node.  Returns one (len(errs), len(spans[k]), m, m) stack
-    per piece.
+    at every Gauss node.  Returns one (n_err, len(spans[k]), m, m) stack per
+    piece, n_err the columns of the :func:`error_table` ``errors``.
     """
     ie = levels[2]
+    n_err = errors.shape[1]
     m = dim if dissipator is None else dim * dim
     out = []
     for piece, at in zip(pieces, spans):
@@ -495,8 +495,8 @@ def _varying_maps(
         wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
         gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
         drive = drive_arrays(schedule, gauss)
-        gens = _frame_generators(drive, piece.seg.phi1_slope, errs, schedule.omega0, dim, levels)
-        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(len(errs), -1, 2, dim, dim))
+        gens = _frame_generators(drive, piece.seg.phi1_slope, errors, schedule.omega0, dim, levels)
+        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, -1, 2, dim, dim))
         diss = dissipator
         if not covariant:
             # the frame dissipator rho -> D^dag Diss(D rho D^dag) D at each Gauss node
@@ -506,8 +506,8 @@ def _varying_maps(
         elif dissipator is not None:
             diss = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
 
-        maps = np.empty((len(errs), len(at), m, m), dtype=complex)
-        cur = np.broadcast_to(np.eye(m, dtype=complex), (len(errs), m, m))
+        maps = np.empty((n_err, len(at), m, m), dtype=complex)
+        cur = np.broadcast_to(np.eye(m, dtype=complex), (n_err, m, m))
         k = 0
         for lo in range(0, len(steps), MAP_CHUNK):
             part = slice(lo, lo + MAP_CHUNK)
@@ -524,7 +524,7 @@ def _varying_maps(
 
 def _frame_maps(
     schedules: Sequence[PulseSchedule],
-    errs,
+    errors: np.ndarray,
     times,
     c_ops: Optional[np.ndarray],
     dts: Sequence[float],
@@ -533,9 +533,10 @@ def _frame_maps(
 ) -> list[np.ndarray]:
     """Maps from t = 0 to ascending times in (0, duration] of each schedule, for every error.
 
-    ``times[s]`` and the step ``dts[s]`` belong to ``schedules[s]``; times
-    inside a varying piece must be nodes of its stepping grid.  Returns one
-    (len(errs), len(times[s]), m, m) stack per schedule: unitaries (m = d)
+    ``errors`` is an :func:`error_table` of n_err columns.  ``times[s]`` and
+    the step ``dts[s]`` belong to ``schedules[s]``; times inside a varying
+    piece must be nodes of its stepping grid.  Returns one
+    (n_err, len(times[s]), m, m) stack per schedule: unitaries (m = d)
     when ``c_ops`` is None, row-major superoperators (m = d^2) otherwise.
     The exponentials of the constant pieces of every schedule, error and
     time come from one batched call, and piece k of every schedule is
@@ -561,7 +562,7 @@ def _frame_maps(
     for s, (schedule, pieces) in enumerate(zip(schedules, cuts)):
         varying = [k for k, p in enumerate(pieces) if p.varying]
         if varying:
-            stepped = _varying_maps(schedule, errs, [pieces[k] for k in varying],
+            stepped = _varying_maps(schedule, errors, [pieces[k] for k in varying],
                                     [spans[s][k] for k in varying], dts[s], dissipator,
                                     covariant, dim, levels)
             frame.update(((s, k), maps) for k, maps in zip(varying, stepped))
@@ -570,7 +571,7 @@ def _frame_maps(
         table = segment_table([cuts[s][k].seg for s, k in constant])
         mids = np.array([0.5 * (cuts[s][k].start + cuts[s][k].end) for s, k in constant])
         omega0 = np.array([schedules[s].omega0 for s, _ in constant])
-        gens = _frame_generators(segment_drive(table, mids), table[3], errs, omega0, dim, levels)
+        gens = _frame_generators(segment_drive(table, mids), table[3], errors, omega0, dim, levels)
         counts = [len(spans[s][k]) for s, k in constant]
         taus = np.concatenate([spans[s][k] - cuts[s][k].start for s, k in constant])
         gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
@@ -580,7 +581,7 @@ def _frame_maps(
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
     # and chain it onto the map at its start
     out = [[] for _ in schedules]
-    start = np.empty((len(schedules), len(errs), m, m), dtype=complex)
+    start = np.empty((len(schedules), errors.shape[1], m, m), dtype=complex)
     start[:] = np.eye(m)
     for k in range(max(map(len, cuts))):
         live = [s for s, pieces in enumerate(cuts) if len(pieces) > k]
@@ -629,22 +630,22 @@ def _recorded_times(schedule: PulseSchedule, dt: float, stride: int) -> np.ndarr
 
 def error_maps(
     schedule: PulseSchedule,
-    errs,
+    errors: np.ndarray,
     noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
-    """Full-schedule maps under each control error in ``errs``, built together.
+    """Full-schedule maps under each column of the :func:`error_table` ``errors``.
 
-    Unitaries (n, d, d) when ``noise`` is empty, else row-major
-    superoperators (n, d^2, d^2).  Every error's exponentials come from the
-    same batched calls.
+    Unitaries (n_err, d, d) when ``noise`` is empty, else row-major
+    superoperators (n_err, d^2, d^2).  Every error's exponentials come from
+    the same batched calls.
     """
     c_ops = noise.scaled_ops(dim)
     dt = _checked_dt(schedule, noise, config)
     c_ops = None if noise.is_empty else c_ops
-    return _frame_maps([schedule], errs, [[schedule.duration]], c_ops, [dt], dim, levels)[0][:, 0]
+    return _frame_maps([schedule], errors, [[schedule.duration]], c_ops, [dt], dim, levels)[0][:, 0]
 
 
 def propagator(
@@ -655,7 +656,7 @@ def propagator(
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
     """Full-schedule unitary: exact on constant pieces, CF4 on ramp windows."""
-    return error_maps(schedule, [err], NO_NOISE, config, dim, levels)[0]
+    return error_maps(schedule, _one_error(err), NO_NOISE, config, dim, levels)[0]
 
 
 def dt_halving_delta(
@@ -692,7 +693,7 @@ def evolve_pure(
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
     dt = _checked_dt(schedule, NO_NOISE, config)
     times = _recorded_times(schedule, dt, config.record_stride)
-    states = _frame_maps([schedule], [err], [times[1:]], None, [dt], dim, levels)[0][0] @ psi
+    states = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0] @ psi
     return Trajectory(times=times, states=np.concatenate([psi[None], states]))
 
 
@@ -719,10 +720,10 @@ def evolve_density(
     dt = _checked_dt(schedule, noise, config)
     times = _recorded_times(schedule, dt, config.record_stride)
     if noise.is_empty:
-        u = _frame_maps([schedule], [err], [times[1:]], None, [dt], dim, levels)[0][0]
+        u = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0]
         states = u @ rho @ u.conj().transpose(0, 2, 1)
     else:
-        maps = _frame_maps([schedule], [err], [times[1:]], c_ops, [dt], dim, levels)[0][0]
+        maps = _frame_maps([schedule], _one_error(err), [times[1:]], c_ops, [dt], dim, levels)[0][0]
         states = (maps @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(times=times, states=np.concatenate([rho[None], states]))
 
@@ -747,7 +748,7 @@ def gate_channels(
     dts = [_checked_dt(schedule, noise, config) for schedule in schedules]
     ends = [[schedule.duration] for schedule in schedules]
     c_ops = None if noise.is_empty else c_ops
-    maps = [m[0, 0] for m in _frame_maps(schedules, [err], ends, c_ops, dts, dim, levels)]
+    maps = [m[0, 0] for m in _frame_maps(schedules, _one_error(err), ends, c_ops, dts, dim, levels)]
     if c_ops is None:
         return np.array([np.kron(u, u.conj()) for u in maps])
     return np.array(maps)

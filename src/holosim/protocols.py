@@ -508,13 +508,12 @@ def robustness_scan(
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
 
-    def error(amp, det):
-        if detuning_absolute:
-            return ErrorInjection(amp_fraction=amp, detuning_rad_s=det)
-        return ErrorInjection(amp_fraction=amp, detuning_fraction=det)
-
-    errs = [error(amp, det) for amp in amp_axis for det in det_axis]
-    maps = _evolve.error_maps(schedule, errs, noise, config)
+    amp, det = np.meshgrid(amp_axis, det_axis, indexing="ij")
+    if detuning_absolute:
+        errors = _evolve.error_table(amp_fraction=amp, detuning_rad_s=det)
+    else:
+        errors = _evolve.error_table(amp_fraction=amp, detuning_fraction=det)
+    maps = _evolve.error_maps(schedule, errors, noise, config)
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
         rhos = np.einsum("ni,nj->nij", psis, psis.conj())

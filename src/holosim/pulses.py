@@ -90,7 +90,6 @@ class PulseSchedule:
     segments: tuple[Segment, ...]
     omega0: float
     edge_ramp: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.duration <= 0.0:
@@ -140,14 +139,6 @@ class LoopParams:
 
     def eta(self, t):
         return self.eta_offset + self.eta_slope * np.asarray(t, dtype=float)
-
-
-class ScheduleSamples(NamedTuple):
-    times: np.ndarray
-    omega_0e: np.ndarray
-    omega_1e: np.ndarray
-    phi_0: np.ndarray
-    phi_1: np.ndarray
 
 
 def bright_dark_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +200,6 @@ def synthesize_tounhqc(
         segments=(segment,),
         omega0=omega0,
         edge_ramp=edge_ramp,
-        label="tounhqc",
     )
 
 
@@ -240,7 +230,6 @@ def synthesize_nhqc(
         segments=segments,
         omega0=omega0,
         edge_ramp=edge_ramp,
-        label="nhqc",
     )
 
 
@@ -366,23 +355,6 @@ def drive_arrays(
         env[rising] = np.sin(0.5 * math.pi * t[rising] / r) ** 2
         env[falling] = np.sin(0.5 * math.pi * (schedule.duration - t[falling]) / r) ** 2
     return segment_drive(segment_table(schedule.segments)[:, idx], t, env)
-
-
-def sample_schedule(schedule: PulseSchedule, dt: float) -> ScheduleSamples:
-    """Sample drive values on a uniform grid including both endpoints.
-
-    The grid spacing is at most ``dt``.  At a segment boundary the sample
-    takes the later segment's values, so phase jumps appear exactly at the
-    boundary node.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > schedule.duration:
-        raise ValueError(f"dt = {dt} exceeds schedule duration {schedule.duration}")
-    n = max(1, math.ceil(schedule.duration / dt - 1e-12))
-    times = np.linspace(0.0, schedule.duration, n + 1)
-    om0e, om1e, phi0, phi1 = drive_arrays(schedule, times)
-    return ScheduleSamples(times, om0e, om1e, phi0, phi1)
 
 
 class SteppingGrid(NamedTuple):

@@ -7,8 +7,6 @@ are pure; validated inputs are never mutated.
 
 Conventions
 -----------
-* Composite (tensor-product) indices are row-major: the first factor is the
-  most significant index, matching ``numpy.kron``.
 * The unitarity check uses an absolute elementwise tolerance of 1e-9, far
   below any simulated physical effect and far above double-precision noise.
 """
@@ -41,11 +39,6 @@ def density(psi: Sequence[complex]) -> np.ndarray:
 def is_unitary(mat: np.ndarray, atol: float = ATOL) -> bool:
     eye = np.eye(mat.shape[0])
     return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= atol)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of states or operators, first factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np.ndarray:
@@ -120,23 +113,3 @@ def bloch_coordinates(
         raise ValueError("subspace population is numerically zero or NaN")
     return (x, y, z, population)
 
-
-def partial_trace(rho: np.ndarray, keep: int, dims: Sequence[int]) -> np.ndarray:
-    """Trace out every tensor factor of ``rho`` except the one at ``keep``."""
-    dims = tuple(int(d) for d in dims)
-    mat = np.asarray(rho, dtype=complex)
-    total = int(np.prod(dims))
-    if mat.shape != (total, total):
-        raise ValueError(f"factor dims {dims} inconsistent with shape {mat.shape}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range")
-    n = len(dims)
-    tensor = mat.reshape(dims + dims)
-    # Trace factors from the back so earlier axis numbers stay valid.
-    remaining = n
-    for factor in reversed(range(n)):
-        if factor == keep:
-            continue
-        tensor = np.trace(tensor, axis1=factor, axis2=factor + remaining)
-        remaining -= 1
-    return tensor

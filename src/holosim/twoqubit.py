@@ -28,7 +28,6 @@ from .evolve import (
 from .pulses import GateSpec, PulseSchedule, synthesize
 from .quantum import basis_state
 
-BASIS_LABELS = ("00", "01", "10", "11", "a")
 DIM = 5
 #: Matrix indices of the driven pair: |01> (bright role) and |a| (auxiliary).
 BRIGHT_INDEX = 1

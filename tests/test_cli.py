@@ -234,12 +234,13 @@ NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
 ERROR_FLAGS = ("--amp-error", "--detuning-error")
 
 #: flags that take a finite value, per command: the errors any finite one,
-#: --edge-ramp-ns a non-negative one and the rest a positive one
+#: --edge-ramp-ns a non-negative one and the rest a positive one; rb's
+#: --seed takes a non-negative integer
 CHECKED_FLAGS = {
     "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns"),
     "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS),
     "ramsey": ("--g-eff-mhz", "--t1-a-us"),
-    "rb": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
+    "rb": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
     "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range"),
     "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
 }
@@ -257,6 +258,8 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
             value = data.draw(NON_FINITE)
         elif flag == "--edge-ramp-ns":
             value = data.draw(st.floats(min_value=-1e6, max_value=-1e-6) | NON_FINITE)
+        elif flag == "--seed":
+            value = data.draw(st.integers(max_value=-1))
         else:
             value = data.draw(st.floats(min_value=-1e6, max_value=0.0) | NON_FINITE)
         argv.append(f"{flag}={value!r}")
@@ -289,6 +292,15 @@ def test_degenerate_loop_angle_is_config_error(tmp_path, capsys, argv):
     # within pulses.DEGENERATE_GAMMA_TOL of 0 or 2 pi synthesis would fail
     assert run(tmp_path, *argv) == 1
     assert argv[1] in capsys.readouterr().err
+
+
+def test_out_dir_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "some_file"
+    taken.write_text("")
+    assert run(taken, "gate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "--out-dir" in err
 
 
 @pytest.mark.parametrize(

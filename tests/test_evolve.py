@@ -455,17 +455,19 @@ class TestEngineChoice:
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_error_maps_match_single_error_calls(self, scheme):
+        amps, dets = np.meshgrid((-0.04, 0.0, 0.03), (-0.02, 0.05), indexing="ij")
+        errors = evolve.error_table(amps, dets, 1e5)
         errs = [
-            evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d)
+            evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d, detuning_rad_s=1e5)
             for a in (-0.04, 0.0, 0.03)
             for d in (-0.02, 0.05)
         ]
         # with ramps, the windows of every error are stepped together
         for ramp in (0.0, 10e-9):
             sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=ramp)
-            unitaries = evolve.error_maps(sched, errs)
-            channels = evolve.error_maps(sched, errs, TestFrameOracle.NOISE)
-            for err, u, s in zip(errs, unitaries, channels):
+            unitaries = evolve.error_maps(sched, errors)
+            channels = evolve.error_maps(sched, errors, TestFrameOracle.NOISE)
+            for err, u, s in zip(errs, unitaries, channels, strict=True):
                 assert np.max(np.abs(u - evolve.propagator(sched, err))) < 1e-14
                 single = evolve.gate_channel(sched, TestFrameOracle.NOISE, err)
                 assert np.max(np.abs(s - single)) < 1e-14
@@ -538,7 +540,7 @@ class TestPadeExpm:
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
         mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sched.segments])
         slopes = np.array([seg.phi1_slope for seg in sched.segments])
-        gens = evolve._frame_generators(pulses.drive_arrays(sched, mids), slopes, [evolve.NO_ERROR],
+        gens = evolve._frame_generators(pulses.drive_arrays(sched, mids), slopes, evolve.error_table(),
                                         OMEGA0, 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
         dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))

@@ -10,43 +10,6 @@ from conftest import random_density
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-class TestTensorProduct:
-    def test_identity_factors(self):
-        eye2 = np.eye(2)
-        assert np.array_equal(q.tensor_product(eye2, eye2), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        # first factor most significant: |0> (x) |1> sits at index 1 of 4
-        v = q.tensor_product(q.basis_state(2, 0), q.basis_state(2, 1))
-        expected = np.zeros(4)
-        expected[1] = 1.0
-        assert np.array_equal(v, expected)
-
-    def test_sigma_x_pair_flips_00(self):
-        # hand-expanded 4x4 matrix for sigma_x (x) sigma_x
-        xx = np.array(
-            [
-                [0, 0, 0, 1],
-                [0, 0, 1, 0],
-                [0, 1, 0, 0],
-                [1, 0, 0, 0],
-            ],
-            dtype=complex,
-        )
-        assert np.allclose(q.tensor_product(SX, SX), xx)
-        out = xx @ q.tensor_product(q.basis_state(2, 0), q.basis_state(2, 0))
-        assert np.allclose(out, q.tensor_product(q.basis_state(2, 1), q.basis_state(2, 1)))
-
-    def test_associative_up_to_bookkeeping(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            left = q.tensor_product(q.tensor_product(a, b), c)
-            right = q.tensor_product(a, q.tensor_product(b, c))
-            assert np.allclose(left, right, atol=1e-12)
-
-
 class TestUnattenuatedFidelity:
     def test_self_overlap(self, rng):
         rho = random_density(rng, 3)
@@ -135,37 +98,3 @@ class TestBlochCoordinates:
         with pytest.raises(ValueError, match="one density matrix"):
             q.bloch_coordinates(np.array([random_density(rng, 3)] * 2))
 
-
-class TestPartialTrace:
-    def test_product_state(self, rng):
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 3)
-        joint = q.tensor_product(rho_a, rho_b)
-        assert np.allclose(q.partial_trace(joint, 0, (2, 3)), rho_a, atol=1e-12)
-        assert np.allclose(q.partial_trace(joint, 1, (2, 3)), rho_b, atol=1e-12)
-
-    def test_bell_state_reduces_to_mixed(self):
-        bell = (
-            q.tensor_product(q.basis_state(2, 0), q.basis_state(2, 0))
-            + q.tensor_product(q.basis_state(2, 1), q.basis_state(2, 1))
-        ) / math.sqrt(2.0)
-        rho = q.density(bell)
-        for keep in (0, 1):
-            assert np.allclose(q.partial_trace(rho, keep, (2, 2)), 0.5 * np.eye(2), atol=1e-12)
-
-    def test_keep_second_factor_of_01(self):
-        rho = q.density(q.tensor_product(q.basis_state(2, 0), q.basis_state(2, 1)))
-        assert np.allclose(
-            q.partial_trace(rho, 1, (2, 2)), q.density(q.basis_state(2, 1)), atol=1e-12
-        )
-
-    def test_preserves_trace_and_positivity(self, rng):
-        for _ in range(50):
-            rho = random_density(rng, 6, rank=int(rng.integers(1, 7)))
-            reduced = q.partial_trace(rho, int(rng.integers(0, 2)), (2, 3))
-            assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
-            assert np.linalg.eigvalsh(reduced).min() > -1e-9
-
-    def test_inconsistent_dims(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            q.partial_trace(np.eye(4) / 4, 0, (2, 3))
