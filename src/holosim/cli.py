@@ -254,6 +254,8 @@ def _validate_common(args, problems: list[str]) -> None:
             problems.append(f"{flag} must be positive, got {value}")
     if args.shots is not None and args.shots < 1:
         problems.append("--shots must be a positive integer")
+    if args.seed < 0:
+        problems.append(f"--seed must be a non-negative integer, got {args.seed}")
     if args.threads < 1:
         problems.append("--threads must be at least 1")
 
@@ -413,7 +415,6 @@ def _cmd_ramsey(args, params: dict) -> None:
     model = twoqubit.CompositeModel(g_eff=TWO_PI * args.g_eff_mhz * 1e6)
     thetas = np.linspace(0.0, TWO_PI, args.points, endpoint=False)
     kwargs = dict(
-        err=ErrorInjection(),
         noise=_noise_from_args_5d(args),
         config=_integrator_from_args(args),
         scheme=args.scheme,
@@ -510,15 +511,19 @@ def _cmd_rb(args, params: dict) -> None:
 
 def _cmd_scan(args, params: dict) -> None:
     span = abs(args.error_range)
+    omega0 = TWO_PI * args.omega0_mhz * 1e6
+    # --error-range is a fraction on both axes; --detuning-absolute only
+    # reports the detuning axis in rad/s
+    det_span = span * omega0 if args.detuning_absolute else span
     result = protocols.robustness_scan(
         args.scheme,
         args.gamma,
         amp_range=(-span, span),
-        detuning_range=(-span, span),
+        detuning_range=(-det_span, det_span),
         resolution=args.resolution,
         noise=_noise_from_args(args),
         config=_integrator_from_args(args),
-        omega0=TWO_PI * args.omega0_mhz * 1e6,
+        omega0=omega0,
         detuning_absolute=args.detuning_absolute,
     )
     meta = _metadata_lines(params, _config_hash(params))
@@ -626,10 +631,11 @@ _COMMANDS = {
     }),
     "scan": (_cmd_scan, None, "control-error robustness scan", {
         **_SCHEME, **_QUARTER_PI_GAMMA, **_OMEGA0,
-        "--error-range": _Flag(float, 0.05),
+        "--error-range": _Flag(float, 0.05, "half-width of both axes, as fractions "
+                               "(of the amplitude, and of omega0 for the detuning)"),
         "--resolution": _Flag(int, 21),
-        "--detuning-absolute": _Flag(bool, False, "treat the detuning axis as absolute rad/s "
-                                     "instead of fractions of omega0"),
+        "--detuning-absolute": _Flag(bool, False, "write the detuning axis in rad/s "
+                                     "(error-range x omega0) instead of as fractions"),
         **_NOISE, **_COMMON,
     }),
     "compare": (_cmd_compare, None, "scheme comparison report", {
@@ -665,8 +671,6 @@ def _validate(args) -> None:
                 problems.append("--lengths needs at least 3 values to fit a decay")
         if args.sequences < 10:
             problems.append("--sequences must be at least 10 for a stable fit")
-        if args.seed < 0:
-            problems.append(f"--seed must be a non-negative integer, got {args.seed}")
         if args.interleaved_gamma is not None:
             _check_loop_angle("--interleaved-gamma", args.interleaved_gamma, problems)
     if problems:

@@ -65,6 +65,8 @@ MAX_RATE_DT = 0.01
 #: Steps of a varying piece whose exponentials are built in one batched
 #: call; bounds the memory of the (errors, MAP_CHUNK, 2, m, m) stack.
 MAP_CHUNK = 64
+#: Trajectories record every RECORD_STRIDE-th grid node, plus the endpoints.
+RECORD_STRIDE = 20
 
 
 @dataclass(frozen=True)
@@ -73,33 +75,30 @@ class ErrorInjection:
 
     ``amp_fraction`` scales both drive amplitudes by (1 + amp_fraction).
     ``detuning_fraction`` adds a diagonal term on the auxiliary level of
-    size detuning_fraction * omega0 (relative mode); ``detuning_rad_s``
-    adds an absolute diagonal detuning on top.  This is the one-error case
-    of :func:`error_table`.
+    size detuning_fraction * omega0; a detuning in rad/s enters as its
+    fraction of omega0.  This is the one-error case of :func:`error_table`.
     """
 
     amp_fraction: float = 0.0
     detuning_fraction: float = 0.0
-    detuning_rad_s: float = 0.0
 
 
 NO_ERROR = ErrorInjection()
 
 
-def error_table(amp_fraction=0.0, detuning_fraction=0.0, detuning_rad_s=0.0) -> np.ndarray:
-    """A batch of control errors as the columns of a (3, n) array.
+def error_table(amp_fraction=0.0, detuning_fraction=0.0) -> np.ndarray:
+    """A batch of control errors as the columns of a (2, n) array.
 
-    The rows are amp_fraction, detuning_fraction and detuning_rad_s, as in
+    The rows are amp_fraction and detuning_fraction, as in
     :class:`ErrorInjection`.  The arguments broadcast against each other
     and are flattened in row-major order: column k is error k.
     """
-    return np.array(np.broadcast_arrays(amp_fraction, detuning_fraction, detuning_rad_s),
-                    dtype=float).reshape(3, -1)
+    return np.array(np.broadcast_arrays(amp_fraction, detuning_fraction), dtype=float).reshape(2, -1)
 
 
 def _one_error(err: ErrorInjection) -> np.ndarray:
     """The one-column :func:`error_table` of ``err``."""
-    return error_table(err.amp_fraction, err.detuning_fraction, err.detuning_rad_s)
+    return error_table(err.amp_fraction, err.detuning_fraction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,17 +187,14 @@ class IntegratorConfig:
     """Grid settings; ``dt = None`` resolves to duration / 2000.
 
     The grid sets the steps of varying pieces and the times a trajectory
-    records (every ``record_stride``-th node plus endpoints).
+    records (every ``RECORD_STRIDE``-th node plus endpoints).
     """
 
     dt: Optional[float] = None
-    record_stride: int = 20
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
 
     def resolve_dt(self, duration: float) -> float:
         dt = self.dt if self.dt is not None else duration / DEFAULT_STEPS
@@ -222,14 +218,14 @@ def _hamiltonians(drive, errors, omega0, dim, levels) -> np.ndarray:
 
     ``drive`` is (omega_0e, omega_1e, phi_0, phi_1) at n sample times, as
     :func:`drive_arrays` gives it; ``errors`` is an :func:`error_table`;
-    ``omega0``, the nominal amplitude that relative detunings scale with,
-    is one number or one per sample.  ``levels`` maps the Lambda-system
+    ``omega0``, the nominal amplitude that detunings scale with, is one
+    number or one per sample.  ``levels`` maps the Lambda-system
     roles (|0>, |1>, |e>) onto matrix indices; the |0> slot may be None
     when that leg of the drive is unused (then it must carry no amplitude).
     """
     i0, i1, ie = levels
     om0e, om1e, phi0, phi1 = drive
-    amp, fraction, absolute = errors[:, :, None]
+    amp, fraction = errors[:, :, None]
     scale = 0.5 * (1.0 + amp)
     h = np.zeros((errors.shape[1], len(phi1), dim, dim), dtype=complex)
     if i0 is None:
@@ -240,7 +236,7 @@ def _hamiltonians(drive, errors, omega0, dim, levels) -> np.ndarray:
         h[..., ie, i0] = np.conj(h[..., i0, ie])
     h[..., i1, ie] = scale * om1e * np.exp(1j * phi1)
     h[..., ie, i1] = np.conj(h[..., i1, ie])
-    h[..., ie, ie] = fraction * omega0 + absolute
+    h[..., ie, ie] = fraction * omega0
     return h
 
 
@@ -621,11 +617,11 @@ def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorCo
     return dt
 
 
-def _recorded_times(schedule: PulseSchedule, dt: float, stride: int) -> np.ndarray:
-    """Grid nodes at which trajectories record: every ``stride``-th plus endpoints."""
+def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
+    """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
     nodes = stepping_grid(schedule, dt).nodes
     n = len(nodes) - 1
-    return nodes[np.append(np.arange(0, n, stride), n)]
+    return nodes[np.append(np.arange(0, n, RECORD_STRIDE), n)]
 
 
 def error_maps(
@@ -661,21 +657,20 @@ def propagator(
 
 def dt_halving_delta(
     schedule: PulseSchedule,
-    err: ErrorInjection = NO_ERROR,
     config: IntegratorConfig = DEFAULT_CONFIG,
     u: Optional[np.ndarray] = None,
 ) -> float:
-    """Accuracy diagnostic of the propagator, reported alongside results.
+    """Accuracy diagnostic of the error-free propagator, reported alongside results.
 
     The max-norm change of :func:`propagator` when the step size is halved.
     Only varying pieces depend on the step, so it is exactly 0.0 on a
-    ramp-free schedule.  ``u`` is ``propagator(schedule, err, config)`` when
-    the caller already holds it.
+    ramp-free schedule.  ``u`` is ``propagator(schedule, config=config)``
+    when the caller already holds it.
     """
     if u is None:
-        u = propagator(schedule, err, config)
+        u = propagator(schedule, config=config)
     half = IntegratorConfig(dt=config.resolve_dt(schedule.duration) / 2.0)
-    return float(np.max(np.abs(u - propagator(schedule, err, half))))
+    return float(np.max(np.abs(u - propagator(schedule, config=half))))
 
 
 def evolve_pure(
@@ -686,13 +681,13 @@ def evolve_pure(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> Trajectory:
-    """Propagate a pure state, recording every ``record_stride`` grid steps."""
+    """Propagate a pure state, recording every ``RECORD_STRIDE``-th grid node."""
     psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
     dt = _checked_dt(schedule, NO_NOISE, config)
-    times = _recorded_times(schedule, dt, config.record_stride)
+    times = _recorded_times(schedule, dt)
     states = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0] @ psi
     return Trajectory(times=times, states=np.concatenate([psi[None], states]))
 
@@ -718,7 +713,7 @@ def evolve_density(
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
     c_ops = noise.scaled_ops(dim)
     dt = _checked_dt(schedule, noise, config)
-    times = _recorded_times(schedule, dt, config.record_stride)
+    times = _recorded_times(schedule, dt)
     if noise.is_empty:
         u = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0]
         states = u @ rho @ u.conj().transpose(0, 2, 1)

@@ -189,17 +189,18 @@ def compile_clifford(index: int) -> Optional[GateSpec]:
     return AxisAngle(axis=axis, angle=angle, global_phase=0.0).to_gate_spec()
 
 
-def clifford_index_of(u: np.ndarray, atol: float = 1e-9):
+def clifford_index_of(u: np.ndarray):
     """Canonical index of the Clifford matching ``u`` up to global phase.
 
-    A stack of unitaries, shape (..., 2, 2), gives an integer array of its
-    leading shape; every matrix must match a Clifford.
+    A match needs an average gate fidelity within 1e-9 of 1.  A stack of
+    unitaries, shape (..., 2, 2), gives an integer array of its leading
+    shape; every matrix must match a Clifford.
     """
     mat = np.asarray(u, dtype=complex)
     # average gate fidelity (|Tr(C^dag U)|^2 + d) / (d (d + 1)) against each C
     traces = np.einsum("kij,...ij->...k", np.conj(_clifford_unitaries()), mat)
     fidelities = (np.abs(traces) ** 2 + 2.0) / 6.0
-    if np.any(1.0 - fidelities.max(axis=-1) > atol):
+    if np.any(1.0 - fidelities.max(axis=-1) > 1e-9):
         raise ValueError("matrix does not match any Clifford up to global phase")
     best = np.argmax(fidelities, axis=-1)
     return int(best) if best.ndim == 0 else best

@@ -201,14 +201,14 @@ def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
 
 @dataclass(frozen=True)
 class InterleavedEstimate:
-    """Interleaved-benchmarking gate error r = (1 - p_int/p_ref)(d-1)/d."""
+    """Interleaved-benchmarking qubit gate error r = (1 - p_int/p_ref) / 2."""
 
     gate_error: float
     gate_fidelity: float
     warning: Optional[str] = None
 
 
-def interleaved_gate_error(p_ref: float, p_int: float, d: int = 2) -> InterleavedEstimate:
+def interleaved_gate_error(p_ref: float, p_int: float) -> InterleavedEstimate:
     """Gate error from reference and interleaved decay constants.
 
     ``p_int > p_ref`` is reported as a warning (statistical fluctuation
@@ -222,7 +222,7 @@ def interleaved_gate_error(p_ref: float, p_int: float, d: int = 2) -> Interleave
             f"p_int = {p_int:.6g} exceeds p_ref = {p_ref:.6g}; "
             "estimate is in the statistical-fluctuation regime"
         )
-    r = (1.0 - p_int / p_ref) * (d - 1) / d
+    r = (1.0 - p_int / p_ref) / 2.0
     return InterleavedEstimate(gate_error=r, gate_fidelity=1.0 - r, warning=warning)
 
 
@@ -338,7 +338,7 @@ class SimulatedSequenceExecutor:
             out.append(vecs[:, 0, 0].real)
         return out
 
-    def __call__(self, specs: Sequence[Optional[GateSpec]], rng=None) -> float:
+    def __call__(self, specs: Sequence[Optional[GateSpec]]) -> float:
         return float(self.survivals(specs, [np.arange(len(specs))[None]])[0][0])
 
 
@@ -352,7 +352,7 @@ def depolarizing_executor(lam: float) -> Callable:
         raise ValueError("depolarizing parameter must lie in (0, 1]")
     eye = np.eye(2, dtype=complex)
 
-    def run(specs: Sequence[Optional[GateSpec]], rng=None) -> float:
+    def run(specs: Sequence[Optional[GateSpec]]) -> float:
         rho = density(basis_state(2, 0))
         for spec in specs:
             u = ideal_single_qubit(spec) if spec is not None else eye
@@ -417,8 +417,8 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
     the ideal product.  Survival is the |0> population of the qutrit, so
     leakage counts as failure.  Deterministic for a given config and seed.
     A :class:`SimulatedSequenceExecutor` (the default) runs all sequences
-    at once; any other ``sequence_executor(specs, rng)`` is called once per
-    sequence with that slot's generator.
+    at once; any other ``sequence_executor(specs)`` is called once per
+    sequence.
     """
     executor = sequence_executor or SimulatedSequenceExecutor(
         config.scheme,
@@ -432,10 +432,7 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
     if isinstance(executor, SimulatedSequenceExecutor):
         survivals = executor.survivals(gates, sequences)
     else:
-        survivals = [
-            [executor([gates[i] for i in row], rng) for row, rng in zip(idx, rngs)]
-            for idx, rngs in zip(sequences, streams)
-        ]
+        survivals = [[executor([gates[i] for i in row]) for row in idx] for idx in sequences]
 
     per_sequence: dict[int, np.ndarray] = {}
     for m, values, rngs in zip(config.sequence_lengths, survivals, streams):
@@ -493,10 +490,11 @@ def robustness_scan(
 
     Simulates the gamma phase gate from (|0> - i |1>)/sqrt(2) at every grid
     point and scores the unattenuated fidelity against the ideal output.
-    ``detuning_absolute`` switches the detuning axis from fractions of
-    omega0 to absolute rad/s.  The gate maps of all grid points are built
-    in one batch (:func:`holosim.evolve.error_maps`) and scored in one
-    :func:`unattenuated_fidelity` call.
+    ``detuning_absolute`` gives ``detuning_range`` and the returned
+    detuning axis in rad/s instead of fractions of omega0; the engine gets
+    the range divided by omega0 either way.  The gate maps of all grid
+    points are built in one batch (:func:`holosim.evolve.error_maps`) and
+    scored in one :func:`unattenuated_fidelity` call.
     """
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
@@ -504,15 +502,14 @@ def robustness_scan(
     schedule = synthesize(spec, omega0, scheme)
     amp_axis = np.linspace(amp_range[0], amp_range[1], resolution)
     det_axis = np.linspace(detuning_range[0], detuning_range[1], resolution)
+    fractions = det_axis
+    if detuning_absolute:  # the engine takes detunings as fractions of omega0
+        fractions = np.linspace(*np.divide(detuning_range, omega0), resolution)
 
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
 
-    amp, det = np.meshgrid(amp_axis, det_axis, indexing="ij")
-    if detuning_absolute:
-        errors = _evolve.error_table(amp_fraction=amp, detuning_rad_s=det)
-    else:
-        errors = _evolve.error_table(amp_fraction=amp, detuning_fraction=det)
+    errors = _evolve.error_table(*np.meshgrid(amp_axis, fractions, indexing="ij"))
     maps = _evolve.error_maps(schedule, errors, noise, config)
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
@@ -626,14 +623,12 @@ def trajectory_report(
     err: ErrorInjection = NO_ERROR,
     config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> TrajectoryReport:
-    """Populations and qubit-subspace Bloch coordinates along a schedule."""
-    initial = np.asarray(initial, dtype=complex)
-    if noise.is_empty and initial.ndim == 1:
+    """Populations and qubit-subspace Bloch coordinates along a schedule from a ket."""
+    if noise.is_empty:
         traj = _evolve.evolve_pure(initial, schedule, err, config)
         rhos = np.einsum("ni,nj->nij", traj.states, traj.states.conj())
     else:
-        rho0 = density(initial) if initial.ndim == 1 else initial
-        traj = _evolve.evolve_density(rho0, schedule, noise, err, config)
+        traj = _evolve.evolve_density(density(initial), schedule, noise, err, config)
         rhos = traj.states
     populations = np.einsum("nii->ni", rhos).real
     return TrajectoryReport(times=traj.times, populations=populations, bloch=bloch_rows(rhos))

@@ -36,9 +36,9 @@ def density(psi: Sequence[complex]) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def is_unitary(mat: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     eye = np.eye(mat.shape[0])
-    return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= atol)
+    return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= ATOL)
 
 
 def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np.ndarray:
@@ -74,8 +74,8 @@ def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
     return float((abs(tr) ** 2 + d) / (d * (d + 1)))
 
 
-def bloch_rows(rhos: np.ndarray, subspace: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Bloch vectors of a (..., d, d) stack of states restricted to a 2-dim subspace.
+def bloch_rows(rhos: np.ndarray) -> np.ndarray:
+    """Bloch vectors of a (..., d, d) stack of states restricted to the (|0>, |1>) subspace.
 
     Each subspace block is renormalized by its population, so leakage
     outside the subspace shows up only through the population.  Returns a
@@ -84,21 +84,18 @@ def bloch_rows(rhos: np.ndarray, subspace: tuple[int, int] = (0, 1)) -> np.ndarr
     NaN throughout where the population is below ``EMPTY_SUBSPACE_TOL``.
     """
     mats = np.asarray(rhos, dtype=complex)
-    i, j = subspace
-    population = mats[..., i, i].real + mats[..., j, j].real
+    population = mats[..., 0, 0].real + mats[..., 1, 1].real
     with np.errstate(divide="ignore", invalid="ignore"):
-        r00 = mats[..., i, i].real / population
-        r11 = mats[..., j, j].real / population
-        r01 = mats[..., i, j] / population
-        r10 = mats[..., j, i] / population
+        r00 = mats[..., 0, 0].real / population
+        r11 = mats[..., 1, 1].real / population
+        r01 = mats[..., 0, 1] / population
+        r10 = mats[..., 1, 0] / population
     rows = np.stack([2.0 * r01.real, 2.0 * r10.imag, r00 - r11, population], axis=-1)
     rows[population < EMPTY_SUBSPACE_TOL] = np.nan
     return rows
 
 
-def bloch_coordinates(
-    rho: np.ndarray, subspace: tuple[int, int] = (0, 1)
-) -> tuple[float, float, float, float]:
+def bloch_coordinates(rho: np.ndarray) -> tuple[float, float, float, float]:
     """:func:`bloch_rows` of one (d, d) density matrix, as a tuple of floats.
 
     Returns ``(x, y, z, population)``.  Where :func:`bloch_rows` gives a NaN
@@ -108,7 +105,7 @@ def bloch_coordinates(
     mat = np.asarray(rho, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"expected one density matrix, got shape {mat.shape}")
-    x, y, z, population = bloch_rows(mat, subspace).tolist()
+    x, y, z, population = bloch_rows(mat).tolist()
     if math.isnan(population):
         raise ValueError("subspace population is numerically zero or NaN")
     return (x, y, z, population)

@@ -70,7 +70,6 @@ def cphase_propagator(
     model: CompositeModel,
     schedule: PulseSchedule,
     err: ErrorInjection = NO_ERROR,
-    noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> tuple[np.ndarray, float]:
     """Computational-block operator and leakage of the two-qubit gate.
@@ -79,14 +78,10 @@ def cphase_propagator(
     propagator over (|00>, |01>, |10>, |11>) and leakage is one minus the
     smallest computational-basis probability of remaining in the
     computational subspace.  Spectator entries are exactly 1 because the
-    drive acts only on the |01> <-> |a> pair.  Only unitary evolution
-    defines a propagator; a non-empty noise model raises ``ValueError``.
+    drive acts only on the |01> <-> |a> pair.  The propagator is
+    noiseless; :func:`population_trace` and :func:`ramsey_protocol` take
+    noise.
     """
-    if not noise.is_empty:
-        raise ValueError(
-            "cphase_propagator is unitary-only; use population_trace or "
-            "ramsey_protocol for open-system runs"
-        )
     # Propagate the driven 2x2 pair and embed, keeping spectators exact.
     pair = evolve.propagator(schedule, err, config, dim=2, levels=(None, 0, 1))
     u5 = np.eye(DIM, dtype=complex)
@@ -98,19 +93,11 @@ def cphase_propagator(
     return u4, leakage
 
 
-def _embed_pair_state(psi_pair: np.ndarray) -> np.ndarray:
-    psi = np.zeros(DIM, dtype=complex)
-    psi[BRIGHT_INDEX] = psi_pair[0]
-    psi[ANCILLA_INDEX] = psi_pair[1]
-    return psi
-
-
 def population_trace(
     model: CompositeModel,
     schedule: PulseSchedule,
     initial: np.ndarray,
     noise: NoiseModel = NO_NOISE,
-    err: ErrorInjection = NO_ERROR,
     config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Time series of populations over (|00>, |01>, |10>, |11>, |a>).
@@ -121,13 +108,11 @@ def population_trace(
     if psi.shape != (DIM,):
         raise ValueError(f"initial state must have dimension {DIM}")
     if noise.is_empty:
-        traj = evolve.evolve_pure(psi, schedule, err, config, dim=DIM, levels=LEVELS)
+        traj = evolve.evolve_pure(psi, schedule, config=config, dim=DIM, levels=LEVELS)
         pops = np.abs(traj.states) ** 2
     else:
         rho0 = np.outer(psi, psi.conj())
-        traj = evolve.evolve_density(
-            rho0, schedule, noise, err, config, dim=DIM, levels=LEVELS
-        )
+        traj = evolve.evolve_density(rho0, schedule, noise, config=config, dim=DIM, levels=LEVELS)
         pops = np.einsum("nii->ni", traj.states).real
     return Trajectory(times=traj.times, states=pops)
 
@@ -155,7 +140,6 @@ def ramsey_protocol(
     gate_on: bool,
     gamma: float,
     theta_grid: Sequence[float],
-    err: ErrorInjection = NO_ERROR,
     noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
     scheme: str = "tounhqc",
@@ -175,7 +159,7 @@ def ramsey_protocol(
     rho = np.outer(psi0, psi0.conj())
     if gate_on:
         schedule = build_cphase_schedule(gamma, model.g_eff, scheme)
-        channel = evolve.gate_channel(schedule, noise, err, config, dim=DIM, levels=LEVELS)
+        channel = evolve.gate_channel(schedule, noise, config=config, dim=DIM, levels=LEVELS)
         rho = evolve.apply_superop(channel, rho)
 
     excited = np.zeros(DIM)

@@ -155,6 +155,18 @@ class TestScanCommand:
     def test_low_resolution_rejected(self, tmp_path):
         assert run(tmp_path, "scan", "--resolution", "3") == 1
 
+    def test_absolute_detuning_axis_is_the_relative_one_in_rad_s(self, tmp_path):
+        # --error-range is a fraction on both axes in both modes; the
+        # absolute scan only writes its detuning column in rad/s
+        assert run(tmp_path / "rel", "scan") == 0
+        assert run(tmp_path / "abs", "scan", "--detuning-absolute") == 0
+        rel = np.array(read_table(tmp_path / "rel" / "scan_grid.csv")[2], dtype=float)
+        absolute = np.array(read_table(tmp_path / "abs" / "scan_grid.csv")[2], dtype=float)
+        omega0 = 2 * PI * 8.660e6
+        assert np.array_equal(absolute[:, 2], rel[:, 2])
+        assert np.array_equal(absolute[:, 0], rel[:, 0])
+        assert np.max(np.abs(absolute[:, 1] - rel[:, 1] * omega0)) <= 1e-17 * omega0
+
 
 class TestCompareCommand:
     def test_noiseless_reports_not_applicable(self, tmp_path):
@@ -234,15 +246,15 @@ NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
 ERROR_FLAGS = ("--amp-error", "--detuning-error")
 
 #: flags that take a finite value, per command: the errors any finite one,
-#: --edge-ramp-ns a non-negative one and the rest a positive one; rb's
-#: --seed takes a non-negative integer
+#: --edge-ramp-ns a non-negative one and the rest a positive one; --seed
+#: takes a non-negative integer
 CHECKED_FLAGS = {
-    "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns"),
-    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS),
-    "ramsey": ("--g-eff-mhz", "--t1-a-us"),
+    "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns", "--seed"),
+    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
+    "ramsey": ("--g-eff-mhz", "--t1-a-us", "--seed"),
     "rb": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
-    "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range"),
-    "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
+    "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range", "--seed"),
+    "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
 }
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 

@@ -191,8 +191,9 @@ class TestEvolvePure:
         for n in range(1, 41):
             nodes = np.arange(n + 1.0) * 1e-9
             for stride in range(1, n + 3):
+                monkeypatch.setattr(evolve, "RECORD_STRIDE", stride)
                 expected = nodes[np.unique(np.append(np.arange(0, n + 1, stride), n))]
-                got = evolve._recorded_times(n, 1e-9, stride)
+                got = evolve._recorded_times(n, 1e-9)
                 assert got.tolist() == expected.tolist(), (n, stride)
 
 
@@ -251,7 +252,7 @@ class TestEvolveDensity:
         rho0 = density(basis_state(3, 0))
 
         def final(steps):
-            cfg = evolve.IntegratorConfig(dt=sched.duration / steps, record_stride=10**9)
+            cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
             return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
 
         r1, r2, r3 = final(100), final(200), final(400)
@@ -368,7 +369,7 @@ class TestFrameOracle:
         # column j of the channel is the evolution of matrix unit j on its own
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
         channel = evolve.gate_channel(sched, noise, config=cfg)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
@@ -404,7 +405,7 @@ class TestFrameOracle:
     def test_stepped_channel_columns_match_stepped_density(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 200, record_stride=10**9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
         channel = evolve.gate_channel(sched, noise, config=cfg)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
@@ -444,11 +445,11 @@ class TestEngineChoice:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_records_the_stepper_times(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 333, record_stride=7)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 333)
         psi0 = basis_state(3, 0)
         traj = evolve.evolve_pure(psi0, sched, config=cfg)
         nodes = pulses.stepping_grid(sched, cfg.dt).nodes
-        assert np.array_equal(traj.times, np.append(nodes[::7], nodes[-1]))
+        assert np.array_equal(traj.times, np.append(nodes[:: evolve.RECORD_STRIDE], nodes[-1]))
         assert np.array_equal(traj.states[0], psi0)
         for t, psi in zip(traj.times, traj.states):
             assert np.max(np.abs(psi - frame_oracle(sched, until=t) @ psi0)) < 1e-12
@@ -456,9 +457,9 @@ class TestEngineChoice:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_error_maps_match_single_error_calls(self, scheme):
         amps, dets = np.meshgrid((-0.04, 0.0, 0.03), (-0.02, 0.05), indexing="ij")
-        errors = evolve.error_table(amps, dets, 1e5)
+        errors = evolve.error_table(amps, dets)
         errs = [
-            evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d, detuning_rad_s=1e5)
+            evolve.ErrorInjection(amp_fraction=a, detuning_fraction=d)
             for a in (-0.04, 0.0, 0.03)
             for d in (-0.02, 0.05)
         ]

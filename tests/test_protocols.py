@@ -172,7 +172,7 @@ class TestInterleavedGateError:
         assert est.warning is None
 
     def test_textbook_value(self):
-        est = pr.interleaved_gate_error(0.99, 0.98, d=2)
+        est = pr.interleaved_gate_error(0.99, 0.98)
         assert est.gate_error == pytest.approx(0.00505, abs=5e-6)
         assert est.gate_fidelity == pytest.approx(1 - 0.00505, abs=5e-6)
 
@@ -231,7 +231,7 @@ class TestRBSimulated:
                                      scheme="nhqc", interleaved_target=target, noise=noise, shots=shots)
                 executor = pr.SimulatedSequenceExecutor("nhqc", OMEGA0, noise, extra_cached=(target,))
                 batched = pr.rb_run(config, sequence_executor=executor)
-                single = pr.rb_run(config, sequence_executor=lambda specs, rng: executor(specs, rng))
+                single = pr.rb_run(config, sequence_executor=lambda specs: executor(specs))
                 for m in config.sequence_lengths:
                     assert np.array_equal(batched.per_sequence[m], single.per_sequence[m])
 
@@ -412,10 +412,8 @@ class TestRobustnessScan:
         rho0 = density(pr.SCAN_INITIAL)
         for i, amp in enumerate(result.amp_axis):
             for j, det in enumerate(result.detuning_axis):
-                if absolute:
-                    err = evolve.ErrorInjection(amp_fraction=amp, detuning_rad_s=det)
-                else:
-                    err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=det)
+                fraction = det / pr.DEFAULT_OMEGA0 if absolute else det
+                err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=fraction)
                 rho = evolve.evolve_density(rho0, sched, noise, err).states[-1]
                 expected = unattenuated_fidelity(rho_th, rho)
                 assert result.fidelity[i, j] == pytest.approx(expected, abs=1e-13)
@@ -500,10 +498,3 @@ class TestTrajectoryReport:
         report = pr.trajectory_report(sched, basis_state(3, 2))
         assert np.isnan(report.bloch[0]).all()
         assert report.populations[0, 2] == pytest.approx(1.0, abs=1e-12)
-
-    def test_density_input_with_noise(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        report = pr.trajectory_report(
-            sched, density(basis_state(3, 0)), noise=pr.t1_limited_noise_model()
-        )
-        assert np.max(np.abs(report.populations.sum(axis=1) - 1.0)) < 1e-8

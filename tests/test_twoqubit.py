@@ -62,11 +62,6 @@ class TestCphasePropagator:
                 _, leakage = tq.cphase_propagator(model, sched)
                 assert leakage < 1e-6
 
-    def test_noise_rejected(self, model):
-        sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
-        with pytest.raises(ValueError, match="unitary-only"):
-            tq.cphase_propagator(model, sched, noise=tq.ancilla_decay(10e-6))
-
 
 class TestRamsey:
     def test_gate_off_reference_phase(self, model):
