@@ -93,12 +93,18 @@ def _metadata_lines(args: dict, config_hash: str) -> list[str]:
 def _write_table(
     path: str, meta: list[str], header: list[str], rows: list[Sequence] | np.ndarray
 ) -> None:
-    """Write ``rows`` (row sequences, or a 2-d array) below ``meta`` and ``header``."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
+    """Write ``rows`` (row sequences, or a 2-d float array) below ``meta`` and ``header``.
+
+    An array is formatted a row at a time, in the format _fmt gives a float;
+    row sequences, which may hold integer columns, go through _fmt cell by cell.
+    """
     lines = list(meta)
     lines.append(",".join(header))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    if isinstance(rows, np.ndarray):
+        row_format = ",".join(["{:.17g}"] * rows.shape[1]).format
+        lines.extend(row_format(*row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
     _write_lines(path, lines)
 
 
@@ -252,6 +258,13 @@ def _validate_common(args, problems: list[str]) -> None:
         if value is not None and math.isfinite(value) and not value > 0.0:
             flag = "--" + dest.replace("_", "-")
             problems.append(f"{flag} must be positive, got {value}")
+    # an amplitude factor 1 + error at or below 0 turns the drive off or flips it
+    amp_error = getattr(args, "amp_error", 0.0)
+    if math.isfinite(amp_error) and amp_error <= -1.0:
+        problems.append(f"--amp-error must be above -1, got {amp_error}")
+    span = getattr(args, "error_range", 0.0)
+    if math.isfinite(span) and abs(span) >= 1.0:
+        problems.append(f"--error-range must lie strictly between -1 and 1, got {span}")
     if args.shots is not None and args.shots < 1:
         problems.append("--shots must be a positive integer")
     if args.seed < 0:
@@ -424,15 +437,11 @@ def _cmd_ramsey(args, params: dict) -> None:
     shift = twoqubit.ramsey_phase_shift(fringe_on, fringe_off)
 
     meta = _metadata_lines(params, _config_hash(params))
-    rows = [
-        (theta, p_on, p_off)
-        for (theta, p_on), (_, p_off) in zip(fringe_on, fringe_off)
-    ]
     _write_table(
         os.path.join(args.out_dir, "ramsey_fringes.csv"),
         meta,
         ["theta_rad", "p_gate_on", "p_gate_off"],
-        rows,
+        np.column_stack([np.array(fringe_on), np.array(fringe_off)[:, 1]]),
     )
     entries = [
         ("scheme", args.scheme),

@@ -10,13 +10,15 @@ edge-ramp corners:
 
 * a constant piece, where the frame generator does not vary, maps by one
   exact exponential per recorded time.  These are the ramp-free stretches
-  of a schedule whose collapse operators are diagonal or a single matrix
-  unit, which the frame only multiplies by phases;
+  of a schedule whose collapse operators the frame only multiplies by a
+  phase (see :func:`_covariant`);
 * a varying piece -- an edge-ramp window, or any segment whose other
   collapse operators the frame turns into time-dependent ones -- runs a
   fourth-order commutator-free exponential stepper (CF4) on its own grid
   nodes: two exponentials per step, whose generators mix the full frame
   generator, dissipator included, at the step's two Gauss-Legendre nodes.
+  The step maps between two recorded nodes are multiplied pairwise, in
+  log2 rounds of stacked products.
 
 Each piece's frame map is rebased to the lab frame at its ends,
 D(t_end) M D(t_start)^dag, and the pieces are chained.  A propagator or
@@ -31,9 +33,11 @@ are exponentiated in one batched call, and piece k of every schedule is
 rebased and chained in one step.  :func:`gate_channel` is its
 one-schedule case, so a channel is bitwise the same alone or in a batch.
 
-Hermitian generators are exponentiated through their eigendecomposition;
-Liouvillians, which are not normal, through :func:`_expm`, a batched
-scaling-and-squaring Pade exponential (Higham 2005) on numpy alone.
+Every frame generator is zero outside the |e> row and column, so its
+exponential has a closed form, computed elementwise over the whole stack
+(:func:`_step_propagators`).  Liouvillians, which are not normal, go
+through :func:`_expm`, a batched scaling-and-squaring Pade exponential
+(Higham 2005) on numpy alone.
 """
 from __future__ import annotations
 
@@ -62,9 +66,10 @@ QUTRIT_DIM = 3
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
 MAX_RATE_DT = 0.01
-#: Steps of a varying piece whose exponentials are built in one batched
-#: call; bounds the memory of the (errors, MAP_CHUNK, 2, m, m) stack.
-MAP_CHUNK = 64
+#: Matrix elements (errors x steps x m^2) of the step maps of a varying
+#: piece that are built in one batched call; bounds the memory of the
+#: (errors, steps, 2, m, m) stack of its exponentials.
+MAP_CHUNK = 1 << 16
 #: Trajectories record every RECORD_STRIDE-th grid node, plus the endpoints.
 RECORD_STRIDE = 20
 
@@ -255,11 +260,32 @@ def assemble_hamiltonian(
     return _hamiltonians(drive, _one_error(err), schedule.omega0, QUTRIT_DIM, QUTRIT_LEVELS)[0, 0]
 
 
-def _step_propagators(gens: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Exact exp(-i G_k dt_k) for a stack of Hermitian generators."""
-    w, v = np.linalg.eigh(gens)
-    phases = np.exp(-1j * w * dts[:, None])
-    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+def _step_propagators(gens: np.ndarray, taus: np.ndarray, ie: int) -> np.ndarray:
+    """Exact exp(-i G_k tau_k) for a stack of Hermitian generators that act through |e> alone.
+
+    Every frame generator is zero outside the |e> row and column.  With
+    x = tau G[rest, e] and h = tau G[e, e] / 2, exp(-i G tau) leaves the
+    states orthogonal to x and |e> alone and turns the bright state
+    x/|x| and |e> by a 2x2 rotation of angle lam = sqrt(|x|^2 + h^2),
+    times the phase p = exp(-i h).
+    """
+    col = taus[:, None] * gens[:, :, ie]
+    h = 0.5 * col[:, ie].real
+    col[:, ie] = 0.0
+    xx = (col.real ** 2 + col.imag ** 2).sum(axis=1)
+    lam = np.sqrt(xx + h * h)
+    cos, sinc = np.cos(lam), np.sinc(lam / np.pi)
+    p = np.exp(-1j * h)
+    # the bright state's amplitude minus 1, per |x|^2; 0 where nothing couples to |e>
+    bright = np.divide(p * (cos + 1j * h * sinc) - 1.0, xx, out=np.zeros_like(p), where=xx > 0.0)
+    out = bright[:, None, None] * col[:, :, None] * col.conj()[:, None, :]
+    diag = np.arange(gens.shape[-1])
+    out[:, diag, diag] += 1.0
+    turn = -1j * p * sinc
+    out[:, :, ie] = turn[:, None] * col
+    out[:, ie, :] = turn[:, None] * col.conj()
+    out[:, ie, ie] = p * (cos - 1j * h * sinc)
+    return out
 
 
 # Scaling and squaring with Pade approximants (Higham, SIAM J. Matrix Anal.
@@ -365,18 +391,18 @@ def _liouvillians(gens: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
     return -1j * comm.reshape(*gens.shape[:-2], d * d, d * d) + dissipator
 
 
-def _exponentials(gens: np.ndarray, taus, dissipator: Optional[np.ndarray]) -> np.ndarray:
-    """Exponentials of a (..., d, d) generator stack over ``taus``.
+def _exponentials(gens: np.ndarray, taus, dissipator: Optional[np.ndarray], ie: int) -> np.ndarray:
+    """Exponentials of a (..., d, d) stack of frame generators over ``taus``.
 
-    exp(-i G tau) of Hermitian generators without a ``dissipator``, else
-    exp(L tau) of their Liouvillians; ``taus`` broadcasts against the
-    leading axes.
+    exp(-i G tau) in closed form without a ``dissipator`` (the generators
+    act through level ``ie`` alone), else exp(L tau) of their Liouvillians;
+    ``taus`` broadcasts against the leading axes.
     """
     lead = gens.shape[:-2]
     taus = np.broadcast_to(taus, lead).reshape(-1)
     if dissipator is None:
         d = gens.shape[-1]
-        out = _step_propagators(gens.reshape(-1, d, d), taus)
+        out = _step_propagators(gens.reshape(-1, d, d), taus, ie)
     else:
         liou = _liouvillians(gens, dissipator)
         m = liou.shape[-1]
@@ -389,16 +415,20 @@ def _exponentials(gens: np.ndarray, taus, dissipator: Optional[np.ndarray]) -> n
 # ---------------------------------------------------------------------------
 
 
-def _covariant(c_ops: np.ndarray) -> bool:
+def _covariant(c_ops: np.ndarray, ie: int) -> bool:
     """Whether the frame only multiplies each collapse operator by a phase.
 
-    True for operators that are diagonal or a single matrix unit: their
-    dissipator is the same in the frame as in the lab.
+    D^dag c D multiplies entry (i, j) of c by exp(i phi1 (delta_ie - delta_je)),
+    so an operator whose nonzero entries all share delta_ie - delta_je takes
+    one phase, and its dissipator is the same in the frame as in the lab.
+    Diagonal operators and single matrix units are such operators.
     """
-    return all(
-        np.count_nonzero(c) <= 1 or not np.count_nonzero(c - np.diag(np.diag(c)))
-        for c in c_ops
-    )
+    for c in c_ops:
+        rows, cols = np.nonzero(c)
+        shift = (rows == ie).astype(int) - (cols == ie)
+        if np.any(shift != shift[:1]):
+            return False
+    return True
 
 
 class _Piece(NamedTuple):
@@ -461,6 +491,28 @@ _CF_A2 = 0.25 - math.sqrt(3.0) / 6.0
 _CF_WEIGHTS = np.array([[_CF_A1, _CF_A2], [_CF_A2, _CF_A1]])
 
 
+def _run_products(steps: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Ordered products of the runs of a (n_err, n, m, m) stack of step maps.
+
+    Run r holds steps ends[r-1] to ends[r] - 1 (ends ascending, the last
+    one n); its product puts later steps on the left.  Round k multiplies,
+    inside every run, each block of 2^k steps onto the block before it in
+    one stacked matmul, so a run of n_r steps takes n_r - 1 products in
+    ceil(log2 n_r) rounds.  Overwrites ``steps``; returns (n_err, len(ends), m, m).
+    """
+    starts = np.append(0, ends[:-1])
+    lengths = ends - starts
+    # position of every step inside its run, and the steps left to the run's end
+    local = np.arange(ends[-1]) - np.repeat(starts, lengths)
+    room = np.repeat(lengths, lengths) - local
+    stride = 1
+    while stride < lengths.max():
+        left = np.flatnonzero((local % (2 * stride) == 0) & (room > stride))
+        steps[:, left] = steps[:, left + stride] @ steps[:, left]
+        stride *= 2
+    return steps[:, starts]
+
+
 def _varying_maps(
     schedule: PulseSchedule,
     errors: np.ndarray,
@@ -503,15 +555,20 @@ def _varying_maps(
             diss = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
 
         maps = np.empty((n_err, len(at), m, m), dtype=complex)
-        cur = np.broadcast_to(np.eye(m, dtype=complex), (n_err, m, m))
-        k = 0
-        for lo in range(0, len(steps), MAP_CHUNK):
-            part = slice(lo, lo + MAP_CHUNK)
+        chunk = max(1, MAP_CHUNK // (n_err * m * m))
+        cur, k = None, 0
+        for lo in range(0, len(steps), chunk):
+            part = slice(lo, lo + chunk)
             chunk_diss = diss if covariant else diss[part]
-            exps = _exponentials(gens[:, part], steps[part, None], chunk_diss)
-            for j in range(exps.shape[1]):
-                cur = exps[:, j, 1] @ (exps[:, j, 0] @ cur)
-                while k < len(at) and wanted[k] == lo + j + 1:
+            exps = _exponentials(gens[:, part], steps[part, None], chunk_diss, ie)
+            # runs of steps end at the wanted nodes inside the chunk and at its end
+            hi = lo + exps.shape[1]
+            inside = wanted[(wanted > lo) & (wanted < hi)]
+            ends = np.append(inside[np.diff(inside, append=hi) > 0], hi)
+            runs = _run_products(exps[:, :, 1] @ exps[:, :, 0], ends - lo)
+            for end, run in zip(ends, runs.swapaxes(0, 1)):
+                cur = run if cur is None else run @ cur
+                while k < len(at) and wanted[k] == end:
                     maps[:, k] = cur
                     k += 1
         out.append(maps)
@@ -539,7 +596,7 @@ def _frame_maps(
     rebased and chained in one step.
     """
     dissipator = None if c_ops is None else _dissipator(c_ops)
-    covariant = c_ops is None or _covariant(c_ops)
+    covariant = c_ops is None or _covariant(c_ops, levels[2])
     noisy = c_ops is not None
     m = dim * dim if noisy else dim
     cuts = [_pieces(schedule, covariant) for schedule in schedules]
@@ -571,7 +628,7 @@ def _frame_maps(
         counts = [len(spans[s][k]) for s, k in constant]
         taus = np.concatenate([spans[s][k] - cuts[s][k].start for s, k in constant])
         gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
-        exps = _exponentials(gens, taus, dissipator)
+        exps = _exponentials(gens, taus, dissipator, levels[2])
         frame.update(zip(constant, np.split(exps, np.cumsum(counts)[:-1], axis=1)))
 
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
@@ -664,12 +721,15 @@ def dt_halving_delta(
 
     The max-norm change of :func:`propagator` when the step size is halved.
     Only varying pieces depend on the step, so it is exactly 0.0 on a
-    ramp-free schedule.  ``u`` is ``propagator(schedule, config=config)``
-    when the caller already holds it.
+    ramp-free schedule, and no propagator is built there.  ``u`` is
+    ``propagator(schedule, config=config)`` when the caller already holds it.
     """
+    dt = config.resolve_dt(schedule.duration)
+    if not any(piece.varying for piece in _pieces(schedule, covariant=True)):
+        return 0.0
     if u is None:
         u = propagator(schedule, config=config)
-    half = IntegratorConfig(dt=config.resolve_dt(schedule.duration) / 2.0)
+    half = IntegratorConfig(dt=dt / 2.0)
     return float(np.max(np.abs(u - propagator(schedule, config=half))))
 
 

@@ -64,6 +64,26 @@ class TestGateCommand:
         summary = read_summary(tmp_path / "gate_summary.txt")
         assert float(summary["tau_ns"]) == pytest.approx(115.47, abs=0.05)
 
+    @pytest.mark.parametrize("ramp, calls", [("0", 1), ("10", 2)])
+    def test_step_halving_builds_a_second_propagator_only_for_ramps(
+        self, tmp_path, monkeypatch, ramp, calls
+    ):
+        # dt_halving_delta is exactly 0.0 when no piece is stepped
+        seen = []
+        frame_maps = evolve._frame_maps
+        monkeypatch.setattr(evolve, "_frame_maps", lambda *a: seen.append(a) or frame_maps(*a))
+        assert run(tmp_path, "gate", "--edge-ramp-ns", ramp) == 0
+        assert len(seen) == calls
+        delta = float(read_summary(tmp_path / "gate_summary.txt")["dt_halving_delta"])
+        assert (delta == 0.0) == (calls == 1)
+
+    def test_ramped_nhqc_gate_is_unitary_to_rounding(self, tmp_path):
+        # with closed-form step exponentials the stepped ramp windows keep
+        # the propagator unitary to 1.4e-14; eigendecompositions left 4.7e-13
+        assert run(tmp_path, "gate", "--scheme", "nhqc", "--edge-ramp-ns", "10") == 0
+        summary = read_summary(tmp_path / "gate_summary.txt")
+        assert float(summary["unitarity_defect"]) < 5e-14
+
     def test_degenerate_gamma_is_config_error(self, tmp_path, capsys):
         assert run(tmp_path, "gate", "--gamma", "0") == 1
         assert "gamma" in capsys.readouterr().err
@@ -245,7 +265,8 @@ class TestConfigFile:
 NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
 ERROR_FLAGS = ("--amp-error", "--detuning-error")
 
-#: flags that take a finite value, per command: the errors any finite one,
+#: flags that take a finite value, per command: --detuning-error any finite
+#: one, --amp-error one above -1, --error-range one inside (-1, 1),
 #: --edge-ramp-ns a non-negative one and the rest a positive one; --seed
 #: takes a non-negative integer
 CHECKED_FLAGS = {
@@ -266,7 +287,11 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
     flags = data.draw(st.lists(st.sampled_from(CHECKED_FLAGS[command]), min_size=1, unique=True))
     argv = [command]
     for flag in flags:
-        if flag in (*ERROR_FLAGS, "--error-range"):
+        if flag == "--amp-error":
+            value = data.draw(st.floats(max_value=-1.0) | NON_FINITE)
+        elif flag == "--error-range":
+            value = data.draw(st.floats(min_value=1.0) | st.floats(max_value=-1.0) | NON_FINITE)
+        elif flag == "--detuning-error":
             value = data.draw(NON_FINITE)
         elif flag == "--edge-ramp-ns":
             value = data.draw(st.floats(min_value=-1e6, max_value=-1e-6) | NON_FINITE)
@@ -284,6 +309,29 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
     assert len(problems) == len(set(problems)), (argv, problems)
     for flag in flags:
         assert sum(flag in line for line in problems) == 1, (argv, problems)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trajectory", "--amp-error=-1"),
+        ("rb", "--amp-error=-1.5"),
+        ("compare", "--amp-error=-1", "--default-noise"),
+        ("scan", "--error-range", "1"),
+        ("scan", "--error-range=-2"),
+    ],
+)
+def test_amplitude_error_that_stops_the_drive_is_config_error(tmp_path, capsys, argv):
+    # an amplitude factor 1 + error at or below 0 turns the drive off or flips it
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert argv[1].partition("=")[0] in err
+
+
+def test_amplitude_error_just_above_minus_one_runs(tmp_path):
+    assert run(tmp_path / "traj", "trajectory", "--amp-error=-0.99") == 0
+    assert run(tmp_path / "scan", "scan", "--error-range", "0.99", "--resolution", "5") == 0
 
 
 @pytest.mark.parametrize(
@@ -484,8 +532,9 @@ TABLE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(-10**18, 10**18), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
 def test_table_cells_render_as_fmt(tmp_path_factory, rows):
-    # float cells print as _fmt prints them, from row tuples and from arrays
-    # (through tolist()); an integer column stays integer: 10**17, not 1e+17
+    # float cells print as _fmt prints them, from row tuples and from float
+    # arrays (formatted a row at a time); an integer column stays integer:
+    # 10**17, not 1e+17
     path = tmp_path_factory.getbasetemp() / "table.csv"
 
     def cells(table, header):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holosim import evolve, pulses
+from holosim import evolve, pulses, twoqubit
 from holosim.gates import ideal_single_qubit
 from holosim.protocols import default_noise_model
 from holosim.quantum import average_gate_fidelity, basis_state, density
@@ -433,6 +433,71 @@ class TestEngineChoice:
         exact = ivp_evolve(sched, np.eye(9), [sched.duration], noise.scaled_ops(3))[0]
         assert np.max(np.abs(channel - exact)) < 2e-12
 
+    def test_covariance_is_one_phase_class(self):
+        # D^dag c D multiplies entry (i, j) by exp(i phi (delta_ie - delta_je))
+        def op(*entries, dim=3):
+            c = np.zeros((dim, dim), dtype=complex)
+            for i, j in entries:
+                c[i, j] = 1.0
+            return c
+
+        assert evolve._covariant(np.array([op(), op((0, 0), (2, 2)), op((0, 2)), op((1, 0))]), 2)
+        assert evolve._covariant(np.array([op((0, 2), (1, 2))]), 2)
+        assert evolve._covariant(np.array([op((0, 1), (2, 3), dim=5)]), 4)
+        assert not evolve._covariant(np.array([op((0, 2), (2, 0))]), 2)
+        assert not evolve._covariant(np.array([op((0, 0)), op((0, 2), (1, 1))]), 2)
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_qubit_decay_on_composite_model_takes_exact_path(self, monkeypatch, scheme):
+        # a qubit's T1, |00><01| + |10><11|, never touches |a>, so the frame
+        # leaves its dissipator alone and nothing is stepped
+        t1 = np.zeros((5, 5), dtype=complex)
+        t1[0, 1] = t1[2, 3] = 1.0
+        noise = evolve.NoiseModel(
+            collapse_ops=((t1, 1.0 / 20e-6), *twoqubit.ancilla_decay(10e-6).collapse_ops)
+        )
+        sched = twoqubit.build_cphase_schedule(PI / 4, twoqubit.DEFAULT_G_EFF, scheme)
+
+        def stepped(*args):
+            raise AssertionError("a phase-covariant collapse operator was stepped")
+
+        monkeypatch.setattr(evolve, "_varying_maps", stepped)
+        kwargs = dict(dim=5, levels=twoqubit.LEVELS)
+        psi = np.array([0.5, 0.5j, -0.5, 0.5, 0.0])
+        rho0 = np.outer(psi, psi.conj())
+        traj = evolve.evolve_density(rho0, sched, noise, **kwargs)
+        channel = evolve.gate_channel(sched, noise, **kwargs)
+        c_ops = noise.scaled_ops(5)
+        exact = ivp_evolve(sched, rho0.reshape(-1), traj.times, c_ops, **kwargs)
+        assert np.max(np.abs(traj.states.reshape(len(exact), -1) - exact)) < 2e-12
+        exact = ivp_evolve(sched, np.eye(25), [sched.duration], c_ops, **kwargs)[0]
+        assert np.max(np.abs(channel - exact)) < 2e-12
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_maps_do_not_depend_on_chunk_size(self, monkeypatch, scheme):
+        # one step per batched call against every step of a piece in one call
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
+        errors = evolve.error_table((-0.04, 0.0, 0.03), (0.02, 0.0, -0.05))
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2] = op[2, 0] = 1.0
+        stepped = evolve.NoiseModel(collapse_ops=((op, 1e5),))
+        rho0 = TestFrameOracle.RHO0
+
+        def maps():
+            return [
+                evolve.error_maps(sched, errors, config=cfg),
+                evolve.error_maps(sched, errors, TestFrameOracle.NOISE, cfg),
+                evolve.evolve_pure(basis_state(3, 0), sched, config=cfg).states,
+                evolve.evolve_density(rho0, sched, stepped, config=cfg).states,
+            ]
+
+        monkeypatch.setattr(evolve, "MAP_CHUNK", 1)
+        single = maps()
+        monkeypatch.setattr(evolve, "MAP_CHUNK", 1 << 40)
+        for one, whole in zip(single, maps(), strict=True):
+            assert np.max(np.abs(one - whole)) <= 1e-14
+
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_ramped_schedule_runs_on_stepper(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
@@ -474,16 +539,76 @@ class TestEngineChoice:
                 assert np.max(np.abs(s - single)) < 1e-14
 
 
-def test_step_propagators_unitary_for_many_random_hermitian(rng):
-    # 1e4 random Hermitian generators with |H| dt <= pi
+#: (dim, levels) of every model the engine propagates: the 2-level pair of
+#: cphase_propagator, the qutrit and the five-level composite model
+MODELS = [(2, (None, 0, 1)), (3, evolve.QUTRIT_LEVELS), (5, twoqubit.LEVELS)]
+
+
+def random_frame_generators(rng, n, dim, ie, coupling=1.0, detuning=1.0):
+    """n Hermitian generators that are zero outside the |e> row and column."""
+    col = coupling * (rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim)))
+    col[:, ie] = detuning * rng.normal(size=n)
+    gens = np.zeros((n, dim, dim), dtype=complex)
+    gens[:, :, ie] = col
+    gens[:, ie, :] = col.conj()
+    return gens
+
+
+class TestClosedFormExponential:
+    """The closed-form exp(-i G tau) of frame generators against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("dim, levels", MODELS)
+    @pytest.mark.parametrize("case", ["generic", "zero", "detuning_only", "coupling_only", "weak_coupling"])
+    def test_matches_scipy_expm(self, rng, dim, levels, case):
+        ie = levels[2]
+        coupling, detuning = {
+            "generic": (1.0, 1.0),
+            "zero": (0.0, 0.0),
+            "detuning_only": (0.0, 1.0),
+            "coupling_only": (1.0, 0.0),
+            "weak_coupling": (1e-12, 1.0),
+        }[case]
+        norms = np.logspace(-9, 3, 25)
+        gens = random_frame_generators(rng, len(norms), dim, ie, coupling, detuning)
+        scale = np.abs(gens).sum(axis=1).max(axis=1)
+        taus = rng.uniform(0.5, 2.0, size=len(norms))
+        # G tau has 1-norm norms[k] unless G is zero
+        gens *= (norms / taus / np.where(scale > 0.0, scale, 1.0))[:, None, None]
+        got = evolve._step_propagators(gens, taus, ie)
+        eps = np.finfo(float).eps
+        for g, tau, u in zip(gens, taus, got):
+            bound = 8.0 * eps * max(1.0, np.abs(g * tau).sum(axis=0).max())
+            assert np.max(np.abs(u - expm(-1j * g * tau))) <= bound
+
+    @pytest.mark.parametrize("dim, levels", MODELS)
+    def test_frame_generators_act_through_e_alone(self, rng, dim, levels):
+        # the closed form's premise, for every drive and control error
+        spec = random_gate_spec(rng)
+        if levels[0] is None:
+            # no |0> leg to drive: the loop runs on the bright leg alone
+            spec = pulses.GateSpec(0.0, 0.0, spec.gamma)
+        for scheme in pulses.SCHEMES:
+            sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=5e-9)
+            times = rng.uniform(0.0, sched.duration, size=50)
+            drive = pulses.drive_arrays(sched, times)
+            errors = evolve.error_table(rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 7))
+            slopes = rng.normal(size=50) * OMEGA0
+            gens = evolve._frame_generators(drive, slopes, errors, sched.omega0, dim, levels)
+            rest = np.arange(dim) != levels[2]
+            assert np.abs(gens[:, :, levels[1], levels[2]]).max() > 0.0
+            assert not np.any(gens[:, :, rest][:, :, :, rest])
+            assert np.array_equal(gens, gens.conj().swapaxes(-1, -2))
+
+
+def test_step_propagators_unitary_for_many_random_frame_generators(rng):
+    # 1e4 random frame generators with ||G tau||_2 <= pi
     n = 10_000
-    a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-    h = 0.5 * (a + np.conj(np.transpose(a, (0, 2, 1))))
+    h = random_frame_generators(rng, n, 3, 2)
     norms = np.linalg.norm(h, axis=(1, 2))
     h *= (math.pi / np.maximum(norms, 1e-30))[:, None, None]
-    u = evolve._step_propagators(h, np.ones(n))
+    u = evolve._step_propagators(h, np.ones(n), 2)
     defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(3))
-    assert defect.max() < 1e-9
+    assert defect.max() < 1e-14
 
 
 def assert_matches_scipy_expm(stack):
