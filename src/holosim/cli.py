@@ -191,7 +191,7 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
     if not argv or argv[0] not in _COMMANDS:
         fault = f"unknown command {argv[0]!r}" if argv else "no command given"
         raise ConfigError([f"{fault}; choose from {', '.join(_COMMANDS)}"])
-    table = _COMMANDS[argv[0]][3]
+    table = _COMMANDS[argv[0]][2]
     values = {name: flag.default for name, flag in table.items()}
     given, problems = {}, []
     tokens = list(argv[1:])
@@ -231,7 +231,7 @@ def _usage(commands: Sequence[str]) -> str:
     lines = ["usage: holosim <command> [--flag VALUE | --flag=VALUE | --switch] ...",
              "A unique prefix abbreviates a flag; <command> --help lists its flags."]
     for command in commands:
-        summary, table = _COMMANDS[command][2:]
+        summary, table = _COMMANDS[command][1:]
         lines += ["", f"holosim {command}: {summary}"]
         for name, flag in table.items():
             value = "{" + ",".join(flag.choices) + "}" if flag.choices else flag.type.__name__.upper()
@@ -521,22 +521,21 @@ def _cmd_rb(args, params: dict) -> None:
 def _cmd_scan(args, params: dict) -> None:
     span = abs(args.error_range)
     omega0 = TWO_PI * args.omega0_mhz * 1e6
-    # --error-range is a fraction on both axes; --detuning-absolute only
-    # reports the detuning axis in rad/s
-    det_span = span * omega0 if args.detuning_absolute else span
     result = protocols.robustness_scan(
         args.scheme,
         args.gamma,
         amp_range=(-span, span),
-        detuning_range=(-det_span, det_span),
+        detuning_range=(-span, span),
         resolution=args.resolution,
         noise=_noise_from_args(args),
         config=_integrator_from_args(args),
         omega0=omega0,
-        detuning_absolute=args.detuning_absolute,
     )
     meta = _metadata_lines(params, _config_hash(params))
-    amp, det = np.meshgrid(result.amp_axis, result.detuning_axis, indexing="ij")
+    # --error-range is a fraction on both axes; --detuning-absolute only
+    # reports the detuning axis in rad/s
+    det_axis = result.detuning_axis * omega0 if args.detuning_absolute else result.detuning_axis
+    amp, det = np.meshgrid(result.amp_axis, det_axis, indexing="ij")
     _write_table(
         os.path.join(args.out_dir, "scan_grid.csv"),
         meta,
@@ -611,26 +610,26 @@ _COMMON = {
     "--shots": _Flag(int, None, "binomial sampling count"),
 }
 
-#: command -> (run, extra validator, summary, {flag: _Flag}).  Flag ``--a-b``
+#: command -> (run, summary, {flag: _Flag}).  Flag ``--a-b``
 #: lands in attribute ``a_b`` of a namespace that holds ``command``, then
 #: every flag of the command in this order.
 _COMMANDS = {
-    "gate": (_cmd_gate, _validate_gate_spec, "synthesize and verify one gate", {
+    "gate": (_cmd_gate, "synthesize and verify one gate", {
         **_GATE_PARAMS, **_COMMON,
     }),
-    "trajectory": (_cmd_trajectory, _validate_gate_spec, "population/Bloch time series", {
+    "trajectory": (_cmd_trajectory, "population/Bloch time series", {
         **_GATE_PARAMS,
         "--initial": _Flag(str, "0", "initial qutrit state", ("0", "1", "e", "plus", "minus-i")),
         **_ERRORS, **_NOISE, **_COMMON,
     }),
-    "ramsey": (_cmd_ramsey, None, "conditioned-phase Ramsey fringes", {
+    "ramsey": (_cmd_ramsey, "conditioned-phase Ramsey fringes", {
         **_SCHEME, **_QUARTER_PI_GAMMA,
         "--g-eff-mhz": _Flag(float, 5.0),
         "--points": _Flag(int, 41),
         "--t1-a-us": _Flag(float, None, "ancilla relaxation |a> -> |01> (us)"),
         **_COMMON,
     }),
-    "rb": (_cmd_rb, None, "Clifford randomized benchmarking", {
+    "rb": (_cmd_rb, "Clifford randomized benchmarking", {
         **_SCHEME, **_OMEGA0,
         "--lengths": _Flag(str, "2,4,8,16,24,32", "comma-separated m values"),
         "--sequences": _Flag(int, 20),
@@ -638,7 +637,7 @@ _COMMANDS = {
                                      "angle after every Clifford"),
         **_ERRORS, **_NOISE, **_COMMON,
     }),
-    "scan": (_cmd_scan, None, "control-error robustness scan", {
+    "scan": (_cmd_scan, "control-error robustness scan", {
         **_SCHEME, **_QUARTER_PI_GAMMA, **_OMEGA0,
         "--error-range": _Flag(float, 0.05, "half-width of both axes, as fractions "
                                "(of the amplitude, and of omega0 for the detuning)"),
@@ -647,7 +646,7 @@ _COMMANDS = {
                                      "(error-range x omega0) instead of as fractions"),
         **_NOISE, **_COMMON,
     }),
-    "compare": (_cmd_compare, None, "scheme comparison report", {
+    "compare": (_cmd_compare, "scheme comparison report", {
         **_QUARTER_PI_GAMMA, **_OMEGA0, **_ERRORS, **_NOISE, **_COMMON,
     }),
 }
@@ -656,9 +655,8 @@ _COMMANDS = {
 def _validate(args) -> None:
     problems: list[str] = []
     _validate_common(args, problems)
-    extra = _COMMANDS[args.command][1]
-    if extra is not None:
-        extra(args, problems)
+    if args.command in ("gate", "trajectory"):
+        _validate_gate_spec(args, problems)
     if args.command in ("ramsey", "scan", "compare"):
         _check_loop_angle("--gamma", args.gamma, problems)
     if args.command == "ramsey" and args.points < 3:

@@ -3,28 +3,29 @@
 Every segment of a schedule has a drive phase phi1(t) that is linear in
 time, so in the co-rotating frame psi = D(t) psi~ with
 D(t) = exp(-i phi1(t) |e><e|) the generator is
-G(t) = D^dag H D - phi1' |e><e|, control errors included, and a collapse
-operator c becomes D^dag c D.  One engine propagates every schedule in
-that frame.  It cuts the schedule into pieces at segment boundaries and
-edge-ramp corners:
+G(t) = D^dag H D - phi1' |e><e|, control errors included.  The frame
+multiplies entry (i, j) of a collapse operator c by
+exp(i phi1 (delta_ie - delta_je)); the engine takes only collapse
+operators whose nonzero entries all share one such phase class, so every
+dissipator is the same in the frame as in the lab, and raises ValueError
+for any other.  One engine propagates every schedule in that frame.  It
+cuts the schedule into pieces at segment boundaries and edge-ramp corners:
 
 * a constant piece, where the frame generator does not vary, maps by one
   exact exponential per recorded time.  These are the ramp-free stretches
-  of a schedule whose collapse operators the frame only multiplies by a
-  phase (see :func:`_covariant`);
-* a varying piece -- an edge-ramp window, or any segment whose other
-  collapse operators the frame turns into time-dependent ones -- runs a
-  fourth-order commutator-free exponential stepper (CF4) on its own grid
-  nodes: two exponentials per step, whose generators mix the full frame
-  generator, dissipator included, at the step's two Gauss-Legendre nodes.
-  The step maps between two recorded nodes are multiplied pairwise, in
-  log2 rounds of stacked products.
+  of a schedule;
+* a varying piece is an edge-ramp window.  It runs a fourth-order
+  commutator-free exponential stepper (CF4) on its own grid nodes: two
+  exponentials per step, whose generators mix the frame generator at the
+  step's two Gauss-Legendre nodes, plus the dissipator.  The step maps
+  between two recorded nodes are multiplied pairwise, in log2 rounds of
+  stacked products.
 
 Each piece's frame map is rebased to the lab frame at its ends,
 D(t_end) M D(t_start)^dag, and the pieces are chained.  A propagator or
 channel takes one exponential per constant piece and builds no grid; a
 trajectory records the maps at grid nodes, which the varying pieces step
-through.  The step size therefore sets only the steps of varying pieces
+through.  The step size therefore sets only the steps of the ramp windows
 and the nodes a trajectory records.
 
 One engine call can cover many schedules.  :func:`gate_channels` builds
@@ -438,19 +439,15 @@ class _Piece(NamedTuple):
     varying: bool
 
 
-def _pieces(schedule: PulseSchedule, covariant: bool) -> list[_Piece]:
-    """The schedule cut at segment boundaries and edge-ramp corners.
-
-    A piece varies inside a ramp window, and everywhere when the collapse
-    operators are not ``covariant``.
-    """
+def _pieces(schedule: PulseSchedule) -> list[_Piece]:
+    """The schedule cut at segment boundaries and edge-ramp corners; a piece varies inside a ramp window."""
     rise, fall = schedule.edge_ramp, schedule.duration - schedule.edge_ramp
     breaks = stepping_breaks(schedule)
     pieces = []
     for a, b in zip(breaks, breaks[1:]):
         mid = 0.5 * (a + b)
         seg = next(seg for seg in schedule.segments if mid < seg.t_end)
-        pieces.append(_Piece(a, b, seg, not covariant or mid < rise or mid > fall))
+        pieces.append(_Piece(a, b, seg, mid < rise or mid > fall))
     return pieces
 
 
@@ -520,7 +517,6 @@ def _varying_maps(
     spans: list[np.ndarray],
     dt: float,
     dissipator: Optional[np.ndarray],
-    covariant: bool,
     dim: int,
     levels: tuple[Optional[int], int, int],
 ) -> list[np.ndarray]:
@@ -529,38 +525,31 @@ def _varying_maps(
     Each piece steps through its own grid nodes at step ``dt``.  ``spans[k]``
     are the ascending nodes of piece k, after its start, at which its map is
     wanted.  Without a ``dissipator`` the maps are unitaries, else row-major
-    superoperators; a non-``covariant`` dissipator is rotated into the frame
-    at every Gauss node.  Returns one (n_err, len(spans[k]), m, m) stack per
+    superoperators.  Returns one (n_err, len(spans[k]), m, m) stack per
     piece, n_err the columns of the :func:`error_table` ``errors``.
     """
     ie = levels[2]
     n_err = errors.shape[1]
     m = dim if dissipator is None else dim * dim
+    if dissipator is not None:
+        # the frame leaves the dissipator alone, so each exponential takes its weights' sum of it
+        dissipator = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
     out = []
     for piece, at in zip(pieces, spans):
         nodes = interval_nodes(piece.start, piece.end, dt)
         steps = np.diff(nodes)
         wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
         gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
-        drive = drive_arrays(schedule, gauss)
-        gens = _frame_generators(drive, piece.seg.phi1_slope, errors, schedule.omega0, dim, levels)
+        gens = _frame_generators(drive_arrays(schedule, gauss), piece.seg.phi1_slope, errors,
+                                 schedule.omega0, dim, levels)
         gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, -1, 2, dim, dim))
-        diss = dissipator
-        if not covariant:
-            # the frame dissipator rho -> D^dag Diss(D rho D^dag) D at each Gauss node
-            p = _frame_phases(drive[3], dim, ie, noisy=True).reshape(-1, 2, m)
-            diss = p.conj()[..., :, None] * dissipator * p[..., None, :]
-            diss = np.einsum("ab,nbij->naij", _CF_WEIGHTS, diss)
-        elif dissipator is not None:
-            diss = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
 
         maps = np.empty((n_err, len(at), m, m), dtype=complex)
         chunk = max(1, MAP_CHUNK // (n_err * m * m))
         cur, k = None, 0
         for lo in range(0, len(steps), chunk):
             part = slice(lo, lo + chunk)
-            chunk_diss = diss if covariant else diss[part]
-            exps = _exponentials(gens[:, part], steps[part, None], chunk_diss, ie)
+            exps = _exponentials(gens[:, part], steps[part, None], dissipator, ie)
             # runs of steps end at the wanted nodes inside the chunk and at its end
             hi = lo + exps.shape[1]
             inside = wanted[(wanted > lo) & (wanted < hi)]
@@ -593,13 +582,18 @@ def _frame_maps(
     when ``c_ops`` is None, row-major superoperators (m = d^2) otherwise.
     The exponentials of the constant pieces of every schedule, error and
     time come from one batched call, and piece k of every schedule is
-    rebased and chained in one step.
+    rebased and chained in one step.  Raises ValueError when the nonzero
+    entries of a collapse operator do not share one phase class.
     """
+    if c_ops is not None and not _covariant(c_ops, levels[2]):
+        raise ValueError(
+            "collapse operators must share one phase class: the nonzero entries (i, j) "
+            f"of each must have the same delta_ie - delta_je, with e = {levels[2]}"
+        )
     dissipator = None if c_ops is None else _dissipator(c_ops)
-    covariant = c_ops is None or _covariant(c_ops, levels[2])
     noisy = c_ops is not None
     m = dim * dim if noisy else dim
-    cuts = [_pieces(schedule, covariant) for schedule in schedules]
+    cuts = [_pieces(schedule) for schedule in schedules]
     # each piece's own times, plus its end when another piece follows
     owned, spans = [], []
     for pieces, at in zip(cuts, times):
@@ -617,7 +611,7 @@ def _frame_maps(
         if varying:
             stepped = _varying_maps(schedule, errors, [pieces[k] for k in varying],
                                     [spans[s][k] for k in varying], dts[s], dissipator,
-                                    covariant, dim, levels)
+                                    dim, levels)
             frame.update(((s, k), maps) for k, maps in zip(varying, stepped))
     constant = [(s, k) for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if not p.varying]
     if constant:
@@ -720,12 +714,12 @@ def dt_halving_delta(
     """Accuracy diagnostic of the error-free propagator, reported alongside results.
 
     The max-norm change of :func:`propagator` when the step size is halved.
-    Only varying pieces depend on the step, so it is exactly 0.0 on a
-    ramp-free schedule, and no propagator is built there.  ``u`` is
+    Only the edge-ramp windows depend on the step, so it is exactly 0.0 on
+    a ramp-free schedule, and no propagator is built there.  ``u`` is
     ``propagator(schedule, config=config)`` when the caller already holds it.
     """
     dt = config.resolve_dt(schedule.duration)
-    if not any(piece.varying for piece in _pieces(schedule, covariant=True)):
+    if schedule.edge_ramp == 0.0:
         return 0.0
     if u is None:
         u = propagator(schedule, config=config)

@@ -484,17 +484,15 @@ def robustness_scan(
     noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
     omega0: float = DEFAULT_OMEGA0,
-    detuning_absolute: bool = False,
 ) -> ScanResult:
     """Phase-gate fidelity versus amplitude and detuning control errors.
 
     Simulates the gamma phase gate from (|0> - i |1>)/sqrt(2) at every grid
     point and scores the unattenuated fidelity against the ideal output.
-    ``detuning_absolute`` gives ``detuning_range`` and the returned
-    detuning axis in rad/s instead of fractions of omega0; the engine gets
-    the range divided by omega0 either way.  The gate maps of all grid
-    points are built in one batch (:func:`holosim.evolve.error_maps`) and
-    scored in one :func:`unattenuated_fidelity` call.
+    ``detuning_range`` and the returned detuning axis are fractions of
+    omega0.  The gate maps of all grid points are built in one batch
+    (:func:`holosim.evolve.error_maps`) and scored in one
+    :func:`unattenuated_fidelity` call.
     """
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
@@ -502,14 +500,11 @@ def robustness_scan(
     schedule = synthesize(spec, omega0, scheme)
     amp_axis = np.linspace(amp_range[0], amp_range[1], resolution)
     det_axis = np.linspace(detuning_range[0], detuning_range[1], resolution)
-    fractions = det_axis
-    if detuning_absolute:  # the engine takes detunings as fractions of omega0
-        fractions = np.linspace(*np.divide(detuning_range, omega0), resolution)
 
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
 
-    errors = _evolve.error_table(*np.meshgrid(amp_axis, fractions, indexing="ij"))
+    errors = _evolve.error_table(*np.meshgrid(amp_axis, det_axis, indexing="ij"))
     maps = _evolve.error_maps(schedule, errors, noise, config)
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL

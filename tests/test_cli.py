@@ -450,7 +450,7 @@ def _help_flags(text):
 def test_help_names_every_flag_of_every_command():
     top = _python("-m", "holosim.cli", "--help")
     assert top.returncode == 0, top.stderr
-    for command, (_, _, _, flags) in cli._COMMANDS.items():
+    for command, (_, _, flags) in cli._COMMANDS.items():
         assert f"holosim {command}:" in top.stdout
         assert set(flags) <= _help_flags(top.stdout)
         sub = _python("-m", "holosim.cli", command, "--help")

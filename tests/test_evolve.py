@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from holosim import evolve, pulses, twoqubit
 from holosim.gates import ideal_single_qubit
-from holosim.protocols import default_noise_model
+from holosim.protocols import default_noise_model, t1_limited_noise_model
 from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import OMEGA0, ivp_evolve, phase_aligned_distance, random_gate_spec
@@ -242,21 +242,21 @@ class TestEvolveDensity:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
     def test_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # |0><e| + |e><0| turns time-dependent in the frame, so the whole
-        # swept segment is stepped: halving dt divides the error by ~16 away
-        # from the roundoff floor
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        op = np.zeros((3, 3), dtype=complex)
-        op[0, 2] = op[2, 0] = 1.0
-        noise = evolve.NoiseModel(collapse_ops=((op, 1e6),))
+        # with edge_ramp = duration / 2 every piece is a ramp window, so the
+        # whole noisy run is stepped, across the nhqc phase jump too: halving
+        # dt divides the error by ~16 away from the roundoff floor
+        noise = default_noise_model()
         rho0 = density(basis_state(3, 0))
+        for scheme in pulses.SCHEMES:
+            duration = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme).duration
+            sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=duration / 2)
 
-        def final(steps):
-            cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-            return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
+            def final(steps):
+                cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
+                return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
 
-        r1, r2, r3 = final(100), final(200), final(400)
-        assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
+            r1, r2, r3 = final(100), final(200), final(400)
+            assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
 
     def test_step_size_violation_raises(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
@@ -417,21 +417,22 @@ class TestFrameOracle:
 class TestEngineChoice:
     SPEC = TestFrameOracle.SPEC
 
-    def test_non_covariant_collapse_falls_back_to_stepper(self):
-        # |0><e| + |e><0| is neither diagonal nor one matrix unit: the frame
-        # turns it into a time-dependent operator, so its segment is stepped
+    def test_non_covariant_collapse_is_rejected(self):
+        # |0><e| + |e><0| mixes two phase classes: the frame would turn it
+        # into a time-dependent operator, which no piece of the engine steps
         op = np.zeros((3, 3), dtype=complex)
         op[0, 2] = op[2, 0] = 1.0
-        noise = evolve.NoiseModel(collapse_ops=((op, 1e5),))
+        noise = evolve.NoiseModel(collapse_ops=(*default_noise_model().collapse_ops, (op, 1e5)))
         sched = pulses.synthesize_tounhqc(self.SPEC, OMEGA0)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
-        rho0 = TestFrameOracle.RHO0
-        traj = evolve.evolve_density(rho0, sched, noise, config=cfg)
-        exact = ivp_evolve(sched, rho0.reshape(-1), traj.times, noise.scaled_ops(3))
-        assert np.max(np.abs(traj.states.reshape(len(exact), -1) - exact)) < 2e-12
-        channel = evolve.gate_channel(sched, noise, config=cfg)
-        exact = ivp_evolve(sched, np.eye(9), [sched.duration], noise.scaled_ops(3))[0]
-        assert np.max(np.abs(channel - exact)) < 2e-12
+        calls = [
+            lambda: evolve.error_maps(sched, evolve.error_table(), noise),
+            lambda: evolve.evolve_density(TestFrameOracle.RHO0, sched, noise),
+            lambda: evolve.gate_channel(sched, noise),
+            lambda: evolve.gate_channels([sched, sched], noise),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="one phase class"):
+                call()
 
     def test_covariance_is_one_phase_class(self):
         # D^dag c D multiplies entry (i, j) by exp(i phi (delta_ie - delta_je))
@@ -446,6 +447,12 @@ class TestEngineChoice:
         assert evolve._covariant(np.array([op((0, 1), (2, 3), dim=5)]), 4)
         assert not evolve._covariant(np.array([op((0, 2), (2, 0))]), 2)
         assert not evolve._covariant(np.array([op((0, 0)), op((0, 2), (1, 1))]), 2)
+        # every noise model the package builds
+        relaxation = evolve.NoiseModel.qutrit_relaxation(5e-6, 3e-6, 10e-6, 10e-6)
+        for noise in (default_noise_model(), t1_limited_noise_model(), relaxation):
+            assert len(noise.scaled_ops(3)) == len(noise.collapse_ops) > 0
+            assert evolve._covariant(noise.scaled_ops(3), 2)
+        assert evolve._covariant(twoqubit.ancilla_decay(20e-6).scaled_ops(5), 4)
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_qubit_decay_on_composite_model_takes_exact_path(self, monkeypatch, scheme):
@@ -479,9 +486,6 @@ class TestEngineChoice:
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
         errors = evolve.error_table((-0.04, 0.0, 0.03), (0.02, 0.0, -0.05))
-        op = np.zeros((3, 3), dtype=complex)
-        op[0, 2] = op[2, 0] = 1.0
-        stepped = evolve.NoiseModel(collapse_ops=((op, 1e5),))
         rho0 = TestFrameOracle.RHO0
 
         def maps():
@@ -489,7 +493,7 @@ class TestEngineChoice:
                 evolve.error_maps(sched, errors, config=cfg),
                 evolve.error_maps(sched, errors, TestFrameOracle.NOISE, cfg),
                 evolve.evolve_pure(basis_state(3, 0), sched, config=cfg).states,
-                evolve.evolve_density(rho0, sched, stepped, config=cfg).states,
+                evolve.evolve_density(rho0, sched, TestFrameOracle.NOISE, config=cfg).states,
             ]
 
         monkeypatch.setattr(evolve, "MAP_CHUNK", 1)
@@ -673,14 +677,14 @@ class TestPadeExpm:
         assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, dissipator))
 
     def test_cf4_liouvillians(self, monkeypatch):
-        # every stack a ramped run with a frame-rotated operator exponentiates
+        # every stack a noisy run exponentiates when the ramps span the whole loop
         stacks = []
         pade = evolve._expm
         monkeypatch.setattr(evolve, "_expm", lambda a: stacks.append(a) or pade(a))
-        op = np.zeros((3, 3), dtype=complex)
-        op[0, 2] = op[2, 0] = 1.0
-        noise = evolve.NoiseModel(collapse_ops=(*self.NOISE.collapse_ops, (op, 1e5)))
-        sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
+        spec = pulses.GateSpec(1.1, 0.4, 2.3)
+        duration = pulses.synthesize(spec, OMEGA0, "tounhqc").duration
+        sched = pulses.synthesize(spec, OMEGA0, "tounhqc", edge_ramp=duration / 2)
+        noise = default_noise_model()
         evolve.gate_channel(sched, noise, config=evolve.IntegratorConfig(dt=sched.duration / 200))
         monkeypatch.undo()
         grid = pulses.stepping_grid(sched, sched.duration / 200)
@@ -707,9 +711,6 @@ class TestNoiseModel:
 class TestGateChannels:
     """One engine call for many schedules gives each schedule its own channel."""
 
-    NON_COVARIANT = np.zeros((3, 3), dtype=complex)
-    NON_COVARIANT[0, 2] = NON_COVARIANT[2, 0] = 1.0
-
     @staticmethod
     def schedules(rng, edge_ramp=0.0):
         # rotation angles whose loops last at least 100 ns in either scheme
@@ -723,18 +724,13 @@ class TestGateChannels:
             for scheme in ("tounhqc", "nhqc")
         ]
 
-    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "non_covariant"])
+    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp"])
     def test_bitwise_equal_to_single_schedule_calls(self, rng, case):
         default = default_noise_model()
         noise, ramp, config = {
             "noiseless": (evolve.NO_NOISE, 0.0, evolve.DEFAULT_CONFIG),
             "default_noise": (default, 0.0, evolve.DEFAULT_CONFIG),
             "edge_ramp": (default, 10e-9, evolve.IntegratorConfig(dt=0.5e-9)),
-            "non_covariant": (
-                evolve.NoiseModel(collapse_ops=(*default.collapse_ops, (self.NON_COVARIANT, 1e5))),
-                0.0,
-                evolve.IntegratorConfig(dt=1e-9),
-            ),
         }[case]
         scheds = self.schedules(rng, ramp)
         err = evolve.ErrorInjection(amp_fraction=0.02, detuning_fraction=-0.01)

@@ -383,37 +383,17 @@ class TestRobustnessScan:
         with pytest.raises(ValueError, match="resolution"):
             pr.robustness_scan("tounhqc", PI / 4, resolution=4)
 
-    def test_absolute_detuning_mode(self):
-        span = 0.05 * pr.DEFAULT_OMEGA0
-        rel = pr.robustness_scan("tounhqc", PI / 4, resolution=5)
-        absolute = pr.robustness_scan(
-            "tounhqc",
-            PI / 4,
-            detuning_range=(-span, span),
-            resolution=5,
-            detuning_absolute=True,
-        )
-        assert np.allclose(rel.fidelity, absolute.fidelity, atol=1e-9)
-
-    @pytest.mark.parametrize(
-        "noisy, absolute",
-        [(False, False), (True, False), (False, True), (True, True)],
-        ids=["False", "True", "False-absolute", "True-absolute"],
-    )
-    def test_batched_grid_matches_pointwise_evolution(self, noisy, absolute):
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_batched_grid_matches_pointwise_evolution(self, noisy):
         noise = pr.default_noise_model() if noisy else evolve.NO_NOISE
-        # about 0.05 omega0 in rad/s on the absolute axis
-        detuning_range = (-3e6, 3e6) if absolute else (-0.05, 0.05)
-        result = pr.robustness_scan("nhqc", PI / 2, detuning_range=detuning_range, resolution=5,
-                                    noise=noise, detuning_absolute=absolute)
+        result = pr.robustness_scan("nhqc", PI / 2, resolution=5, noise=noise)
         spec = pulses.GateSpec(0.0, 0.0, PI / 2)
         sched = pulses.synthesize(spec, pr.DEFAULT_OMEGA0, "nhqc")
         rho_th = density(np.append(ideal_single_qubit(spec) @ pr.SCAN_INITIAL[:2], 0.0))
         rho0 = density(pr.SCAN_INITIAL)
         for i, amp in enumerate(result.amp_axis):
             for j, det in enumerate(result.detuning_axis):
-                fraction = det / pr.DEFAULT_OMEGA0 if absolute else det
-                err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=fraction)
+                err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=det)
                 rho = evolve.evolve_density(rho0, sched, noise, err).states[-1]
                 expected = unattenuated_fidelity(rho_th, rho)
                 assert result.fidelity[i, j] == pytest.approx(expected, abs=1e-13)
