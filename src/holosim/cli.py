@@ -519,13 +519,11 @@ def _cmd_rb(args, params: dict) -> None:
 
 
 def _cmd_scan(args, params: dict) -> None:
-    span = abs(args.error_range)
     omega0 = TWO_PI * args.omega0_mhz * 1e6
     result = protocols.robustness_scan(
         args.scheme,
         args.gamma,
-        amp_range=(-span, span),
-        detuning_range=(-span, span),
+        span=abs(args.error_range),
         resolution=args.resolution,
         noise=_noise_from_args(args),
         config=_integrator_from_args(args),
@@ -534,8 +532,8 @@ def _cmd_scan(args, params: dict) -> None:
     meta = _metadata_lines(params, _config_hash(params))
     # --error-range is a fraction on both axes; --detuning-absolute only
     # reports the detuning axis in rad/s
-    det_axis = result.detuning_axis * omega0 if args.detuning_absolute else result.detuning_axis
-    amp, det = np.meshgrid(result.amp_axis, det_axis, indexing="ij")
+    det_axis = result.axis * omega0 if args.detuning_absolute else result.axis
+    amp, det = np.meshgrid(result.axis, det_axis, indexing="ij")
     _write_table(
         os.path.join(args.out_dir, "scan_grid.csv"),
         meta,

@@ -3,13 +3,16 @@
 Every segment of a schedule has a drive phase phi1(t) that is linear in
 time, so in the co-rotating frame psi = D(t) psi~ with
 D(t) = exp(-i phi1(t) |e><e|) the generator is
-G(t) = D^dag H D - phi1' |e><e|, control errors included.  The frame
-multiplies entry (i, j) of a collapse operator c by
-exp(i phi1 (delta_ie - delta_je)); the engine takes only collapse
-operators whose nonzero entries all share one such phase class, so every
-dissipator is the same in the frame as in the lab, and raises ValueError
-for any other.  One engine propagates every schedule in that frame.  It
-cuts the schedule into pieces at segment boundaries and edge-ramp corners:
+G(t) = D^dag H D - phi1' |e><e|, control errors included.  G does not
+depend on phi1, so the engine writes it straight from the segment
+parameters and the edge-ramp envelope (:func:`_frame_generators`) and
+never forms the lab Hamiltonian H.  The frame multiplies entry (i, j) of
+a collapse operator c by exp(i phi1 (delta_ie - delta_je)); the engine
+takes only collapse operators whose nonzero entries all share one such
+phase class, so every dissipator is the same in the frame as in the lab,
+and raises ValueError for any other.  One engine propagates every
+schedule in that frame.  It cuts the schedule into pieces at segment
+boundaries and edge-ramp corners:
 
 * a constant piece, where the frame generator does not vary, maps by one
   exact exponential per recorded time.  These are the ramp-free stretches
@@ -26,7 +29,9 @@ D(t_end) M D(t_start)^dag, and the pieces are chained.  A propagator or
 channel takes one exponential per constant piece and builds no grid; a
 trajectory records the maps at grid nodes, which the varying pieces step
 through.  The step size therefore sets only the steps of the ramp windows
-and the nodes a trajectory records.
+and the nodes a trajectory records, and it is resolved and checked
+(dt <= duration / 100, rate * dt < 0.01 for the fastest decay rate) only
+there: a full-schedule map of a ramp-free schedule takes no step.
 
 One engine call can cover many schedules.  :func:`gate_channels` builds
 the channels of a list of schedules: the constant pieces of all of them
@@ -51,9 +56,7 @@ import numpy as np
 from .pulses import (
     PulseSchedule,
     Segment,
-    drive_arrays,
     interval_nodes,
-    segment_drive,
     segment_phase,
     segment_table,
     stepping_breaks,
@@ -77,7 +80,7 @@ RECORD_STRIDE = 20
 
 @dataclass(frozen=True)
 class ErrorInjection:
-    """Static control errors applied while assembling the Hamiltonian.
+    """Static control errors of the drive.
 
     ``amp_fraction`` scales both drive amplitudes by (1 + amp_fraction).
     ``detuning_fraction`` adds a diagonal term on the auxiliary level of
@@ -217,48 +220,6 @@ DEFAULT_CONFIG = IntegratorConfig()
 class Trajectory(NamedTuple):
     times: np.ndarray
     states: np.ndarray
-
-
-def _hamiltonians(drive, errors, omega0, dim, levels) -> np.ndarray:
-    """Hamiltonians of ``drive`` samples under each column of ``errors``, (n_err, n, dim, dim).
-
-    ``drive`` is (omega_0e, omega_1e, phi_0, phi_1) at n sample times, as
-    :func:`drive_arrays` gives it; ``errors`` is an :func:`error_table`;
-    ``omega0``, the nominal amplitude that detunings scale with, is one
-    number or one per sample.  ``levels`` maps the Lambda-system
-    roles (|0>, |1>, |e>) onto matrix indices; the |0> slot may be None
-    when that leg of the drive is unused (then it must carry no amplitude).
-    """
-    i0, i1, ie = levels
-    om0e, om1e, phi0, phi1 = drive
-    amp, fraction = errors[:, :, None]
-    scale = 0.5 * (1.0 + amp)
-    h = np.zeros((errors.shape[1], len(phi1), dim, dim), dtype=complex)
-    if i0 is None:
-        if np.max(np.abs(om0e), initial=0.0) > 0.0:
-            raise ValueError("schedule drives the |0> leg but no level is mapped to it")
-    else:
-        h[..., i0, ie] = scale * om0e * np.exp(1j * phi0)
-        h[..., ie, i0] = np.conj(h[..., i0, ie])
-    h[..., i1, ie] = scale * om1e * np.exp(1j * phi1)
-    h[..., ie, i1] = np.conj(h[..., i1, ie])
-    h[..., ie, ie] = fraction * omega0
-    return h
-
-
-def assemble_hamiltonian(
-    schedule: PulseSchedule, t: float, err: ErrorInjection = NO_ERROR
-) -> np.ndarray:
-    """Instantaneous 3x3 qutrit Hamiltonian at time ``t``.
-
-    H = (omega_0e/2) e^{i phi_0} |0><e| + (omega_1e/2) e^{i phi_1} |1><e|
-    + h.c. + delta |e><e|, with drive amplitudes scaled by the injected
-    amplitude error.
-    """
-    if t < 0.0 or t > schedule.duration * (1.0 + 1e-12):
-        raise ValueError(f"time {t} outside schedule window [0, {schedule.duration}]")
-    drive = drive_arrays(schedule, np.array([t]))
-    return _hamiltonians(drive, _one_error(err), schedule.omega0, QUTRIT_DIM, QUTRIT_LEVELS)[0, 0]
 
 
 def _step_propagators(gens: np.ndarray, taus: np.ndarray, ie: int) -> np.ndarray:
@@ -452,20 +413,42 @@ def _pieces(schedule: PulseSchedule) -> list[_Piece]:
 
 
 def _frame_generators(
-    drive, slopes, errors, omega0, dim: int, levels: tuple[Optional[int], int, int]
+    table: np.ndarray,
+    env,
+    errors: np.ndarray,
+    omega0,
+    dim: int,
+    levels: tuple[Optional[int], int, int],
 ) -> np.ndarray:
-    """Frame generators G = D^dag H D - phi1' |e><e| of ``drive`` samples, (n_err, n, d, d).
+    """Frame generators G = D^dag H D - phi1' |e><e| of ``table`` columns, (n_err, n, d, d).
 
-    ``drive``, ``errors`` and ``omega0`` are as in :func:`_hamiltonians`;
-    ``slopes`` is phi1' at each sample (or one value for all).
+    ``table`` is a :func:`segment_table` with one column per generator (or
+    one for all); ``env`` is the edge-ramp factor of each (or one for all);
+    ``errors`` is an :func:`error_table`; ``omega0``, the nominal amplitude
+    that detunings scale with, is one number or one per column.  The common
+    phase phi1 drops out in the frame: with the amplitude scale
+    s = (1 + amp) omega env / 2, G couples |e> to |0> by
+    s sin(theta/2) e^{i phi0_offset} and to |1> by s cos(theta/2), and
+    holds detuning_fraction * omega0 - phi1' on |e>.  ``levels`` maps the
+    Lambda-system roles (|0>, |1>, |e>) onto matrix indices; the |0> slot
+    may be None when that leg of the drive is unused (then it must carry
+    no amplitude).
     """
-    ie = levels[2]
-    gens = _hamiltonians(drive, errors, omega0, dim, levels)
-    turn = np.exp(-1j * drive[3])[:, None]
-    rest = np.arange(dim) != ie
-    gens[:, :, rest, ie] *= turn
-    gens[:, :, ie, rest] *= turn.conj()
-    gens[:, :, ie, ie] -= slopes
+    i0, i1, ie = levels
+    amp, fraction = errors[:, :, None]
+    scale = 0.5 * (1.0 + amp)
+    omega = table[1] * env
+    gens = np.zeros((errors.shape[1], len(omega), dim, dim), dtype=complex)
+    leg0 = omega * np.sin(0.5 * table[4])
+    if i0 is None:
+        if np.any(leg0):
+            raise ValueError("schedule drives the |0> leg but no level is mapped to it")
+    else:
+        gens[..., i0, ie] = scale * leg0 * np.exp(1j * table[5])
+        gens[..., ie, i0] = np.conj(gens[..., i0, ie])
+    gens[..., i1, ie] = scale * (omega * np.cos(0.5 * table[4]))
+    gens[..., ie, i1] = gens[..., i1, ie]
+    gens[..., ie, ie] = fraction * omega0 - table[3]
     return gens
 
 
@@ -540,7 +523,7 @@ def _varying_maps(
         steps = np.diff(nodes)
         wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
         gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
-        gens = _frame_generators(drive_arrays(schedule, gauss), piece.seg.phi1_slope, errors,
+        gens = _frame_generators(segment_table([piece.seg]), schedule.envelope_factor(gauss), errors,
                                  schedule.omega0, dim, levels)
         gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, -1, 2, dim, dim))
 
@@ -569,14 +552,15 @@ def _frame_maps(
     errors: np.ndarray,
     times,
     c_ops: Optional[np.ndarray],
-    dts: Sequence[float],
+    dts: Sequence[Optional[float]],
     dim: int,
     levels: tuple[Optional[int], int, int],
 ) -> list[np.ndarray]:
     """Maps from t = 0 to ascending times in (0, duration] of each schedule, for every error.
 
     ``errors`` is an :func:`error_table` of n_err columns.  ``times[s]`` and
-    the step ``dts[s]`` belong to ``schedules[s]``; times inside a varying
+    the step ``dts[s]`` belong to ``schedules[s]``; the step may be None
+    when the schedule has no varying piece, and times inside a varying
     piece must be nodes of its stepping grid.  Returns one
     (n_err, len(times[s]), m, m) stack per schedule: unitaries (m = d)
     when ``c_ops`` is None, row-major superoperators (m = d^2) otherwise.
@@ -616,9 +600,8 @@ def _frame_maps(
     constant = [(s, k) for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if not p.varying]
     if constant:
         table = segment_table([cuts[s][k].seg for s, k in constant])
-        mids = np.array([0.5 * (cuts[s][k].start + cuts[s][k].end) for s, k in constant])
         omega0 = np.array([schedules[s].omega0 for s, _ in constant])
-        gens = _frame_generators(segment_drive(table, mids), table[3], errors, omega0, dim, levels)
+        gens = _frame_generators(table, 1.0, errors, omega0, dim, levels)
         counts = [len(spans[s][k]) for s, k in constant]
         taus = np.concatenate([spans[s][k] - cuts[s][k].start for s, k in constant])
         gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
@@ -668,6 +651,15 @@ def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorCo
     return dt
 
 
+def _ramp_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> Optional[float]:
+    """The checked step of a full-schedule map, which steps only through edge-ramp windows.
+
+    None on a ramp-free schedule: its map takes no step, so no step size is
+    resolved or checked.
+    """
+    return _checked_dt(schedule, noise, config) if schedule.edge_ramp > 0.0 else None
+
+
 def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
     """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
     nodes = stepping_grid(schedule, dt).nodes
@@ -690,7 +682,7 @@ def error_maps(
     the same batched calls.
     """
     c_ops = noise.scaled_ops(dim)
-    dt = _checked_dt(schedule, noise, config)
+    dt = _ramp_dt(schedule, noise, config)
     c_ops = None if noise.is_empty else c_ops
     return _frame_maps([schedule], errors, [[schedule.duration]], c_ops, [dt], dim, levels)[0][:, 0]
 
@@ -718,9 +710,9 @@ def dt_halving_delta(
     a ramp-free schedule, and no propagator is built there.  ``u`` is
     ``propagator(schedule, config=config)`` when the caller already holds it.
     """
-    dt = config.resolve_dt(schedule.duration)
     if schedule.edge_ramp == 0.0:
         return 0.0
+    dt = config.resolve_dt(schedule.duration)
     if u is None:
         u = propagator(schedule, config=config)
     half = IntegratorConfig(dt=dt / 2.0)
@@ -791,10 +783,11 @@ def gate_channels(
     each is U (x) conj(U) for the schedule propagator U; with noise, the
     chained frame maps.  One engine call covers every schedule, and each
     channel is bitwise the one its schedule gets alone.  Raises, as
-    :func:`gate_channel` does, when any schedule's step is too coarse.
+    :func:`gate_channel` does, when the step of any schedule with an edge
+    ramp is too coarse; a ramp-free schedule takes no step.
     """
     c_ops = noise.scaled_ops(dim)
-    dts = [_checked_dt(schedule, noise, config) for schedule in schedules]
+    dts = [_ramp_dt(schedule, noise, config) for schedule in schedules]
     ends = [[schedule.duration] for schedule in schedules]
     c_ops = None if noise.is_empty else c_ops
     maps = [m[0, 0] for m in _frame_maps(schedules, _one_error(err), ends, c_ops, dts, dim, levels)]

@@ -463,11 +463,11 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
 class ScanResult:
     """Unattenuated fidelity over a control-error grid.
 
-    ``fidelity[i, j]`` corresponds to ``(amp_axis[i], detuning_axis[j])``.
+    ``fidelity[i, j]`` corresponds to amplitude error ``axis[i]`` and
+    detuning error ``axis[j]``.
     """
 
-    amp_axis: np.ndarray
-    detuning_axis: np.ndarray
+    axis: np.ndarray
     fidelity: np.ndarray
 
 
@@ -478,8 +478,7 @@ SCAN_INITIAL = np.array([1.0, -1.0j, 0.0], dtype=complex) / math.sqrt(2.0)
 def robustness_scan(
     scheme: str,
     gamma: float,
-    amp_range: tuple[float, float] = (-0.05, 0.05),
-    detuning_range: tuple[float, float] = (-0.05, 0.05),
+    span: float = 0.05,
     resolution: int = 21,
     noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
@@ -489,22 +488,21 @@ def robustness_scan(
 
     Simulates the gamma phase gate from (|0> - i |1>)/sqrt(2) at every grid
     point and scores the unattenuated fidelity against the ideal output.
-    ``detuning_range`` and the returned detuning axis are fractions of
-    omega0.  The gate maps of all grid points are built in one batch
-    (:func:`holosim.evolve.error_maps`) and scored in one
-    :func:`unattenuated_fidelity` call.
+    Both axes run from -span to span: the amplitude error as a fraction of
+    the amplitude, the detuning as a fraction of omega0.  The gate maps of
+    all grid points are built in one batch (:func:`holosim.evolve.error_maps`)
+    and scored in one :func:`unattenuated_fidelity` call.
     """
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
     spec = GateSpec(theta=0.0, phi=0.0, gamma=gamma)
     schedule = synthesize(spec, omega0, scheme)
-    amp_axis = np.linspace(amp_range[0], amp_range[1], resolution)
-    det_axis = np.linspace(detuning_range[0], detuning_range[1], resolution)
+    axis = np.linspace(-span, span, resolution)
 
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
 
-    errors = _evolve.error_table(*np.meshgrid(amp_axis, det_axis, indexing="ij"))
+    errors = _evolve.error_table(*np.meshgrid(axis, axis, indexing="ij"))
     maps = _evolve.error_maps(schedule, errors, noise, config)
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
@@ -512,7 +510,7 @@ def robustness_scan(
     else:
         rhos = (maps @ density(SCAN_INITIAL).reshape(-1)).reshape(-1, 3, 3)
     fidelity = unattenuated_fidelity(rho_th, rhos).reshape(resolution, resolution)
-    return ScanResult(amp_axis=amp_axis, detuning_axis=det_axis, fidelity=fidelity)
+    return ScanResult(axis=axis, fidelity=fidelity)
 
 
 # ---------------------------------------------------------------------------

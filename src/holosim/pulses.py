@@ -107,16 +107,15 @@ class PulseSchedule:
         if self.edge_ramp < 0.0 or 2.0 * self.edge_ramp > self.duration:
             raise ValueError("edge ramp must satisfy 0 <= 2*ramp <= duration")
 
-    def envelope_factor(self, t: float) -> float:
-        """Edge-ramp multiplier in [0, 1]; identically 1 when edge_ramp is 0."""
+    def envelope_factor(self, t):
+        """Edge-ramp multiplier in [0, 1] at a time or an array of times; 1 when edge_ramp is 0."""
+        t = np.asarray(t, dtype=float)
         r = self.edge_ramp
         if r <= 0.0:
-            return 1.0
-        if t < r:
-            return math.sin(0.5 * math.pi * t / r) ** 2
-        if t > self.duration - r:
-            return math.sin(0.5 * math.pi * (self.duration - t) / r) ** 2
-        return 1.0
+            return np.ones_like(t)
+        # time to the nearer schedule edge: inside a ramp it is below r
+        edge = np.minimum(t, self.duration - t)
+        return np.where(edge < r, np.sin(0.5 * math.pi * edge / r) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -314,47 +313,6 @@ def segment_table(segments) -> np.ndarray:
 def segment_phase(table: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Common drive phase phi1 at ``times``, each in the segment of its ``table`` column."""
     return table[2] + table[3] * (times - table[0])
-
-
-def segment_drive(
-    table: np.ndarray, times: np.ndarray, env=1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_0e, omega_1e, phi_0, phi_1) at ``times``, each in the segment of its ``table`` column.
-
-    ``table`` comes from :func:`segment_table`, one column per time (or one
-    column for all); ``env`` is the edge-ramp factor at each time.
-    """
-    omega = table[1] * env
-    phi1 = segment_phase(table, times)
-    return (
-        omega * np.sin(0.5 * table[4]),
-        omega * np.cos(0.5 * table[4]),
-        phi1 + table[5],
-        phi1,
-    )
-
-
-def drive_arrays(
-    schedule: PulseSchedule, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (omega_0e, omega_1e, phi_0, phi_1) over an array of times.
-
-    Exact segment boundaries take the later segment's values.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.size and (t.min() < -1e-15 or t.max() > schedule.duration * (1.0 + 1e-12)):
-        raise ValueError("sample times outside the schedule window")
-    ends = np.array([seg.t_end for seg in schedule.segments])
-    idx = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
-
-    env = np.ones_like(t)
-    r = schedule.edge_ramp
-    if r > 0.0:
-        rising = t < r
-        falling = t > schedule.duration - r
-        env[rising] = np.sin(0.5 * math.pi * t[rising] / r) ** 2
-        env[falling] = np.sin(0.5 * math.pi * (schedule.duration - t[falling]) / r) ** 2
-    return segment_drive(segment_table(schedule.segments)[:, idx], t, env)
 
 
 class SteppingGrid(NamedTuple):

@@ -58,6 +58,11 @@ def phase_aligned_distance(a, b):
     return float(np.max(np.abs(a - b / phase)))
 
 
+def segments_at(schedule, times):
+    """The segment that holds each of ``times``; an exact boundary takes the later one."""
+    return [next((s for s in schedule.segments if t < s.t_end), schedule.segments[-1]) for t in times]
+
+
 def lab_hamiltonian(schedule, seg, t, dim=3, levels=(0, 1, 2)):
     """Lab-frame H(t) inside ``seg``, from its parameters and the schedule's envelope."""
     i0, i1, ie = levels

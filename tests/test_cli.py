@@ -110,8 +110,8 @@ class TestGateCommand:
             assert sum(flag in line for line in problems) == 1, problems
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # a 50 ns step on a 100 ns schedule violates the step-size contract
-        assert run(tmp_path, "gate", "--dt-ns", "50") == 2
+        # a 50 ns step through the ramps of a 100 ns schedule violates the step-size contract
+        assert run(tmp_path, "gate", "--edge-ramp-ns", "10", "--dt-ns", "50") == 2
 
 
 class TestTrajectoryCommand:
@@ -154,6 +154,28 @@ class TestRBCommand:
     def test_bad_lengths_rejected(self, tmp_path):
         assert run(tmp_path, "rb", "--lengths", "8,4") == 1
         assert run(tmp_path, "rb", "--lengths", "4,8") == 1
+
+
+def data_lines(path):
+    """A written file's lines below its ``#`` metadata lines."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("argv, dt_ns, files", [
+    # each seed draws a recovery gate whose loop lasts under 100 steps of 0.3 ns
+    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "2"), "0.3",
+     ("rb_survival.csv", "rb_summary.txt")),
+    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "3"), "0.3",
+     ("rb_survival.csv", "rb_summary.txt")),
+    (("compare", "--gamma", "0.05"), "0.5", ("compare_summary.txt",)),
+    (("scan", "--gamma", "0.05", "--resolution", "5"), "0.5", ("scan_grid.csv", "scan_summary.txt")),
+], ids=["rb-seed2", "rb-seed3", "compare", "scan"])
+def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, files):
+    # ramp-free gates take no step, so a step too coarse for a short loop is never checked
+    assert run(tmp_path / "default", *argv) == 0
+    assert run(tmp_path / "explicit", *argv, "--dt-ns", dt_ns) == 0
+    for name in files:
+        assert data_lines(tmp_path / "explicit" / name) == data_lines(tmp_path / "default" / name)
 
 
 class TestScanCommand:

@@ -10,7 +10,14 @@ from holosim.gates import ideal_single_qubit
 from holosim.protocols import default_noise_model, t1_limited_noise_model
 from holosim.quantum import average_gate_fidelity, basis_state, density
 
-from conftest import OMEGA0, ivp_evolve, phase_aligned_distance, random_gate_spec
+from conftest import (
+    OMEGA0,
+    ivp_evolve,
+    lab_hamiltonian,
+    phase_aligned_distance,
+    random_gate_spec,
+    segments_at,
+)
 
 PI = math.pi
 
@@ -20,39 +27,42 @@ def zero_schedule(duration=100e-9):
     return pulses.PulseSchedule(duration=duration, segments=(seg,), omega0=OMEGA0)
 
 
+def frame_generator(sched, t, err=evolve.NO_ERROR):
+    """The engine's qutrit frame generator at time ``t`` of ``sched``."""
+    table = pulses.segment_table(segments_at(sched, [t]))
+    errors = evolve.error_table(err.amp_fraction, err.detuning_fraction)
+    env = sched.envelope_factor(np.array([t]))
+    return evolve._frame_generators(table, env, errors, sched.omega0, 3, evolve.QUTRIT_LEVELS)[0, 0]
+
+
 class TestAssembleHamiltonian:
+    """The frame Hamiltonian G, written from the segment parameters."""
+
     def test_zero_drive_gives_zero_matrix(self):
-        h = evolve.assemble_hamiltonian(zero_schedule(), 50e-9)
-        assert np.allclose(h, 0.0)
+        assert np.array_equal(frame_generator(zero_schedule(), 50e-9), np.zeros((3, 3)))
 
     def test_sqrt_x_magnitudes(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        h = evolve.assemble_hamiltonian(sched, 0.4 * sched.duration)
+        g = frame_generator(sched, 0.4 * sched.duration)
         expected = 2 * PI * 6.124e6 / 2
-        assert abs(h[0, 2]) == pytest.approx(expected, rel=1e-4)
-        assert abs(h[1, 2]) == pytest.approx(expected, rel=1e-4)
-        assert np.allclose(h, h.conj().T)
+        assert abs(g[0, 2]) == pytest.approx(expected, rel=1e-4)
+        assert abs(g[1, 2]) == pytest.approx(expected, rel=1e-4)
+        assert np.array_equal(g, g.conj().T)
 
     def test_amplitude_error_scales_off_diagonals(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        h0 = evolve.assemble_hamiltonian(sched, 10e-9)
-        h1 = evolve.assemble_hamiltonian(
-            sched, 10e-9, evolve.ErrorInjection(amp_fraction=0.05)
-        )
-        assert abs(h1[0, 2]) == pytest.approx(1.05 * abs(h0[0, 2]), rel=1e-14)
-        assert abs(h1[1, 2]) == pytest.approx(1.05 * abs(h0[1, 2]), rel=1e-14)
+        g0 = frame_generator(sched, 10e-9)
+        g1 = frame_generator(sched, 10e-9, evolve.ErrorInjection(amp_fraction=0.05))
+        assert abs(g1[0, 2]) == pytest.approx(1.05 * abs(g0[0, 2]), rel=1e-14)
+        assert abs(g1[1, 2]) == pytest.approx(1.05 * abs(g0[1, 2]), rel=1e-14)
 
     def test_detuning_lands_on_auxiliary_level(self, sqrt_x_spec):
+        # next to the frame's -phi1' on |e>
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         err = evolve.ErrorInjection(detuning_fraction=0.03)
-        h = evolve.assemble_hamiltonian(sched, 10e-9, err)
-        assert h[2, 2].real == pytest.approx(0.03 * OMEGA0, rel=1e-14)
-        assert h[0, 0] == 0.0 and h[1, 1] == 0.0
-
-    def test_time_out_of_range(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        with pytest.raises(ValueError, match="outside"):
-            evolve.assemble_hamiltonian(sched, 2 * sched.duration)
+        shift = frame_generator(sched, 10e-9, err) - frame_generator(sched, 10e-9)
+        assert shift[2, 2].real == pytest.approx(0.03 * OMEGA0, rel=1e-14)
+        assert np.count_nonzero(shift) == 1
 
 
 class TestPropagator:
@@ -594,14 +604,53 @@ class TestClosedFormExponential:
         for scheme in pulses.SCHEMES:
             sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=5e-9)
             times = rng.uniform(0.0, sched.duration, size=50)
-            drive = pulses.drive_arrays(sched, times)
+            table = pulses.segment_table(segments_at(sched, times))
             errors = evolve.error_table(rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 7))
-            slopes = rng.normal(size=50) * OMEGA0
-            gens = evolve._frame_generators(drive, slopes, errors, sched.omega0, dim, levels)
+            gens = evolve._frame_generators(table, sched.envelope_factor(times), errors,
+                                            sched.omega0, dim, levels)
             rest = np.arange(dim) != levels[2]
             assert np.abs(gens[:, :, levels[1], levels[2]]).max() > 0.0
             assert not np.any(gens[:, :, rest][:, :, :, rest])
             assert np.array_equal(gens, gens.conj().swapaxes(-1, -2))
+
+
+class TestFrameGenerator:
+    """G from the segment parameters against the rotated lab Hamiltonian."""
+
+    @pytest.mark.parametrize("dim, levels", MODELS)
+    @pytest.mark.parametrize("edge_ramp", [0.0, 5e-9])
+    def test_matches_rotated_lab_hamiltonian(self, rng, dim, levels, edge_ramp):
+        # G = D^dag H D - phi1' |e><e| with H = (1 + amp) H_lab + detuning omega0 |e><e|
+        ie = levels[2]
+        spec = random_gate_spec(rng)
+        if levels[0] is None:
+            spec = pulses.GateSpec(0.0, 0.0, spec.gamma)
+        amps, dets = rng.uniform(-0.3, 0.3, 4), rng.uniform(-0.3, 0.3, 4)
+        errors = evolve.error_table(amps, dets)
+        for scheme in pulses.SCHEMES:
+            sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=edge_ramp)
+            times = rng.uniform(0.0, sched.duration, size=40)
+            segs = segments_at(sched, times)
+            gens = evolve._frame_generators(pulses.segment_table(segs), sched.envelope_factor(times),
+                                            errors, sched.omega0, dim, levels)
+            for k, (t, seg) in enumerate(zip(times, segs)):
+                d = np.ones(dim, dtype=complex)
+                d[ie] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
+                for e, (amp, det) in enumerate(zip(amps, dets)):
+                    h = (1.0 + amp) * lab_hamiltonian(sched, seg, t, dim, levels)
+                    h[ie, ie] += det * OMEGA0
+                    expected = d.conj()[:, None] * h * d
+                    expected[ie, ie] -= seg.phi1_slope
+                    # the reference rounds phases of up to ~5 pi: a few eps of its scale
+                    bound = 16.0 * np.finfo(float).eps * np.abs(expected).max()
+                    assert np.max(np.abs(gens[e, k] - expected)) <= bound
+
+    @pytest.mark.parametrize("edge_ramp", [0.0, 5e-9])
+    def test_driven_unmapped_zero_leg_raises(self, edge_ramp):
+        # theta != 0 drives |0>, which the two-level pair model has no level for
+        sched = pulses.synthesize(pulses.GateSpec(1.0, 0.0, 2.0), OMEGA0, "tounhqc", edge_ramp=edge_ramp)
+        with pytest.raises(ValueError, match="no level is mapped"):
+            evolve.propagator(sched, dim=2, levels=(None, 0, 1))
 
 
 def test_step_propagators_unitary_for_many_random_frame_generators(rng):
@@ -668,9 +717,7 @@ class TestPadeExpm:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_liouvillians(self, scheme):
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        mids = np.array([0.5 * (seg.t_start + seg.t_end) for seg in sched.segments])
-        slopes = np.array([seg.phi1_slope for seg in sched.segments])
-        gens = evolve._frame_generators(pulses.drive_arrays(sched, mids), slopes, evolve.error_table(),
+        gens = evolve._frame_generators(pulses.segment_table(sched.segments), 1.0, evolve.error_table(),
                                         OMEGA0, 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
         dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))
@@ -744,9 +791,10 @@ class TestGateChannels:
                 assert np.array_equal(got, np.kron(u, u.conj()))
 
     def test_any_bad_schedule_raises_as_gate_channel(self, rng):
+        # only schedules with an edge ramp take steps, so only they are checked
         scheds = self.schedules(rng)
         # a 68 ns loop among loops of at least 100 ns: only it is too short for 0.9 ns steps
-        short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
+        short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc", edge_ramp=10e-9)
         coarse = evolve.IntegratorConfig(dt=0.9e-9)
         with pytest.raises(ValueError, match="too coarse") as single:
             evolve.gate_channel(short, config=coarse)
@@ -754,10 +802,22 @@ class TestGateChannels:
             evolve.gate_channels([*scheds[:5], short, *scheds[5:]], config=coarse)
         assert str(batched.value) == str(single.value)
         # a 462 ns loop resolves to 0.23 ns steps, the only ones too long for 5e7/s
-        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc")
+        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc", edge_ramp=10e-9)
         fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
         with pytest.raises(ValueError, match="step size violation") as single:
             evolve.gate_channel(slow, fast)
         with pytest.raises(ValueError) as batched:
             evolve.gate_channels([*scheds[:5], slow, *scheds[5:]], fast)
         assert str(batched.value) == str(single.value)
+
+    def test_ramp_free_schedule_takes_no_step(self):
+        # the steps that would be rejected on a ramp do not exist without one
+        short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
+        coarse = evolve.IntegratorConfig(dt=0.9e-9)
+        assert np.array_equal(evolve.gate_channel(short, config=coarse), evolve.gate_channel(short))
+        assert evolve.dt_halving_delta(short, coarse) == 0.0
+        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc")
+        fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
+        assert np.array_equal(evolve.gate_channel(slow, fast, config=coarse), evolve.gate_channel(slow, fast))
+        with pytest.raises(ValueError, match="too coarse"):
+            evolve.evolve_pure(np.eye(3)[0], short, config=coarse)

@@ -391,8 +391,8 @@ class TestRobustnessScan:
         sched = pulses.synthesize(spec, pr.DEFAULT_OMEGA0, "nhqc")
         rho_th = density(np.append(ideal_single_qubit(spec) @ pr.SCAN_INITIAL[:2], 0.0))
         rho0 = density(pr.SCAN_INITIAL)
-        for i, amp in enumerate(result.amp_axis):
-            for j, det in enumerate(result.detuning_axis):
+        for i, amp in enumerate(result.axis):
+            for j, det in enumerate(result.axis):
                 err = evolve.ErrorInjection(amp_fraction=amp, detuning_fraction=det)
                 rho = evolve.evolve_density(rho0, sched, noise, err).states[-1]
                 expected = unattenuated_fidelity(rho_th, rho)

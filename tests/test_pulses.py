@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from holosim import pulses
+from holosim import evolve, pulses
 
-from conftest import OMEGA0, random_gate_spec
+from conftest import OMEGA0, random_gate_spec, segments_at
 
 PI = math.pi
 
@@ -181,23 +181,34 @@ class TestGeometricPhase:
 
 
 def sample(sched, n):
-    """Drive values on n + 1 uniform times from 0 to the schedule's end."""
+    """Segment columns and error-free frame generators on n + 1 uniform times over the schedule.
+
+    Exact segment boundaries take the later segment.
+    """
     times = np.linspace(0.0, sched.duration, n + 1)
-    return times, pulses.drive_arrays(sched, times)
+    table = pulses.segment_table(segments_at(sched, times))
+    gens = evolve._frame_generators(table, sched.envelope_factor(times), evolve.error_table(),
+                                    sched.omega0, 3, evolve.QUTRIT_LEVELS)[0]
+    return times, table, gens
+
+
+def legs(gens):
+    """The drive amplitudes omega_0e and omega_1e of frame generators."""
+    return 2.0 * np.abs(gens[:, 0, 2]), 2.0 * np.abs(gens[:, 1, 2])
 
 
 class TestSampling:
     def test_constant_segment_constant_samples(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        times, (om0e, _, _, _) = sample(sched, 50)
-        assert np.ptp(om0e) == pytest.approx(0.0, abs=1e-9)
+        times, _, gens = sample(sched, 50)
+        assert np.all(gens == gens[0])
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(sched.duration, rel=1e-15)
 
     def test_sqrt_x_amplitudes_match_hardware_value(self, sqrt_x_spec):
         # theta = pi/2 splits 8.660 MHz into 6.124 MHz on both legs
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        _, (om0e, om1e, _, _) = sample(sched, 10)
+        om0e, om1e = legs(sample(sched, 10)[2])
         mhz = om0e / (2 * PI * 1e6)
         assert np.allclose(mhz, 6.124, atol=5e-4)
         assert np.allclose(om0e, om1e, atol=1e-6)
@@ -206,7 +217,8 @@ class TestSampling:
         # the midpoint node takes the later segment's values
         gamma = PI / 4
         sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, gamma), OMEGA0)
-        times, (_, _, _, phi1) = sample(sched, 10)
+        times, table, _ = sample(sched, 10)
+        phi1 = pulses.segment_phase(table, times)
         mid = len(times) // 2
         assert phi1[mid] - phi1[mid - 1] == pytest.approx(gamma - PI, rel=1e-12)
         assert phi1[mid] == phi1[-1]
@@ -215,16 +227,33 @@ class TestSampling:
         # omega_0e^2 + omega_1e^2 = omega^2 including ramped envelopes
         spec = random_gate_spec(rng)
         sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=5e-9)
-        times, (om0e, om1e, _, _) = sample(sched, 500)
+        times, _, gens = sample(sched, 500)
+        om0e, om1e = legs(gens)
         env = np.array([sched.envelope_factor(tk) for tk in times])
         assert np.allclose(om0e**2 + om1e**2, (OMEGA0 * env) ** 2, rtol=1e-12, atol=1e-12)
 
     def test_phase_difference_fixed_between_legs(self, rng):
-        # phi_0 - phi_1 is constant: the dark state stays decoupled
+        # the legs' relative phase phi_0 - phi_1 is constant: the dark state stays decoupled
         spec = random_gate_spec(rng)
         sched = pulses.synthesize_tounhqc(spec, OMEGA0)
-        _, (_, _, phi0, phi1) = sample(sched, 200)
-        assert np.ptp(phi0 - phi1) < 1e-12
+        _, _, gens = sample(sched, 200)
+        assert np.ptp(np.angle(gens[:, 0, 2] * gens[:, 1, 2].conj())) < 1e-12
+
+
+class TestEnvelope:
+    def test_sin_squared_ramps_and_flat_top(self):
+        sched = pulses.synthesize_tounhqc(pulses.GateSpec(1.0, 0.0, 2.0), OMEGA0, edge_ramp=10e-9)
+        r, total = sched.edge_ramp, sched.duration
+        times = np.array([0.0, 0.5 * r, r, 0.5 * total, total - 0.5 * r, total])
+        assert np.allclose(sched.envelope_factor(times), [0.0, 0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-15)
+        scalars = [sched.envelope_factor(t) for t in times]
+        assert np.array_equal(sched.envelope_factor(times), scalars)
+
+    def test_ramp_free_envelope_is_one(self, sqrt_x_spec):
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+        times = np.linspace(0.0, sched.duration, 7)
+        assert np.array_equal(sched.envelope_factor(times), np.ones(7))
+        assert sched.envelope_factor(0.0) == 1.0
 
 
 class TestSteppingGrid:
