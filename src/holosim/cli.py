@@ -258,6 +258,12 @@ def _validate_common(args, problems: list[str]) -> None:
         if value is not None and math.isfinite(value) and not value > 0.0:
             flag = "--" + dest.replace("_", "-")
             problems.append(f"{flag} must be positive, got {value}")
+    # so weak a drive that its longest loop, 2 pi / omega, overflows in ns has no times
+    for dest in ("omega0_mhz", "g_eff_mhz"):
+        mhz = getattr(args, dest, None)
+        if mhz is not None and mhz > 0.0 and not math.isfinite(nhqc_duration(TWO_PI * mhz * 1e6) * 1e9):
+            problems.append(f"--{dest.replace('_', '-')} is too small: its 2 pi / omega loop "
+                            f"overflows in ns, got {mhz}")
     # an amplitude factor 1 + error at or below 0 turns the drive off or flips it
     amp_error = getattr(args, "amp_error", 0.0)
     if math.isfinite(amp_error) and amp_error <= -1.0:
@@ -427,13 +433,9 @@ def _cmd_trajectory(args, params: dict) -> None:
 def _cmd_ramsey(args, params: dict) -> None:
     model = twoqubit.CompositeModel(g_eff=TWO_PI * args.g_eff_mhz * 1e6)
     thetas = np.linspace(0.0, TWO_PI, args.points, endpoint=False)
-    kwargs = dict(
-        noise=_noise_from_args_5d(args),
-        config=_integrator_from_args(args),
-        scheme=args.scheme,
-    )
-    fringe_on = twoqubit.ramsey_protocol(model, True, args.gamma, thetas, **kwargs)
-    fringe_off = twoqubit.ramsey_protocol(model, False, args.gamma, thetas, **kwargs)
+    noise = _noise_from_args_5d(args)
+    fringe_on = twoqubit.ramsey_protocol(model, True, args.gamma, thetas, noise, args.scheme)
+    fringe_off = twoqubit.ramsey_protocol(model, False, args.gamma, thetas, noise, args.scheme)
     shift = twoqubit.ramsey_phase_shift(fringe_on, fringe_off)
 
     meta = _metadata_lines(params, _config_hash(params))
@@ -476,7 +478,6 @@ def _cmd_rb(args, params: dict) -> None:
         noise=_noise_from_args(args),
         err=_err_from_args(args),
         omega0=TWO_PI * args.omega0_mhz * 1e6,
-        integrator=_integrator_from_args(args),
         shots=args.shots,
     )
     result = protocols.rb_run(config)
@@ -526,7 +527,6 @@ def _cmd_scan(args, params: dict) -> None:
         span=abs(args.error_range),
         resolution=args.resolution,
         noise=_noise_from_args(args),
-        config=_integrator_from_args(args),
         omega0=omega0,
     )
     meta = _metadata_lines(params, _config_hash(params))
@@ -560,7 +560,6 @@ def _cmd_compare(args, params: dict) -> None:
         omega0=TWO_PI * args.omega0_mhz * 1e6,
         noise=noise,
         err=_err_from_args(args),
-        config=_integrator_from_args(args),
     )
     meta = _metadata_lines(params, _config_hash(params))
     entries = [
@@ -604,7 +603,7 @@ _COMMON = {
     "--out-dir": _Flag(str, ".", "output directory"),
     "--seed": _Flag(int, 0),
     "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads"),
-    "--dt-ns": _Flag(float, None, "integration step (ns)"),
+    "--dt-ns": _Flag(float, None, "step (ns) of edge-ramp windows and of the trajectory grid"),
     "--shots": _Flag(int, None, "binomial sampling count"),
 }
 

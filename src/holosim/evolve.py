@@ -33,11 +33,15 @@ and the nodes a trajectory records, and it is resolved and checked
 (dt <= duration / 100, rate * dt < 0.01 for the fastest decay rate) only
 there: a full-schedule map of a ramp-free schedule takes no step.
 
-One engine call can cover many schedules.  :func:`gate_channels` builds
-the channels of a list of schedules: the constant pieces of all of them
-are exponentiated in one batched call, and piece k of every schedule is
-rebased and chained in one step.  :func:`gate_channel` is its
-one-schedule case, so a channel is bitwise the same alone or in a batch.
+:func:`_frame_maps` is the engine's one entry point.  It alone turns the
+noise model into collapse operators and checks their phase class,
+applies the step rule, and lifts noiseless unitaries to channels
+U (x) conj(U); every public function is a view of it.  One call can
+cover many schedules.  :func:`gate_channels` builds the channels of a
+list of schedules: the constant pieces of all of them are exponentiated
+in one batched call, and piece k of every schedule is rebased and chained
+in one step.  :func:`gate_channel` is its one-schedule case, so a channel
+is bitwise the same alone or in a batch.
 
 Every frame generator is zero outside the |e> row and column, so its
 exponential has a closed form, computed elementwise over the whole stack
@@ -122,8 +126,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for op, rate in self.collapse_ops:
-            if rate < 0.0:
-                raise ValueError(f"collapse rate must be non-negative, got {rate}")
+            # a NaN rate would pass "rate < 0" and then count as no noise
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"collapse rate must be finite and non-negative, got {rate}")
             mat = np.asarray(op)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError("collapse operators must be square matrices")
@@ -547,41 +552,72 @@ def _varying_maps(
     return out
 
 
+def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> float:
+    """Resolved step size, rejecting steps too coarse for the fastest decay rate."""
+    dt = config.resolve_dt(schedule.duration)
+    if noise.max_rate * dt >= MAX_RATE_DT:
+        raise ValueError(
+            f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
+            f"must stay below {MAX_RATE_DT}"
+        )
+    return dt
+
+
+def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
+    """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
+    nodes = stepping_grid(schedule, dt).nodes
+    n = len(nodes) - 1
+    return nodes[np.append(np.arange(0, n, RECORD_STRIDE), n)]
+
+
 def _frame_maps(
     schedules: Sequence[PulseSchedule],
     errors: np.ndarray,
-    times,
-    c_ops: Optional[np.ndarray],
-    dts: Sequence[Optional[float]],
+    noise: NoiseModel,
+    config: IntegratorConfig,
     dim: int,
     levels: tuple[Optional[int], int, int],
-) -> list[np.ndarray]:
-    """Maps from t = 0 to ascending times in (0, duration] of each schedule, for every error.
+    record: bool = False,
+    superop: bool = False,
+) -> list[Trajectory]:
+    """The engine: maps from t = 0 of each schedule, for every error.
 
-    ``errors`` is an :func:`error_table` of n_err columns.  ``times[s]`` and
-    the step ``dts[s]`` belong to ``schedules[s]``; the step may be None
-    when the schedule has no varying piece, and times inside a varying
-    piece must be nodes of its stepping grid.  Returns one
-    (n_err, len(times[s]), m, m) stack per schedule: unitaries (m = d)
-    when ``c_ops`` is None, row-major superoperators (m = d^2) otherwise.
-    The exponentials of the constant pieces of every schedule, error and
-    time come from one batched call, and piece k of every schedule is
-    rebased and chained in one step.  Raises ValueError when the nonzero
-    entries of a collapse operator do not share one phase class.
+    ``errors`` is an :func:`error_table` of n_err columns.  By default each
+    schedule's map is taken at its end; with ``record``, at the recorded
+    grid nodes after t = 0 (:func:`_recorded_times`).  Returns one
+    Trajectory per schedule, whose states are the (n_err, len(times), m, m)
+    maps at its times: unitaries (m = d) when ``noise`` is empty, row-major
+    superoperators (m = d^2) otherwise, or U (x) conj(U) for ``superop``
+    without noise.  A step is resolved and checked (:func:`_checked_dt`)
+    only where the grid is used.  The exponentials of the constant pieces
+    of every schedule, error and time come from one batched call, and
+    piece k of every schedule is rebased and chained in one step.  Raises
+    ValueError when the nonzero entries of a collapse operator do not
+    share one phase class.
     """
-    if c_ops is not None and not _covariant(c_ops, levels[2]):
+    c_ops = noise.scaled_ops(dim)
+    # a full-schedule map steps only through the edge-ramp windows, so a
+    # ramp-free schedule resolves and checks no step
+    dts = [
+        _checked_dt(schedule, noise, config) if record or schedule.edge_ramp > 0.0 else None
+        for schedule in schedules
+    ]
+    times = [
+        _recorded_times(schedule, dt)[1:] if record else np.array([schedule.duration])
+        for schedule, dt in zip(schedules, dts)
+    ]
+    noisy = not noise.is_empty
+    if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
             "collapse operators must share one phase class: the nonzero entries (i, j) "
             f"of each must have the same delta_ie - delta_je, with e = {levels[2]}"
         )
-    dissipator = None if c_ops is None else _dissipator(c_ops)
-    noisy = c_ops is not None
+    dissipator = _dissipator(c_ops) if noisy else None
     m = dim * dim if noisy else dim
     cuts = [_pieces(schedule) for schedule in schedules]
     # each piece's own times, plus its end when another piece follows
     owned, spans = [], []
     for pieces, at in zip(cuts, times):
-        at = np.asarray(at, dtype=float)
         owner = np.minimum(np.searchsorted([p.end for p in pieces], at), len(pieces) - 1)
         owned.append([np.count_nonzero(owner == k) for k in range(len(pieces))])
         spans.append([
@@ -632,39 +668,19 @@ def _frame_maps(
             out[s].append(maps[:, lo : lo + owned[s][k]])
             lo += count
             start[s] = maps[:, lo - 1]
-    return [np.concatenate(parts, axis=1) for parts in out]
+    maps = [np.concatenate(parts, axis=1) for parts in out]
+    if superop and not noisy:
+        # U (x) conj(U) as one broadcast product, bitwise equal to np.kron
+        maps = [
+            (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*u.shape[:2], m * m, m * m)
+            for u in maps
+        ]
+    return [Trajectory(at, stack) for at, stack in zip(times, maps)]
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Public entry points: views of the engine
 # ---------------------------------------------------------------------------
-
-
-def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> float:
-    """Resolved step size, rejecting steps too coarse for the fastest decay rate."""
-    dt = config.resolve_dt(schedule.duration)
-    if noise.max_rate * dt >= MAX_RATE_DT:
-        raise ValueError(
-            f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
-            f"must stay below {MAX_RATE_DT}"
-        )
-    return dt
-
-
-def _ramp_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> Optional[float]:
-    """The checked step of a full-schedule map, which steps only through edge-ramp windows.
-
-    None on a ramp-free schedule: its map takes no step, so no step size is
-    resolved or checked.
-    """
-    return _checked_dt(schedule, noise, config) if schedule.edge_ramp > 0.0 else None
-
-
-def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
-    """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
-    nodes = stepping_grid(schedule, dt).nodes
-    n = len(nodes) - 1
-    return nodes[np.append(np.arange(0, n, RECORD_STRIDE), n)]
 
 
 def error_maps(
@@ -681,10 +697,7 @@ def error_maps(
     superoperators (n_err, d^2, d^2).  Every error's exponentials come from
     the same batched calls.
     """
-    c_ops = noise.scaled_ops(dim)
-    dt = _ramp_dt(schedule, noise, config)
-    c_ops = None if noise.is_empty else c_ops
-    return _frame_maps([schedule], errors, [[schedule.duration]], c_ops, [dt], dim, levels)[0][:, 0]
+    return _frame_maps([schedule], errors, noise, config, dim, levels)[0].states[:, 0]
 
 
 def propagator(
@@ -729,13 +742,13 @@ def evolve_pure(
 ) -> Trajectory:
     """Propagate a pure state, recording every ``RECORD_STRIDE``-th grid node."""
     psi = np.asarray(psi0, dtype=complex)
+    if psi.shape != (dim,):
+        raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    dt = _checked_dt(schedule, NO_NOISE, config)
-    times = _recorded_times(schedule, dt)
-    states = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0] @ psi
-    return Trajectory(times=times, states=np.concatenate([psi[None], states]))
+    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, config, dim, levels, record=True)[0]
+    return Trajectory(np.append(0.0, times), np.concatenate([psi[None], maps[0] @ psi]))
 
 
 def evolve_density(
@@ -757,16 +770,10 @@ def evolve_density(
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
-    c_ops = noise.scaled_ops(dim)
-    dt = _checked_dt(schedule, noise, config)
-    times = _recorded_times(schedule, dt)
-    if noise.is_empty:
-        u = _frame_maps([schedule], _one_error(err), [times[1:]], None, [dt], dim, levels)[0][0]
-        states = u @ rho @ u.conj().transpose(0, 2, 1)
-    else:
-        maps = _frame_maps([schedule], _one_error(err), [times[1:]], c_ops, [dt], dim, levels)[0][0]
-        states = (maps @ rho.reshape(-1)).reshape(-1, dim, dim)
-    return Trajectory(times=times, states=np.concatenate([rho[None], states]))
+    times, maps = _frame_maps([schedule], _one_error(err), noise, config, dim, levels,
+                              record=True, superop=True)[0]
+    states = (maps[0] @ rho.reshape(-1)).reshape(-1, dim, dim)
+    return Trajectory(np.append(0.0, times), np.concatenate([rho[None], states]))
 
 
 def gate_channels(
@@ -786,14 +793,8 @@ def gate_channels(
     :func:`gate_channel` does, when the step of any schedule with an edge
     ramp is too coarse; a ramp-free schedule takes no step.
     """
-    c_ops = noise.scaled_ops(dim)
-    dts = [_ramp_dt(schedule, noise, config) for schedule in schedules]
-    ends = [[schedule.duration] for schedule in schedules]
-    c_ops = None if noise.is_empty else c_ops
-    maps = [m[0, 0] for m in _frame_maps(schedules, _one_error(err), ends, c_ops, dts, dim, levels)]
-    if c_ops is None:
-        return np.array([np.kron(u, u.conj()) for u in maps])
-    return np.array(maps)
+    out = _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True)
+    return np.array([maps[0, 0] for _, maps in out])
 
 
 def gate_channel(

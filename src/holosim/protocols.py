@@ -248,7 +248,6 @@ class RBConfig:
     noise: NoiseModel = NO_NOISE
     err: ErrorInjection = NO_ERROR
     omega0: float = DEFAULT_OMEGA0
-    integrator: IntegratorConfig = DEFAULT_CONFIG
     shots: Optional[int] = None
 
     def __post_init__(self):
@@ -293,14 +292,12 @@ class SimulatedSequenceExecutor:
         omega0: float,
         noise: NoiseModel = NO_NOISE,
         err: ErrorInjection = NO_ERROR,
-        config: IntegratorConfig = DEFAULT_CONFIG,
         extra_cached: Sequence[Optional[GateSpec]] = (),
     ):
         self.scheme = scheme
         self.omega0 = omega0
         self.noise = noise
         self.err = err
-        self.config = config
         self._cache: dict[GateSpec, np.ndarray] = {}
         cacheable = {compile_clifford(i) for i in range(24)}
         cacheable.update(extra_cached)
@@ -322,7 +319,7 @@ class SimulatedSequenceExecutor:
         built = {}
         if missing:
             schedules = [synthesize(spec, self.omega0, self.scheme) for spec in missing]
-            channels = gate_channels(schedules, self.noise, self.err, self.config)
+            channels = gate_channels(schedules, self.noise, self.err)
             built = dict(zip(missing, channels))
         built.update(self._cache)
         eye = np.eye(9, dtype=complex)
@@ -425,7 +422,6 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
         config.omega0,
         config.noise,
         config.err,
-        config.integrator,
         extra_cached=(config.interleaved_target,),
     )
     gates, sequences, streams = _draw_sequences(config)
@@ -481,7 +477,6 @@ def robustness_scan(
     span: float = 0.05,
     resolution: int = 21,
     noise: NoiseModel = NO_NOISE,
-    config: IntegratorConfig = DEFAULT_CONFIG,
     omega0: float = DEFAULT_OMEGA0,
 ) -> ScanResult:
     """Phase-gate fidelity versus amplitude and detuning control errors.
@@ -503,7 +498,7 @@ def robustness_scan(
     rho_th = density(np.append(ideal, 0.0))
 
     errors = _evolve.error_table(*np.meshgrid(axis, axis, indexing="ij"))
-    maps = _evolve.error_maps(schedule, errors, noise, config)
+    maps = _evolve.error_maps(schedule, errors, noise)
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
         rhos = np.einsum("ni,nj->nij", psis, psis.conj())
@@ -562,7 +557,6 @@ def compare_schemes(
     omega0: float = DEFAULT_OMEGA0,
     noise: NoiseModel = NO_NOISE,
     err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> SchemeComparison:
     """Head-to-head phase-gate comparison under identical noise and error."""
     spec = GateSpec(theta=0.0, phi=0.0, gamma=gamma)
@@ -572,7 +566,7 @@ def compare_schemes(
     taus = {scheme: schedule.duration for scheme, schedule in zip(schemes, schedules)}
     errors = {
         scheme: 1.0 - average_channel_fidelity(_qubit_block_superop(channel), ideal)
-        for scheme, channel in zip(schemes, gate_channels(schedules, noise, err, config))
+        for scheme, channel in zip(schemes, gate_channels(schedules, noise, err))
     }
     e_t, e_n = errors["tounhqc"], errors["nhqc"]
     if e_t < 1e-5 and e_n < 1e-5:

@@ -92,8 +92,8 @@ class PulseSchedule:
     edge_ramp: float = 0.0
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("schedule duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"schedule duration must be positive and finite, got {self.duration}")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         if abs(self.segments[0].t_start) > 1e-15 * self.duration:

@@ -23,7 +23,6 @@ from .evolve import (
     ErrorInjection,
     IntegratorConfig,
     NoiseModel,
-    Trajectory,
 )
 from .pulses import GateSpec, PulseSchedule, synthesize
 from .quantum import basis_state
@@ -79,8 +78,9 @@ def cphase_propagator(
     smallest computational-basis probability of remaining in the
     computational subspace.  Spectator entries are exactly 1 because the
     drive acts only on the |01> <-> |a> pair.  The propagator is
-    noiseless; :func:`population_trace` and :func:`ramsey_protocol` take
-    noise.
+    noiseless; :func:`ramsey_protocol` takes noise, and
+    :func:`holosim.evolve.evolve_density` with ``dim=DIM, levels=LEVELS``
+    traces the five populations under it.
     """
     # Propagate the driven 2x2 pair and embed, keeping spectators exact.
     pair = evolve.propagator(schedule, err, config, dim=2, levels=(None, 0, 1))
@@ -91,30 +91,6 @@ def cphase_propagator(
     stay = np.sum(np.abs(u5[:4, :4]) ** 2, axis=0)
     leakage = float(1.0 - stay.min())
     return u4, leakage
-
-
-def population_trace(
-    model: CompositeModel,
-    schedule: PulseSchedule,
-    initial: np.ndarray,
-    noise: NoiseModel = NO_NOISE,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-) -> Trajectory:
-    """Time series of populations over (|00>, |01>, |10>, |11>, |a>).
-
-    ``Trajectory.states`` holds rows of the five populations.
-    """
-    psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (DIM,):
-        raise ValueError(f"initial state must have dimension {DIM}")
-    if noise.is_empty:
-        traj = evolve.evolve_pure(psi, schedule, config=config, dim=DIM, levels=LEVELS)
-        pops = np.abs(traj.states) ** 2
-    else:
-        rho0 = np.outer(psi, psi.conj())
-        traj = evolve.evolve_density(rho0, schedule, noise, config=config, dim=DIM, levels=LEVELS)
-        pops = np.einsum("nii->ni", traj.states).real
-    return Trajectory(times=traj.times, states=pops)
 
 
 def _analysis_half_pi(theta_axis: float | np.ndarray) -> np.ndarray:
@@ -141,7 +117,6 @@ def ramsey_protocol(
     gamma: float,
     theta_grid: Sequence[float],
     noise: NoiseModel = NO_NOISE,
-    config: IntegratorConfig = DEFAULT_CONFIG,
     scheme: str = "tounhqc",
 ) -> list[tuple[float, float]]:
     """Ramsey fringe of the target qubit with the conditioned-phase gate on/off.
@@ -159,7 +134,7 @@ def ramsey_protocol(
     rho = np.outer(psi0, psi0.conj())
     if gate_on:
         schedule = build_cphase_schedule(gamma, model.g_eff, scheme)
-        channel = evolve.gate_channel(schedule, noise, config=config, dim=DIM, levels=LEVELS)
+        channel = evolve.gate_channel(schedule, noise, dim=DIM, levels=LEVELS)
         rho = evolve.apply_superop(channel, rho)
 
     excited = np.zeros(DIM)

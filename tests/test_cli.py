@@ -71,7 +71,7 @@ class TestGateCommand:
         # dt_halving_delta is exactly 0.0 when no piece is stepped
         seen = []
         frame_maps = evolve._frame_maps
-        monkeypatch.setattr(evolve, "_frame_maps", lambda *a: seen.append(a) or frame_maps(*a))
+        monkeypatch.setattr(evolve, "_frame_maps", lambda *a, **k: seen.append(a) or frame_maps(*a, **k))
         assert run(tmp_path, "gate", "--edge-ramp-ns", ramp) == 0
         assert len(seen) == calls
         delta = float(read_summary(tmp_path / "gate_summary.txt")["dt_halving_delta"])
@@ -349,6 +349,26 @@ def test_amplitude_error_that_stops_the_drive_is_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert argv[1].partition("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gate", "--omega0-mhz", "1e-320"),
+        ("trajectory", "--omega0-mhz", "1e-320"),
+        # 2 pi / omega is finite in seconds but overflows in ns
+        ("trajectory", "--omega0-mhz", "1e-312"),
+        ("scan", "--omega0-mhz", "1e-320"),
+        ("rb", "--omega0-mhz", "1e-320"),
+        ("compare", "--omega0-mhz", "1e-320"),
+        ("ramsey", "--g-eff-mhz", "1e-320"),
+    ],
+)
+def test_drive_too_weak_for_a_finite_loop_is_config_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert argv[1] in err
 
 
 def test_amplitude_error_just_above_minus_one_runs(tmp_path):

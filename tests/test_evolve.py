@@ -745,6 +745,13 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="non-negative"):
             evolve.NoiseModel(collapse_ops=((np.eye(3), -1.0),))
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN would otherwise drop the operator and run noiseless; inf would
+        # fill the scaled operators with NaN
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {rate}"):
+            evolve.NoiseModel(collapse_ops=((np.eye(3), rate),))
+
     def test_empty_means_unitary(self):
         assert evolve.NoiseModel().is_empty
         assert not evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=1e-6).is_empty

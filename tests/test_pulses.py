@@ -292,6 +292,12 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="contiguous"):
             pulses.PulseSchedule(duration=2.0, segments=(seg1, seg2), omega0=1.0)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        seg = pulses.Segment(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            pulses.PulseSchedule(duration=duration, segments=(seg,), omega0=1.0)
+
     def test_coverage_enforced(self):
         seg = pulses.Segment(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="cover"):

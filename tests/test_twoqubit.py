@@ -5,9 +5,9 @@ import pytest
 
 from holosim import evolve
 from holosim import twoqubit as tq
-from holosim.evolve import ErrorInjection, IntegratorConfig
+from holosim.evolve import ErrorInjection
 from holosim.gates import ideal_control_rk
-from holosim.quantum import average_gate_fidelity, basis_state
+from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import ivp_evolve
 
@@ -122,34 +122,40 @@ class TestRamsey:
 
 
 class TestPopulationTrace:
+    """Five-level trajectories straight from the engine, on the composite levels."""
+
+    @staticmethod
+    def pure_populations(sched, psi0):
+        traj = evolve.evolve_pure(psi0, sched, dim=tq.DIM, levels=tq.LEVELS)
+        return traj.times, np.abs(traj.states) ** 2
+
     def test_spectator_input_is_flat(self, model):
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
-        traj = tq.population_trace(model, sched, basis_state(5, 0))
-        assert np.allclose(traj.states[:, 0], 1.0, atol=1e-12)
+        _, pops = self.pure_populations(sched, basis_state(5, 0))
+        assert np.allclose(pops[:, 0], 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_bright_state_excursion_and_return(self, model, scheme):
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, scheme)
-        traj = tq.population_trace(model, sched, basis_state(5, 1))
+        _, pops = self.pure_populations(sched, basis_state(5, 1))
         # the ancilla level is visited mid-loop and empty again at the end
-        assert traj.states[:, 4].max() > 0.1
-        assert traj.states[-1, 1] == pytest.approx(1.0, abs=1e-4)
-        assert traj.states[-1, 4] < 1e-4
-        assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) < 1e-8
+        assert pops[:, 4].max() > 0.1
+        assert pops[-1, 1] == pytest.approx(1.0, abs=1e-4)
+        assert pops[-1, 4] < 1e-4
+        assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-8
 
     def test_diagonal_gate_keeps_computational_weights(self, model):
         psi0 = (basis_state(5, 0) + basis_state(5, 1)) / math.sqrt(2)
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
-        traj = tq.population_trace(model, sched, psi0)
-        assert np.allclose(traj.states[:, 0], 0.5, atol=1e-12)
-        assert traj.states[-1, 1] == pytest.approx(0.5, abs=1e-4)
+        _, pops = self.pure_populations(sched, psi0)
+        assert np.allclose(pops[:, 0], 0.5, atol=1e-12)
+        assert pops[-1, 1] == pytest.approx(0.5, abs=1e-4)
 
     def test_noisy_trace_preserves_total_population(self, model):
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
-        traj = tq.population_trace(
-            model, sched, basis_state(5, 1), noise=tq.ancilla_decay(5e-6)
-        )
-        assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) < 1e-8
+        rho0 = density(basis_state(5, 1))
+        traj = evolve.evolve_density(rho0, sched, tq.ancilla_decay(5e-6), dim=tq.DIM, levels=tq.LEVELS)
+        assert np.max(np.abs(np.einsum("nii->n", traj.states).real - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_noisy_frame_trace_matches_stepper(self, model, scheme):
@@ -159,13 +165,15 @@ class TestPopulationTrace:
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, scheme)
         psi0 = (basis_state(5, 1) + basis_state(5, 3) - 1j * basis_state(5, 4)) / math.sqrt(3)
         noise = tq.ancilla_decay(20e-6)
-        traj = tq.population_trace(model, sched, psi0, noise=noise)
-        rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
-        exact = ivp_evolve(sched, rho0, traj.times, noise.scaled_ops(5), dim=5, levels=tq.LEVELS)
-        pops = np.einsum("nii->ni", exact.reshape(-1, 5, 5)).real
-        assert np.max(np.abs(traj.states - pops)) < 1e-14
+        traj = evolve.evolve_density(density(psi0), sched, noise, dim=tq.DIM, levels=tq.LEVELS)
+        pops = np.einsum("nii->ni", traj.states).real
+        exact = ivp_evolve(sched, density(psi0).reshape(-1), traj.times, noise.scaled_ops(5),
+                           dim=5, levels=tq.LEVELS)
+        assert np.max(np.abs(pops - np.einsum("nii->ni", exact.reshape(-1, 5, 5)).real)) < 1e-14
 
     def test_dimension_check(self, model):
         sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
-        with pytest.raises(ValueError, match="dimension"):
-            tq.population_trace(model, sched, basis_state(3, 0))
+        with pytest.raises(ValueError, match="does not match dim 5"):
+            evolve.evolve_pure(basis_state(3, 0), sched, dim=tq.DIM, levels=tq.LEVELS)
+        with pytest.raises(ValueError, match="does not match dim 5"):
+            evolve.evolve_density(density(basis_state(3, 0)), sched, dim=tq.DIM, levels=tq.LEVELS)
