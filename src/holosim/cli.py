@@ -10,9 +10,11 @@ Units at this interface: frequencies in MHz (the f/2pi convention), times
 in ns, angles in radians.  Internally everything is rad/s and seconds.
 
 One table, ``_COMMANDS``, lists each command's flags with their types,
-defaults, choices and help.  ``main`` reads argv against it (a unique prefix
-abbreviates a flag), puts flags over ``--config`` file values over defaults,
-and reports every malformed flag or config value at once.
+defaults, choices, help and, for a number flag, the interval its value must
+lie in.  ``main`` reads argv against it (a unique prefix abbreviates a flag),
+puts flags over ``--config`` file values over defaults, checks each number
+against its interval and then the few rules that join flags, and reports
+every problem at once; ``--help`` prints the same intervals.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -132,13 +134,49 @@ def _config_hash(params: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Interval(NamedTuple):
+    """The numbers a flag accepts: from ``lo`` to ``hi``, each end open unless closed.
+
+    An open end at infinity keeps the end out, so the real line rejects NaN and
+    +-inf alike.
+    """
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_closed: bool = False
+    hi_closed: bool = False
+
+    def __contains__(self, x) -> bool:
+        above = self.lo <= x if self.lo_closed else self.lo < x
+        return above and (x <= self.hi if self.hi_closed else x < self.hi)
+
+    def __str__(self) -> str:
+        left = "[" if self.lo_closed else "("
+        right = "]" if self.hi_closed else ")"
+        return f"{left}{self.lo!r}, {self.hi!r}{right}"
+
+
+class _LoopAngles(_Interval):
+    """Loop angles that synthesis does not find degenerate, by its own comparison."""
+
+    def __contains__(self, gamma) -> bool:
+        return gamma >= DEGENERATE_GAMMA_TOL and TWO_PI - gamma >= DEGENERATE_GAMMA_TOL
+
+    def __str__(self) -> str:
+        return f"[{DEGENERATE_GAMMA_TOL:g}, 2 pi - {DEGENERATE_GAMMA_TOL:g}]"
+
+
 class _Flag(NamedTuple):
-    """One flag of the table; ``type`` bool marks a switch, which takes no value."""
+    """One flag of the table; ``type`` bool marks a switch, which takes no value.
+
+    A number flag's value must lie in ``interval``.
+    """
 
     type: type
     default: object = None
     help: str = ""
     choices: tuple = ()
+    interval: _Interval = _Interval()
 
 
 def _convert(flag: _Flag, value):
@@ -169,7 +207,7 @@ def _config_values(path: str, table: dict, problems: list[str]) -> dict:
         with open(path) as fh:
             file_values = json.load(fh)
     except (OSError, ValueError) as exc:
-        problems.append(f"cannot read config file {path}: {exc}")
+        problems.append(f"cannot read config file {path!r}: {exc}")
         return {}
     if not isinstance(file_values, dict):
         problems.append(f"config file {path} must hold a JSON object")
@@ -217,7 +255,7 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
                 given[matches[0]] = _convert(flag, value if has_value else tokens.pop(0))
             except ValueError as exc:
                 problems.append(f"{matches[0]}: {exc}")
-    if given.get("--config"):
+    if "--config" in given:
         values.update(_config_values(given["--config"], table, problems))
     if problems:
         raise ConfigError(problems)
@@ -235,86 +273,13 @@ def _usage(commands: Sequence[str]) -> str:
         lines += ["", f"holosim {command}: {summary}"]
         for name, flag in table.items():
             value = "{" + ",".join(flag.choices) + "}" if flag.choices else flag.type.__name__.upper()
-            default = "" if flag.default is None or flag.type is bool else f" (default {flag.default})"
+            notes = [] if flag.default is None or flag.type is bool else [f"default {flag.default}"]
+            if flag.type in (int, float):
+                notes.append(f"in {flag.interval}")
             spec = name if flag.type is bool else f"{name} {value}"
-            lines.append(f"  {spec:<29} {flag.help}{default}".rstrip())
+            note = f" ({'; '.join(notes)})" if notes else ""
+            lines.append(f"  {spec:<29} {flag.help}{note}".rstrip())
     return "\n".join(lines)
-
-
-#: Flags (by destination) that must be positive whenever given.
-_POSITIVE_FLAGS = (
-    "dt_ns", "omega0_mhz", "g_eff_mhz",
-    "t1_e0_us", "t1_1e_us", "tphi_e_us", "tphi_1_us", "t1_a_us",
-)
-
-
-def _validate_common(args, problems: list[str]) -> None:
-    # every later check skips a non-finite value, so that it is listed once
-    for dest, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"--{dest.replace('_', '-')} must be finite, got {value}")
-    for dest in _POSITIVE_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None and math.isfinite(value) and not value > 0.0:
-            flag = "--" + dest.replace("_", "-")
-            problems.append(f"{flag} must be positive, got {value}")
-    # so weak a drive that its longest loop, 2 pi / omega, overflows in ns has no times
-    for dest in ("omega0_mhz", "g_eff_mhz"):
-        mhz = getattr(args, dest, None)
-        if mhz is not None and mhz > 0.0 and not math.isfinite(nhqc_duration(TWO_PI * mhz * 1e6) * 1e9):
-            problems.append(f"--{dest.replace('_', '-')} is too small: its 2 pi / omega loop "
-                            f"overflows in ns, got {mhz}")
-    # an amplitude factor 1 + error at or below 0 turns the drive off or flips it
-    amp_error = getattr(args, "amp_error", 0.0)
-    if math.isfinite(amp_error) and amp_error <= -1.0:
-        problems.append(f"--amp-error must be above -1, got {amp_error}")
-    span = getattr(args, "error_range", 0.0)
-    if math.isfinite(span) and abs(span) >= 1.0:
-        problems.append(f"--error-range must lie strictly between -1 and 1, got {span}")
-    if args.shots is not None and args.shots < 1:
-        problems.append("--shots must be a positive integer")
-    if args.seed < 0:
-        problems.append(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.threads < 1:
-        problems.append("--threads must be at least 1")
-
-
-def _check_loop_angle(flag: str, gamma: float, problems: list[str]) -> bool:
-    """Reject a loop angle that synthesis would find degenerate; True if usable.
-
-    A non-finite angle is not usable, but _validate_common lists it.
-    """
-    tol = DEGENERATE_GAMMA_TOL
-    if not math.isfinite(gamma):
-        return False
-    if gamma >= tol and TWO_PI - gamma >= tol:
-        return True
-    problems.append(f"{flag} must lie {tol:g} or more inside (0, 2 pi), got {gamma}")
-    return False
-
-
-def _validate_gate_spec(args, problems: list[str]) -> None:
-    if math.isfinite(args.theta) and not 0.0 <= args.theta <= math.pi:
-        problems.append(f"--theta must lie in [0, pi], got {args.theta}")
-    if math.isfinite(args.phi) and not 0.0 <= args.phi < TWO_PI:
-        problems.append(f"--phi must lie in [0, 2 pi), got {args.phi}")
-    gamma_ok = _check_loop_angle("--gamma", args.gamma, problems)
-    ramp = args.edge_ramp_ns * 1e-9
-    if not math.isfinite(ramp):
-        return
-    if ramp < 0.0:
-        problems.append(f"--edge-ramp-ns must be non-negative, got {args.edge_ramp_ns}")
-    elif gamma_ok and math.isfinite(args.omega0_mhz) and args.omega0_mhz > 0.0:
-        omega0 = TWO_PI * args.omega0_mhz * 1e6
-        if args.scheme == "tounhqc":
-            tau = tounhqc_duration(args.gamma, omega0)
-        else:
-            tau = nhqc_duration(omega0)
-        if 2.0 * ramp > tau:
-            problems.append(
-                f"--edge-ramp-ns must be at most half the {tau * 1e9:.6g} ns loop, "
-                f"got {args.edge_ramp_ns}"
-            )
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -579,32 +544,41 @@ def _cmd_compare(args, params: dict) -> None:
     _write_summary(os.path.join(args.out_dir, "compare_summary.txt"), meta, entries)
 
 
+_POSITIVE = _Interval(0.0)
+_LOOP_ANGLE = _LoopAngles(DEGENERATE_GAMMA_TOL, TWO_PI - DEGENERATE_GAMMA_TOL, True, True)
 _SCHEME = {"--scheme": _Flag(str, "tounhqc", choices=("tounhqc", "nhqc"))}
-_OMEGA0 = {"--omega0-mhz": _Flag(float, 8.660)}
-_QUARTER_PI_GAMMA = {"--gamma": _Flag(float, 0.25 * math.pi)}
+_OMEGA0 = {"--omega0-mhz": _Flag(float, 8.660, interval=_POSITIVE)}
+_QUARTER_PI_GAMMA = {"--gamma": _Flag(float, 0.25 * math.pi, interval=_LOOP_ANGLE)}
 _GATE_PARAMS = {
     **_SCHEME,
-    "--theta": _Flag(float, 0.5 * math.pi),
-    "--phi": _Flag(float, 0.0),
-    "--gamma": _Flag(float, 0.5 * math.pi),
+    "--theta": _Flag(float, 0.5 * math.pi, interval=_Interval(0.0, math.pi, True, True)),
+    "--phi": _Flag(float, 0.0, interval=_Interval(0.0, TWO_PI, True)),
+    "--gamma": _Flag(float, 0.5 * math.pi, interval=_LOOP_ANGLE),
     **_OMEGA0,
-    "--edge-ramp-ns": _Flag(float, 0.0),
+    "--edge-ramp-ns": _Flag(float, 0.0, interval=_Interval(0.0, lo_closed=True)),
 }
-_ERRORS = {"--amp-error": _Flag(float, 0.0), "--detuning-error": _Flag(float, 0.0)}
+# an amplitude factor 1 + error at or below 0 turns the drive off or flips it
+_ERRORS = {
+    "--amp-error": _Flag(float, 0.0, interval=_Interval(-1.0)),
+    "--detuning-error": _Flag(float, 0.0),
+}
 _NOISE = {
-    "--t1-e0-us": _Flag(float, None, "T1 of |e> -> |0> (us)"),
-    "--t1-1e-us": _Flag(float, None, "T1 of |1> -> |e> (us)"),
-    "--tphi-e-us": _Flag(float, None, "pure dephasing of |e> (us)"),
-    "--tphi-1-us": _Flag(float, None, "pure dephasing of |1> (us)"),
-    "--default-noise": _Flag(bool, False, "use the documented default relaxation/dephasing rates"),
+    "--t1-e0-us": _Flag(float, None, "T1 of |e> -> |0> (us)", interval=_POSITIVE),
+    "--t1-1e-us": _Flag(float, None, "T1 of |1> -> |e> (us)", interval=_POSITIVE),
+    "--tphi-e-us": _Flag(float, None, "pure dephasing of |e> (us)", interval=_POSITIVE),
+    "--tphi-1-us": _Flag(float, None, "pure dephasing of |1> (us)", interval=_POSITIVE),
+    "--default-noise": _Flag(bool, False, "use the documented default relaxation/dephasing "
+                             "rates instead of the four rate flags"),
 }
 _COMMON = {
     "--config": _Flag(str, None, "JSON file with defaults (flags override)"),
     "--out-dir": _Flag(str, ".", "output directory"),
-    "--seed": _Flag(int, 0),
-    "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads"),
-    "--dt-ns": _Flag(float, None, "step (ns) of edge-ramp windows and of the trajectory grid"),
-    "--shots": _Flag(int, None, "binomial sampling count"),
+    "--seed": _Flag(int, 0, interval=_Interval(0, lo_closed=True)),
+    "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads",
+                       interval=_Interval(1, lo_closed=True)),
+    "--dt-ns": _Flag(float, None, "step (ns) of edge-ramp windows and of the trajectory grid",
+                     interval=_POSITIVE),
+    "--shots": _Flag(int, None, "binomial sampling count", interval=_Interval(1, lo_closed=True)),
 }
 
 #: command -> (run, summary, {flag: _Flag}).  Flag ``--a-b``
@@ -621,24 +595,26 @@ _COMMANDS = {
     }),
     "ramsey": (_cmd_ramsey, "conditioned-phase Ramsey fringes", {
         **_SCHEME, **_QUARTER_PI_GAMMA,
-        "--g-eff-mhz": _Flag(float, 5.0),
-        "--points": _Flag(int, 41),
-        "--t1-a-us": _Flag(float, None, "ancilla relaxation |a> -> |01> (us)"),
+        "--g-eff-mhz": _Flag(float, 5.0, interval=_POSITIVE),
+        "--points": _Flag(int, 41, interval=_Interval(3, lo_closed=True)),
+        "--t1-a-us": _Flag(float, None, "ancilla relaxation |a> -> |01> (us)", interval=_POSITIVE),
         **_COMMON,
     }),
     "rb": (_cmd_rb, "Clifford randomized benchmarking", {
         **_SCHEME, **_OMEGA0,
         "--lengths": _Flag(str, "2,4,8,16,24,32", "comma-separated m values"),
-        "--sequences": _Flag(int, 20),
+        "--sequences": _Flag(int, 20, interval=_Interval(10, lo_closed=True)),
         "--interleaved-gamma": _Flag(float, None, "interleave a phase gate with this loop "
-                                     "angle after every Clifford"),
+                                     "angle after every Clifford", interval=_LOOP_ANGLE),
         **_ERRORS, **_NOISE, **_COMMON,
     }),
     "scan": (_cmd_scan, "control-error robustness scan", {
         **_SCHEME, **_QUARTER_PI_GAMMA, **_OMEGA0,
         "--error-range": _Flag(float, 0.05, "half-width of both axes, as fractions "
-                               "(of the amplitude, and of omega0 for the detuning)"),
-        "--resolution": _Flag(int, 21),
+                               "(of the amplitude, and of omega0 for the detuning)",
+                               interval=_Interval(-1.0, 1.0)),
+        "--resolution": _Flag(int, 21, "grid points per axis; odd, so that one is at zero error",
+                              interval=_Interval(5, lo_closed=True)),
         "--detuning-absolute": _Flag(bool, False, "write the detuning axis in rad/s "
                                      "(error-range x omega0) instead of as fractions"),
         **_NOISE, **_COMMON,
@@ -650,17 +626,43 @@ _COMMANDS = {
 
 
 def _validate(args) -> None:
+    """Check each number against its flag's interval, then the rules that join flags.
+
+    A rule reads only values inside their intervals, so each bad flag is listed once.
+    """
     problems: list[str] = []
-    _validate_common(args, problems)
-    if args.command in ("gate", "trajectory"):
-        _validate_gate_spec(args, problems)
-    if args.command in ("ramsey", "scan", "compare"):
-        _check_loop_angle("--gamma", args.gamma, problems)
-    if args.command == "ramsey" and args.points < 3:
-        problems.append("--points must be at least 3")
-    if args.command == "scan" and (args.resolution < 5 or args.resolution % 2 == 0):
+    valid = {}
+    for name, flag in _COMMANDS[args.command][2].items():
+        value = getattr(args, name[2:].replace("-", "_"))
+        if flag.type not in (int, float) or value is None:
+            continue
+        if value in flag.interval:
+            valid[name] = value
+        else:
+            problems.append(f"{name} must lie in {flag.interval}, got {value}")
+    # so weak a drive that its longest loop, 2 pi / omega, overflows in ns has no times
+    for name in ("--omega0-mhz", "--g-eff-mhz"):
+        if name in valid and not math.isfinite(nhqc_duration(TWO_PI * valid[name] * 1e6) * 1e9):
+            problems.append(f"{name} is too small: its 2 pi / omega loop "
+                            f"overflows in ns, got {valid[name]}")
+    if {"--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
+        ramp = args.edge_ramp_ns * 1e-9
+        omega0 = TWO_PI * args.omega0_mhz * 1e6
+        if args.scheme == "tounhqc":
+            tau = tounhqc_duration(args.gamma, omega0)
+        else:
+            tau = nhqc_duration(omega0)
+        if 2.0 * ramp > tau:
+            problems.append(
+                f"--edge-ramp-ns must be at most half the {tau * 1e9:.6g} ns loop, "
+                f"got {args.edge_ramp_ns}"
+            )
+    if valid.get("--resolution", 1) % 2 == 0:
         # the summary's fidelity_origin is the centre point of the grid
-        problems.append(f"--resolution must be odd and at least 5, got {args.resolution}")
+        problems.append(f"--resolution must be odd, got {args.resolution}")
+    rates = [name for name in _NOISE if name in valid]
+    if rates and args.default_noise:
+        problems.append(f"--default-noise sets every rate, so it excludes {', '.join(rates)}")
     if args.command == "rb":
         try:
             lengths = tuple(int(tok) for tok in str(args.lengths).split(","))
@@ -673,10 +675,6 @@ def _validate(args) -> None:
                 problems.append("--lengths must be strictly increasing")
             if len(lengths) < 3:
                 problems.append("--lengths needs at least 3 values to fit a decay")
-        if args.sequences < 10:
-            problems.append("--sequences must be at least 10 for a stable fit")
-        if args.interleaved_gamma is not None:
-            _check_loop_angle("--interleaved-gamma", args.interleaved_gamma, problems)
     if problems:
         raise ConfigError(problems)
 

@@ -56,7 +56,8 @@ def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np
     overlap, purity_a, purity_b = (
         np.trace(m, axis1=-2, axis2=-1).real for m in (a @ b, a @ a, b @ b)
     )
-    fidelity = overlap / np.sqrt(purity_a * purity_b)
+    # Cauchy-Schwarz bounds the overlap by 1; rounding can exceed it
+    fidelity = np.minimum(overlap / np.sqrt(purity_a * purity_b), 1.0)
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 

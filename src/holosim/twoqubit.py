@@ -82,14 +82,8 @@ def cphase_propagator(
     :func:`holosim.evolve.evolve_density` with ``dim=DIM, levels=LEVELS``
     traces the five populations under it.
     """
-    # Propagate the driven 2x2 pair and embed, keeping spectators exact.
-    pair = evolve.propagator(schedule, err, config, dim=2, levels=(None, 0, 1))
-    u5 = np.eye(DIM, dtype=complex)
-    rows = np.ix_((BRIGHT_INDEX, ANCILLA_INDEX), (BRIGHT_INDEX, ANCILLA_INDEX))
-    u5[rows] = pair
-    u4 = u5[:4, :4]
-    stay = np.sum(np.abs(u5[:4, :4]) ** 2, axis=0)
-    leakage = float(1.0 - stay.min())
+    u4 = evolve.propagator(schedule, err, config, dim=DIM, levels=LEVELS)[:4, :4]
+    leakage = float(1.0 - np.sum(np.abs(u4) ** 2, axis=0).min())
     return u4, leakage
 
 

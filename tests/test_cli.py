@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim import cli, evolve
+from holosim import cli, evolve, pulses
 
 PI = math.pi
 
@@ -197,6 +197,13 @@ class TestScanCommand:
     def test_low_resolution_rejected(self, tmp_path):
         assert run(tmp_path, "scan", "--resolution", "3") == 1
 
+    def test_fidelity_at_zero_error_reads_exactly_one(self, tmp_path):
+        # rounding put this scan's origin overlap at 1.0000000000000002, above
+        # its Cauchy-Schwarz bound
+        assert run(tmp_path, "scan", "--scheme", "tounhqc", "--gamma", "0.7854", "--resolution", "21") == 0
+        summary = read_summary(tmp_path / "scan_summary.txt")
+        assert summary["fidelity_origin"] == summary["fidelity_max"] == "1"
+
     def test_absolute_detuning_axis_is_the_relative_one_in_rad_s(self, tmp_path):
         # --error-range is a fraction on both axes in both modes; the
         # absolute scan only writes its detuning column in rad/s
@@ -236,6 +243,11 @@ class TestConfigFile:
         # gamma came from the file, omega0 from the explicit flag
         assert float(summary["gamma_rad"]) == pytest.approx(PI / 4)
         assert float(summary["omega0_mhz"]) == pytest.approx(8.660)
+
+    @pytest.mark.parametrize("argv", [("--config=",), ("--config", "")])
+    def test_empty_path_is_config_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "gate", *argv) == 1
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -394,6 +406,100 @@ def test_degenerate_loop_angle_is_config_error(tmp_path, capsys, argv):
     # within pulses.DEGENERATE_GAMMA_TOL of 0 or 2 pi synthesis would fail
     assert run(tmp_path, *argv) == 1
     assert argv[1] in capsys.readouterr().err
+
+
+def problem_lines(err):
+    return [line for line in err.splitlines() if line.startswith("  - ")]
+
+
+#: (command, flag name, flag) of every number flag, each of which has an interval
+NUMBER_FLAGS = [
+    (command, name, flag)
+    for command, (_, _, table) in cli._COMMANDS.items()
+    for name, flag in table.items()
+    if flag.type in (int, float)
+]
+
+
+@pytest.mark.parametrize("command, name, flag", NUMBER_FLAGS, ids=[c + n for c, n, _ in NUMBER_FLAGS])
+def test_help_and_problem_line_quote_the_same_interval(tmp_path, capsys, command, name, flag):
+    (line,) = [line for line in cli._usage([command]).splitlines() if line.startswith(f"  {name} ")]
+    assert f"in {flag.interval}" in line
+    lo, hi = flag.interval.lo, flag.interval.hi
+    outside = [value for value in (lo - 1, hi + 1) if math.isfinite(value)]
+    for value in [*outside, *([math.nan] if flag.type is float else [])]:
+        assert value not in flag.interval
+        assert run(tmp_path, command, f"{name}={value!r}") == 1
+        (problem,) = problem_lines(capsys.readouterr().err)
+        assert name in problem and str(flag.interval) in problem
+
+
+@pytest.mark.parametrize(
+    "interval, inside, outside",
+    [
+        (cli._Interval(), [-1e308, 0.0, 1e308], [math.nan, math.inf, -math.inf]),
+        (cli._Interval(-1.0, 1.0), [-0.99, 0.99], [-1.0, 1.0, math.nan]),
+        (cli._Interval(0.0, 1.0, True, True), [0.0, -0.0, 1.0], [-5e-324, 1.0000000000000002]),
+        (cli._Interval(3, lo_closed=True), [3, 10**30], [2, math.inf]),
+    ],
+)
+def test_interval_ends(interval, inside, outside):
+    assert all(value in interval for value in inside)
+    assert not any(value in interval for value in outside)
+
+
+def test_loop_angle_interval_agrees_with_synthesis_to_the_float():
+    tol = pulses.DEGENERATE_GAMMA_TOL
+    for end in (0.0, tol, 2 * PI - tol, 2 * PI):
+        gamma = end
+        for _ in range(4):
+            gamma = float(np.nextafter(gamma, -math.inf))
+        for _ in range(8):
+            try:
+                pulses.synthesize(pulses.GateSpec(0.0, 0.0, gamma), 2 * PI * 8.66e6, "tounhqc")
+            except ValueError:
+                synthesizes = False
+            else:
+                synthesizes = True
+            assert (gamma in cli._LOOP_ANGLE) == synthesizes, gamma
+            gamma = float(np.nextafter(gamma, math.inf))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gate", "--edge-ramp-ns", "inf"),
+        ("trajectory", "--edge-ramp-ns", "inf"),
+        ("gate", "--gamma", "nan", "--edge-ramp-ns", "10"),
+        ("scan", "--resolution", "4"),
+    ],
+)
+def test_value_outside_its_interval_skips_the_rules_that_join_flags(tmp_path, capsys, argv):
+    # the half-loop ramp rule and the odd-resolution rule read only values
+    # that passed their intervals, so the bad flag is listed once
+    assert run(tmp_path, *argv) == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert argv[1] in problem
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("compare", "--default-noise", "--t1-e0-us", "1"), None),
+        (("trajectory", "--tphi-1-us", "3"), {"default_noise": True}),
+        (("rb", "--default-noise"), {"t1_1e_us": 2.0, "tphi_e_us": 4.0}),
+    ],
+)
+def test_default_noise_with_a_rate_flag_is_config_error(tmp_path, capsys, argv, config):
+    # --default-noise sets every rate, so it would drop the explicit ones
+    rates = [arg for arg in argv if arg in NOISE_FLAGS]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = (*argv, "--config", str(tmp_path / "run.json"))
+        rates += ["--" + key.replace("_", "-") for key in config if key != "default_noise"]
+    assert run(tmp_path / "out", *argv) == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert all(flag in problem for flag in ("--default-noise", *rates))
 
 
 def test_out_dir_naming_a_file_is_config_error(tmp_path, capsys):

@@ -553,8 +553,8 @@ class TestEngineChoice:
                 assert np.max(np.abs(s - single)) < 1e-14
 
 
-#: (dim, levels) of every model the engine propagates: the 2-level pair of
-#: cphase_propagator, the qutrit and the five-level composite model
+#: (dim, levels) of every model the engine propagates: a bare 2-level pair,
+#: the qutrit and the five-level composite model
 MODELS = [(2, (None, 0, 1)), (3, evolve.QUTRIT_LEVELS), (5, twoqubit.LEVELS)]
 
 

@@ -55,6 +55,18 @@ class TestCphasePropagator:
             assert u4[k, k] == 1.0  # untouched rows stay literally identity
             assert np.sum(np.abs(u4[:, k])) == 1.0
 
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    @pytest.mark.parametrize("gamma", [PI / 8, PI / 4, PI / 2, PI, 5.0])
+    def test_equals_the_embedded_driven_pair_bitwise(self, model, scheme, gamma):
+        # reference: the |01>, |a> pair propagated alone and embedded next to
+        # exact spectators
+        sched = tq.build_cphase_schedule(gamma, model.g_eff, scheme)
+        u5 = np.eye(5, dtype=complex)
+        u5[np.ix_((1, 4), (1, 4))] = evolve.propagator(sched, dim=2, levels=(None, 0, 1))
+        u4, leakage = tq.cphase_propagator(model, sched)
+        assert np.array_equal(u4, u5[:4, :4])
+        assert leakage == float(1.0 - np.sum(np.abs(u5[:4, :4]) ** 2, axis=0).min())
+
     def test_leakage_small_across_gammas(self, model):
         for scheme in ("tounhqc", "nhqc"):
             for gamma in np.arange(PI / 8, PI + 1e-9, PI / 8):
