@@ -17,8 +17,6 @@ from .evolve import (
     propagator,
 )
 from .gates import (
-    AxisAngle,
-    axis_angle_decompose,
     clifford_group,
     compile_clifford,
     gate_spec_from_unitary,
@@ -27,12 +25,9 @@ from .gates import (
 )
 from .pulses import (
     GateSpec,
-    LoopParams,
     PulseSchedule,
     Segment,
     bright_dark_basis,
-    geometric_phase,
-    loop_params,
     nhqc_duration,
     synthesize,
     synthesize_nhqc,

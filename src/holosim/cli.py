@@ -183,7 +183,8 @@ def _convert(flag: _Flag, value):
     """``value``, a flag string or a config-file JSON value, as the flag holds it.
 
     A string goes through the flag's type; a JSON number keeps its own type,
-    so an int given for a float flag stays an int.  ValueError names the fault.
+    so an int given for a float flag stays an int, if a float can hold it.
+    ValueError names the fault.
     """
     if value is None and flag.default is None:
         return None
@@ -196,6 +197,11 @@ def _convert(flag: _Flag, value):
         value, (int, float) if flag.type is float else flag.type
     ):
         raise ValueError(f"expected {flag.type.__name__}, got {value!r}")
+    elif flag.type is float and isinstance(value, int):
+        try:
+            float(value)  # a JSON int keeps its type, but flag rules do float arithmetic
+        except OverflowError:
+            raise ValueError("expected float, got an integer too large for one") from None
     if flag.choices and value not in flag.choices:
         raise ValueError(f"must be one of {', '.join(flag.choices)}, got {value!r}")
     return value

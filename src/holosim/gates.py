@@ -1,8 +1,8 @@
-"""Ideal target unitaries, axis-angle compilation, and the Clifford group.
+"""Ideal target unitaries, the single-loop spec of a unitary, and the Clifford group.
 
 Rotation convention (package-wide): a gate (theta, phi, gamma) rotates by
 ``gamma`` about ``n = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta))``
-with matrix
+with matrix (built here and nowhere else, by :func:`_rotation`)
 
     [[cos(g/2) - i sin(g/2) cos(th),   -i sin(g/2) sin(th) e^{+i phi}],
      [-i sin(g/2) sin(th) e^{-i phi},   cos(g/2) + i sin(g/2) cos(th)]]
@@ -30,8 +30,6 @@ Canonical Clifford ordering (index: gate, axis, angle):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,52 +42,24 @@ from .quantum import is_unitary
 IDENTITY_ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation axis (unit 3-vector), angle in [0, 2 pi), and global phase."""
-
-    axis: tuple[float, float, float]
-    angle: float
-    global_phase: float
-
-    def __post_init__(self):
-        norm = math.sqrt(sum(c * c for c in self.axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"axis norm {norm!r} deviates from 1")
-
-    def to_gate_spec(self) -> Optional[GateSpec]:
-        """GateSpec realizing this rotation; None for the identity."""
-        if self.angle < IDENTITY_ANGLE_TOL or TWO_PI - self.angle < IDENTITY_ANGLE_TOL:
-            return None
-        nx, ny, nz = self.axis
-        theta = math.acos(min(1.0, max(-1.0, nz)))
-        phi = math.atan2(ny, nx) % TWO_PI
-        if phi >= TWO_PI:  # atan2 rounding can fold -0.0-ish angles onto 2 pi
-            phi = 0.0
-        return GateSpec(theta=theta, phi=phi, gamma=self.angle)
-
-
-def rotation_unitary(axis: tuple[float, float, float], angle: float) -> np.ndarray:
-    """2x2 rotation by ``angle`` about ``axis`` in the package convention."""
-    nx, ny, nz = axis
-    m = np.array([[nz, nx + 1j * ny], [nx - 1j * ny, -nz]], dtype=complex)
-    return math.cos(0.5 * angle) * np.eye(2) - 1j * math.sin(0.5 * angle) * m
+def _rotation(theta: float, phi, gamma: float) -> np.ndarray:
+    """The rotation matrix above; an array of ``phi`` gives a (..., 2, 2) stack."""
+    c = math.cos(0.5 * gamma)
+    s = math.sin(0.5 * gamma)
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    eip = np.exp(1j * phi)
+    u = np.empty(np.shape(eip) + (2, 2), dtype=complex)
+    u[..., 0, 0] = c - 1j * s * ct
+    u[..., 0, 1] = -1j * s * st * eip
+    u[..., 1, 0] = -1j * s * st / eip
+    u[..., 1, 1] = c + 1j * s * ct
+    return u
 
 
 def ideal_single_qubit(spec: GateSpec) -> np.ndarray:
     """Ideal single-qubit rotation for a GateSpec."""
-    c = math.cos(0.5 * spec.gamma)
-    s = math.sin(0.5 * spec.gamma)
-    ct = math.cos(spec.theta)
-    st = math.sin(spec.theta)
-    eip = np.exp(1j * spec.phi)
-    return np.array(
-        [
-            [c - 1j * s * ct, -1j * s * st * eip],
-            [-1j * s * st / eip, c + 1j * s * ct],
-        ],
-        dtype=complex,
-    )
+    return _rotation(spec.theta, spec.phi, spec.gamma)
 
 
 def ideal_control_rk(k: int) -> np.ndarray:
@@ -103,12 +73,23 @@ def ideal_control_rk(k: int) -> np.ndarray:
     return np.diag([1.0, np.exp(2j * math.pi / 2**k), 1.0, 1.0]).astype(complex)
 
 
-def axis_angle_decompose(u: np.ndarray) -> AxisAngle:
-    """Axis-angle parameters of a 2x2 unitary, global phase tracked separately.
+def _gate_spec(axis: tuple[float, float, float], angle: float) -> Optional[GateSpec]:
+    """GateSpec rotating by ``angle`` in [0, 2 pi) about the unit ``axis``; None for the identity."""
+    if angle < IDENTITY_ANGLE_TOL or TWO_PI - angle < IDENTITY_ANGLE_TOL:
+        return None
+    nx, ny, nz = axis
+    theta = math.acos(min(1.0, max(-1.0, nz)))
+    phi = math.atan2(ny, nx) % TWO_PI
+    if phi >= TWO_PI:  # atan2 rounding can fold -0.0-ish angles onto 2 pi
+        phi = 0.0
+    return GateSpec(theta=theta, phi=phi, gamma=angle)
 
-    Recomposing via :func:`rotation_unitary` and the global phase reproduces
-    the input to round-off.  The identity (or a pure phase) maps to angle 0
-    with the z-axis as tie-break.
+
+def gate_spec_from_unitary(u: np.ndarray) -> Optional[GateSpec]:
+    """Single-loop GateSpec realizing ``u`` up to global phase; None if identity.
+
+    ``u`` must be a 2x2 unitary.  Dividing out the square root of its
+    determinant leaves a rotation, whose angle and axis give the spec.
     """
     mat = np.asarray(u, dtype=complex)
     if mat.shape != (2, 2):
@@ -123,16 +104,9 @@ def axis_angle_decompose(u: np.ndarray) -> AxisAngle:
     s_xy = 1j * v[0, 1]
     s_norm = math.sqrt(s_z * s_z + abs(s_xy) ** 2)
     if s_norm < IDENTITY_ANGLE_TOL:
-        phase = float(np.angle(0.5 * (mat[0, 0] + mat[1, 1])))
-        return AxisAngle(axis=(0.0, 0.0, 1.0), angle=0.0, global_phase=phase)
-    angle = 2.0 * math.atan2(s_norm, c)
+        return None
     axis = (s_xy.real / s_norm, s_xy.imag / s_norm, s_z / s_norm)
-    return AxisAngle(axis=axis, angle=angle % TWO_PI, global_phase=float(delta))
-
-
-def gate_spec_from_unitary(u: np.ndarray) -> Optional[GateSpec]:
-    """Single-loop GateSpec realizing ``u`` up to global phase; None if identity."""
-    return axis_angle_decompose(u).to_gate_spec()
+    return _gate_spec(axis, 2.0 * math.atan2(s_norm, c) % TWO_PI)
 
 
 _R2 = 1.0 / math.sqrt(2.0)
@@ -168,14 +142,17 @@ CLIFFORD_TABLE: tuple[tuple[str, tuple[float, float, float], float], ...] = (
 )
 
 
-@lru_cache(maxsize=1)
-def _clifford_unitaries() -> tuple[np.ndarray, ...]:
-    return tuple(rotation_unitary(axis, angle) for _, axis, angle in CLIFFORD_TABLE)
+#: The compiled Cliffords, canonical order; the identity is None.
+_CLIFFORD_SPECS = tuple(_gate_spec(axis, angle) for _, axis, angle in CLIFFORD_TABLE)
+#: Their matrices, shape (24, 2, 2).
+_CLIFFORD_UNITARIES = np.array(
+    [np.eye(2, dtype=complex) if spec is None else ideal_single_qubit(spec) for spec in _CLIFFORD_SPECS]
+)
 
 
 def clifford_group() -> list[np.ndarray]:
     """The 24 single-qubit Clifford unitaries in canonical order."""
-    return [u.copy() for u in _clifford_unitaries()]
+    return [u.copy() for u in _CLIFFORD_UNITARIES]
 
 
 def compile_clifford(index: int) -> Optional[GateSpec]:
@@ -183,10 +160,9 @@ def compile_clifford(index: int) -> Optional[GateSpec]:
 
     The returned spec realizes the Clifford in a single holonomic loop.
     """
-    if not 0 <= index < len(CLIFFORD_TABLE):
+    if not 0 <= index < len(_CLIFFORD_SPECS):
         raise ValueError(f"Clifford index {index} out of range [0, 24)")
-    _, axis, angle = CLIFFORD_TABLE[index]
-    return AxisAngle(axis=axis, angle=angle, global_phase=0.0).to_gate_spec()
+    return _CLIFFORD_SPECS[index]
 
 
 def clifford_index_of(u: np.ndarray):
@@ -198,7 +174,7 @@ def clifford_index_of(u: np.ndarray):
     """
     mat = np.asarray(u, dtype=complex)
     # average gate fidelity (|Tr(C^dag U)|^2 + d) / (d (d + 1)) against each C
-    traces = np.einsum("kij,...ij->...k", np.conj(_clifford_unitaries()), mat)
+    traces = np.einsum("kij,...ij->...k", np.conj(_CLIFFORD_UNITARIES), mat)
     fidelities = (np.abs(traces) ** 2 + 2.0) / 6.0
     if np.any(1.0 - fidelities.max(axis=-1) > 1e-9):
         raise ValueError("matrix does not match any Clifford up to global phase")

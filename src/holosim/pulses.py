@@ -1,9 +1,9 @@
-"""Bright/dark bases and drive schedules for a three-level Lambda system.
+"""Gate specs, bright/dark bases, loop schedules and their stepping grids.
 
 A gate is a rotation by ``gamma`` about the Bloch axis
 ``n = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta))``.  Both
-schedule families realize it as a single cyclic loop of the bright state
-against the auxiliary level:
+schedule families realize it on a three-level Lambda system as a single
+cyclic loop of the bright state against the auxiliary level:
 
 * ``tounhqc`` -- time-optimal loop: constant drive amplitude with a linearly
   swept common drive phase, duration ``2 sqrt(pi^2 - (pi - gamma)^2) / omega0``.
@@ -16,8 +16,8 @@ the common swept phase ``phi1(t)``; the |0>-|e> drive carries
 ``phi1(t) + phi + pi``.  The constant offset keeps the dark state decoupled
 at all times, and the extra ``pi`` together with the slope sign
 ``2 (gamma - pi) / tau`` makes the realized qubit block equal the ideal
-rotation matrix (see :func:`holosim.gates.ideal_single_qubit`) up to a
-global phase, for both schedule families.
+rotation matrix, which :mod:`holosim.gates` builds, up to a global phase,
+for both schedule families.
 """
 from __future__ import annotations
 
@@ -116,28 +116,6 @@ class PulseSchedule:
         # time to the nearer schedule edge: inside a ramp it is below r
         edge = np.minimum(t, self.duration - t)
         return np.where(edge < r, np.sin(0.5 * math.pi * edge / r) ** 2, 1.0)
-
-
-@dataclass(frozen=True)
-class LoopParams:
-    """Loop angles (chi, alpha(t), eta(t)) of the auxiliary-state trajectory.
-
-    ``alpha`` and ``eta`` are linear in time: value = offset + slope * t.
-    The closure conditions are eta(0) = 0 and eta(duration) = pi.
-    """
-
-    chi: float
-    alpha_offset: float
-    alpha_slope: float
-    eta_offset: float
-    eta_slope: float
-    duration: float
-
-    def alpha(self, t):
-        return self.alpha_offset + self.alpha_slope * np.asarray(t, dtype=float)
-
-    def eta(self, t):
-        return self.eta_offset + self.eta_slope * np.asarray(t, dtype=float)
 
 
 def bright_dark_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -241,57 +219,6 @@ def synthesize(
     if scheme == "nhqc":
         return synthesize_nhqc(spec, omega0, edge_ramp)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-
-def loop_params(spec: GateSpec, omega0: float) -> LoopParams:
-    """Loop angles of the time-optimal schedule.
-
-    chi = arccos(-(pi - gamma)/pi), eta(t) = pi t / tau,
-    alpha(t) = 2 (pi - gamma) t / tau.  These satisfy the coupled loop
-    equations omega = -d(alpha)/dt * tan(chi) and
-    d(alpha)/dt = -2 d(eta)/dt * cos(chi) identically.
-    """
-    _check_synthesis_args(spec, omega0)
-    tau = tounhqc_duration(spec.gamma, omega0)
-    chi = math.acos(-(math.pi - spec.gamma) / math.pi)
-    return LoopParams(
-        chi=chi,
-        alpha_offset=0.0,
-        alpha_slope=2.0 * (math.pi - spec.gamma) / tau,
-        eta_offset=0.0,
-        eta_slope=math.pi / tau,
-        duration=tau,
-    )
-
-
-def loop_residuals(loop: LoopParams, omega0: float, n_points: int = 1000) -> tuple[float, float]:
-    """Max absolute residuals of the two coupled loop equations on a grid.
-
-    Returns (max |omega + d(alpha)/dt tan(chi)|, scaled by omega0, and
-    max |d(alpha)/dt + 2 d(eta)/dt cos(chi)| scaled by the slope magnitude).
-    """
-    t = np.linspace(0.0, loop.duration, n_points)
-    alpha_dot = np.full_like(t, loop.alpha_slope)
-    eta_dot = np.full_like(t, loop.eta_slope)
-    r1 = np.max(np.abs(omega0 + alpha_dot * math.tan(loop.chi))) / omega0
-    scale = max(abs(loop.alpha_slope), abs(eta_dot).max())
-    r2 = np.max(np.abs(alpha_dot + 2.0 * eta_dot * math.cos(loop.chi)))
-    return float(r1), float(r2 / scale if scale > 0 else r2)
-
-
-def geometric_phase(loop: LoopParams, n_points: int = 10001) -> float:
-    """Loop integral of sin^2(eta) sin^2(chi) d(alpha) by Simpson quadrature."""
-    if n_points < 3:
-        raise ValueError("need at least 3 quadrature points")
-    if n_points % 2 == 0:
-        n_points += 1
-    t = np.linspace(0.0, loop.duration, n_points)
-    integrand = np.sin(loop.eta(t)) ** 2 * math.sin(loop.chi) ** 2 * loop.alpha_slope
-    h = t[1] - t[0]
-    weights = np.ones(n_points)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, integrand))
 
 
 def segment_table(segments) -> np.ndarray:

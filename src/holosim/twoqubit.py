@@ -24,6 +24,7 @@ from .evolve import (
     IntegratorConfig,
     NoiseModel,
 )
+from .gates import _rotation
 from .pulses import GateSpec, PulseSchedule, synthesize
 from .quantum import basis_state
 
@@ -90,17 +91,13 @@ def cphase_propagator(
 def _analysis_half_pi(theta_axis: float | np.ndarray) -> np.ndarray:
     """Instantaneous pi/2 rotation of the target qubit about (cos t, sin t, 0).
 
-    Acts on the computational block as identity (x) R and leaves |a>
-    untouched.  An array of angles gives a (..., 5, 5) stack, one rotation
-    per angle.
+    The rotation R is the gate (theta, phi, gamma) = (pi/2, t, pi/2); it acts
+    on the computational block as identity (x) R and leaves |a> untouched.
+    An array of angles gives a (..., 5, 5) stack, one rotation per angle.
     """
-    t = np.asarray(theta_axis, dtype=float)
-    m = np.zeros(t.shape + (2, 2), dtype=complex)
-    m[..., 0, 1] = np.exp(1j * t)
-    m[..., 1, 0] = np.exp(-1j * t)
-    r = math.cos(math.pi / 4.0) * np.eye(2) - 1j * math.sin(math.pi / 4.0) * m
-    u = np.zeros(t.shape + (DIM, DIM), dtype=complex)
-    u[..., :4, :4] = np.kron(np.eye(2), r)
+    r = _rotation(math.pi / 2.0, np.asarray(theta_axis, dtype=float), math.pi / 2.0)
+    u = np.zeros(r.shape[:-2] + (DIM, DIM), dtype=complex)
+    u[..., 0:2, 0:2] = u[..., 2:4, 2:4] = r
     u[..., 4, 4] = 1.0
     return u
 

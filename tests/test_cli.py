@@ -266,6 +266,15 @@ class TestConfigFile:
         assert len(problems) == len(bad)
         assert all(any(repr(key) in line for line in problems) for key in bad)
 
+    @pytest.mark.parametrize("key", ["omega0_mhz", "gamma"])
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        assert cli.main(["gate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"config key {key!r}: expected float" in err
+
     def test_config_hash_stable_across_out_dirs(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["gate", "--out-dir", str(d1)]) == 0

@@ -120,66 +120,6 @@ class TestDurationOrdering:
         )
 
 
-class TestLoopParams:
-    def test_gamma_pi_degenerates_to_equator(self):
-        loop = pulses.loop_params(pulses.GateSpec(0.0, 0.0, PI), OMEGA0)
-        assert loop.chi == pytest.approx(PI / 2, abs=1e-12)
-        assert loop.alpha_slope == pytest.approx(0.0, abs=1e-9)
-
-    def test_gamma_half_pi_chi(self):
-        # cos(chi) = -(pi - gamma)/pi = -1/2
-        loop = pulses.loop_params(pulses.GateSpec(0.0, 0.0, PI / 2), OMEGA0)
-        assert loop.chi == pytest.approx(2 * PI / 3, abs=1e-12)
-
-    def test_cyclic_condition(self, rng):
-        for _ in range(20):
-            spec = random_gate_spec(rng)
-            loop = pulses.loop_params(spec, OMEGA0)
-            assert loop.eta(0.0) == pytest.approx(0.0, abs=1e-12)
-            assert float(loop.eta(loop.duration)) == pytest.approx(PI, abs=1e-12)
-
-    def test_coupled_equation_residuals(self, rng):
-        # both loop equations vanish (relative to the drive scale) on a grid
-        for _ in range(50):
-            spec = random_gate_spec(rng)
-            loop = pulses.loop_params(spec, OMEGA0)
-            r1, r2 = pulses.loop_residuals(loop, OMEGA0, n_points=1000)
-            assert r1 < 1e-9
-            assert r2 < 1e-9
-
-    def test_amplitude_recovered_from_loop(self, rng):
-        # omega = -d(alpha)/dt tan(chi) reproduces the drive amplitude
-        for _ in range(20):
-            spec = random_gate_spec(rng)
-            loop = pulses.loop_params(spec, OMEGA0)
-            recovered = -loop.alpha_slope * math.tan(loop.chi)
-            assert recovered == pytest.approx(OMEGA0, rel=1e-9)
-
-
-class TestGeometricPhase:
-    def test_zero_when_alpha_frozen(self):
-        loop = pulses.loop_params(pulses.GateSpec(0.0, 0.0, PI), OMEGA0)
-        assert pulses.geometric_phase(loop) == pytest.approx(0.0, abs=1e-12)
-
-    def test_closed_form_at_half_pi(self):
-        # sin^2(chi) (pi - gamma) = (3/4)(pi/2) = 3 pi / 8
-        loop = pulses.loop_params(pulses.GateSpec(0.0, 0.0, PI / 2), OMEGA0)
-        assert pulses.geometric_phase(loop) == pytest.approx(3 * PI / 8, abs=1e-8)
-
-    def test_closed_form_random(self, rng):
-        for _ in range(10):
-            spec = random_gate_spec(rng)
-            loop = pulses.loop_params(spec, OMEGA0)
-            expected = math.sin(loop.chi) ** 2 * (PI - spec.gamma)
-            assert pulses.geometric_phase(loop) == pytest.approx(expected, abs=1e-8)
-
-    def test_grid_convergence(self):
-        loop = pulses.loop_params(pulses.GateSpec(0.0, 0.0, 1.1), OMEGA0)
-        coarse = pulses.geometric_phase(loop, n_points=10_001)
-        fine = pulses.geometric_phase(loop, n_points=20_001)
-        assert abs(coarse - fine) < 1e-8
-
-
 def sample(sched, n):
     """Segment columns and error-free frame generators on n + 1 uniform times over the schedule.
 

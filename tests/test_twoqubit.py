@@ -6,7 +6,8 @@ import pytest
 from holosim import evolve
 from holosim import twoqubit as tq
 from holosim.evolve import ErrorInjection
-from holosim.gates import ideal_control_rk
+from holosim.gates import ideal_control_rk, ideal_single_qubit
+from holosim.pulses import GateSpec
 from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import ivp_evolve
@@ -118,6 +119,15 @@ class TestRamsey:
             rho_out = u @ rho @ u.conj().T
             expected.append((float(theta), float(rho_out[1, 1].real + rho_out[3, 3].real)))
         assert tq.ramsey_protocol(model, gate_on, PI / 4, thetas, noise=noise) == expected
+
+    def test_analysis_pulse_is_the_ideal_rotation_bitwise(self, rng):
+        thetas = np.concatenate([np.linspace(0, 2 * PI, 16, endpoint=False), rng.uniform(0, 2 * PI, 16)])
+        stack = tq._analysis_half_pi(thetas)
+        for theta, u in zip(thetas, stack):
+            expected = np.zeros((5, 5), dtype=complex)
+            expected[:4, :4] = np.kron(np.eye(2), ideal_single_qubit(GateSpec(PI / 2, float(theta), PI / 2)))
+            expected[4, 4] = 1.0
+            assert np.array_equal(u, expected)
 
     def test_empty_grid_rejected(self, model):
         with pytest.raises(ValueError, match="theta_grid"):
