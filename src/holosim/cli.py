@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: gate, trajectory, ramsey, rb, scan, compare.  Each writes
-comma-separated tables (``#``-prefixed metadata lines, then a header row)
-and/or a key-value summary document into ``--out-dir``.  Floats are printed
-with 17 significant digits so every table round-trips exactly; outputs are
-byte-identical across reruns with the same configuration and seed.
+Subcommands: gate, trajectory, ramsey, rb, scan, compare.  Each returns its
+files by name, a comma-separated table as (header, rows) and a key-value
+summary as its entries; ``main`` writes them into ``--out-dir`` below the same
+``#``-prefixed metadata lines.  Floats are printed with 17 significant digits
+so every table round-trips exactly; outputs are byte-identical across reruns
+with the same configuration and seed.
 
 Units at this interface: frequencies in MHz (the f/2pi convention), times
 in ns, angles in radians.  Internally everything is rad/s and seconds.
@@ -79,51 +80,43 @@ def _matrix_lines(name: str, mat: np.ndarray) -> list[str]:
     return lines
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _metadata_lines(args: dict, config_hash: str) -> list[str]:
+def _metadata_lines(command: str, config_hash: str) -> list[str]:
     return [
         f"# tool = holosim {__version__}",
-        f"# command = {args['command']}",
+        f"# command = {command}",
         f"# config_hash = {config_hash}",
     ]
 
 
-def _write_table(
-    path: str, meta: list[str], header: list[str], rows: list[Sequence] | np.ndarray
-) -> None:
-    """Write ``rows`` (row sequences, or a 2-d float array) below ``meta`` and ``header``.
+def _table_lines(header: list[str], rows: list[Sequence] | np.ndarray) -> list[str]:
+    """``header`` and ``rows`` (row sequences, or a 2-d float array) as comma-separated lines.
 
     An array is formatted a row at a time, in the format _fmt gives a float;
     row sequences, which may hold integer columns, go through _fmt cell by cell.
     """
-    lines = list(meta)
-    lines.append(",".join(header))
+    lines = [",".join(header)]
     if isinstance(rows, np.ndarray):
         row_format = ",".join(["{:.17g}"] * rows.shape[1]).format
         lines.extend(row_format(*row) for row in rows.tolist())
     else:
         lines.extend(",".join(map(_fmt, row)) for row in rows)
-    _write_lines(path, lines)
+    return lines
 
 
-def _write_summary(path: str, meta: list[str], entries: list[tuple[str, object]]) -> None:
-    lines = list(meta)
+def _summary_lines(entries: list[tuple[str, object]]) -> list[str]:
+    lines = []
     for key, value in entries:
         if isinstance(value, np.ndarray) and value.ndim == 2:
             lines.extend(_matrix_lines(key, value))
         else:
             lines.append(f"{key} = {_fmt(value)}")
-    _write_lines(path, lines)
+    return lines
 
 
 def _config_hash(params: dict) -> str:
-    # out_dir and threads do not affect results; keep them out of the hash
+    # the config path, out_dir and threads do not affect results; keep them out of the hash
     relevant = {
-        k: v for k, v in sorted(params.items()) if k not in ("out_dir", "threads")
+        k: v for k, v in sorted(params.items()) if k not in ("config", "out_dir", "threads")
     }
     blob = json.dumps(relevant, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -310,8 +303,8 @@ def _integrator_from_args(args) -> IntegratorConfig:
 
 def _err_from_args(args) -> ErrorInjection:
     return ErrorInjection(
-        amp_fraction=getattr(args, "amp_error", 0.0),
-        detuning_fraction=getattr(args, "detuning_error", 0.0),
+        amp_fraction=args.amp_error,
+        detuning_fraction=args.detuning_error,
     )
 
 
@@ -329,7 +322,7 @@ _INITIAL_STATES = {
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gate(args, params: dict) -> None:
+def _cmd_gate(args) -> dict:
     spec = GateSpec(theta=args.theta, phi=args.phi, gamma=args.gamma)
     omega0 = TWO_PI * args.omega0_mhz * 1e6
     schedule = synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
@@ -342,7 +335,6 @@ def _cmd_gate(args, params: dict) -> None:
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
     delta = dt_halving_delta(schedule, config=config, u=u)
 
-    meta = _metadata_lines(params, _config_hash(params))
     entries = [
         ("scheme", args.scheme),
         ("theta_rad", args.theta),
@@ -358,10 +350,10 @@ def _cmd_gate(args, params: dict) -> None:
         ("propagator", u),
         ("ideal_gate", ideal),
     ]
-    _write_summary(os.path.join(args.out_dir, "gate_summary.txt"), meta, entries)
+    return {"gate_summary.txt": entries}
 
 
-def _cmd_trajectory(args, params: dict) -> None:
+def _cmd_trajectory(args) -> dict:
     spec = GateSpec(theta=args.theta, phi=args.phi, gamma=args.gamma)
     omega0 = TWO_PI * args.omega0_mhz * 1e6
     schedule = synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
@@ -372,20 +364,9 @@ def _cmd_trajectory(args, params: dict) -> None:
         err=_err_from_args(args),
         config=_integrator_from_args(args),
     )
-    meta = _metadata_lines(params, _config_hash(params))
     t_ns = report.times * 1e9
-    _write_table(
-        os.path.join(args.out_dir, "trajectory_populations.csv"),
-        meta,
-        ["t_ns", "p0", "p1", "pe"],
-        np.column_stack([t_ns, report.populations]),
-    )
-    _write_table(
-        os.path.join(args.out_dir, "trajectory_bloch.csv"),
-        meta,
-        ["t_ns", "x", "y", "z", "subspace_population"],
-        np.column_stack([t_ns, report.bloch]),
-    )
+    populations = np.column_stack([t_ns, report.populations])
+    bloch = np.column_stack([t_ns, report.bloch])
     final_p = report.populations[-1]
     entries = [
         ("scheme", args.scheme),
@@ -398,10 +379,14 @@ def _cmd_trajectory(args, params: dict) -> None:
         ("final_bloch_y", report.bloch[-1][1]),
         ("final_bloch_z", report.bloch[-1][2]),
     ]
-    _write_summary(os.path.join(args.out_dir, "trajectory_summary.txt"), meta, entries)
+    return {
+        "trajectory_populations.csv": (["t_ns", "p0", "p1", "pe"], populations),
+        "trajectory_bloch.csv": (["t_ns", "x", "y", "z", "subspace_population"], bloch),
+        "trajectory_summary.txt": entries,
+    }
 
 
-def _cmd_ramsey(args, params: dict) -> None:
+def _cmd_ramsey(args) -> dict:
     model = twoqubit.CompositeModel(g_eff=TWO_PI * args.g_eff_mhz * 1e6)
     thetas = np.linspace(0.0, TWO_PI, args.points, endpoint=False)
     noise = _noise_from_args_5d(args)
@@ -409,13 +394,7 @@ def _cmd_ramsey(args, params: dict) -> None:
     fringe_off = twoqubit.ramsey_protocol(model, False, args.gamma, thetas, noise, args.scheme)
     shift = twoqubit.ramsey_phase_shift(fringe_on, fringe_off)
 
-    meta = _metadata_lines(params, _config_hash(params))
-    _write_table(
-        os.path.join(args.out_dir, "ramsey_fringes.csv"),
-        meta,
-        ["theta_rad", "p_gate_on", "p_gate_off"],
-        np.column_stack([np.array(fringe_on), np.array(fringe_off)[:, 1]]),
-    )
+    fringes = np.column_stack([np.array(fringe_on), np.array(fringe_off)[:, 1]])
     entries = [
         ("scheme", args.scheme),
         ("gamma_rad", args.gamma),
@@ -423,7 +402,10 @@ def _cmd_ramsey(args, params: dict) -> None:
         ("phase_shift_rad", shift),
         ("phase_shift_minus_gamma", shift - args.gamma),
     ]
-    _write_summary(os.path.join(args.out_dir, "ramsey_summary.txt"), meta, entries)
+    return {
+        "ramsey_fringes.csv": (["theta_rad", "p_gate_on", "p_gate_off"], fringes),
+        "ramsey_summary.txt": entries,
+    }
 
 
 def _noise_from_args_5d(args) -> NoiseModel:
@@ -433,7 +415,7 @@ def _noise_from_args_5d(args) -> NoiseModel:
     return NoiseModel()
 
 
-def _cmd_rb(args, params: dict) -> None:
+def _cmd_rb(args) -> dict:
     lengths = tuple(int(tok) for tok in str(args.lengths).split(","))
     target = (
         GateSpec(theta=0.0, phi=0.0, gamma=args.interleaved_gamma)
@@ -453,17 +435,10 @@ def _cmd_rb(args, params: dict) -> None:
     )
     result = protocols.rb_run(config)
 
-    meta = _metadata_lines(params, _config_hash(params))
     rows = []
     for m in result.lengths:
         for i_seq, value in enumerate(result.per_sequence[m]):
             rows.append((m, i_seq, value))
-    _write_table(
-        os.path.join(args.out_dir, "rb_survival.csv"),
-        meta,
-        ["m", "sequence_index", "survival"],
-        rows,
-    )
     entries: list[tuple[str, object]] = [
         ("scheme", args.scheme),
         ("seed", args.seed),
@@ -487,10 +462,13 @@ def _cmd_rb(args, params: dict) -> None:
     ]
     if fit.message:
         entries.append(("fit_message", fit.message))
-    _write_summary(os.path.join(args.out_dir, "rb_summary.txt"), meta, entries)
+    return {
+        "rb_survival.csv": (["m", "sequence_index", "survival"], rows),
+        "rb_summary.txt": entries,
+    }
 
 
-def _cmd_scan(args, params: dict) -> None:
+def _cmd_scan(args) -> dict:
     omega0 = TWO_PI * args.omega0_mhz * 1e6
     result = protocols.robustness_scan(
         args.scheme,
@@ -500,17 +478,11 @@ def _cmd_scan(args, params: dict) -> None:
         noise=_noise_from_args(args),
         omega0=omega0,
     )
-    meta = _metadata_lines(params, _config_hash(params))
     # --error-range is a fraction on both axes; --detuning-absolute only
     # reports the detuning axis in rad/s
     det_axis = result.axis * omega0 if args.detuning_absolute else result.axis
     amp, det = np.meshgrid(result.axis, det_axis, indexing="ij")
-    _write_table(
-        os.path.join(args.out_dir, "scan_grid.csv"),
-        meta,
-        ["amp_err", "det_err", "fidelity"],
-        np.column_stack([amp.ravel(), det.ravel(), result.fidelity.ravel()]),
-    )
+    grid = np.column_stack([amp.ravel(), det.ravel(), result.fidelity.ravel()])
     origin = result.fidelity[args.resolution // 2, args.resolution // 2]
     entries = [
         ("scheme", args.scheme),
@@ -521,10 +493,13 @@ def _cmd_scan(args, params: dict) -> None:
         ("fidelity_min", float(result.fidelity.min())),
         ("fidelity_max", float(result.fidelity.max())),
     ]
-    _write_summary(os.path.join(args.out_dir, "scan_summary.txt"), meta, entries)
+    return {
+        "scan_grid.csv": (["amp_err", "det_err", "fidelity"], grid),
+        "scan_summary.txt": entries,
+    }
 
 
-def _cmd_compare(args, params: dict) -> None:
+def _cmd_compare(args) -> dict:
     noise = _noise_from_args(args)
     report = protocols.compare_schemes(
         args.gamma,
@@ -532,7 +507,6 @@ def _cmd_compare(args, params: dict) -> None:
         noise=noise,
         err=_err_from_args(args),
     )
-    meta = _metadata_lines(params, _config_hash(params))
     entries = [
         ("gamma_rad", args.gamma),
         ("tau_tounhqc_ns", report.tau_tounhqc * 1e9),
@@ -547,7 +521,7 @@ def _cmd_compare(args, params: dict) -> None:
             "n/a" if report.error_reduction is None else report.error_reduction,
         ),
     ]
-    _write_summary(os.path.join(args.out_dir, "compare_summary.txt"), meta, entries)
+    return {"compare_summary.txt": entries}
 
 
 _POSITIVE = _Interval(0.0)
@@ -579,12 +553,10 @@ _NOISE = {
 _COMMON = {
     "--config": _Flag(str, None, "JSON file with defaults (flags override)"),
     "--out-dir": _Flag(str, ".", "output directory"),
-    "--seed": _Flag(int, 0, interval=_Interval(0, lo_closed=True)),
     "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads",
                        interval=_Interval(1, lo_closed=True)),
     "--dt-ns": _Flag(float, None, "step (ns) of edge-ramp windows and of the trajectory grid",
                      interval=_POSITIVE),
-    "--shots": _Flag(int, None, "binomial sampling count", interval=_Interval(1, lo_closed=True)),
 }
 
 #: command -> (run, summary, {flag: _Flag}).  Flag ``--a-b``
@@ -612,6 +584,8 @@ _COMMANDS = {
         "--sequences": _Flag(int, 20, interval=_Interval(10, lo_closed=True)),
         "--interleaved-gamma": _Flag(float, None, "interleave a phase gate with this loop "
                                      "angle after every Clifford", interval=_LOOP_ANGLE),
+        "--seed": _Flag(int, 0, interval=_Interval(0, lo_closed=True)),
+        "--shots": _Flag(int, None, "binomial sampling count", interval=_Interval(1, lo_closed=True)),
         **_ERRORS, **_NOISE, **_COMMON,
     }),
     "scan": (_cmd_scan, "control-error robustness scan", {
@@ -707,13 +681,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
 
-    params = {k: v for k, v in vars(args).items() if k != "config"}
     command = _COMMANDS[args.command][0]
     try:
-        command(args, params)
+        outputs = command(args)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    meta = _metadata_lines(args.command, _config_hash(vars(args)))
+    for name, body in outputs.items():
+        lines = _table_lines(*body) if name.endswith(".csv") else _summary_lines(body)
+        with open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write("\n".join(meta + lines) + "\n")
     return 0
 
 

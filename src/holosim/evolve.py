@@ -565,7 +565,7 @@ def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorCo
 
 def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
     """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
-    nodes = stepping_grid(schedule, dt).nodes
+    nodes = stepping_grid(schedule, dt)
     n = len(nodes) - 1
     return nodes[np.append(np.arange(0, n, RECORD_STRIDE), n)]
 
@@ -807,9 +807,3 @@ def gate_channel(
 ) -> np.ndarray:
     """Superoperator of one full schedule: :func:`gate_channels` of it alone."""
     return gate_channels([schedule], noise, err, config, dim, levels)[0]
-
-
-def apply_superop(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a row-major-vectorized superoperator to a density matrix."""
-    d = rho.shape[0]
-    return (s @ rho.reshape(-1)).reshape(d, d)

@@ -499,6 +499,7 @@ def robustness_scan(
 
     errors = _evolve.error_table(*np.meshgrid(axis, axis, indexing="ij"))
     maps = _evolve.error_maps(schedule, errors, noise)
+    # noiseless maps are unitaries: scoring the kets skips lifting each to a superoperator
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
         rhos = np.einsum("ni,nj->nij", psis, psis.conj())
@@ -611,11 +612,7 @@ def trajectory_report(
     config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> TrajectoryReport:
     """Populations and qubit-subspace Bloch coordinates along a schedule from a ket."""
-    if noise.is_empty:
-        traj = _evolve.evolve_pure(initial, schedule, err, config)
-        rhos = np.einsum("ni,nj->nij", traj.states, traj.states.conj())
-    else:
-        traj = _evolve.evolve_density(density(initial), schedule, noise, err, config)
-        rhos = traj.states
+    traj = _evolve.evolve_density(density(initial), schedule, noise, err, config)
+    rhos = traj.states
     populations = np.einsum("nii->ni", rhos).real
     return TrajectoryReport(times=traj.times, populations=populations, bloch=bloch_rows(rhos))

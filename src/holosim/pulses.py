@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -242,18 +241,6 @@ def segment_phase(table: np.ndarray, times: np.ndarray) -> np.ndarray:
     return table[2] + table[3] * (times - table[0])
 
 
-class SteppingGrid(NamedTuple):
-    """Node grid for stepwise propagation.
-
-    Nodes are aligned to segment boundaries and edge-ramp corners, so
-    neither phase jumps nor the envelope's kinks are smeared across a
-    step.  ``nodes`` has one more entry than ``dts``.
-    """
-
-    nodes: np.ndarray
-    dts: np.ndarray
-
-
 def stepping_breaks(schedule: PulseSchedule) -> list[float]:
     """Ascending segment boundaries and edge-ramp corners, from 0 to the end.
 
@@ -275,13 +262,15 @@ def interval_nodes(a: float, b: float, dt: float) -> np.ndarray:
     return np.linspace(a, b, steps + 1)
 
 
-def stepping_grid(schedule: PulseSchedule, dt: float) -> SteppingGrid:
-    """Integration grid with a node at every segment boundary and ramp corner."""
+def stepping_grid(schedule: PulseSchedule, dt: float) -> np.ndarray:
+    """Integration nodes at most ``dt`` apart, with one at every segment boundary and ramp corner.
+
+    Neither a phase jump nor a kink of the envelope is then smeared across a step.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     breaks = stepping_breaks(schedule)
     nodes = [0.0]
     for a, b in zip(breaks, breaks[1:]):
         nodes.extend(interval_nodes(a, b, dt)[1:].tolist())
-    nodes = np.asarray(nodes)
-    return SteppingGrid(nodes=nodes, dts=np.diff(nodes))
+    return np.asarray(nodes)

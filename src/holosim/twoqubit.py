@@ -126,7 +126,7 @@ def ramsey_protocol(
     if gate_on:
         schedule = build_cphase_schedule(gamma, model.g_eff, scheme)
         channel = evolve.gate_channel(schedule, noise, dim=DIM, levels=LEVELS)
-        rho = evolve.apply_superop(channel, rho)
+        rho = (channel @ rho.reshape(-1)).reshape(DIM, DIM)
 
     excited = np.zeros(DIM)
     excited[1] = excited[3] = 1.0  # target in |1>: states |01> and |11>

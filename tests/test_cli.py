@@ -102,11 +102,11 @@ class TestGateCommand:
 
     def test_every_malformed_flag_in_one_report(self, tmp_path, capsys):
         argv = ["gate", "--out-dir", str(tmp_path),
-                "--scheme", "foo", "--seed", "x", "--bogus", "--theta"]
+                "--scheme", "foo", "--phi", "x", "--bogus", "--theta"]
         assert cli.main(argv) == 1
         problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
         assert len(problems) == 4, problems
-        for flag in ("--scheme", "--seed", "--bogus", "--theta"):
+        for flag in ("--scheme", "--phi", "--bogus", "--theta"):
             assert sum(flag in line for line in problems) == 1, problems
 
     def test_numeric_failure_exit_code(self, tmp_path):
@@ -256,7 +256,7 @@ class TestConfigFile:
 
     def test_wrongly_typed_values_listed(self, tmp_path, capsys):
         cfg = tmp_path / "typed.json"
-        bad = {"omega0_mhz": [1], "theta": "x", "seed": 1.5, "threads": True,
+        bad = {"omega0_mhz": [1], "theta": "x", "threads": 1.5, "edge_ramp_ns": True,
                "scheme": "foo", "initial": 0}
         cfg.write_text(json.dumps({**bad, "gamma": 1, "dt_ns": None}))
         code = cli.main(["trajectory", "--config", str(cfg), "--out-dir", str(tmp_path)])
@@ -289,11 +289,15 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, config, expected",
         [
-            (("gate",), None, "502697f11ff1317d"),
-            (("trajectory", "--amp-error=-0.03", "--initial", "e"), None, "7b855077ade068d2"),
-            (("gate", "--omega0", "4.0"), None, "775b1c11e8371fb1"),
+            (("gate",), None, "ecbacbd1b596deba"),
+            (("trajectory", "--amp-error=-0.03", "--initial", "e"), None, "6ab3429e220e0392"),
+            (("gate", "--omega0", "4.0"), None, "8bc9130ea92f2edd"),
             # an int for a float flag keeps its JSON type and so its own hash
-            (("gate",), {"gamma": 1, "omega0-mhz": "4.0", "dt_ns": None}, "1a0ed361784d77ce"),
+            (("gate",), {"gamma": 1, "omega0-mhz": "4.0", "dt_ns": None}, "21ad2cf09e9f32b5"),
+            # the hash sorts its keys, so rb's did not move when --seed and --shots
+            # left the flags of the other commands
+            (("rb", "--seed", "7", "--shots", "100", "--lengths", "1,2,3", "--sequences", "10"),
+             None, "b37f6091295ed16a"),
         ],
     )
     def test_config_hash_values_are_pinned(self, tmp_path, argv, config, expected):
@@ -305,20 +309,28 @@ class TestConfigFile:
         assert summary.read_text().splitlines()[2] == f"# config_hash = {expected}"
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--shots"])
+@pytest.mark.parametrize("command", ["gate", "trajectory", "ramsey", "scan", "compare"])
+def test_rb_only_flags_are_unknown_elsewhere(tmp_path, capsys, command, flag):
+    # only rb draws sequences, so only rb takes a seed or a shot count
+    assert run(tmp_path, command, f"{flag}=1") == 1
+    assert problem_lines(capsys.readouterr().err) == [f"  - unknown flag {flag}"]
+
+
 NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")
 ERROR_FLAGS = ("--amp-error", "--detuning-error")
 
 #: flags that take a finite value, per command: --detuning-error any finite
 #: one, --amp-error one above -1, --error-range one inside (-1, 1),
-#: --edge-ramp-ns a non-negative one and the rest a positive one; --seed
-#: takes a non-negative integer
+#: --edge-ramp-ns a non-negative one and the rest a positive one; rb's
+#: --seed takes a non-negative integer
 CHECKED_FLAGS = {
-    "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns", "--seed"),
-    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
-    "ramsey": ("--g-eff-mhz", "--t1-a-us", "--seed"),
+    "gate": ("--omega0-mhz", "--edge-ramp-ns", "--dt-ns"),
+    "trajectory": ("--omega0-mhz", "--edge-ramp-ns", *NOISE_FLAGS, *ERROR_FLAGS),
+    "ramsey": ("--g-eff-mhz", "--t1-a-us"),
     "rb": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
-    "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range", "--seed"),
-    "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS, "--seed"),
+    "scan": ("--omega0-mhz", *NOISE_FLAGS, "--error-range"),
+    "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
 }
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -688,17 +700,14 @@ TABLE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
 
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(-10**18, 10**18), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
-def test_table_cells_render_as_fmt(tmp_path_factory, rows):
+def test_table_cells_render_as_fmt(rows):
     # float cells print as _fmt prints them, from row tuples and from float
     # arrays (formatted a row at a time); an integer column stays integer:
     # 10**17, not 1e+17
-    path = tmp_path_factory.getbasetemp() / "table.csv"
-
     def cells(table, header):
-        cli._write_table(str(path), ["# meta"], header, table)
-        lines = path.read_text().splitlines()
-        assert lines[:2] == ["# meta", ",".join(header)]
-        return [line.split(",") for line in lines[2:]]
+        lines = cli._table_lines(header, table)
+        assert lines[0] == ",".join(header)
+        return [line.split(",") for line in lines[1:]]
 
     assert cells(rows, ["m", "x", "y"]) == [[str(m), cli._fmt(x), cli._fmt(y)] for m, x, y in rows]
     floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 2)

@@ -112,7 +112,7 @@ class TestRamsey:
         if gate_on:
             sched = tq.build_cphase_schedule(PI / 4, model.g_eff, "tounhqc")
             channel = evolve.gate_channel(sched, noise, dim=tq.DIM, levels=tq.LEVELS)
-            rho = evolve.apply_superop(channel, rho)
+            rho = (channel @ rho.reshape(-1)).reshape(tq.DIM, tq.DIM)
         expected = []
         for theta in thetas:
             u = tq._analysis_half_pi(theta)
