@@ -35,6 +35,7 @@ from .pulses import (
     tounhqc_duration,
 )
 from .quantum import (
+    average_channel_fidelity,
     average_gate_fidelity,
     basis_state,
     bloch_coordinates,

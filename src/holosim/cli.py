@@ -37,12 +37,13 @@ from .evolve import (
     ErrorInjection,
     IntegratorConfig,
     NoiseModel,
+    _checked_dt,
     dt_halving_delta,
     propagator,
 )
 from .gates import ideal_single_qubit
-from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize, tounhqc_duration
-from .quantum import average_gate_fidelity
+from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
+from .quantum import average_channel_fidelity
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,10 +240,11 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
         flag = table[matches[0]] if len(matches) == 1 else None
         if not token.startswith("--"):
             problems.append(f"unexpected value {token!r}")
-        elif not matches:
-            problems.append(f"unknown flag {name}")
         elif flag is None:
-            problems.append(f"ambiguous flag {name} could match {', '.join(matches)}")
+            problems.append(f"ambiguous flag {name} could match {', '.join(matches)}"
+                            if matches else f"unknown flag {name}")
+            if not has_value and tokens and not tokens[0].startswith("--"):
+                tokens.pop(0)  # its value, so that one fault is listed once
         elif flag.type is bool and has_value:
             problems.append(f"{matches[0]} takes no value")
         elif flag.type is bool:
@@ -291,9 +293,13 @@ def _noise_from_args(args) -> NoiseModel:
         "tphi_1": args.tphi_1_us,
     }
     kwargs = {name: us * 1e-6 for name, us in flags.items() if us is not None}
-    if not kwargs:
-        return NoiseModel()
     return NoiseModel.qutrit_relaxation(**kwargs)
+
+
+def _synthesize_from_args(args) -> tuple:
+    spec = GateSpec(theta=args.theta, phi=args.phi, gamma=args.gamma)
+    omega0 = TWO_PI * args.omega0_mhz * 1e6
+    return spec, synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
 
 
 def _integrator_from_args(args) -> IntegratorConfig:
@@ -323,14 +329,12 @@ _INITIAL_STATES = {
 
 
 def _cmd_gate(args) -> dict:
-    spec = GateSpec(theta=args.theta, phi=args.phi, gamma=args.gamma)
-    omega0 = TWO_PI * args.omega0_mhz * 1e6
-    schedule = synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
+    spec, schedule = _synthesize_from_args(args)
     config = _integrator_from_args(args)
     u = propagator(schedule, config=config)
     ideal = ideal_single_qubit(spec)
+    fidelity = average_channel_fidelity(np.kron(u, u.conj()), ideal)
     block = u[:2, :2]
-    fidelity = average_gate_fidelity(ideal, block)
     leakage = 1.0 - float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
     delta = dt_halving_delta(schedule, config=config, u=u)
@@ -354,9 +358,7 @@ def _cmd_gate(args) -> dict:
 
 
 def _cmd_trajectory(args) -> dict:
-    spec = GateSpec(theta=args.theta, phi=args.phi, gamma=args.gamma)
-    omega0 = TWO_PI * args.omega0_mhz * 1e6
-    schedule = synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
+    _, schedule = _synthesize_from_args(args)
     report = protocols.trajectory_report(
         schedule,
         _INITIAL_STATES[args.initial],
@@ -389,7 +391,7 @@ def _cmd_trajectory(args) -> dict:
 def _cmd_ramsey(args) -> dict:
     model = twoqubit.CompositeModel(g_eff=TWO_PI * args.g_eff_mhz * 1e6)
     thetas = np.linspace(0.0, TWO_PI, args.points, endpoint=False)
-    noise = _noise_from_args_5d(args)
+    noise = NoiseModel() if args.t1_a_us is None else twoqubit.ancilla_decay(args.t1_a_us * 1e-6)
     fringe_on = twoqubit.ramsey_protocol(model, True, args.gamma, thetas, noise, args.scheme)
     fringe_off = twoqubit.ramsey_protocol(model, False, args.gamma, thetas, noise, args.scheme)
     shift = twoqubit.ramsey_phase_shift(fringe_on, fringe_off)
@@ -406,13 +408,6 @@ def _cmd_ramsey(args) -> dict:
         "ramsey_fringes.csv": (["theta_rad", "p_gate_on", "p_gate_off"], fringes),
         "ramsey_summary.txt": entries,
     }
-
-
-def _noise_from_args_5d(args) -> NoiseModel:
-    """Composite-model noise: ancilla relaxation from the --t1-a-us flag."""
-    if args.t1_a_us is not None:
-        return twoqubit.ancilla_decay(args.t1_a_us * 1e-6)
-    return NoiseModel()
 
 
 def _cmd_rb(args) -> dict:
@@ -625,16 +620,13 @@ def _validate(args) -> None:
         if name in valid and not math.isfinite(nhqc_duration(TWO_PI * valid[name] * 1e6) * 1e9):
             problems.append(f"{name} is too small: its 2 pi / omega loop "
                             f"overflows in ns, got {valid[name]}")
+            del valid[name]  # the rules below read only loops with finite times
     if {"--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
-        ramp = args.edge_ramp_ns * 1e-9
-        omega0 = TWO_PI * args.omega0_mhz * 1e6
-        if args.scheme == "tounhqc":
-            tau = tounhqc_duration(args.gamma, omega0)
-        else:
-            tau = nhqc_duration(omega0)
-        if 2.0 * ramp > tau:
+        # the loop's duration, by synthesis's own rule; theta and phi do not change it
+        loop = synthesize(GateSpec(0.0, 0.0, args.gamma), TWO_PI * args.omega0_mhz * 1e6, args.scheme)
+        if 2.0 * args.edge_ramp_ns * 1e-9 > loop.duration:
             problems.append(
-                f"--edge-ramp-ns must be at most half the {tau * 1e9:.6g} ns loop, "
+                f"--edge-ramp-ns must be at most half the {loop.duration * 1e9:.6g} ns loop, "
                 f"got {args.edge_ramp_ns}"
             )
     if valid.get("--resolution", 1) % 2 == 0:
@@ -655,6 +647,17 @@ def _validate(args) -> None:
                 problems.append("--lengths must be strictly increasing")
             if len(lengths) < 3:
                 problems.append("--lengths needs at least 3 values to fit a decay")
+    # the engine's step rule where it steps, through a gate's ramps and along every
+    # trajectory; it reads nearly every flag, so it runs once all of them pass
+    steps = args.command == "trajectory" or (args.command == "gate" and args.edge_ramp_ns > 0.0)
+    if steps and not problems:
+        _, schedule = _synthesize_from_args(args)
+        noise = _noise_from_args(args) if args.command == "trajectory" else NoiseModel()
+        try:
+            _checked_dt(schedule, noise, _integrator_from_args(args))
+        except ValueError as exc:
+            problems.append(f"--dt-ns is too coarse for the {schedule.duration * 1e9:.6g} ns "
+                            f"loop: {exc}")
     if problems:
         raise ConfigError(problems)
 

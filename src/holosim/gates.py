@@ -34,12 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .pulses import TWO_PI, GateSpec
+from .pulses import DEGENERATE_GAMMA_TOL, TWO_PI, GateSpec
 from .quantum import is_unitary
-
-# Rotations this close to the identity compile to a no-op; matches the
-# degenerate-loop threshold in pulse synthesis.
-IDENTITY_ANGLE_TOL = 1e-9
 
 
 def _rotation(theta: float, phi, gamma: float) -> np.ndarray:
@@ -74,8 +70,11 @@ def ideal_control_rk(k: int) -> np.ndarray:
 
 
 def _gate_spec(axis: tuple[float, float, float], angle: float) -> Optional[GateSpec]:
-    """GateSpec rotating by ``angle`` in [0, 2 pi) about the unit ``axis``; None for the identity."""
-    if angle < IDENTITY_ANGLE_TOL or TWO_PI - angle < IDENTITY_ANGLE_TOL:
+    """GateSpec rotating by ``angle`` in [0, 2 pi) about the unit ``axis``; None for the identity.
+
+    The identity is any angle that synthesis finds a degenerate loop angle.
+    """
+    if angle < DEGENERATE_GAMMA_TOL or TWO_PI - angle < DEGENERATE_GAMMA_TOL:
         return None
     nx, ny, nz = axis
     theta = math.acos(min(1.0, max(-1.0, nz)))
@@ -103,7 +102,7 @@ def gate_spec_from_unitary(u: np.ndarray) -> Optional[GateSpec]:
     s_z = -0.5 * (v[0, 0] - v[1, 1]).imag
     s_xy = 1j * v[0, 1]
     s_norm = math.sqrt(s_z * s_z + abs(s_xy) ** 2)
-    if s_norm < IDENTITY_ANGLE_TOL:
+    if s_norm < DEGENERATE_GAMMA_TOL:
         return None
     axis = (s_xy.real / s_norm, s_xy.imag / s_norm, s_z / s_norm)
     return _gate_spec(axis, 2.0 * math.atan2(s_norm, c) % TWO_PI)

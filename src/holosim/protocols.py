@@ -32,7 +32,7 @@ from .gates import (
     ideal_single_qubit,
 )
 from .pulses import GateSpec, PulseSchedule, synthesize
-from .quantum import basis_state, bloch_rows, density, unattenuated_fidelity
+from .quantum import average_channel_fidelity, basis_state, bloch_rows, density, unattenuated_fidelity
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 8.660e6
 
@@ -514,27 +514,6 @@ def robustness_scan(
 # ---------------------------------------------------------------------------
 
 
-def average_channel_fidelity(superop: np.ndarray, u_ideal: np.ndarray) -> float:
-    """Average fidelity of a channel against a target unitary.
-
-    Uses F_avg = (d F_pro + 1) / (d + 1) with the process fidelity
-    F_pro = Re Tr(S_U^dag S) / d^2 in row-major vectorization.  ``superop``
-    must act on the same dimension as ``u_ideal``.
-    """
-    d = u_ideal.shape[0]
-    if superop.shape != (d * d, d * d):
-        raise ValueError(f"superoperator shape {superop.shape} does not match d={d}")
-    s_u = np.kron(u_ideal, u_ideal.conj())
-    f_pro = float(np.trace(s_u.conj().T @ superop).real) / (d * d)
-    return (d * f_pro + 1.0) / (d + 1.0)
-
-
-def _qubit_block_superop(s3: np.ndarray) -> np.ndarray:
-    """Restrict a qutrit superoperator to the (|0>, |1>) block."""
-    keep = [0, 1, 3, 4]  # row-major pairs (0,0), (0,1), (1,0), (1,1)
-    return s3[np.ix_(keep, keep)]
-
-
 @dataclass(frozen=True)
 class SchemeComparison:
     """Durations, fidelities and the relative error reduction of the schemes.
@@ -566,7 +545,7 @@ def compare_schemes(
     schedules = [synthesize(spec, omega0, scheme) for scheme in schemes]
     taus = {scheme: schedule.duration for scheme, schedule in zip(schemes, schedules)}
     errors = {
-        scheme: 1.0 - average_channel_fidelity(_qubit_block_superop(channel), ideal)
+        scheme: 1.0 - average_channel_fidelity(channel, ideal)
         for scheme, channel in zip(schemes, gate_channels(schedules, noise, err))
     }
     e_t, e_n = errors["tounhqc"], errors["nhqc"]

@@ -61,18 +61,34 @@ def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
-def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
-    """Average gate fidelity (|Tr(U' V)|^2 + d) / (d (d + 1)) of two unitaries.
+def average_channel_fidelity(superop: np.ndarray, u_ideal: np.ndarray) -> float:
+    """Average fidelity of a row-major (D^2, D^2) channel on D >= d levels against a d x d unitary.
 
-    Invariant under a global phase of either argument.
+    On the channel's block S over the first d levels, F_avg = (d F_pro + 1) / (d + 1) with
+    F_pro = Re Tr(S_U^dag S) / d^2 (Pedersen, Moller and Molmer, Phys. Lett. A 367, 47 (2007),
+    without leakage).  Cauchy-Schwarz bounds it by 1; rounding above that is clipped.
+    """
+    u = np.asarray(u_ideal, dtype=complex)
+    s = np.asarray(superop, dtype=complex)
+    d, levels = u.shape[0], math.isqrt(s.shape[0])
+    if s.shape != (levels**2, levels**2) or levels < d:
+        raise ValueError(f"superoperator shape {s.shape} does not hold d={d} levels")
+    keep = (levels * np.arange(d)[:, None] + np.arange(d)).ravel()  # row-major pairs (i, j < d)
+    s_u = np.kron(u, u.conj())
+    f_pro = float(np.trace(s_u.conj().T @ s[np.ix_(keep, keep)]).real) / (d * d)
+    return min((d * f_pro + 1.0) / (d + 1.0), 1.0)
+
+
+def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
+    """:func:`average_channel_fidelity` of the unitary channel of ``u_actual``.
+
+    It equals (|Tr(U' V)|^2 + d) / (d (d + 1)) and ignores a global phase of either argument.
     """
     a = np.asarray(u_ideal, dtype=complex)
     b = np.asarray(u_actual, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    tr = np.trace(a.conj().T @ b)
-    return float((abs(tr) ** 2 + d) / (d * (d + 1)))
+    return average_channel_fidelity(np.kron(b, b.conj()), a)
 
 
 def bloch_rows(rhos: np.ndarray) -> np.ndarray:

@@ -109,9 +109,22 @@ class TestGateCommand:
         for flag in ("--scheme", "--phi", "--bogus", "--theta"):
             assert sum(flag in line for line in problems) == 1, problems
 
-    def test_numeric_failure_exit_code(self, tmp_path):
-        # a 50 ns step through the ramps of a 100 ns schedule violates the step-size contract
-        assert run(tmp_path, "gate", "--edge-ramp-ns", "10", "--dt-ns", "50") == 2
+    def test_numeric_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a failure inside the engine, past every configuration check, exits 2
+        def fail(*args, **kwargs):
+            raise ArithmeticError("overflow")
+
+        monkeypatch.setattr(evolve, "_frame_maps", fail)
+        assert run(tmp_path, "gate") == 2
+        assert capsys.readouterr().err == "numeric failure: overflow\n"
+
+    def test_fidelity_is_clipped_at_one(self, tmp_path):
+        # unclipped, this gate read gate_fidelity = 1.0000000000000002
+        argv = ("--theta", "2.980270133958384", "--phi", "1.9573355027911696",
+                "--gamma", "2.705842654941451")
+        assert run(tmp_path, "gate", "--scheme", "nhqc", *argv) == 0
+        summary = read_summary(tmp_path / "gate_summary.txt")
+        assert (summary["gate_fidelity"], summary["gate_infidelity"]) == ("1", "0")
 
 
 class TestTrajectoryCommand:
@@ -176,6 +189,18 @@ def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, fi
     assert run(tmp_path / "explicit", *argv, "--dt-ns", dt_ns) == 0
     for name in files:
         assert data_lines(tmp_path / "explicit" / name) == data_lines(tmp_path / "default" / name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate", "--edge-ramp-ns", "10", "--dt-ns", "5"),
+    ("trajectory", "--dt-ns", "5"),
+    ("trajectory", "--t1-1e-us", "0.05", "--dt-ns", "1"),
+], ids=["gate-ramp", "trajectory", "trajectory-rate"])
+def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, argv):
+    # the engine's step rule: 100 steps per loop at least, and rate * dt below 0.01
+    assert run(tmp_path, *argv) == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert problem.startswith("  - --dt-ns is too coarse for the 100.003 ns loop: step size ")
 
 
 class TestScanCommand:
@@ -315,6 +340,17 @@ def test_rb_only_flags_are_unknown_elsewhere(tmp_path, capsys, command, flag):
     # only rb draws sequences, so only rb takes a seed or a shot count
     assert run(tmp_path, command, f"{flag}=1") == 1
     assert problem_lines(capsys.readouterr().err) == [f"  - unknown flag {flag}"]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("--seed", "1"), "unknown flag --seed"),
+    (("--t", "1"), "ambiguous flag --t could match --theta, --threads"),
+    (("--seed", "--theta", "1"), "unknown flag --seed"),
+], ids=["unknown", "ambiguous", "unknown-switch"])
+def test_unknown_flag_takes_its_value_with_it(tmp_path, capsys, argv, problem):
+    # a token after an unknown or ambiguous flag is its value, not a second fault
+    assert run(tmp_path, "gate", *argv) == 1
+    assert problem_lines(capsys.readouterr().err) == [f"  - {problem}"]
 
 
 NOISE_FLAGS = ("--t1-e0-us", "--t1-1e-us", "--tphi-e-us", "--tphi-1-us")

@@ -418,6 +418,18 @@ class TestAverageChannelFidelity:
         got = pr.average_channel_fidelity(superop, np.eye(2))
         assert got == pytest.approx((1 + lam) / 2, abs=1e-12)
 
+    def test_qutrit_channel_scores_as_its_sliced_qubit_block(self):
+        # compare passes its 9x9 channels whole; the score reads the same 4x4 block
+        spec = pulses.GateSpec(theta=0.0, phi=0.0, gamma=PI / 4)
+        ideal = ideal_single_qubit(spec)
+        schedules = [pulses.synthesize(spec, OMEGA0, scheme) for scheme in ("tounhqc", "nhqc")]
+        keep = [0, 1, 3, 4]  # row-major pairs (0,0), (0,1), (1,0), (1,1)
+        for channel in evolve.gate_channels(schedules, pr.default_noise_model()):
+            assert channel.shape == (9, 9)
+            block = channel[np.ix_(keep, keep)]
+            whole = pr.average_channel_fidelity(channel, ideal)
+            assert whole == pr.average_channel_fidelity(block, ideal) < 1.0
+
 
 class TestCompareSchemes:
     def test_duration_ratio_quarter_pi(self):

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from holosim import evolve, gates, pulses
 from holosim import quantum as q
 
-from conftest import random_density
+from conftest import random_density, random_gate_spec, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+#: the eigenstates of the three Pauli matrices, a 2-design on the qubit
+PAULI_EIGENSTATES = [
+    np.array(v, dtype=complex) / np.linalg.norm(v)
+    for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
+]
 
 
 class TestUnattenuatedFidelity:
@@ -65,6 +72,47 @@ class TestAverageGateFidelity:
     def test_orthogonal_pair_value(self):
         # d = 2, Tr(I sigma_x) = 0: (0 + 2) / 6
         assert q.average_gate_fidelity(np.eye(2), SX) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_clipped_at_one(self, rng):
+        # (|Tr(U' V)|^2 + d) / (d (d + 1)) rounds to 1.0000000000000002 on this gate's qubit block
+        spec = pulses.GateSpec(2.980270133958384, 1.9573355027911696, 2.705842654941451)
+        u = evolve.propagator(pulses.synthesize(spec, 2 * math.pi * 8.66e6, "nhqc"))
+        assert q.average_gate_fidelity(gates.ideal_single_qubit(spec), u[:2, :2]) == 1.0
+        for _ in range(100):
+            spec = random_gate_spec(rng)
+            scheme = str(rng.choice(["tounhqc", "nhqc"]))
+            u = evolve.propagator(pulses.synthesize(spec, 2 * math.pi * 8.66e6, scheme))
+            assert q.average_gate_fidelity(gates.ideal_single_qubit(spec), u[:2, :2]) <= 1.0
+
+
+class TestAverageChannelFidelity:
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_equals_mean_over_pauli_eigenstates(self, rng, levels):
+        # over a 2-design the mean of <U psi| E(psi) |U psi> is the average over
+        # all pure states; E is a random Kraus channel that keeps the qubit block
+        for _ in range(20):
+            u = random_unitary(rng, 2)
+            rank = int(rng.integers(1, 5))
+            a = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+            isometry = np.linalg.qr(a)[0]
+            kraus = [np.zeros((levels, levels), dtype=complex) for _ in range(rank)]
+            for k, op in enumerate(kraus):
+                op[:2, :2] = isometry[2 * k : 2 * k + 2]
+            superop = sum(np.kron(op, op.conj()) for op in kraus)
+            overlaps = []
+            for psi in PAULI_EIGENSTATES:
+                ket = np.zeros(levels, dtype=complex)
+                ket[:2] = psi
+                rho = sum(op @ q.density(ket) @ op.conj().T for op in kraus)
+                target = u @ psi
+                overlaps.append((target.conj() @ rho[:2, :2] @ target).real)
+            assert q.average_channel_fidelity(superop, u) == pytest.approx(
+                np.mean(overlaps), abs=1e-13
+            )
+
+    def test_channel_on_fewer_levels_than_the_target_is_rejected(self):
+        with pytest.raises(ValueError, match="does not hold d=3 levels"):
+            q.average_channel_fidelity(np.eye(4), np.eye(3))
 
 
 class TestBlochCoordinates:
