@@ -17,7 +17,8 @@ puts flags over ``--config`` file values over defaults, checks each number
 against its interval and then the few rules that join flags, and reports
 every problem at once; ``--help`` prints the same intervals.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 configuration error, 2 numeric failure or an
+allocation that fails.
 """
 from __future__ import annotations
 
@@ -37,13 +38,13 @@ from .evolve import (
     ErrorInjection,
     IntegratorConfig,
     NoiseModel,
-    _checked_dt,
     dt_halving_delta,
     propagator,
+    step_size,
 )
 from .gates import ideal_single_qubit
 from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
-from .quantum import average_channel_fidelity
+from .quantum import average_channel_fidelity, leakage, unitarity_defect
 
 TWO_PI = 2.0 * math.pi
 
@@ -334,9 +335,6 @@ def _cmd_gate(args) -> dict:
     u = propagator(schedule, config=config)
     ideal = ideal_single_qubit(spec)
     fidelity = average_channel_fidelity(np.kron(u, u.conj()), ideal)
-    block = u[:2, :2]
-    leakage = 1.0 - float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
     delta = dt_halving_delta(schedule, config=config, u=u)
 
     entries = [
@@ -348,8 +346,8 @@ def _cmd_gate(args) -> dict:
         ("tau_ns", schedule.duration * 1e9),
         ("gate_fidelity", fidelity),
         ("gate_infidelity", 1.0 - fidelity),
-        ("leakage", leakage),
-        ("unitarity_defect", defect),
+        ("leakage", leakage(u[:2, :2])),
+        ("unitarity_defect", unitarity_defect(u)),
         ("dt_halving_delta", delta),
         ("propagator", u),
         ("ideal_gate", ideal),
@@ -647,16 +645,16 @@ def _validate(args) -> None:
                 problems.append("--lengths must be strictly increasing")
             if len(lengths) < 3:
                 problems.append("--lengths needs at least 3 values to fit a decay")
-    # the engine's step rule where it steps, through a gate's ramps and along every
-    # trajectory; it reads nearly every flag, so it runs once all of them pass
-    steps = args.command == "trajectory" or (args.command == "gate" and args.edge_ramp_ns > 0.0)
-    if steps and not problems:
+    # the engine's step rule for the one schedule of a gate or trajectory; it
+    # reads nearly every flag, so it runs once all of them pass
+    if args.command in ("gate", "trajectory") and not problems:
         _, schedule = _synthesize_from_args(args)
-        noise = _noise_from_args(args) if args.command == "trajectory" else NoiseModel()
+        record = args.command == "trajectory"
+        noise = _noise_from_args(args) if record else NoiseModel()
         try:
-            _checked_dt(schedule, noise, _integrator_from_args(args))
+            step_size(schedule, noise, _integrator_from_args(args), record)
         except ValueError as exc:
-            problems.append(f"--dt-ns is too coarse for the {schedule.duration * 1e9:.6g} ns "
+            problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns "
                             f"loop: {exc}")
     if problems:
         raise ConfigError(problems)
@@ -687,7 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = _COMMANDS[args.command][0]
     try:
         outputs = command(args)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     meta = _metadata_lines(args.command, _config_hash(vars(args)))

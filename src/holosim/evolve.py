@@ -25,13 +25,15 @@ boundaries and edge-ramp corners:
   stacked products.
 
 Each piece's frame map is rebased to the lab frame at its ends,
-D(t_end) M D(t_start)^dag, and the pieces are chained.  A propagator or
-channel takes one exponential per constant piece and builds no grid; a
-trajectory records the maps at grid nodes, which the varying pieces step
-through.  The step size therefore sets only the steps of the ramp windows
-and the nodes a trajectory records, and it is resolved and checked
-(dt <= duration / 100, rate * dt < 0.01 for the fastest decay rate) only
-there: a full-schedule map of a ramp-free schedule takes no step.
+D(t_end) M D(t_start)^dag, and the pieces are chained.  Each piece
+carries its own grid nodes (:func:`_pieces`): a propagator or channel
+takes one exponential per constant piece, and a trajectory records the
+maps at grid nodes, which the varying pieces step through.  The step size
+therefore sets only the steps of the ramp windows and the nodes a
+trajectory records.  :func:`step_size` resolves and checks it
+(duration / 100,000 <= dt <= duration / 100, rate * dt < 0.01 for the
+fastest decay rate) only there: a full-schedule map of a ramp-free
+schedule takes no step.
 
 :func:`_frame_maps` is the engine's one entry point.  It alone turns the
 noise model into collapse operators and checks their phase class,
@@ -57,15 +59,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .pulses import (
-    PulseSchedule,
-    Segment,
-    interval_nodes,
-    segment_phase,
-    segment_table,
-    stepping_breaks,
-    stepping_grid,
-)
+from .pulses import PulseSchedule, Segment, segment_phase, segment_table
 
 #: Qutrit basis ordering used throughout: (|0>, |1>, |e>).
 QUTRIT_LEVELS = (0, 1, 2)
@@ -73,10 +67,13 @@ QUTRIT_DIM = 3
 
 DEFAULT_STEPS = 2000
 MIN_STEPS = 100
+#: The finest step is duration / MAX_STEPS, 50 times the default grid: the
+#: nodes and recorded maps of a trajectory grow as 1/dt.
+MAX_STEPS = 100_000
 MAX_RATE_DT = 0.01
 #: Matrix elements (errors x steps x m^2) of the step maps of a varying
 #: piece that are built in one batched call; bounds the memory of the
-#: (errors, steps, 2, m, m) stack of its exponentials.
+#: (errors, steps, 2, m, m) stacks of its generators and exponentials.
 MAP_CHUNK = 1 << 16
 #: Trajectories record every RECORD_STRIDE-th grid node, plus the endpoints.
 RECORD_STRIDE = 20
@@ -201,7 +198,8 @@ class IntegratorConfig:
     """Grid settings; ``dt = None`` resolves to duration / 2000.
 
     The grid sets the steps of varying pieces and the times a trajectory
-    records (every ``RECORD_STRIDE``-th node plus endpoints).
+    records (every ``RECORD_STRIDE``-th node plus endpoints);
+    :func:`step_size` resolves and checks it.
     """
 
     dt: Optional[float] = None
@@ -209,14 +207,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
-
-    def resolve_dt(self, duration: float) -> float:
-        dt = self.dt if self.dt is not None else duration / DEFAULT_STEPS
-        if dt > duration / MIN_STEPS:
-            raise ValueError(
-                f"step size {dt} too coarse: need dt <= duration/{MIN_STEPS}"
-            )
-        return dt
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -399,21 +389,53 @@ def _covariant(c_ops: np.ndarray, ie: int) -> bool:
 
 
 class _Piece(NamedTuple):
-    start: float
-    end: float
+    """A stretch of a schedule between two breaks, with its own grid.
+
+    ``nodes`` run from its start to its end; ``wanted`` are the ascending
+    indices of the nodes after the start where its map is taken, the last
+    one its end; the first ``owned`` of them are the schedule's outputs.
+    """
+
     seg: Segment
     varying: bool
+    nodes: np.ndarray
+    wanted: np.ndarray
+    owned: int
 
 
-def _pieces(schedule: PulseSchedule) -> list[_Piece]:
-    """The schedule cut at segment boundaries and edge-ramp corners; a piece varies inside a ramp window."""
-    rise, fall = schedule.edge_ramp, schedule.duration - schedule.edge_ramp
-    breaks = stepping_breaks(schedule)
-    pieces = []
+def _pieces(schedule: PulseSchedule, dt: Optional[float], record: bool) -> list[_Piece]:
+    """The schedule cut at segment boundaries and edge-ramp corners, from 0 to ``schedule.duration``.
+
+    A piece varies inside a ramp window.  Its nodes are uniform and at most
+    ``dt`` apart where it is stepped (it varies) or ``record`` is set, else
+    only its two ends; the grid thus has a node at every break, so neither
+    a phase jump nor a kink of the envelope falls inside a step.  A corner
+    within 1e-12 duration of another break is dropped.  The schedule's
+    outputs are, with ``record``, every ``RECORD_STRIDE``-th node of the
+    whole grid counted from t = 0 (t = 0 itself left out) and its last node;
+    without it, the end.
+    """
+    duration, r = schedule.duration, schedule.edge_ramp
+    breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [duration]
+    for corner in (r, duration - r) if r > 0.0 else ():
+        if min(abs(corner - b) for b in breaks) > 1e-12 * duration:
+            breaks.append(corner)
+    breaks.sort()
+    pieces, first = [], 0  # first: the grid index of the piece's start
     for a, b in zip(breaks, breaks[1:]):
         mid = 0.5 * (a + b)
         seg = next(seg for seg in schedule.segments if mid < seg.t_end)
-        pieces.append(_Piece(a, b, seg, mid < rise or mid > fall))
+        varying = mid < r or mid > duration - r
+        steps = max(1, math.ceil((b - a) / dt - 1e-12)) if varying or record else 1
+        # the piece's nodes k whose grid index first + k is a multiple of the stride
+        stride = RECORD_STRIDE
+        output = set(range(-first % stride or stride, steps + 1, stride)) if record else set()
+        if b == duration:
+            output.add(steps)
+        # the same two nodes, without linspace's set-up, which dominates a batch of gates
+        nodes = np.linspace(a, b, steps + 1) if steps > 1 else np.array((a, b))
+        pieces.append(_Piece(seg, varying, nodes, np.array(sorted(output | {steps})), len(output)))
+        first += steps
     return pieces
 
 
@@ -500,21 +522,18 @@ def _run_products(steps: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def _varying_maps(
     schedule: PulseSchedule,
+    piece: _Piece,
     errors: np.ndarray,
-    pieces: list[_Piece],
-    spans: list[np.ndarray],
-    dt: float,
     dissipator: Optional[np.ndarray],
     dim: int,
     levels: tuple[Optional[int], int, int],
-) -> list[np.ndarray]:
-    """CF4 frame maps of varying ``pieces``, each from the identity at its start.
+) -> np.ndarray:
+    """CF4 frame maps of a varying ``piece`` at its wanted nodes, from the identity at its start.
 
-    Each piece steps through its own grid nodes at step ``dt``.  ``spans[k]``
-    are the ascending nodes of piece k, after its start, at which its map is
-    wanted.  Without a ``dissipator`` the maps are unitaries, else row-major
-    superoperators.  Returns one (n_err, len(spans[k]), m, m) stack per
-    piece, n_err the columns of the :func:`error_table` ``errors``.
+    Each step runs between two of the piece's nodes.  Without a
+    ``dissipator`` the maps are unitaries, else row-major superoperators.
+    Returns an (n_err, len(piece.wanted), m, m) stack, n_err the columns of
+    the :func:`error_table` ``errors``.
     """
     ie = levels[2]
     n_err = errors.shape[1]
@@ -522,52 +541,60 @@ def _varying_maps(
     if dissipator is not None:
         # the frame leaves the dissipator alone, so each exponential takes its weights' sum of it
         dissipator = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
-    out = []
-    for piece, at in zip(pieces, spans):
-        nodes = interval_nodes(piece.start, piece.end, dt)
-        steps = np.diff(nodes)
-        wanted = np.rint((at - piece.start) / (piece.end - piece.start) * len(steps)).astype(int)
-        gauss = (nodes[:-1, None] + _GL_NODES * steps[:, None]).reshape(-1)
-        gens = _frame_generators(segment_table([piece.seg]), schedule.envelope_factor(gauss), errors,
+    table = segment_table([piece.seg])
+    steps = np.diff(piece.nodes)
+    wanted = piece.wanted
+    maps = np.empty((n_err, len(wanted), m, m), dtype=complex)
+    chunk = max(1, MAP_CHUNK // (n_err * m * m))
+    cur, k = None, 0
+    for lo in range(0, len(steps), chunk):
+        part = steps[lo : lo + chunk]
+        hi = lo + len(part)
+        gauss = (piece.nodes[lo:hi, None] + _GL_NODES * part[:, None]).reshape(-1)
+        gens = _frame_generators(table, schedule.envelope_factor(gauss), errors,
                                  schedule.omega0, dim, levels)
         gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, -1, 2, dim, dim))
-
-        maps = np.empty((n_err, len(at), m, m), dtype=complex)
-        chunk = max(1, MAP_CHUNK // (n_err * m * m))
-        cur, k = None, 0
-        for lo in range(0, len(steps), chunk):
-            part = slice(lo, lo + chunk)
-            exps = _exponentials(gens[:, part], steps[part, None], dissipator, ie)
-            # runs of steps end at the wanted nodes inside the chunk and at its end
-            hi = lo + exps.shape[1]
-            inside = wanted[(wanted > lo) & (wanted < hi)]
-            ends = np.append(inside[np.diff(inside, append=hi) > 0], hi)
-            runs = _run_products(exps[:, :, 1] @ exps[:, :, 0], ends - lo)
-            for end, run in zip(ends, runs.swapaxes(0, 1)):
-                cur = run if cur is None else run @ cur
-                while k < len(at) and wanted[k] == end:
-                    maps[:, k] = cur
-                    k += 1
-        out.append(maps)
-    return out
+        exps = _exponentials(gens, part[:, None], dissipator, ie)
+        # runs of steps end at the wanted nodes inside the chunk and at its end
+        ends = np.append(wanted[(wanted > lo) & (wanted < hi)], hi)
+        runs = _run_products(exps[:, :, 1] @ exps[:, :, 0], ends - lo)
+        for end, run in zip(ends, runs.swapaxes(0, 1)):
+            cur = run if cur is None else run @ cur
+            if k < len(wanted) and wanted[k] == end:
+                maps[:, k] = cur
+                k += 1
+    return maps
 
 
-def _checked_dt(schedule: PulseSchedule, noise: NoiseModel, config: IntegratorConfig) -> float:
-    """Resolved step size, rejecting steps too coarse for the fastest decay rate."""
-    dt = config.resolve_dt(schedule.duration)
+def step_size(
+    schedule: PulseSchedule,
+    noise: NoiseModel = NO_NOISE,
+    config: IntegratorConfig = DEFAULT_CONFIG,
+    record: bool = False,
+) -> Optional[float]:
+    """The checked step the engine takes on ``schedule``, or None where it takes none.
+
+    A full-schedule map steps only through the edge-ramp windows, so it
+    takes no step on a ramp-free schedule; a trajectory (``record``)
+    records on the grid, so it always takes one.  The step is ``config.dt``,
+    or duration / DEFAULT_STEPS by default.  Raises ValueError unless
+    duration / MAX_STEPS <= dt <= duration / MIN_STEPS and rate * dt stays
+    below MAX_RATE_DT for the fastest decay rate of ``noise``.
+    """
+    if not record and schedule.edge_ramp == 0.0:
+        return None
+    duration = schedule.duration
+    dt = config.dt if config.dt is not None else duration / DEFAULT_STEPS
+    if dt > duration / MIN_STEPS:
+        raise ValueError(f"step size {dt} too coarse: need dt <= duration/{MIN_STEPS}")
+    if dt < duration / MAX_STEPS:
+        raise ValueError(f"step size {dt} too fine: need dt >= duration/{MAX_STEPS}")
     if noise.max_rate * dt >= MAX_RATE_DT:
         raise ValueError(
             f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
             f"must stay below {MAX_RATE_DT}"
         )
     return dt
-
-
-def _recorded_times(schedule: PulseSchedule, dt: float) -> np.ndarray:
-    """Grid nodes at which trajectories record: every ``RECORD_STRIDE``-th plus endpoints."""
-    nodes = stepping_grid(schedule, dt)
-    n = len(nodes) - 1
-    return nodes[np.append(np.arange(0, n, RECORD_STRIDE), n)]
 
 
 def _frame_maps(
@@ -584,28 +611,20 @@ def _frame_maps(
 
     ``errors`` is an :func:`error_table` of n_err columns.  By default each
     schedule's map is taken at its end; with ``record``, at the recorded
-    grid nodes after t = 0 (:func:`_recorded_times`).  Returns one
-    Trajectory per schedule, whose states are the (n_err, len(times), m, m)
-    maps at its times: unitaries (m = d) when ``noise`` is empty, row-major
+    grid nodes after t = 0 (see :func:`_pieces`).  Returns one Trajectory
+    per schedule, whose states are the (n_err, len(times), m, m) maps at
+    its times: unitaries (m = d) when ``noise`` is empty, row-major
     superoperators (m = d^2) otherwise, or U (x) conj(U) for ``superop``
-    without noise.  A step is resolved and checked (:func:`_checked_dt`)
-    only where the grid is used.  The exponentials of the constant pieces
-    of every schedule, error and time come from one batched call, and
-    piece k of every schedule is rebased and chained in one step.  Raises
-    ValueError when the nonzero entries of a collapse operator do not
-    share one phase class.
+    without noise.  :func:`step_size` resolves and checks the step of each
+    schedule, which is None where none is taken.  The exponentials of the
+    constant pieces of every schedule, error and time come from one batched
+    call, and piece k of every schedule is rebased and chained in one step.
+    Raises ValueError when the nonzero entries of a collapse operator do
+    not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
-    # a full-schedule map steps only through the edge-ramp windows, so a
-    # ramp-free schedule resolves and checks no step
-    dts = [
-        _checked_dt(schedule, noise, config) if record or schedule.edge_ramp > 0.0 else None
-        for schedule in schedules
-    ]
-    times = [
-        _recorded_times(schedule, dt)[1:] if record else np.array([schedule.duration])
-        for schedule, dt in zip(schedules, dts)
-    ]
+    cuts = [_pieces(schedule, step_size(schedule, noise, config, record), record)
+            for schedule in schedules]
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
@@ -614,32 +633,18 @@ def _frame_maps(
         )
     dissipator = _dissipator(c_ops) if noisy else None
     m = dim * dim if noisy else dim
-    cuts = [_pieces(schedule) for schedule in schedules]
-    # each piece's own times, plus its end when another piece follows
-    owned, spans = [], []
-    for pieces, at in zip(cuts, times):
-        owner = np.minimum(np.searchsorted([p.end for p in pieces], at), len(pieces) - 1)
-        owned.append([np.count_nonzero(owner == k) for k in range(len(pieces))])
-        spans.append([
-            np.append(at[owner == k], [p.end] * (k < len(pieces) - 1))
-            for k, p in enumerate(pieces)
-        ])
 
-    frame = {}
-    for s, (schedule, pieces) in enumerate(zip(schedules, cuts)):
-        varying = [k for k, p in enumerate(pieces) if p.varying]
-        if varying:
-            stepped = _varying_maps(schedule, errors, [pieces[k] for k in varying],
-                                    [spans[s][k] for k in varying], dts[s], dissipator,
-                                    dim, levels)
-            frame.update(((s, k), maps) for k, maps in zip(varying, stepped))
+    frame = {
+        (s, k): _varying_maps(schedules[s], p, errors, dissipator, dim, levels)
+        for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if p.varying
+    }
     constant = [(s, k) for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if not p.varying]
     if constant:
         table = segment_table([cuts[s][k].seg for s, k in constant])
         omega0 = np.array([schedules[s].omega0 for s, _ in constant])
         gens = _frame_generators(table, 1.0, errors, omega0, dim, levels)
-        counts = [len(spans[s][k]) for s, k in constant]
-        taus = np.concatenate([spans[s][k] - cuts[s][k].start for s, k in constant])
+        counts = [len(cuts[s][k].wanted) for s, k in constant]
+        taus = np.concatenate([p.nodes[p.wanted] - p.nodes[0] for p in (cuts[s][k] for s, k in constant)])
         gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
         exps = _exponentials(gens, taus, dissipator, levels[2])
         frame.update(zip(constant, np.split(exps, np.cumsum(counts)[:-1], axis=1)))
@@ -651,22 +656,23 @@ def _frame_maps(
     start[:] = np.eye(m)
     for k in range(max(map(len, cuts))):
         live = [s for s, pieces in enumerate(cuts) if len(pieces) > k]
-        table = segment_table([cuts[s][k].seg for s in live])
-        counts = [len(spans[s][k]) for s in live]
+        pieces = [cuts[s][k] for s in live]
+        table = segment_table([p.seg for p in pieces])
+        counts = [len(p.wanted) for p in pieces]
         rows = np.repeat(np.arange(len(live)), counts)
-        firsts = np.array([cuts[s][k].start for s in live])
+        firsts = np.array([p.nodes[0] for p in pieces])
         back = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy)
         back = back.conj()[:, None, :, None] * start[live]
         phases = _frame_phases(
-            segment_phase(table[:, rows], np.concatenate([spans[s][k] for s in live])),
+            segment_phase(table[:, rows], np.concatenate([p.nodes[p.wanted] for p in pieces])),
             dim, levels[2], noisy,
         )
         frames = np.concatenate([frame[s, k] for s in live], axis=1)
         maps = phases[:, :, None] * (frames @ back[rows].swapaxes(0, 1))
         lo = 0
-        for s, count in zip(live, counts):
-            out[s].append(maps[:, lo : lo + owned[s][k]])
-            lo += count
+        for s, p in zip(live, pieces):
+            out[s].append(maps[:, lo : lo + p.owned])
+            lo += len(p.wanted)
             start[s] = maps[:, lo - 1]
     maps = [np.concatenate(parts, axis=1) for parts in out]
     if superop and not noisy:
@@ -675,6 +681,7 @@ def _frame_maps(
             (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*u.shape[:2], m * m, m * m)
             for u in maps
         ]
+    times = [np.concatenate([p.nodes[p.wanted[: p.owned]] for p in pieces]) for pieces in cuts]
     return [Trajectory(at, stack) for at, stack in zip(times, maps)]
 
 
@@ -720,12 +727,14 @@ def dt_halving_delta(
 
     The max-norm change of :func:`propagator` when the step size is halved.
     Only the edge-ramp windows depend on the step, so it is exactly 0.0 on
-    a ramp-free schedule, and no propagator is built there.  ``u`` is
-    ``propagator(schedule, config=config)`` when the caller already holds it.
+    a ramp-free schedule, and no propagator is built there.  The half step
+    obeys :func:`step_size` too, so a step finer than 2 duration / MAX_STEPS
+    raises ValueError.  ``u`` is ``propagator(schedule, config=config)``
+    when the caller already holds it.
     """
-    if schedule.edge_ramp == 0.0:
+    dt = step_size(schedule, config=config)
+    if dt is None:
         return 0.0
-    dt = config.resolve_dt(schedule.duration)
     if u is None:
         u = propagator(schedule, config=config)
     half = IntegratorConfig(dt=dt / 2.0)
@@ -764,8 +773,8 @@ def evolve_density(
 
     Records states at the grid nodes :func:`evolve_pure` records.  With an
     empty noise model this reproduces the pure-state evolution of the
-    corresponding projector.  Raises on step-size violations (rate * dt
-    must stay below 0.01).
+    corresponding projector.  Raises where :func:`step_size` rejects the
+    step.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
@@ -790,8 +799,8 @@ def gate_channels(
     each is U (x) conj(U) for the schedule propagator U; with noise, the
     chained frame maps.  One engine call covers every schedule, and each
     channel is bitwise the one its schedule gets alone.  Raises, as
-    :func:`gate_channel` does, when the step of any schedule with an edge
-    ramp is too coarse; a ramp-free schedule takes no step.
+    :func:`gate_channel` does, when :func:`step_size` rejects the step of
+    any schedule with an edge ramp; a ramp-free schedule takes no step.
     """
     out = _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True)
     return np.array([maps[0, 0] for _, maps in out])

@@ -1,4 +1,4 @@
-"""Gate specs, bright/dark bases, loop schedules and their stepping grids.
+"""Gate specs, bright/dark bases and loop schedules.
 
 A gate is a rotation by ``gamma`` about the Bloch axis
 ``n = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta))``.  Both
@@ -239,38 +239,3 @@ def segment_table(segments) -> np.ndarray:
 def segment_phase(table: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Common drive phase phi1 at ``times``, each in the segment of its ``table`` column."""
     return table[2] + table[3] * (times - table[0])
-
-
-def stepping_breaks(schedule: PulseSchedule) -> list[float]:
-    """Ascending segment boundaries and edge-ramp corners, from 0 to the end.
-
-    The sin^2 envelope's second derivative jumps where each ramp meets the
-    plateau; a corner that coincides with a boundary is listed once.
-    """
-    breaks = [0.0] + [seg.t_end for seg in schedule.segments]
-    r = schedule.edge_ramp
-    corners = (r, schedule.duration - r) if r > 0.0 else ()
-    for corner in corners:
-        if min(abs(corner - b) for b in breaks) > 1e-12 * schedule.duration:
-            breaks.append(corner)
-    return sorted(breaks)
-
-
-def interval_nodes(a: float, b: float, dt: float) -> np.ndarray:
-    """Uniform nodes from ``a`` to ``b`` inclusive, spaced at most ``dt``."""
-    steps = max(1, math.ceil((b - a) / dt - 1e-12))
-    return np.linspace(a, b, steps + 1)
-
-
-def stepping_grid(schedule: PulseSchedule, dt: float) -> np.ndarray:
-    """Integration nodes at most ``dt`` apart, with one at every segment boundary and ramp corner.
-
-    Neither a phase jump nor a kink of the envelope is then smeared across a step.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    breaks = stepping_breaks(schedule)
-    nodes = [0.0]
-    for a, b in zip(breaks, breaks[1:]):
-        nodes.extend(interval_nodes(a, b, dt)[1:].tolist())
-    return np.asarray(nodes)

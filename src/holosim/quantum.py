@@ -36,9 +36,21 @@ def density(psi: Sequence[complex]) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def unitarity_defect(mat: np.ndarray) -> float:
+    """max |U^dag U - 1| over the entries of a square ``mat``."""
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+
+
 def is_unitary(mat: np.ndarray) -> bool:
-    eye = np.eye(mat.shape[0])
-    return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= ATOL)
+    return unitarity_defect(mat) <= ATOL
+
+
+def leakage(block: np.ndarray) -> float:
+    """Worst leakage of a propagator's ``block`` over a subspace: 1 - min of its column norms squared.
+
+    Column j of the block holds the amplitudes that basis state j keeps inside the subspace.
+    """
+    return 1.0 - float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
 
 
 def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np.ndarray:

@@ -26,7 +26,7 @@ from .evolve import (
 )
 from .gates import _rotation
 from .pulses import GateSpec, PulseSchedule, synthesize
-from .quantum import basis_state
+from .quantum import basis_state, leakage
 
 DIM = 5
 #: Matrix indices of the driven pair: |01> (bright role) and |a| (auxiliary).
@@ -84,8 +84,7 @@ def cphase_propagator(
     traces the five populations under it.
     """
     u4 = evolve.propagator(schedule, err, config, dim=DIM, levels=LEVELS)[:4, :4]
-    leakage = float(1.0 - np.sum(np.abs(u4) ** 2, axis=0).min())
-    return u4, leakage
+    return u4, leakage(u4)
 
 
 def _analysis_half_pi(theta_axis: float | np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from holosim import evolve
 from holosim.pulses import GateSpec
 
 #: Drive amplitude used in the hardware runs this package reproduces.
@@ -23,6 +24,26 @@ def sqrt_x_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def grid_nodes(schedule, dt):
+    """Nodes at most ``dt`` apart with one at every segment boundary and ramp corner.
+
+    Built from that definition, apart from the engine: the sorted boundaries
+    and corners, then uniform nodes on each interval between two of them.
+    """
+    r = schedule.edge_ramp
+    corners = (r, schedule.duration - r) if r > 0.0 else ()
+    breaks = sorted({0.0, *(seg.t_end for seg in schedule.segments), *corners})
+    return np.concatenate([[0.0], *(
+        np.linspace(a, b, max(1, math.ceil((b - a) / dt - 1e-12)) + 1)[1:]
+        for a, b in zip(breaks, breaks[1:])
+    )])
+
+
+def engine_grid(schedule, dt, record=True):
+    """The nodes of the engine's pieces of ``schedule``, end to end."""
+    return np.concatenate([[0.0], *(p.nodes[1:] for p in evolve._pieces(schedule, dt, record))])
 
 
 def random_state(rng, dim):

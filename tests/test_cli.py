@@ -191,16 +191,44 @@ def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, fi
         assert data_lines(tmp_path / "explicit" / name) == data_lines(tmp_path / "default" / name)
 
 
-@pytest.mark.parametrize("argv", [
-    ("gate", "--edge-ramp-ns", "10", "--dt-ns", "5"),
-    ("trajectory", "--dt-ns", "5"),
-    ("trajectory", "--t1-1e-us", "0.05", "--dt-ns", "1"),
+@pytest.mark.parametrize("argv, reason", [
+    (("gate", "--edge-ramp-ns", "10", "--dt-ns", "5"), "too coarse"),
+    (("trajectory", "--dt-ns", "5"), "too coarse"),
+    (("trajectory", "--t1-1e-us", "0.05", "--dt-ns", "1"), "step size violation"),
 ], ids=["gate-ramp", "trajectory", "trajectory-rate"])
-def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, argv):
+def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, argv, reason):
     # the engine's step rule: 100 steps per loop at least, and rate * dt below 0.01
     assert run(tmp_path, *argv) == 1
     (problem,) = problem_lines(capsys.readouterr().err)
-    assert problem.startswith("  - --dt-ns is too coarse for the 100.003 ns loop: step size ")
+    assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
+    assert reason in problem
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate", "--edge-ramp-ns", "10", "--dt-ns", "0.0005"),
+    ("trajectory", "--dt-ns", "0.0005"),
+], ids=["gate-ramp", "trajectory"])
+def test_step_too_fine_for_a_stepped_run_is_config_error(tmp_path, capsys, argv):
+    # 100,000 steps per loop at most: 0.0005 ns is twice as fine as the 100 ns loop allows
+    assert run(tmp_path, *argv) == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
+    assert "too fine: need dt >= duration/100000" in problem
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate", "--dt-ns", "0.0005"),
+    ("rb", "--lengths", "1,2,4", "--sequences", "10", "--dt-ns", "0.0005"),
+], ids=["gate", "rb"])
+def test_step_too_fine_is_ignored_where_nothing_steps(tmp_path, argv):
+    assert run(tmp_path, *argv) == 0
+
+
+def test_allocation_failure_is_reported_without_traceback(tmp_path, capsys):
+    # numpy refuses an array of 1e17 sequence entries at once
+    assert run(tmp_path, "rb", "--lengths", "2,4,100000000000000000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 class TestScanCommand:
@@ -672,18 +700,22 @@ def test_command_level_errors_exit_1(argv):
 
 
 def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
-    # a ramped gate steps its windows twice: its own propagator doubles as
-    # the coarse half of dt_halving_delta; a ramp-free gate steps nothing
+    # a ramped gate builds two propagators: its own, which doubles as the
+    # coarse half of dt_halving_delta, and the one at half the step.  Each
+    # steps both ramp windows, one _varying_maps call per window, so every
+    # (window, step count) pair comes once; a ramp-free gate steps nothing
     calls = []
     stepped = evolve._varying_maps
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return stepped(*args, **kwargs)
+    def counted(schedule, piece, *args, **kwargs):
+        calls.append((piece.nodes[0], len(piece.nodes) - 1))
+        return stepped(schedule, piece, *args, **kwargs)
 
     monkeypatch.setattr(evolve, "_varying_maps", counted)
     assert run(tmp_path, "gate", "--edge-ramp-ns", "10") == 0
-    assert len(calls) == 2
+    windows, steps = map(set, zip(*calls))
+    assert len(windows) == len(steps) == 2
+    assert sorted(calls) == sorted((w, n) for w in windows for n in steps)
     calls.clear()
     assert run(tmp_path, "gate") == 0
     assert calls == []

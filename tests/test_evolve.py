@@ -11,6 +11,7 @@ from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import (
     OMEGA0,
+    grid_nodes,
     ivp_evolve,
     lab_hamiltonian,
     phase_aligned_distance,
@@ -192,16 +193,39 @@ class TestEvolvePure:
         assert len(traj.times) == len(traj.states)
 
     def test_recorded_nodes_are_every_stride_th_plus_endpoints(self, monkeypatch):
-        # every stride-th node and the last, increasing and without repeats:
-        # the index set np.unique makes of the union
-        monkeypatch.setattr(evolve, "stepping_grid", lambda n, dt: np.arange(n + 1.0) * dt)
+        # every stride-th node of the whole grid, counted from t = 0 across the
+        # pieces, and the last, increasing and without repeats: the index set
+        # np.unique makes of the union.  Unit steps on an n-step schedule cut
+        # at n // 3 and 2n // 3 make node k sit at t = k.
         for n in range(1, 41):
-            nodes = np.arange(n + 1.0) * 1e-9
+            breaks = sorted({0, n // 3, 2 * n // 3, n})
+            segs = tuple(pulses.Segment(a, b, 0.0, 0.0, 0.0, 0.0, 0.0) for a, b in zip(breaks, breaks[1:]))
+            sched = pulses.PulseSchedule(duration=float(n), segments=segs, omega0=1.0)
             for stride in range(1, n + 3):
                 monkeypatch.setattr(evolve, "RECORD_STRIDE", stride)
-                expected = nodes[np.unique(np.append(np.arange(0, n + 1, stride), n))]
-                got = evolve._recorded_times(n, 1e-9)
-                assert got.tolist() == expected.tolist(), (n, stride)
+                got, first = [0], 0
+                for piece in evolve._pieces(sched, 1.0, record=True):
+                    steps = len(piece.nodes) - 1
+                    assert piece.nodes.tolist() == list(range(first, first + steps + 1))
+                    assert piece.wanted[-1] == steps  # the end, for chaining
+                    got += (first + piece.wanted[: piece.owned]).tolist()
+                    first += steps
+                expected = np.unique(np.append(np.arange(0, n + 1, stride), n))
+                assert got == expected.tolist(), (n, stride)
+
+    def test_trajectory_and_map_end_at_the_schedule_duration(self):
+        # a hand-built last segment may end up to 1e-12 duration short of it
+        duration = 100e-9
+        segs = (pulses.Segment(0.0, 40e-9, OMEGA0, 0.0, 2e7, 1.1, 0.4),
+                pulses.Segment(40e-9, duration * (1 - 5e-13), OMEGA0, 0.3, -1e7, 1.1, 0.4))
+        psi0 = basis_state(3, 0)
+        for ramp in (0.0, 10e-9):
+            sched = pulses.PulseSchedule(duration=duration, segments=segs, omega0=OMEGA0, edge_ramp=ramp)
+            assert segs[-1].t_end != sched.duration
+            traj = evolve.evolve_pure(psi0, sched)
+            assert traj.times[-1] == sched.duration
+            u = evolve.propagator(sched)
+            assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
 
 
 class TestEvolveDensity:
@@ -509,6 +533,28 @@ class TestEngineChoice:
         for one, whole in zip(single, maps(), strict=True):
             assert np.max(np.abs(one - whole)) <= 1e-14
 
+    def test_generators_are_built_one_chunk_at_a_time(self, monkeypatch):
+        # MAP_CHUNK bounds every stack of a varying piece, its generators too
+        sched = pulses.synthesize(self.SPEC, OMEGA0, "nhqc", edge_ramp=10e-9)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
+        errors = evolve.error_table((-0.04, 0.0, 0.03))
+        sizes = []
+        generators = evolve._frame_generators
+
+        def counted(table, env, *args):
+            sizes.append(np.size(env))
+            return generators(table, env, *args)
+
+        monkeypatch.setattr(evolve, "_frame_generators", counted)
+        monkeypatch.setattr(evolve, "MAP_CHUNK", 3 * 9 * 5)
+        for noise, chunk in ((evolve.NO_NOISE, 5), (TestFrameOracle.NOISE, 1)):
+            sizes.clear()
+            evolve.error_maps(sched, errors, noise, cfg)
+            # two Gauss nodes per step; the constant piece takes one envelope factor for all
+            stepped = [size // 2 for size in sizes if size > 1]
+            assert sum(stepped) == 2 * math.ceil(10e-9 / cfg.dt - 1e-12)
+            assert max(stepped) == chunk
+
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_ramped_schedule_runs_on_stepper(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
@@ -524,7 +570,7 @@ class TestEngineChoice:
         cfg = evolve.IntegratorConfig(dt=sched.duration / 333)
         psi0 = basis_state(3, 0)
         traj = evolve.evolve_pure(psi0, sched, config=cfg)
-        nodes = pulses.stepping_grid(sched, cfg.dt)
+        nodes = grid_nodes(sched, cfg.dt)
         assert np.array_equal(traj.times, np.append(nodes[:: evolve.RECORD_STRIDE], nodes[-1]))
         assert np.array_equal(traj.states[0], psi0)
         for t, psi in zip(traj.times, traj.states):
@@ -731,7 +777,7 @@ class TestPadeExpm:
         noise = default_noise_model()
         evolve.gate_channel(sched, noise, config=evolve.IntegratorConfig(dt=sched.duration / 200))
         monkeypatch.undo()
-        nodes = pulses.stepping_grid(sched, sched.duration / 200)
+        nodes = grid_nodes(sched, sched.duration / 200)
         assert sum(map(len, stacks)) == 2 * (len(nodes) - 1)
         for stack in stacks:
             assert_matches_scipy_expm(stack)
@@ -825,3 +871,60 @@ class TestGateChannels:
         assert np.array_equal(evolve.gate_channel(slow, fast, config=coarse), evolve.gate_channel(slow, fast))
         with pytest.raises(ValueError, match="too coarse"):
             evolve.evolve_pure(np.eye(3)[0], short, config=coarse)
+
+
+class TestStepSize:
+    """The one step rule: where the engine steps, and which steps it takes."""
+
+    SCHED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc")
+    RAMPED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
+
+    def test_ramp_free_full_map_takes_no_step(self):
+        # even a step that breaks every limit is never looked at
+        for dt in (None, self.SCHED.duration, self.SCHED.duration * 1e-9):
+            config = evolve.IntegratorConfig(dt=dt)
+            assert evolve.step_size(self.SCHED, default_noise_model(), config) is None
+
+    def test_default_step(self):
+        default = self.SCHED.duration / evolve.DEFAULT_STEPS
+        assert evolve.step_size(self.SCHED, record=True) == default
+        assert evolve.step_size(self.RAMPED) == self.RAMPED.duration / evolve.DEFAULT_STEPS
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_coarse_and_fine_limits(self, record):
+        sched = self.RAMPED
+        coarse = sched.duration / evolve.MIN_STEPS
+        fine = sched.duration / evolve.MAX_STEPS
+        for dt in (coarse, fine):
+            assert evolve.step_size(sched, config=evolve.IntegratorConfig(dt=dt), record=record) == dt
+        with pytest.raises(ValueError, match=f"too coarse: need dt <= duration/{evolve.MIN_STEPS}"):
+            evolve.step_size(sched, config=evolve.IntegratorConfig(dt=coarse * 1.01), record=record)
+        with pytest.raises(ValueError, match=f"too fine: need dt >= duration/{evolve.MAX_STEPS}"):
+            evolve.step_size(sched, config=evolve.IntegratorConfig(dt=fine * 0.99), record=record)
+
+    def test_rate_rule(self):
+        dt = self.RAMPED.duration / 1000
+        config = evolve.IntegratorConfig(dt=dt)
+        below = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=dt / (0.99 * evolve.MAX_RATE_DT))
+        at = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=dt / evolve.MAX_RATE_DT)
+        assert evolve.step_size(self.RAMPED, below, config) == dt
+        with pytest.raises(ValueError, match="step size violation"):
+            evolve.step_size(self.RAMPED, at, config)
+
+    def test_engine_applies_the_rule(self):
+        too_fine = evolve.IntegratorConfig(dt=self.SCHED.duration / (2 * evolve.MAX_STEPS))
+        psi0 = basis_state(3, 0)
+        with pytest.raises(ValueError, match="too fine"):
+            evolve.evolve_pure(psi0, self.SCHED, config=too_fine)
+        with pytest.raises(ValueError, match="too fine"):
+            evolve.propagator(self.RAMPED, config=too_fine)
+        assert np.array_equal(evolve.propagator(self.SCHED, config=too_fine), evolve.propagator(self.SCHED))
+
+    def test_dt_halving_delta_is_zero_without_a_step(self, monkeypatch):
+        # no propagator is built for a ramp-free schedule, whatever the step
+        def built(*args, **kwargs):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(evolve, "_frame_maps", built)
+        for dt in (None, self.SCHED.duration, self.SCHED.duration * 1e-9):
+            assert evolve.dt_halving_delta(self.SCHED, evolve.IntegratorConfig(dt=dt)) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from holosim import evolve, pulses
 
-from conftest import OMEGA0, random_gate_spec, segments_at
+from conftest import OMEGA0, engine_grid, grid_nodes, random_gate_spec, segments_at
 
 PI = math.pi
 
@@ -197,32 +197,58 @@ class TestEnvelope:
 
 
 class TestSteppingGrid:
+    """The engine's grid, as its pieces (``evolve._pieces``) carry it."""
+
     def test_nodes_align_to_segment_boundary(self):
         sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, 1.0), OMEGA0)
-        nodes = pulses.stepping_grid(sched, sched.duration / 1000)
-        boundary = sched.segments[0].t_end
-        assert np.min(np.abs(nodes - boundary)) < 1e-20
+        dt = sched.duration / 1000
+        first, second = evolve._pieces(sched, dt, record=True)
+        assert first.nodes[-1] == second.nodes[0] == sched.segments[0].t_end
+        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_nodes_at_ramp_corners(self, sqrt_x_spec, scheme):
+        # a full map steps only the ramp windows; a trajectory records on every piece
         sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=13e-9)
-        nodes = pulses.stepping_grid(sched, sched.duration / 1000)
-        for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
-            assert np.min(np.abs(nodes - corner)) < 1e-20
-        assert np.all(np.diff(nodes) <= sched.duration / 1000 * (1 + 1e-12))
+        dt = sched.duration / 1000
+        for record in (False, True):
+            pieces = evolve._pieces(sched, dt, record)
+            ends = [p.nodes[-1] for p in pieces]
+            for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
+                assert corner in ends
+            for p in pieces:
+                inside = p.nodes[-1] <= sched.edge_ramp or p.nodes[0] >= sched.duration - sched.edge_ramp
+                assert p.varying == inside
+                if p.varying or record:
+                    assert np.all(np.diff(p.nodes) <= dt * (1 + 1e-12))
+                else:
+                    assert len(p.nodes) == 2
+        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
 
     def test_meeting_ramps_share_one_corner(self, sqrt_x_spec):
         # 2 * ramp = duration: both corners and the nhqc boundary coincide
         sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
         ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=0.5 * sched.duration)
-        nodes = pulses.stepping_grid(ramped, sched.duration / 100)
-        assert np.array_equal(nodes, pulses.stepping_grid(sched, sched.duration / 100))
+        dt = sched.duration / 100
+        first, second = evolve._pieces(ramped, dt, record=False)
+        assert first.varying and second.varying
+        assert first.nodes[-1] == second.nodes[0] == sched.segments[0].t_end
+        assert np.array_equal(engine_grid(ramped, dt), engine_grid(sched, dt))
+        assert np.array_equal(engine_grid(ramped, dt), grid_nodes(sched, dt))
 
     def test_step_sizes_cover_duration(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        dts = np.diff(pulses.stepping_grid(sched, sched.duration / 777))
+        dt = sched.duration / 777
+        dts = np.diff(engine_grid(sched, dt))
         assert dts.sum() == pytest.approx(sched.duration, rel=1e-12)
         assert np.all(dts > 0)
+        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
+        # the pieces of a full map chain from 0 to the end
+        ramped = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=13e-9)
+        pieces = evolve._pieces(ramped, dt, record=False)
+        assert pieces[0].nodes[0] == 0.0 and pieces[-1].nodes[-1] == ramped.duration
+        for a, b in zip(pieces, pieces[1:]):
+            assert a.nodes[-1] == b.nodes[0]
 
 
 class TestScheduleValidation:

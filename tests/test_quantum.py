@@ -58,6 +58,25 @@ class TestUnattenuatedFidelity:
         assert pairs.tolist() == [q.unattenuated_fidelity(a, b) for a, b in zip(rhos[::-1], rhos)]
 
 
+class TestGateHealth:
+    """The leakage and unitarity defect that ``gate`` reports and twoqubit reuses."""
+
+    def test_unitary_block_has_no_leakage(self, rng):
+        u = random_unitary(rng, 4)
+        assert q.leakage(u) == pytest.approx(0.0, abs=1e-14)
+        assert q.unitarity_defect(u) < 1e-14 and q.is_unitary(u)
+
+    def test_leakage_is_the_worst_column(self):
+        # |1> keeps 0.64 of its population in the block, |0> all of it
+        block = np.array([[1.0, 0.0], [0.0, 0.8j]])
+        assert q.leakage(block) == pytest.approx(0.36, abs=1e-15)
+
+    def test_defect_is_the_largest_entry_off_the_identity(self):
+        mat = np.diag([1.0, 1.1, 0.9]).astype(complex)
+        assert q.unitarity_defect(mat) == pytest.approx(0.21, abs=1e-15)
+        assert not q.is_unitary(mat)
+
+
 class TestAverageGateFidelity:
     def test_equal_unitaries(self, rng):
         u = np.eye(2)
