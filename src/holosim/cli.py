@@ -651,11 +651,16 @@ def _validate(args) -> None:
         _, schedule = _synthesize_from_args(args)
         record = args.command == "trajectory"
         noise = _noise_from_args(args) if record else NoiseModel()
+        half = ""
         try:
-            step_size(schedule, noise, _integrator_from_args(args), record)
+            dt = step_size(schedule, noise, _integrator_from_args(args), record)
+            if dt is not None and not record:
+                # a gate's dt_halving_delta builds a second propagator at dt / 2
+                half = "the dt_halving_delta half step: "
+                step_size(schedule, config=IntegratorConfig(dt=dt / 2.0))
         except ValueError as exc:
             problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns "
-                            f"loop: {exc}")
+                            f"loop: {half}{exc}")
     if problems:
         raise ConfigError(problems)
 

@@ -77,35 +77,43 @@ def _gate_spec(axis: tuple[float, float, float], angle: float) -> Optional[GateS
     if angle < DEGENERATE_GAMMA_TOL or TWO_PI - angle < DEGENERATE_GAMMA_TOL:
         return None
     nx, ny, nz = axis
-    theta = math.acos(min(1.0, max(-1.0, nz)))
+    # atan2 keeps theta accurate near the poles, where acos(nz) loses half its digits
+    theta = math.atan2(math.hypot(nx, ny), nz)
     phi = math.atan2(ny, nx) % TWO_PI
     if phi >= TWO_PI:  # atan2 rounding can fold -0.0-ish angles onto 2 pi
         phi = 0.0
     return GateSpec(theta=theta, phi=phi, gamma=angle)
 
 
-def gate_spec_from_unitary(u: np.ndarray) -> Optional[GateSpec]:
+def gate_spec_from_unitary(u: np.ndarray):
     """Single-loop GateSpec realizing ``u`` up to global phase; None if identity.
 
-    ``u`` must be a 2x2 unitary.  Dividing out the square root of its
+    ``u`` must be a 2x2 unitary, or an (n, 2, 2) stack of unitaries, which
+    gives a list of n specs.  Dividing out the square root of each
     determinant leaves a rotation, whose angle and axis give the spec.
     """
     mat = np.asarray(u, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    if mat.shape[-2:] != (2, 2) or mat.ndim not in (2, 3):
+        raise ValueError(f"expected a 2x2 matrix or an (n, 2, 2) stack, got shape {mat.shape}")
     if not is_unitary(mat):
         raise ValueError("input must be unitary within 1e-9")
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    stack = mat.reshape(-1, 2, 2)
+    det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
     delta = 0.5 * np.angle(det)
-    v = mat * np.exp(-1j * delta)
-    c = 0.5 * (v[0, 0] + v[1, 1]).real
-    s_z = -0.5 * (v[0, 0] - v[1, 1]).imag
-    s_xy = 1j * v[0, 1]
-    s_norm = math.sqrt(s_z * s_z + abs(s_xy) ** 2)
-    if s_norm < DEGENERATE_GAMMA_TOL:
-        return None
-    axis = (s_xy.real / s_norm, s_xy.imag / s_norm, s_z / s_norm)
-    return _gate_spec(axis, 2.0 * math.atan2(s_norm, c) % TWO_PI)
+    v = stack * np.exp(-1j * delta)[:, None, None]
+    c = 0.5 * (v[:, 0, 0] + v[:, 1, 1]).real
+    s_z = -0.5 * (v[:, 0, 0] - v[:, 1, 1]).imag
+    s_xy = 1j * v[:, 0, 1]
+    s_norm = np.sqrt(s_z * s_z + np.abs(s_xy) ** 2)
+    angles = 2.0 * np.arctan2(s_norm, c) % TWO_PI
+    # the identity's axis is 0/0: its spec is None before the axis is read
+    with np.errstate(invalid="ignore", divide="ignore"):
+        axes = np.column_stack([s_xy.real, s_xy.imag, s_z]) / s_norm[:, None]
+    specs = [
+        None if norm < DEGENERATE_GAMMA_TOL else _gate_spec(axis, angle)
+        for axis, angle, norm in zip(axes.tolist(), angles.tolist(), s_norm.tolist())
+    ]
+    return specs if mat.ndim == 3 else specs[0]
 
 
 _R2 = 1.0 / math.sqrt(2.0)

@@ -1,14 +1,16 @@
 """Experiment-level procedures: randomized benchmarking, fits, and scans.
 
-Randomized benchmarking draws one pseudo-random stream per (length,
-sequence) slot from the master seed, so results are bitwise identical for
-a given configuration.  A simulated run builds the channels of all its
-gates in one engine call and applies them to every sequence of a length
-at once.
+Randomized benchmarking draws each (length, sequence) slot from its own
+``random.Random``, keyed by the master seed, the length and the sequence,
+so results are bitwise identical for a given configuration; only shot
+sampling loads ``numpy.random``.  A simulated run builds the channels of
+all its gates in one engine call and applies them to every sequence of a
+length at once.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -363,13 +365,15 @@ def depolarizing_executor(lam: float) -> Callable:
 def _draw_sequences(config: RBConfig):
     """Gate table, sequences and slot streams of a randomized-benchmarking run.
 
-    Slot (i, j), sequence j of length i, draws its Cliffords from its own
-    stream, seeded by (seed, (i, j)).  The ideal products of all sequences
-    of a length are tracked together.  Returns the gate table (the 24
-    compiled Cliffords, then the interleaved target and one recovery per
-    sequence when there is a target), one (n, L) array of table indices per
-    length, and each length's n slot generators, whose streams continue
-    with the shot sampling.
+    Slot (m, j), sequence j of length m, draws its m Cliffords from its own
+    ``random.Random`` keyed by the string f"{seed}/{m}/{j}", so a length's
+    sequences do not depend on which other lengths run.  The index array of
+    a length is allocated before any stream is built, so numpy refuses a
+    size that cannot fit at once.  The ideal products of all sequences of a
+    length are tracked together.  Returns the gate table (the 24 compiled
+    Cliffords, then the interleaved target and one recovery per sequence
+    when there is a target), one (n, L) array of table indices per length,
+    and each length's n slot streams, which the shot sampling continues.
     """
     cliffords = np.array(clifford_group())
     gates: list[Optional[GateSpec]] = [compile_clifford(i) for i in range(len(cliffords))]
@@ -378,13 +382,15 @@ def _draw_sequences(config: RBConfig):
         target_u = ideal_single_qubit(target)
         gates.append(target)
     n = config.sequences_per_length
+    choices = range(len(cliffords))
     sequences, streams = [], []
-    for i_len, m in enumerate(config.sequence_lengths):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i_len, i_seq)))
-            for i_seq in range(n)
-        ]
-        drawn = np.array([rng.integers(0, len(cliffords), size=m) for rng in rngs])
+    for m in config.sequence_lengths:
+        drawn = np.empty((n, m), dtype=int)
+        rngs = []
+        for j, row in enumerate(drawn):
+            rng = random.Random(f"{config.seed}/{m}/{j}")
+            row[:] = rng.choices(choices, k=m)
+            rngs.append(rng)
         u_total = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
         for column in drawn.T:
             u_total = cliffords[column] @ u_total
@@ -400,7 +406,7 @@ def _draw_sequences(config: RBConfig):
             idx = np.full((n, 2 * m + 1), len(cliffords))
             idx[:, : 2 * m : 2] = drawn
             idx[:, -1] = np.arange(len(gates), len(gates) + n)
-            gates.extend(gate_spec_from_unitary(w) for w in inverse)
+            gates.extend(gate_spec_from_unitary(inverse))
         sequences.append(idx)
         streams.append(rngs)
     return gates, sequences, streams
@@ -433,8 +439,13 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
     per_sequence: dict[int, np.ndarray] = {}
     for m, values, rngs in zip(config.sequence_lengths, survivals, streams):
         if config.shots is not None:
+            # numpy's O(1) binomial, seeded from each slot's stream; only
+            # shot sampling loads numpy.random
+            from numpy.random import default_rng
+
             values = [
-                rng.binomial(config.shots, min(max(p, 0.0), 1.0)) / config.shots
+                default_rng(rng.getrandbits(128)).binomial(config.shots, min(max(p, 0.0), 1.0))
+                / config.shots
                 for p, rng in zip(values, rngs)
             ]
         per_sequence[m] = np.asarray(values, dtype=float)

@@ -37,8 +37,8 @@ def density(psi: Sequence[complex]) -> np.ndarray:
 
 
 def unitarity_defect(mat: np.ndarray) -> float:
-    """max |U^dag U - 1| over the entries of a square ``mat``."""
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+    """max |U^dag U - 1| over the entries of a square ``mat``, or of every matrix of a stack."""
+    return float(np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(mat.shape[-1]))))
 
 
 def is_unitary(mat: np.ndarray) -> bool:

@@ -168,6 +168,19 @@ class TestRBCommand:
         assert run(tmp_path, "rb", "--lengths", "8,4") == 1
         assert run(tmp_path, "rb", "--lengths", "4,8") == 1
 
+    def test_shot_sampling_rerun_is_byte_identical(self, tmp_path):
+        # the one rb path that loads numpy.random: each slot's stream seeds its binomial draw
+        argv = ("rb", "--default-noise", "--lengths", "1,2,3", "--sequences", "10", "--shots", "100")
+        outputs = []
+        for k in range(2):
+            assert run(tmp_path / str(k), *argv) == 0
+            outputs.append((tmp_path / str(k) / "rb_survival.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        _, _, rows = read_table(tmp_path / "0" / "rb_survival.csv")
+        survivals = np.array([float(row[2]) for row in rows])
+        assert np.array_equal(np.round(survivals * 100), survivals * 100)
+        assert np.any(survivals < 1.0)
+
 
 def data_lines(path):
     """A written file's lines below its ``#`` metadata lines."""
@@ -176,13 +189,13 @@ def data_lines(path):
 
 @pytest.mark.parametrize("argv, dt_ns, files", [
     # each seed draws a recovery gate whose loop lasts under 100 steps of 0.3 ns
-    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "2"), "0.3",
+    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "0"), "0.3",
      ("rb_survival.csv", "rb_summary.txt")),
-    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "3"), "0.3",
+    (("rb", "--scheme", "tounhqc", "--interleaved-gamma", "0.7854", "--seed", "5"), "0.3",
      ("rb_survival.csv", "rb_summary.txt")),
     (("compare", "--gamma", "0.05"), "0.5", ("compare_summary.txt",)),
     (("scan", "--gamma", "0.05", "--resolution", "5"), "0.5", ("scan_grid.csv", "scan_summary.txt")),
-], ids=["rb-seed2", "rb-seed3", "compare", "scan"])
+], ids=["rb-seed0", "rb-seed5", "compare", "scan"])
 def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, files):
     # ramp-free gates take no step, so a step too coarse for a short loop is never checked
     assert run(tmp_path / "default", *argv) == 0
@@ -224,9 +237,22 @@ def test_step_too_fine_is_ignored_where_nothing_steps(tmp_path, argv):
     assert run(tmp_path, *argv) == 0
 
 
-def test_allocation_failure_is_reported_without_traceback(tmp_path, capsys):
-    # numpy refuses an array of 1e17 sequence entries at once
-    assert run(tmp_path, "rb", "--lengths", "2,4,100000000000000000") == 2
+def test_half_step_of_a_ramped_gate_is_config_error(tmp_path, capsys):
+    # dt_halving_delta steps at dt / 2: 0.0015 ns obeys the step rule, its half does not
+    assert run(tmp_path, "gate", "--edge-ramp-ns", "10", "--dt-ns", "0.0015") == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert problem == ("  - --dt-ns does not suit the 100.003 ns loop: the dt_halving_delta "
+                       "half step: step size 7.5e-13 too fine: need dt >= duration/100000")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lengths", "2,4,100000000000000000"),
+    ("--sequences", "100000000000000000", "--lengths", "2,4,8"),
+], ids=["lengths", "sequences"])
+def test_allocation_failure_is_reported_without_traceback(tmp_path, capsys, argv):
+    # numpy refuses a (sequences, length) index array of 1e17 rows or columns
+    # at once: each length's array is allocated before its slot streams
+    assert run(tmp_path, "rb", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
@@ -642,8 +668,9 @@ def test_runs_on_numpy_alone(tmp_path):
     # scipy is only the tests' reference: importing holosim must not load it,
     # nor a thread pool (concurrent.futures), and with every scipy import
     # blocked each command must still succeed.  The commands may load no
-    # numpy submodule beyond those of the import except numpy.random (RB's
-    # seed streams): numpy.ma, say, costs every fresh process its import.
+    # numpy submodule beyond those of the import, numpy.random included (RB
+    # draws its sequences from random.Random): numpy.ma, say, costs every
+    # fresh process its import.
     # Neither the import nor a command may load argparse, or the gettext and
     # locale modules it brings: with its parser set-up they took about 45% of
     # a short command's time in cli.main.
@@ -659,7 +686,7 @@ def test_runs_on_numpy_alone(tmp_path):
                  for k, argv in enumerate(json.loads(sys.argv[2]))]
         numpy_extra = sorted(
             name for name in set(sys.modules) - imported
-            if name.split(".")[0] == "numpy" and name.split(".")[:2] != ["numpy", "random"]
+            if name.split(".")[0] == "numpy"
         )
         parsing = [name for name in PARSING if name in sys.modules]
         print(json.dumps({"loaded": loaded, "codes": codes, "numpy_extra": numpy_extra,

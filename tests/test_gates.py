@@ -101,6 +101,39 @@ class TestAxisAngleDecompose:
             gates.gate_spec_from_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="2x2"):
             gates.gate_spec_from_unitary(np.eye(3))
+        with pytest.raises(ValueError, match="2x2"):
+            gates.gate_spec_from_unitary(np.ones((2, 2, 2, 2)))
+
+
+class TestStackedSpecFromUnitary:
+    """gate_spec_from_unitary over an (n, 2, 2) stack, as RB inverts its recoveries."""
+
+    def test_each_spec_realizes_its_matrix(self):
+        # the 24 Cliffords and 5,000 inverses of interleaved Clifford products
+        rng = np.random.default_rng(17)
+        cliffords = np.array(gates.clifford_group())
+        target = gates.ideal_single_qubit(pulses.GateSpec(0.0, 0.0, 0.7854))
+        products = np.broadcast_to(np.eye(2, dtype=complex), (5000, 2, 2))
+        for column in rng.integers(0, 24, size=(8, 5000)):
+            products = target @ cliffords[column] @ products
+        stack = np.concatenate([cliffords, products.conj().transpose(0, 2, 1)])
+        specs = gates.gate_spec_from_unitary(stack)
+        assert isinstance(specs, list) and len(specs) == len(stack)
+        for u, spec in zip(stack, specs):
+            rebuilt = np.eye(2) if spec is None else gates.ideal_single_qubit(spec)
+            assert phase_aligned_distance(u, rebuilt) < 1e-12
+
+    def test_identities_give_none(self):
+        near = gates.ideal_single_qubit(pulses.GateSpec(0.4, 1.1, 1e-10))
+        stack = np.array([np.eye(2), -np.eye(2), np.exp(0.3j) * np.eye(2), near, -near, SX])
+        specs = gates.gate_spec_from_unitary(stack)
+        assert specs[:5] == [None] * 5
+        assert specs[5] == gates.gate_spec_from_unitary(SX)
+
+    def test_a_non_unitary_entry_raises(self):
+        stack = np.array([np.eye(2), SX, np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="unitary"):
+            gates.gate_spec_from_unitary(stack)
 
 
 class TestCliffordGroup:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, curve_fit
+from scipy.stats import chisquare
 
 from holosim import evolve, gates, pulses
 from holosim import protocols as pr
@@ -62,7 +63,9 @@ class TestFitDecay:
 
     def test_readme_example_at_its_50_digit_optimum(self):
         # survival means of the README `rb` example (tounhqc, seed 42,
-        # interleaved gamma 0.7854, default noise).  The optimum was computed
+        # interleaved gamma 0.7854, default noise) as drawn by the numpy
+        # SeedSequence streams RB used before its random.Random slots; fixed
+        # data, so the new streams do not move it.  The optimum was computed
         # with mpmath at 60 digits: A and B at their free least-squares values
         # (inside the bounds) for each p, and p the root of the slope of the
         # remaining cost, by mpmath.findroot from the double-precision fit.
@@ -198,6 +201,40 @@ class TestRBWithAnalyticChannel:
         config = pr.RBConfig(sequence_lengths=(2, 50, 200), sequences_per_length=15, seed=3)
         result = pr.rb_run(config, sequence_executor=pr.depolarizing_executor(0.9))
         assert result.survival_mean[200] == pytest.approx(0.5, abs=1e-4)
+
+
+class TestSequenceDraws:
+    """_draw_sequences: one random.Random per (seed, length, sequence) slot."""
+
+    @staticmethod
+    def drawn(seed, lengths, n):
+        """The Clifford indices of each slot (m, j) of a run without a target."""
+        config = pr.RBConfig(sequence_lengths=lengths, sequences_per_length=n, seed=seed)
+        _, sequences, _ = pr._draw_sequences(config)
+        # each row holds the m drawn Cliffords, then the recovery's index
+        return {(m, j): row[:m].tolist() for m, idx in zip(lengths, sequences)
+                for j, row in enumerate(idx)}
+
+    def test_pinned_slots(self):
+        # literal draws, so that every supported Python must agree on the streams
+        assert self.drawn(0, (2, 4, 8), 10)[2, 0] == [3, 12]
+        assert self.drawn(7, (4, 8, 16), 10)[16, 3] == [
+            15, 16, 2, 15, 22, 21, 16, 12, 15, 2, 20, 13, 10, 13, 23, 6,
+        ]
+
+    @pytest.mark.parametrize("other", [((4, 8, 16), 10), ((2, 4, 8), 12)], ids=["lengths", "sequences"])
+    def test_slot_draws_do_not_depend_on_the_other_slots(self, other):
+        base = self.drawn(5, (2, 4, 8), 10)
+        moved = self.drawn(5, *other)
+        shared = base.keys() & moved.keys()
+        assert len(shared) >= 20
+        assert all(base[slot] == moved[slot] for slot in shared)
+
+    def test_cliffords_are_uniform(self):
+        draws = self.drawn(11, (1000, 1500), 10)
+        counts = np.bincount(np.concatenate(list(draws.values())), minlength=24)
+        assert counts.sum() == 25_000
+        assert chisquare(counts).pvalue > 1e-3
 
 
 class TestRBSimulated:
