@@ -15,8 +15,9 @@ schedule in that frame.  It cuts the schedule into pieces at segment
 boundaries and edge-ramp corners:
 
 * a constant piece, where the frame generator does not vary, maps by one
-  exact exponential per recorded time.  These are the ramp-free stretches
-  of a schedule;
+  exact exponential of its generator over the time from its start to each
+  node it is wanted at: its end for a full-schedule map, every recorded
+  node for a trajectory.  These are the ramp-free stretches of a schedule;
 * a varying piece is an edge-ramp window.  It runs a fourth-order
   commutator-free exponential stepper (CF4) on its own grid nodes: two
   exponentials per step, whose generators mix the frame generator at the
@@ -27,10 +28,10 @@ boundaries and edge-ramp corners:
 Each piece's frame map is rebased to the lab frame at its ends,
 D(t_end) M D(t_start)^dag, and the pieces are chained.  Each piece
 carries its own grid nodes (:func:`_pieces`): a propagator or channel
-takes one exponential per constant piece, and a trajectory records the
-maps at grid nodes, which the varying pieces step through.  The step size
-therefore sets only the steps of the ramp windows and the nodes a
-trajectory records.  :func:`step_size` resolves and checks it
+takes at most one exponential per constant piece, and a trajectory
+records the maps at grid nodes, which the varying pieces step through.
+The step size therefore sets only the steps of the ramp windows and the
+nodes a trajectory records.  :func:`step_size` resolves and checks it
 (duration / 100,000 <= dt <= duration / 100, rate * dt < 0.01 for the
 fastest decay rate) only there: a full-schedule map of a ramp-free
 schedule takes no step.
@@ -40,10 +41,13 @@ noise model into collapse operators and checks their phase class,
 applies the step rule, and lifts noiseless unitaries to channels
 U (x) conj(U); every public function is a view of it.  One call can
 cover many schedules.  :func:`gate_channels` builds the channels of a
-list of schedules: the constant pieces of all of them are exponentiated
-in one batched call, and piece k of every schedule is rebased and chained
-in one step.  :func:`gate_channel` is its one-schedule case, so a channel
-is bitwise the same alone or in a batch.
+list of schedules: the pieces of all of them share one stack of maps,
+each bitwise-distinct pair of frame generator and duration among their
+constant pieces is exponentiated once, in one batched call (the two
+halves of an nhqc loop are one such pair), and piece k of every schedule
+is rebased and chained in one step on a slice of the stack.
+:func:`gate_channel` is its one-schedule case, and a channel is bitwise
+the same alone or in a batch.
 
 Every frame generator is zero outside the |e> row and column, so its
 exponential has a closed form, computed elementwise over the whole stack
@@ -53,6 +57,7 @@ through :func:`_expm`, a batched scaling-and-squaring Pade exponential
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -333,7 +338,10 @@ def _dissipator(c_ops: np.ndarray) -> np.ndarray:
     eye = np.eye(d)
     cdc = np.einsum("kji,kjl->il", c_ops.conj(), c_ops)
     jump = np.einsum("kij,klm->iljm", c_ops, c_ops.conj()).reshape(d * d, d * d)
-    return jump - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    # cdc (x) 1 and 1 (x) cdc^T as broadcast products, bitwise equal to np.kron
+    left = (cdc[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
+    right = (eye[:, None, :, None] * cdc.T[None, :, None, :]).reshape(d * d, d * d)
+    return jump - 0.5 * (left + right)
 
 
 def _liouvillians(gens: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
@@ -380,10 +388,9 @@ def _covariant(c_ops: np.ndarray, ie: int) -> bool:
     one phase, and its dissipator is the same in the frame as in the lab.
     Diagonal operators and single matrix units are such operators.
     """
-    for c in c_ops:
-        rows, cols = np.nonzero(c)
-        shift = (rows == ie).astype(int) - (cols == ie)
-        if np.any(shift != shift[:1]):
+    for c in c_ops.tolist():
+        shifts = {(i == ie) - (j == ie) for i, row in enumerate(c) for j, x in enumerate(row) if x}
+        if len(shifts) > 1:
             return False
     return True
 
@@ -408,12 +415,12 @@ def _pieces(schedule: PulseSchedule, dt: Optional[float], record: bool) -> list[
 
     A piece varies inside a ramp window.  Its nodes are uniform and at most
     ``dt`` apart where it is stepped (it varies) or ``record`` is set, else
-    only its two ends; the grid thus has a node at every break, so neither
-    a phase jump nor a kink of the envelope falls inside a step.  A corner
-    within 1e-12 duration of another break is dropped.  The schedule's
-    outputs are, with ``record``, every ``RECORD_STRIDE``-th node of the
-    whole grid counted from t = 0 (t = 0 itself left out) and its last node;
-    without it, the end.
+    only its two ends, and no grid is laid out; the grid thus has a node at
+    every break, so neither a phase jump nor a kink of the envelope falls
+    inside a step.  A corner within 1e-12 duration of another break is
+    dropped.  The schedule's outputs are, with ``record``, every
+    ``RECORD_STRIDE``-th node of the whole grid counted from t = 0 (t = 0
+    itself left out) and its last node; without it, the end.
     """
     duration, r = schedule.duration, schedule.edge_ramp
     breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [duration]
@@ -422,18 +429,26 @@ def _pieces(schedule: PulseSchedule, dt: Optional[float], record: bool) -> list[
             breaks.append(corner)
     breaks.sort()
     pieces, first = [], 0  # first: the grid index of the piece's start
+    segments = iter(schedule.segments)
+    seg = next(segments)
     for a, b in zip(breaks, breaks[1:]):
         mid = 0.5 * (a + b)
-        seg = next(seg for seg in schedule.segments if mid < seg.t_end)
+        while seg.t_end <= mid:  # the segment the piece lies in
+            seg = next(segments)
         varying = mid < r or mid > duration - r
-        steps = max(1, math.ceil((b - a) / dt - 1e-12)) if varying or record else 1
+        if not (varying or record):
+            # one step, whose end is the only node wanted: no grid to lay out,
+            # which would dominate a batch of gates
+            pieces.append(_Piece(seg, False, np.array((a, b)), np.array([1]), int(b == duration)))
+            first += 1
+            continue
+        steps = max(1, math.ceil((b - a) / dt - 1e-12))
         # the piece's nodes k whose grid index first + k is a multiple of the stride
         stride = RECORD_STRIDE
         output = set(range(-first % stride or stride, steps + 1, stride)) if record else set()
         if b == duration:
             output.add(steps)
-        # the same two nodes, without linspace's set-up, which dominates a batch of gates
-        nodes = np.linspace(a, b, steps + 1) if steps > 1 else np.array((a, b))
+        nodes = np.linspace(a, b, steps + 1)
         pieces.append(_Piece(seg, varying, nodes, np.array(sorted(output | {steps})), len(output)))
         first += steps
     return pieces
@@ -545,7 +560,7 @@ def _varying_maps(
     steps = np.diff(piece.nodes)
     wanted = piece.wanted
     maps = np.empty((n_err, len(wanted), m, m), dtype=complex)
-    chunk = max(1, MAP_CHUNK // (n_err * m * m))
+    chunk = max(1, MAP_CHUNK // max(1, n_err * m * m))
     cur, k = None, 0
     for lo in range(0, len(steps), chunk):
         part = steps[lo : lo + chunk]
@@ -553,7 +568,7 @@ def _varying_maps(
         gauss = (piece.nodes[lo:hi, None] + _GL_NODES * part[:, None]).reshape(-1)
         gens = _frame_generators(table, schedule.envelope_factor(gauss), errors,
                                  schedule.omega0, dim, levels)
-        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, -1, 2, dim, dim))
+        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, len(part), 2, dim, dim))
         exps = _exponentials(gens, part[:, None], dissipator, ie)
         # runs of steps end at the wanted nodes inside the chunk and at its end
         ends = np.append(wanted[(wanted > lo) & (wanted < hi)], hi)
@@ -597,6 +612,27 @@ def step_size(
     return dt
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each set of bitwise-equal rows of a 2-D array, and every row's set.
+
+    Returns ``first``, the ascending indices of the first rows of the sets,
+    and ``inverse``, such that ``rows[first][inverse]`` equals ``rows``.
+    Keyed on the exact bytes (so 0.0 and -0.0 differ); ``np.unique`` would
+    do this too, but importing it loads ``numpy.ma``.
+    """
+    if len(rows) < 2:
+        return np.arange(len(rows)), np.arange(len(rows))
+    rows = np.ascontiguousarray(rows)
+    raw, width = rows.tobytes(), rows.strides[0]
+    slot: dict[bytes, int] = {}
+    first, inverse = [], []
+    for i in range(len(rows)):
+        inverse.append(slot.setdefault(raw[i * width : (i + 1) * width], len(slot)))
+        if inverse[-1] == len(first):
+            first.append(i)
+    return np.array(first), np.array(inverse)
+
+
 def _frame_maps(
     schedules: Sequence[PulseSchedule],
     errors: np.ndarray,
@@ -606,21 +642,29 @@ def _frame_maps(
     levels: tuple[Optional[int], int, int],
     record: bool = False,
     superop: bool = False,
-) -> list[Trajectory]:
+) -> Trajectory:
     """The engine: maps from t = 0 of each schedule, for every error.
 
     ``errors`` is an :func:`error_table` of n_err columns.  By default each
     schedule's map is taken at its end; with ``record``, at the recorded
     grid nodes after t = 0 (see :func:`_pieces`).  Returns one Trajectory
-    per schedule, whose states are the (n_err, len(times), m, m) maps at
-    its times: unitaries (m = d) when ``noise`` is empty, row-major
-    superoperators (m = d^2) otherwise, or U (x) conj(U) for ``superop``
-    without noise.  :func:`step_size` resolves and checks the step of each
-    schedule, which is None where none is taken.  The exponentials of the
-    constant pieces of every schedule, error and time come from one batched
-    call, and piece k of every schedule is rebased and chained in one step.
-    Raises ValueError when the nonzero entries of a collapse operator do
-    not share one phase class.
+    of every schedule's outputs, schedule after schedule: their times and
+    the (n_err, len(times), m, m) maps at them, unitaries (m = d) when
+    ``noise`` is empty, row-major superoperators (m = d^2) otherwise, or
+    U (x) conj(U) for ``superop`` without noise.  Without ``record`` every
+    schedule has exactly one output, so map k is schedule k's.
+    :func:`step_size` resolves and checks the step of each schedule, which
+    is None where none is taken.
+
+    The pieces of all schedules are laid out piece k after piece k - 1
+    (piece 0 of every schedule, then piece 1 of those that have one, ...),
+    and each piece's maps at its wanted nodes fill one stack.  The constant
+    pieces take one batched exponential for each bitwise-distinct pair of
+    frame generator and duration, so the two halves of an nhqc loop share
+    theirs; each varying piece is stepped by :func:`_varying_maps`.  Piece
+    k of every schedule is then rebased and chained in one step on a slice
+    of that stack.  Raises ValueError when the nonzero entries of a
+    collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
     cuts = [_pieces(schedule, step_size(schedule, noise, config, record), record)
@@ -633,56 +677,72 @@ def _frame_maps(
         )
     dissipator = _dissipator(c_ops) if noisy else None
     m = dim * dim if noisy else dim
+    n_err = errors.shape[1]
+    if not schedules:
+        size = m * m if superop and not noisy else m
+        return Trajectory(np.empty(0), np.empty((n_err, 0, size, size), dtype=complex))
 
-    frame = {
-        (s, k): _varying_maps(schedules[s], p, errors, dissipator, dim, levels)
-        for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if p.varying
-    }
-    constant = [(s, k) for s, pieces in enumerate(cuts) for k, p in enumerate(pieces) if not p.varying]
-    if constant:
-        table = segment_table([cuts[s][k].seg for s, k in constant])
-        omega0 = np.array([schedules[s].omega0 for s, _ in constant])
-        gens = _frame_generators(table, 1.0, errors, omega0, dim, levels)
-        counts = [len(cuts[s][k].wanted) for s, k in constant]
-        taus = np.concatenate([p.nodes[p.wanted] - p.nodes[0] for p in (cuts[s][k] for s, k in constant)])
-        gens = gens[:, np.repeat(np.arange(len(constant)), counts)]
-        exps = _exponentials(gens, taus, dissipator, levels[2])
-        frame.update(zip(constant, np.split(exps, np.cumsum(counts)[:-1], axis=1)))
+    # the pieces run piece k after piece k - 1: pieces[edges[k] : edges[k + 1]]
+    # are piece k of every schedule that has one; order[i] is (schedule, k) of pieces[i]
+    order = [(s, k) for k in range(max(map(len, cuts))) for s, ps in enumerate(cuts) if len(ps) > k]
+    edges = [i for i in range(len(order)) if i == 0 or order[i][1] != order[i - 1][1]] + [len(order)]
+    pieces = [cuts[s][k] for s, k in order]
+    owner = np.array([s for s, _ in order])
+    # their maps' entries in one stack: piece i's are frames[:, bounds[i] : bounds[i + 1]]
+    counts = [len(p.wanted) for p in pieces]
+    bounds = [0, *itertools.accumulate(counts)]
+    entry_piece = np.repeat(np.arange(len(pieces)), counts)
+    times = np.concatenate([p.nodes[p.wanted] for p in pieces])
+    firsts = np.array([p.nodes[0] for p in pieces])
+    table = segment_table([p.seg for p in pieces])
+    frames = np.empty((n_err, len(times), m, m), dtype=complex)
+
+    varying = [p.varying for p in pieces]
+    for i in itertools.compress(range(len(pieces)), varying):
+        frames[:, bounds[i] : bounds[i + 1]] = _varying_maps(
+            schedules[owner[i]], pieces[i], errors, dissipator, dim, levels)
+    if not all(varying):
+        # the entries of the constant pieces; slices select without a copy
+        const = np.flatnonzero(~np.repeat(varying, counts)) if any(varying) else slice(None)
+        omega0 = np.array([schedule.omega0 for schedule in schedules])
+        # every piece's generator without a ramp; the constant pieces' are used
+        gens = _frame_generators(table, 1.0, errors, omega0[owner], dim, levels)
+        of = entry_piece[const]
+        taus = times[const] - firsts[of]
+        # one exponential per distinct (generator, duration).  The durations
+        # within a piece all differ, so only pieces that share a generator
+        # can share an exponential
+        kinds, kind = _distinct_rows(gens.swapaxes(0, 1).reshape(len(pieces), -1))
+        distinct = inverse = slice(None)
+        if len(kinds) < len(pieces):
+            distinct, inverse = _distinct_rows(np.column_stack([kind[of], taus]))
+        exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])
+        frames[:, const] = exps[:, inverse]
 
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
-    # and chain it onto the map at its start
-    out = [[] for _ in schedules]
-    start = np.empty((len(schedules), errors.shape[1], m, m), dtype=complex)
+    # and chain it onto the map at its start; maps overwrite their frame maps
+    phases = _frame_phases(segment_phase(table[:, entry_piece], times), dim, levels[2], noisy)
+    backs = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy).conj()
+    start = np.empty((len(schedules), n_err, m, m), dtype=complex)
     start[:] = np.eye(m)
-    for k in range(max(map(len, cuts))):
-        live = [s for s, pieces in enumerate(cuts) if len(pieces) > k]
-        pieces = [cuts[s][k] for s in live]
-        table = segment_table([p.seg for p in pieces])
-        counts = [len(p.wanted) for p in pieces]
-        rows = np.repeat(np.arange(len(live)), counts)
-        firsts = np.array([p.nodes[0] for p in pieces])
-        back = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy)
-        back = back.conj()[:, None, :, None] * start[live]
-        phases = _frame_phases(
-            segment_phase(table[:, rows], np.concatenate([p.nodes[p.wanted] for p in pieces])),
-            dim, levels[2], noisy,
-        )
-        frames = np.concatenate([frame[s, k] for s in live], axis=1)
-        maps = phases[:, :, None] * (frames @ back[rows].swapaxes(0, 1))
-        lo = 0
-        for s, p in zip(live, pieces):
-            out[s].append(maps[:, lo : lo + p.owned])
-            lo += len(p.wanted)
-            start[s] = maps[:, lo - 1]
-    maps = [np.concatenate(parts, axis=1) for parts in out]
+    for lo, hi in zip(edges, edges[1:]):
+        alive = owner[lo:hi]
+        span = slice(bounds[lo], bounds[hi])
+        back = backs[lo:hi, None, :, None] * start[alive]
+        rows = entry_piece[span] - lo
+        frames[:, span] = phases[span, :, None] * (frames[:, span] @ back[rows].swapaxes(0, 1))
+        start[alive] = frames[:, [end - 1 for end in bounds[lo + 1 : hi + 1]]].swapaxes(0, 1)
+
+    # the first ``owned`` entries of every piece, schedule after schedule
+    at = {key: i for i, key in enumerate(order)}
+    picks = np.array([bounds[at[s, k]] + j
+                      for s, ps in enumerate(cuts) for k, p in enumerate(ps) for j in range(p.owned)])
+    maps = frames[:, picks]
     if superop and not noisy:
         # U (x) conj(U) as one broadcast product, bitwise equal to np.kron
-        maps = [
-            (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*u.shape[:2], m * m, m * m)
-            for u in maps
-        ]
-    times = [np.concatenate([p.nodes[p.wanted[: p.owned]] for p in pieces]) for pieces in cuts]
-    return [Trajectory(at, stack) for at, stack in zip(times, maps)]
+        maps = (maps[..., :, None, :, None] * maps.conj()[..., None, :, None, :]).reshape(
+            *maps.shape[:2], m * m, m * m)
+    return Trajectory(times[picks], maps)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +764,7 @@ def error_maps(
     superoperators (n_err, d^2, d^2).  Every error's exponentials come from
     the same batched calls.
     """
-    return _frame_maps([schedule], errors, noise, config, dim, levels)[0].states[:, 0]
+    return _frame_maps([schedule], errors, noise, config, dim, levels).states[:, 0]
 
 
 def propagator(
@@ -756,7 +816,7 @@ def evolve_pure(
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, config, dim, levels, record=True)[0]
+    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, config, dim, levels, record=True)
     return Trajectory(np.append(0.0, times), np.concatenate([psi[None], maps[0] @ psi]))
 
 
@@ -780,7 +840,7 @@ def evolve_density(
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
     times, maps = _frame_maps([schedule], _one_error(err), noise, config, dim, levels,
-                              record=True, superop=True)[0]
+                              record=True, superop=True)
     states = (maps[0] @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(np.append(0.0, times), np.concatenate([rho[None], states]))
 
@@ -797,13 +857,15 @@ def gate_channels(
 
     Row-major vectorization: vec(rho_out) = S vec(rho_in).  Without noise
     each is U (x) conj(U) for the schedule propagator U; with noise, the
-    chained frame maps.  One engine call covers every schedule, and each
-    channel is bitwise the one its schedule gets alone.  Raises, as
-    :func:`gate_channel` does, when :func:`step_size` rejects the step of
-    any schedule with an edge ramp; a ramp-free schedule takes no step.
+    chained frame maps.  One engine call covers every schedule: schedules
+    that share a (frame generator, duration) pair on a constant piece, a
+    repeated schedule among them, share its exponential, and each channel
+    is bitwise the one its schedule gets alone.  An empty list gives a
+    (0, d^2, d^2) stack.  Raises, as :func:`gate_channel` does, when
+    :func:`step_size` rejects the step of any schedule with an edge ramp;
+    a ramp-free schedule takes no step.
     """
-    out = _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True)
-    return np.array([maps[0, 0] for _, maps in out])
+    return _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True).states[0]
 
 
 def gate_channel(

@@ -3,9 +3,12 @@
 Randomized benchmarking draws each (length, sequence) slot from its own
 ``random.Random``, keyed by the master seed, the length and the sequence,
 so results are bitwise identical for a given configuration; only shot
-sampling loads ``numpy.random``.  A simulated run builds the channels of
-all its gates in one engine call and applies them to every sequence of a
-length at once.
+sampling loads ``numpy.random``.  A run handles all its lengths at once:
+one column loop tracks the ideal products of every sequence and one call
+compiles their recoveries; a simulated run builds the channels of all
+its gates in one engine call, then applies them to every sequence of
+every length in one column loop, longest sequences first, so the rows a
+column touches are a prefix of them.
 """
 from __future__ import annotations
 
@@ -97,31 +100,38 @@ def _profile(ps: np.ndarray, ms: np.ndarray, fs: np.ndarray):
     """Best bounded (A, B) at each p of ``ps`` and the slope of the profiled cost.
 
     The free optimum is the centred 2x2 least-squares solution, centred on
-    u = p^m - 1 from expm1 so that it stays accurate as p -> 1.  Outside the
-    box the optimum lies on one of the four edges: one coefficient on a
-    bound, the other its clipped 1-D solution.  The slope is d|r|^2/dp at
-    that (A, B) (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+    u = p^m - 1 from expm1 so that it stays accurate as p -> 1.  Where it
+    leaves the box the optimum lies on one of the four edges: one
+    coefficient on a bound, the other its clipped 1-D solution; only those
+    p build the edge candidates.  The slope is d|r|^2/dp at that (A, B)
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
     """
     u = np.expm1(np.log(ps)[:, None] * ms)
     pm = u + 1.0
     du = u - u.mean(axis=1, keepdims=True)
     (a_lo, b_lo), (a_hi, b_hi) = _FIT_LOWER[::2], _FIT_UPPER[::2]
-    # rows: the free optimum, A on its two bounds, B on its two bounds
-    a, b = np.empty((2, 5, len(ps)))
-    a[1:3], b[3:] = [[a_lo], [a_hi]], [[b_lo], [b_hi]]
+    level = fs.mean()
     # 0/0 where all p^m agree or underflow: at p = 1 only A + B counts, and
-    # the free optimum is the minimum-norm A = B; a NaN row is never picked
+    # the free optimum is the minimum-norm A = B; a NaN candidate is never picked
     with np.errstate(invalid="ignore"):
-        a[0] = du @ (fs - fs.mean()) / np.einsum("ij,ij->i", du, du)
-        a[3:] = (pm @ fs - b[3:] * pm.sum(axis=1)) / np.einsum("ij,ij->i", pm, pm)
-    a[0, ps == 1.0] = fs.mean() / 2.0
-    b[:3] = fs.mean() - a[:3] * pm.mean(axis=1)
-    inside = (a_lo <= a[0]) & (a[0] <= a_hi) & (b_lo <= b[0]) & (b[0] <= b_hi)
-    a, b = np.clip(a, a_lo, a_hi), np.clip(b, b_lo, b_hi)
-    r = a[..., None] * pm + b[..., None] - fs
-    cost = np.einsum("cpk,cpk->cp", r, r)
-    best = np.where(inside, 0, np.nanargmin(cost, axis=0)), np.arange(len(ps))
-    a, b, r = a[best], b[best], r[best]
+        a = du @ (fs - level) / np.einsum("ij,ij->i", du, du)
+    a[ps == 1.0] = level / 2.0
+    mean = pm.mean(axis=1)
+    b = level - a * mean
+    out = np.flatnonzero(~((a_lo <= a) & (a <= a_hi) & (b_lo <= b) & (b <= b_hi)))
+    if out.size:
+        # rows: the clipped free optimum, A on its two bounds, B on its two bounds
+        ea, eb = np.empty((2, 5, out.size))
+        ea[0], eb[0] = a[out], b[out]
+        ea[1:3], eb[3:] = [[a_lo], [a_hi]], [[b_lo], [b_hi]]
+        with np.errstate(invalid="ignore"):
+            ea[3:] = ((pm @ fs)[out] - eb[3:] * pm.sum(axis=1)[out]) / np.einsum("ij,ij->i", pm, pm)[out]
+        eb[1:3] = level - ea[1:3] * mean[out]
+        ea, eb = np.clip(ea, a_lo, a_hi), np.clip(eb, b_lo, b_hi)
+        er = ea[..., None] * pm[out] + eb[..., None] - fs
+        best = np.nanargmin(np.einsum("cpk,cpk->cp", er, er), axis=0), np.arange(out.size)
+        a[out], b[out] = ea[best], eb[best]
+    r = a[:, None] * pm + b[:, None] - fs
     return a, b, 2.0 * a * ((r * pm) @ ms) / ps
 
 
@@ -282,7 +292,8 @@ class SimulatedSequenceExecutor:
     Every gate acts on the density matrix through its superoperator.
     :meth:`survivals` runs many sequences together: it builds the channels
     of all gates it has not cached in one :func:`gate_channels` call, then
-    applies gate j of every sequence of a length as one stacked product.
+    applies one column of gates of every sequence, whatever its length, as
+    one stacked product.
     Channels of recurring gates (the Cliffords plus any declared extras)
     stay cached across calls; one-off gates such as per-sequence recovery
     rotations are built for the call and dropped.
@@ -313,29 +324,39 @@ class SimulatedSequenceExecutor:
 
         Each (n, L) integer array in ``sequences`` holds n sequences of L
         indices into ``gates``, applied in order to |0><0|; a None gate is
-        the identity.  Returns one length-n array per index array.
+        the identity.  Returns one length-n array per index array.  The
+        sequences run together in one column loop, longest first and
+        aligned at their last gate, so the rows that have begun by a column
+        are a prefix; none is padded.
         """
+        if not sequences:
+            return []
         missing = list(dict.fromkeys(
             spec for spec in gates if spec is not None and spec not in self._cache
         ))
         built = {}
         if missing:
             schedules = [synthesize(spec, self.omega0, self.scheme) for spec in missing]
-            channels = gate_channels(schedules, self.noise, self.err)
-            built = dict(zip(missing, channels))
+            built = dict(zip(missing, gate_channels(schedules, self.noise, self.err)))
         built.update(self._cache)
         eye = np.eye(9, dtype=complex)
         stack = np.array([eye if spec is None else built[spec] for spec in gates])
         self._cache.update((spec, built[spec]) for spec in missing if spec in self._cacheable)
 
+        order = sorted(range(len(sequences)), key=lambda g: -sequences[g].shape[1])
+        flat = np.concatenate([sequences[g].ravel() for g in order])
+        counts = [len(sequences[g]) for g in order]
+        row_lengths = np.repeat([sequences[g].shape[1] for g in order], counts)
+        longest = int(row_lengths.max(initial=0))
+        # row r's gate at column c is flat[shift[r] + c], once c >= longest - L_r
+        shift = np.cumsum(row_lengths) - longest
+        begun = np.searchsorted(-row_lengths, np.arange(longest) - longest, side="right")
         rho0 = density(basis_state(3, 0)).reshape(-1, 1)
-        out = []
-        for idx in sequences:
-            vecs = np.repeat(rho0[None], len(idx), axis=0)
-            for column in idx.T:
-                vecs = stack[column] @ vecs
-            out.append(vecs[:, 0, 0].real)
-        return out
+        vecs = np.repeat(rho0[None], len(row_lengths), axis=0)
+        for c, rows in enumerate(begun.tolist()):
+            vecs[:rows] = stack[flat[shift[:rows] + c]] @ vecs[:rows]
+        parts = np.split(vecs[:, 0, 0].real, np.cumsum(counts)[:-1])
+        return [parts[i] for i in np.argsort(order).tolist()]
 
     def __call__(self, specs: Sequence[Optional[GateSpec]]) -> float:
         return float(self.survivals(specs, [np.arange(len(specs))[None]])[0][0])
@@ -367,13 +388,15 @@ def _draw_sequences(config: RBConfig):
 
     Slot (m, j), sequence j of length m, draws its m Cliffords from its own
     ``random.Random`` keyed by the string f"{seed}/{m}/{j}", so a length's
-    sequences do not depend on which other lengths run.  The index array of
-    a length is allocated before any stream is built, so numpy refuses a
-    size that cannot fit at once.  The ideal products of all sequences of a
-    length are tracked together.  Returns the gate table (the 24 compiled
-    Cliffords, then the interleaved target and one recovery per sequence
-    when there is a target), one (n, L) array of table indices per length,
-    and each length's n slot streams, which the shot sampling continues.
+    sequences do not depend on which other lengths run.  The draws of all
+    slots share one flat index array, allocated before any stream is built,
+    so numpy refuses a size that cannot fit at once.  Its rows run longest
+    first, so the sequences still running at Clifford c are a prefix of
+    them, and one column loop tracks the ideal products of all sequences of
+    every length.  Returns the gate table (the 24 compiled Cliffords, then
+    the interleaved target and one recovery per sequence when there is a
+    target), one (n, L) array of table indices per length, and each
+    length's n slot streams, which the shot sampling continues.
     """
     cliffords = np.array(clifford_group())
     gates: list[Optional[GateSpec]] = [compile_clifford(i) for i in range(len(cliffords))]
@@ -382,33 +405,48 @@ def _draw_sequences(config: RBConfig):
         target_u = ideal_single_qubit(target)
         gates.append(target)
     n = config.sequences_per_length
+    lengths = config.sequence_lengths
     choices = range(len(cliffords))
-    sequences, streams = [], []
-    for m in config.sequence_lengths:
-        drawn = np.empty((n, m), dtype=int)
-        rngs = []
-        for j, row in enumerate(drawn):
-            rng = random.Random(f"{config.seed}/{m}/{j}")
-            row[:] = rng.choices(choices, k=m)
-            rngs.append(rng)
-        u_total = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
-        for column in drawn.T:
-            u_total = cliffords[column] @ u_total
-            if target is not None:
-                u_total = target_u @ u_total
-        inverse = u_total.conj().transpose(0, 2, 1)
-        if target is None:
-            # the inverse of a Clifford product is a Clifford: look it up
-            idx = np.column_stack([drawn, clifford_index_of(inverse)])
-        else:
-            # the product includes non-Clifford gates; compile the exact
-            # inverse as a single loop
-            idx = np.full((n, 2 * m + 1), len(cliffords))
-            idx[:, : 2 * m : 2] = drawn
-            idx[:, -1] = np.arange(len(gates), len(gates) + n)
-            gates.extend(gate_spec_from_unitary(inverse))
-        sequences.append(idx)
+    # counted in Python integers, so that a total past 64 bits is refused, not wrapped
+    drawn = np.empty(n * sum(lengths), dtype=int)
+    # rows n i to n (i + 1) - 1 hold length lengths[-1 - i]; row r starts at starts[r]
+    row_lengths = np.repeat(lengths[::-1], n)
+    starts = np.cumsum(row_lengths) - row_lengths
+    # where each length's rows start, in ascending order of lengths
+    firsts = starts[::n][::-1].tolist()
+    streams = []
+    for m, first in zip(lengths, firsts):
+        rngs = [random.Random(f"{config.seed}/{m}/{j}") for j in range(n)]
+        for j, rng in enumerate(rngs):
+            drawn[first + j * m : first + (j + 1) * m] = rng.choices(choices, k=m)
         streams.append(rngs)
+    u_total = np.empty((len(row_lengths), 2, 2), dtype=complex)
+    u_total[:] = np.eye(2)
+    # the rows longer than c, a prefix, apply their Clifford c
+    running = np.searchsorted(-row_lengths, -np.arange(lengths[-1]), side="left")
+    for c, rows in enumerate(running.tolist()):
+        u_total[:rows] = cliffords[drawn[starts[:rows] + c]] @ u_total[:rows]
+        if target is not None:
+            u_total[:rows] = target_u @ u_total[:rows]
+    inverse = u_total.conj().transpose(0, 2, 1).reshape(len(lengths), n, 2, 2)[::-1]
+    if target is None:
+        # the inverse of a Clifford product is a Clifford: look it up
+        recovery = clifford_index_of(inverse)
+    else:
+        # the products include non-Clifford gates; compile each exact
+        # inverse as a single loop, all in one call
+        recovery = len(gates) + np.arange(len(lengths) * n).reshape(len(lengths), n)
+        gates.extend(gate_spec_from_unitary(inverse.reshape(-1, 2, 2)))
+    sequences = []
+    for m, first, last in zip(lengths, firsts, recovery):
+        block = drawn[first : first + n * m].reshape(n, m)
+        if target is None:
+            idx = np.column_stack([block, last])
+        else:
+            idx = np.full((n, 2 * m + 1), len(cliffords))
+            idx[:, : 2 * m : 2] = block
+            idx[:, -1] = last
+        sequences.append(idx)
     return gates, sequences, streams
 
 

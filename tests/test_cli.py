@@ -248,10 +248,12 @@ def test_half_step_of_a_ramped_gate_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("--lengths", "2,4,100000000000000000"),
     ("--sequences", "100000000000000000", "--lengths", "2,4,8"),
-], ids=["lengths", "sequences"])
+    # 16 (6 + 2^60) draws: a 64-bit count of them wraps round to 96
+    ("--sequences", "16", "--lengths", "2,4,1152921504606846976"),
+], ids=["lengths", "sequences", "count_past_64_bits"])
 def test_allocation_failure_is_reported_without_traceback(tmp_path, capsys, argv):
-    # numpy refuses a (sequences, length) index array of 1e17 rows or columns
-    # at once: each length's array is allocated before its slot streams
+    # numpy refuses an index array of 1e17 rows or columns at once: the draws
+    # of every slot share one array, allocated before any slot stream
     assert run(tmp_path, "rb", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from holosim import evolve, pulses, twoqubit
+from holosim import protocols as pr
 from holosim.gates import ideal_single_qubit
 from holosim.protocols import default_noise_model, t1_limited_noise_model
 from holosim.quantum import average_gate_fidelity, basis_state, density
@@ -595,6 +596,14 @@ class TestEngineChoice:
                 single = evolve.gate_channel(sched, TestFrameOracle.NOISE, err)
                 assert np.max(np.abs(s - single)) < 1e-14
 
+    @pytest.mark.parametrize("ramp", [0.0, 10e-9])
+    def test_error_maps_of_no_errors_are_empty(self, ramp):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, "nhqc", edge_ramp=ramp)
+        none = evolve.error_table([])
+        assert none.shape == (2, 0)
+        assert evolve.error_maps(sched, none).shape == (0, 3, 3)
+        assert evolve.error_maps(sched, none, TestFrameOracle.NOISE).shape == (0, 9, 9)
+
 
 #: (dim, levels) of every model the engine propagates: a bare 2-level pair,
 #: the qutrit and the five-level composite model
@@ -821,15 +830,22 @@ class TestGateChannels:
             for scheme in ("tounhqc", "nhqc")
         ]
 
-    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp"])
+    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "nhqc_only", "duplicates"])
     def test_bitwise_equal_to_single_schedule_calls(self, rng, case):
         default = default_noise_model()
         noise, ramp, config = {
             "noiseless": (evolve.NO_NOISE, 0.0, evolve.DEFAULT_CONFIG),
             "default_noise": (default, 0.0, evolve.DEFAULT_CONFIG),
             "edge_ramp": (default, 10e-9, evolve.IntegratorConfig(dt=0.5e-9)),
+            "nhqc_only": (default, 0.0, evolve.DEFAULT_CONFIG),
+            "duplicates": (default, 0.0, evolve.DEFAULT_CONFIG),
         }[case]
         scheds = self.schedules(rng, ramp)
+        if case == "nhqc_only":
+            scheds = scheds[1::2]
+        elif case == "duplicates":
+            # repeats share their pieces' exponentials with the first copy
+            scheds = [scheds[i] for i in (0, 3, 0, 5, 3, 3, 8, 1, 8, 0)]
         err = evolve.ErrorInjection(amp_fraction=0.02, detuning_fraction=-0.01)
         together = evolve.gate_channels(scheds, noise, err, config)
         assert together.shape == (len(scheds), 9, 9)
@@ -839,6 +855,74 @@ class TestGateChannels:
                 # the Kronecker product of the propagator, as a single gate builds it
                 u = evolve.propagator(sched, err, config)
                 assert np.array_equal(got, np.kron(u, u.conj()))
+
+    @pytest.mark.parametrize("noise", [evolve.NO_NOISE, default_noise_model()], ids=["noiseless", "noisy"])
+    def test_empty_batch_is_an_empty_stack(self, noise):
+        assert evolve.gate_channels([], noise).shape == (0, 9, 9)
+        # the same kind of noise on a bare pair of levels
+        pair = noise if noise.is_empty else evolve.NoiseModel(collapse_ops=((np.diag([0.0, 1.0]), 1e5),))
+        assert evolve.gate_channels([], pair, dim=2, levels=(None, 0, 1)).shape == (0, 4, 4)
+
+    @staticmethod
+    def recorded_expm(monkeypatch):
+        """The stacks _expm receives from here on."""
+        stacks = []
+        pade = evolve._expm
+        monkeypatch.setattr(evolve, "_expm", lambda a: stacks.append(a.copy()) or pade(a))
+        return stacks
+
+    @staticmethod
+    def distinct_constant_pairs(scheds, dt=None):
+        """The number of bitwise-distinct (frame generator, duration) pairs among the constant pieces.
+
+        Counted from each piece's segment and ends, apart from the engine's keys.
+        """
+        pairs = set()
+        for sched in scheds:
+            for piece in evolve._pieces(sched, dt, record=False):
+                if not piece.varying:
+                    gen = evolve._frame_generators(pulses.segment_table([piece.seg]), 1.0, evolve.error_table(),
+                                                   sched.omega0, 3, evolve.QUTRIT_LEVELS)
+                    pairs.add((gen.tobytes(), (piece.nodes[-1] - piece.nodes[0]).hex()))
+        return len(pairs)
+
+    def test_one_exponential_per_distinct_generator_and_duration(self, monkeypatch):
+        # the gates of the noisy interleaved nhqc RB workload: both halves of an nhqc loop are
+        # one (generator, tau/2) pair, and gates that differ only in phi at theta = 0 share one
+        config = pr.RBConfig(sequence_lengths=(2, 4, 8, 16), sequences_per_length=10, seed=0, scheme="nhqc",
+                             interleaved_target=pulses.GateSpec(0.0, 0.0, 0.7854), noise=default_noise_model())
+        gates, _, _ = pr._draw_sequences(config)
+        scheds = [pulses.synthesize(spec, OMEGA0, "nhqc") for spec in dict.fromkeys(gates) if spec is not None]
+        stacks = self.recorded_expm(monkeypatch)
+        channels = evolve.gate_channels(scheds, config.noise)
+        assert len(stacks) == 1
+        pieces = sum(len(evolve._pieces(sched, None, record=False)) for sched in scheds)
+        assert pieces == 2 * len(scheds) == 128
+        assert len(stacks[0]) == self.distinct_constant_pairs(scheds) == 59
+        assert len({mat.tobytes() for mat in stacks[0]}) == len(stacks[0])
+        monkeypatch.undo()
+        for got, sched in zip(channels, scheds):
+            assert np.array_equal(got, evolve.gate_channel(sched, config.noise))
+
+    def test_mixed_batch_with_repeats_exponentiates_each_pair_once(self, rng, monkeypatch):
+        noise, config = default_noise_model(), evolve.IntegratorConfig(dt=0.5e-9)
+        # loops of at least 100 ns, so that 10 ns ramps and 0.5 ns steps suit them all
+        specs = [pulses.GateSpec(rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI), rng.uniform(1.6, 2 * PI - 1.6))
+                 for _ in range(3)]
+        kinds = [(scheme, ramp) for scheme in ("tounhqc", "nhqc") for ramp in (0.0, 10e-9)]
+        once = [pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=ramp)
+                for spec in specs for scheme, ramp in kinds]
+        batch = once + once[::3] + once[5:8]
+        stacks = self.recorded_expm(monkeypatch)
+        channels = evolve.gate_channels(batch, noise, config=config)
+        # the ramp windows are stepped for every copy, two exponentials a step
+        steps = sum(len(p.nodes) - 1 for sched in batch
+                    for p in evolve._pieces(sched, evolve.step_size(sched, noise, config), False) if p.varying)
+        constant = self.distinct_constant_pairs(once, 0.5e-9)
+        assert sum(map(len, stacks)) == constant + 2 * steps
+        monkeypatch.undo()
+        for got, sched in zip(channels, batch):
+            assert np.array_equal(got, evolve.gate_channel(sched, noise, config=config))
 
     def test_any_bad_schedule_raises_as_gate_channel(self, rng):
         # only schedules with an edge ramp take steps, so only they are checked

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import warnings
 from decimal import Decimal
 
@@ -168,6 +170,96 @@ class TestFitDecayAgainstCurveFit:
         assert sum_squares([fit.a, fit.p, fit.b], ms, fs) <= sum_squares(popt, ms, fs) * (1 + 1e-9)
 
 
+def five_row_profile(ps, ms, fs):
+    """fit_decay's profile as it was first written: all five (A, B) candidates at every p.
+
+    The free optimum, A on its two bounds and B on its two bounds, each
+    clipped into the box, and the cheapest where the free optimum leaves it.
+    """
+    u = np.expm1(np.log(ps)[:, None] * ms)
+    pm = u + 1.0
+    du = u - u.mean(axis=1, keepdims=True)
+    (a_lo, b_lo), (a_hi, b_hi) = FIT_LOWER[::2], FIT_UPPER[::2]
+    a, b = np.empty((2, 5, len(ps)))
+    a[1:3], b[3:] = [[a_lo], [a_hi]], [[b_lo], [b_hi]]
+    with np.errstate(invalid="ignore"):
+        a[0] = du @ (fs - fs.mean()) / np.einsum("ij,ij->i", du, du)
+        a[3:] = (pm @ fs - b[3:] * pm.sum(axis=1)) / np.einsum("ij,ij->i", pm, pm)
+    a[0, ps == 1.0] = fs.mean() / 2.0
+    b[:3] = fs.mean() - a[:3] * pm.mean(axis=1)
+    inside = (a_lo <= a[0]) & (a[0] <= a_hi) & (b_lo <= b[0]) & (b[0] <= b_hi)
+    a, b = np.clip(a, a_lo, a_hi), np.clip(b, b_lo, b_hi)
+    r = a[..., None] * pm + b[..., None] - fs
+    cost = np.einsum("cpk,cpk->cp", r, r)
+    best = np.where(inside, 0, np.nanargmin(cost, axis=0)), np.arange(len(ps))
+    a, b, r = a[best], b[best], r[best]
+    return a, b, 2.0 * a * ((r * pm) @ ms) / ps
+
+
+def fit_datasets(seed, count):
+    """``count`` seeded (ms, fs) pairs of every kind fit_decay meets, in equal shares.
+
+    Plain decays; data that puts A or B on a bound; data whose fit runs p
+    to 1e-6 or to 1; near-constant survivals; uniform noise.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("decay", "a_bound", "b_bound", "p_low", "p_high", "flat", "uniform")
+    for i in range(count):
+        ms = np.array(RB_LENGTH_SETS[rng.integers(len(RB_LENGTH_SETS))], dtype=float)
+        kind = kinds[i % len(kinds)]
+        noise = rng.normal(size=len(ms))
+        if kind == "decay":
+            fs = rng.uniform(0.2, 0.7) * rng.uniform(0.8, 0.999) ** ms + rng.uniform(0.2, 0.6)
+            fs += rng.uniform(1e-5, 1e-2) * noise
+        elif kind == "a_bound":
+            a = rng.choice([-1.0, -0.6, 1.6, 2.5]) * rng.uniform(0.9, 1.1)
+            fs = a * rng.uniform(0.7, 0.99) ** ms + rng.uniform(0.0, 1.0) + 1e-3 * noise
+        elif kind == "b_bound":
+            b = rng.choice([-1.0, -0.6, 1.6, 2.5]) * rng.uniform(0.9, 1.1)
+            fs = rng.uniform(0.1, 0.5) * rng.uniform(0.7, 0.99) ** ms + b + 1e-3 * noise
+        elif kind == "p_low":
+            # everything decayed by the first length: only noise above B
+            fs = rng.uniform(0.3, 0.6) + rng.uniform(1e-6, 1e-3) * noise
+            fs[0] += rng.uniform(0.0, 0.5)
+        elif kind == "p_high":
+            fs = rng.uniform(0.3, 1.8) + rng.uniform(1e-4, 1e-2) * ms + 1e-5 * noise
+        elif kind == "flat":
+            # spreads either side of fit_decay's 1e-9 constant-data threshold
+            fs = rng.uniform(0.4, 1.0) + 10.0 ** rng.uniform(-10.5, -6.0) * noise
+        else:
+            fs = rng.uniform(-0.2, 1.2, size=len(ms))
+        yield ms, fs
+
+
+class TestFitDecayBitwise:
+    """The profile builds the edge candidates only where the free optimum leaves the box."""
+
+    @staticmethod
+    def bits(fit):
+        return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(fit)]
+
+    def test_fits_equal_the_five_row_reference(self, monkeypatch):
+        datasets = list(fit_datasets(20261019, 2002))
+        fits = [pr.fit_decay(ms, fs) for ms, fs in datasets]
+        monkeypatch.setattr(pr, "_profile", five_row_profile)
+        for (ms, fs), fit in zip(datasets, fits):
+            assert self.bits(fit) == self.bits(pr.fit_decay(ms, fs)), (ms.tolist(), fs.tolist())
+        # every kind of data was met: bounds hit and p at both ends
+        assert any(f.p == 1.0 and not f.degenerate for f in fits)
+        assert any(f.p == FIT_LOWER[1] for f in fits)
+        assert any(f.degenerate for f in fits) and any(not f.degenerate and np.ptp(fs) < 1e-6
+                                                       for f, (_, fs) in zip(fits, datasets))
+        for bound in (*FIT_LOWER[::2], *FIT_UPPER[::2]):
+            assert any(bound in (f.a, f.b) for f in fits), bound
+
+    def test_profile_equals_the_five_row_reference(self):
+        rng = np.random.default_rng(7)
+        for ms, fs in fit_datasets(11, 700):
+            ps = np.concatenate([pr._FIT_GRID, np.sort(rng.uniform(0.0, 1.0, 20))])
+            for got, want in zip(pr._profile(ps, ms, fs), five_row_profile(ps, ms, fs)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestInterleavedGateError:
     def test_equal_decays_give_zero_error(self):
         est = pr.interleaved_gate_error(0.95, 0.95)
@@ -235,6 +327,85 @@ class TestSequenceDraws:
         counts = np.bincount(np.concatenate(list(draws.values())), minlength=24)
         assert counts.sum() == 25_000
         assert chisquare(counts).pvalue > 1e-3
+
+
+def per_length_draws(config):
+    """_draw_sequences as first written: one length at a time, each with its own column loop."""
+    cliffords = np.array(gates.clifford_group())
+    table = [gates.compile_clifford(i) for i in range(len(cliffords))]
+    target = config.interleaved_target
+    if target is not None:
+        target_u = ideal_single_qubit(target)
+        table.append(target)
+    n = config.sequences_per_length
+    sequences, streams = [], []
+    for m in config.sequence_lengths:
+        drawn = np.empty((n, m), dtype=int)
+        rngs = []
+        for j, row in enumerate(drawn):
+            rng = random.Random(f"{config.seed}/{m}/{j}")
+            row[:] = rng.choices(range(len(cliffords)), k=m)
+            rngs.append(rng)
+        u_total = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+        for column in drawn.T:
+            u_total = cliffords[column] @ u_total
+            if target is not None:
+                u_total = target_u @ u_total
+        inverse = u_total.conj().transpose(0, 2, 1)
+        if target is None:
+            idx = np.column_stack([drawn, gates.clifford_index_of(inverse)])
+        else:
+            idx = np.full((n, 2 * m + 1), len(cliffords))
+            idx[:, : 2 * m : 2] = drawn
+            idx[:, -1] = np.arange(len(table), len(table) + n)
+            table.extend(gates.gate_spec_from_unitary(inverse))
+        sequences.append(idx)
+        streams.append(rngs)
+    return table, sequences, streams
+
+
+def per_length_survivals(stack, sequences):
+    """SimulatedSequenceExecutor.survivals as first written: one length at a time."""
+    rho0 = density(basis_state(3, 0)).reshape(-1, 1)
+    out = []
+    for idx in sequences:
+        vecs = np.repeat(rho0[None], len(idx), axis=0)
+        for column in idx.T:
+            vecs = stack[column] @ vecs
+        out.append(vecs[:, 0, 0].real)
+    return out
+
+
+class TestAllLengthsAtOnce:
+    """One column loop over every length gives each length's per-length results bitwise."""
+
+    @staticmethod
+    def spec_bits(table):
+        return [None if spec is None else tuple(x.hex() for x in dataclasses.astuple(spec)) for spec in table]
+
+    @pytest.mark.parametrize("lengths", [(2, 4, 8, 16), (1, 3, 7, 12, 20), (5, 6, 31)])
+    @pytest.mark.parametrize("target", [None, pulses.GateSpec(0.0, 0.0, 0.7854)],
+                             ids=["reference", "interleaved"])
+    def test_draws_and_survivals_equal_per_length_reference(self, lengths, target):
+        noise = pr.default_noise_model()
+        config = pr.RBConfig(sequence_lengths=lengths, sequences_per_length=11, seed=3, scheme="nhqc",
+                             interleaved_target=target, noise=noise)
+        table, sequences, streams = pr._draw_sequences(config)
+        ref_table, ref_sequences, ref_streams = per_length_draws(config)
+        assert self.spec_bits(table) == self.spec_bits(ref_table)
+        assert all(np.array_equal(a, b) for a, b in zip(sequences, ref_sequences, strict=True))
+        assert [[rng.getstate() for rng in rngs] for rngs in streams] == \
+               [[rng.getstate() for rng in rngs] for rngs in ref_streams]
+
+        channels = {spec: evolve.gate_channel(pulses.synthesize(spec, OMEGA0, "nhqc"), noise)
+                    for spec in table if spec is not None}
+        stack = np.array([np.eye(9, dtype=complex) if spec is None else channels[spec] for spec in table])
+        want = per_length_survivals(stack, sequences)
+        executor = pr.SimulatedSequenceExecutor("nhqc", OMEGA0, noise)
+        # the lengths may come in any order
+        for order in (slice(None), slice(None, None, -1)):
+            got = executor.survivals(table, sequences[order])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[order], strict=True))
 
 
 class TestRBSimulated:
