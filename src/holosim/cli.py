@@ -93,13 +93,15 @@ def _metadata_lines(command: str, config_hash: str) -> list[str]:
 def _table_lines(header: list[str], rows: list[Sequence] | np.ndarray) -> list[str]:
     """``header`` and ``rows`` (row sequences, or a 2-d float array) as comma-separated lines.
 
-    An array is formatted a row at a time, in the format _fmt gives a float;
-    row sequences, which may hold integer columns, go through _fmt cell by cell.
+    An array is formatted in one call over its flattened values, in the format
+    _fmt gives a float; row sequences, which may hold integer columns, go
+    through _fmt cell by cell.
     """
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray):
-        row_format = ",".join(["{:.17g}"] * rows.shape[1]).format
-        lines.extend(row_format(*row) for row in rows.tolist())
+        if len(rows):
+            line = ",".join(["%.17g"] * rows.shape[1])
+            lines.extend(("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())).split("\n"))
     else:
         lines.extend(",".join(map(_fmt, row)) for row in rows)
     return lines

@@ -16,8 +16,11 @@ boundaries and edge-ramp corners:
 
 * a constant piece, where the frame generator does not vary, maps by one
   exact exponential of its generator over the time from its start to each
-  node it is wanted at: its end for a full-schedule map, every recorded
-  node for a trajectory.  These are the ramp-free stretches of a schedule;
+  node it is wanted at: its end for a full-schedule map.  A trajectory
+  records it at nodes one stride apart, so it takes the exponential only
+  to its first recorded node, over one stride and to an end off that
+  lattice, and fills the lattice by powers of the stride's map
+  (:func:`_powers`).  These are the ramp-free stretches of a schedule;
 * a varying piece is an edge-ramp window.  It runs a fourth-order
   commutator-free exponential stepper (CF4) on its own grid nodes: two
   exponentials per step, whose generators mix the frame generator at the
@@ -26,7 +29,8 @@ boundaries and edge-ramp corners:
   stacked products.
 
 Each piece's frame map is rebased to the lab frame at its ends,
-D(t_end) M D(t_start)^dag, and the pieces are chained.  Each piece
+D(t_end) M D(t_start)^dag, and the pieces are chained; piece 0 starts
+from the identity, so its rebase only scales columns and rows.  Each piece
 carries its own grid nodes (:func:`_pieces`): a propagator or channel
 takes at most one exponential per constant piece, and a trajectory
 records the maps at grid nodes, which the varying pieces step through.
@@ -612,6 +616,20 @@ def step_size(
     return dt
 
 
+def _powers(out: np.ndarray) -> np.ndarray:
+    """Fill an (n_err, n, m, m) stack with out[:, j] = out[:, 0]^(j + 1), in place; returns it.
+
+    Each round doubles the powers known, in one stacked product:
+    out[n : n + k] = out[n - 1] @ out[:k].
+    """
+    n = 1
+    while n < out.shape[1]:
+        k = min(n, out.shape[1] - n)
+        out[:, n : n + k] = out[:, n - 1 : n] @ out[:, :k]
+        n += k
+    return out
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first of each set of bitwise-equal rows of a 2-D array, and every row's set.
 
@@ -661,9 +679,10 @@ def _frame_maps(
     and each piece's maps at its wanted nodes fill one stack.  The constant
     pieces take one batched exponential for each bitwise-distinct pair of
     frame generator and duration, so the two halves of an nhqc loop share
-    theirs; each varying piece is stepped by :func:`_varying_maps`.  Piece
-    k of every schedule is then rebased and chained in one step on a slice
-    of that stack.  Raises ValueError when the nonzero entries of a
+    theirs, and a recorded piece fills its lattice of nodes by powers; each
+    varying piece is stepped by :func:`_varying_maps`.  Piece k of every
+    schedule is then rebased and chained in one step on a slice of that
+    stack.  Raises ValueError when the nonzero entries of a
     collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
@@ -702,13 +721,31 @@ def _frame_maps(
         frames[:, bounds[i] : bounds[i + 1]] = _varying_maps(
             schedules[owner[i]], pieces[i], errors, dissipator, dim, levels)
     if not all(varying):
-        # the entries of the constant pieces; slices select without a copy
-        const = np.flatnonzero(~np.repeat(varying, counts)) if any(varying) else slice(None)
+        exact = ~np.repeat(varying, counts)  # the entries exponentiated
+        # a recorded constant piece's wanted nodes run RECORD_STRIDE nodes apart,
+        # but for an end off that lattice: it is exponentiated only to its first
+        # node, to such an end and over one stride (unless that is its first
+        # node), and powers of the stride's map fill the lattice
+        lattices, strides = [], []  # (first entry, lattice size, takes a stride)
+        for i in itertools.compress(range(len(pieces)), [not v for v in varying] if record else ()):
+            nodes, wanted = pieces[i].nodes, pieces[i].wanted
+            size = len(wanted) - int(wanted[-1] - wanted[0] != (len(wanted) - 1) * RECORD_STRIDE)
+            if size > 1:
+                offset = wanted[0] != RECORD_STRIDE
+                exact[bounds[i] + 1 : bounds[i] + size] = False
+                lattices.append((bounds[i], size, offset))
+                if offset:
+                    strides.append((i, nodes[RECORD_STRIDE] - nodes[0]))
+        const = slice(None) if exact.all() else np.flatnonzero(exact)  # a slice does not copy
         omega0 = np.array([schedule.omega0 for schedule in schedules])
         # every piece's generator without a ramp; the constant pieces' are used
         gens = _frame_generators(table, 1.0, errors, omega0[owner], dim, levels)
         of = entry_piece[const]
         taus = times[const] - firsts[of]
+        n_exact = len(taus)
+        if strides:
+            stride_of, stride_taus = zip(*strides)
+            of, taus = np.append(of, stride_of), np.append(taus, stride_taus)
         # one exponential per distinct (generator, duration).  The durations
         # within a piece all differ, so only pieces that share a generator
         # can share an exponential
@@ -716,22 +753,39 @@ def _frame_maps(
         distinct = inverse = slice(None)
         if len(kinds) < len(pieces):
             distinct, inverse = _distinct_rows(np.column_stack([kind[of], taus]))
-        exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])
-        frames[:, const] = exps[:, inverse]
+        exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
+        frames[:, const] = exps[:, :n_exact]
+        stride_maps = iter(exps[:, n_exact:].swapaxes(0, 1))
+        for at, size, offset in lattices:
+            lattice = frames[:, at : at + size]
+            if offset:
+                powers = np.empty_like(lattice[:, 1:])
+                powers[:, 0] = next(stride_maps)
+                lattice[:, 1:] = _powers(powers) @ lattice[:, :1]
+            else:  # the first node is one stride from the start
+                _powers(lattice)
 
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
-    # and chain it onto the map at its start; maps overwrite their frame maps
+    # and chain it onto the map at its start; maps overwrite their frame maps.
+    # Piece 0 starts from the identity, so its rebase only scales columns
     phases = _frame_phases(segment_phase(table[:, entry_piece], times), dim, levels[2], noisy)
     backs = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy).conj()
-    start = np.empty((len(schedules), n_err, m, m), dtype=complex)
-    start[:] = np.eye(m)
+    start = None  # (schedules, n_err, m, m): every schedule's map at the start of piece k
     for lo, hi in zip(edges, edges[1:]):
         alive = owner[lo:hi]
         span = slice(bounds[lo], bounds[hi])
-        back = backs[lo:hi, None, :, None] * start[alive]
-        rows = entry_piece[span] - lo
-        frames[:, span] = phases[span, :, None] * (frames[:, span] @ back[rows].swapaxes(0, 1))
-        start[alive] = frames[:, [end - 1 for end in bounds[lo + 1 : hi + 1]]].swapaxes(0, 1)
+        if start is None:
+            frame = frames[:, span] * backs[entry_piece[span], None, :]
+        else:
+            back = backs[lo:hi, None, :, None] * start[alive]
+            frame = frames[:, span] @ back[entry_piece[span] - lo].swapaxes(0, 1)
+        frames[:, span] = phases[span, :, None] * frame
+        if hi < len(order):
+            ends = frames[:, [end - 1 for end in bounds[lo + 1 : hi + 1]]].swapaxes(0, 1)
+            if start is None:
+                start = ends
+            else:
+                start[alive] = ends
 
     # the first ``owned`` entries of every piece, schedule after schedule
     at = {key: i for i, key in enumerate(order)}

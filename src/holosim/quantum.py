@@ -65,8 +65,9 @@ def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np
     b = np.asarray(rho_out, dtype=complex)
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    # each trace Tr(x y) = sum_ij x_ij y_ji by one contraction, without forming x y
     overlap, purity_a, purity_b = (
-        np.trace(m, axis1=-2, axis2=-1).real for m in (a @ b, a @ a, b @ b)
+        np.einsum("...ij,...ji->...", x, y).real for x, y in ((a, b), (a, a), (b, b))
     )
     # Cauchy-Schwarz bounds the overlap by 1; rounding can exceed it
     fidelity = np.minimum(overlap / np.sqrt(purity_a * purity_b), 1.0)

@@ -799,7 +799,8 @@ TABLE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
 @given(rows=st.lists(st.tuples(st.integers(-10**18, 10**18), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
 def test_table_cells_render_as_fmt(rows):
     # float cells print as _fmt prints them, from row tuples and from float
-    # arrays (formatted a row at a time); an integer column stays integer:
+    # arrays (formatted in one call) of 1, 2 and 5 columns, and an array
+    # without rows gives the header alone; an integer column stays integer:
     # 10**17, not 1e+17
     def cells(table, header):
         lines = cli._table_lines(header, table)
@@ -807,5 +808,11 @@ def test_table_cells_render_as_fmt(rows):
         return [line.split(",") for line in lines[1:]]
 
     assert cells(rows, ["m", "x", "y"]) == [[str(m), cli._fmt(x), cli._fmt(y)] for m, x, y in rows]
-    floats = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 2)
-    assert cells(floats, ["x", "y"]) == [[cli._fmt(x), cli._fmt(y)] for _, x, y in rows]
+    values = [x for row in rows for x in row[1:]]
+    for width in (1, 2, 5):
+        kept = values[: len(values) - len(values) % width]
+        floats = np.array(kept, dtype=float).reshape(-1, width)
+        header = [f"c{k}" for k in range(width)]
+        expected = [list(map(cli._fmt, kept[i : i + width])) for i in range(0, len(kept), width)]
+        assert cells(floats, header) == expected
+    assert cli._table_lines(["x"], np.empty((0, 1))) == ["x"]

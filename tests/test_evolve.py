@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -333,13 +334,17 @@ def frame_oracle(schedule, c_ops=None, until=None):
     L the row-major Liouvillian of G.  Returns the unitary when ``c_ops`` is
     None, else the superoperator.
     """
+    return frame_oracle_at(schedule, [schedule.duration if until is None else until], c_ops)[0]
+
+
+def frame_oracle_at(schedule, times, c_ops=None):
+    """:func:`frame_oracle` at each of ``times``, by one scipy exponential per time."""
     noisy = c_ops is not None
-    until = schedule.duration if until is None else until
     eye = np.eye(3)
+    times = np.asarray(times, dtype=float)
     total = np.eye(9 if noisy else 3, dtype=complex)
+    maps = np.broadcast_to(total, (len(times), *total.shape)).copy()
     for seg in schedule.segments:
-        if seg.t_start >= until:
-            break
         g = np.zeros((3, 3), dtype=complex)
         g[0, 2] = 0.5 * seg.omega * math.sin(0.5 * seg.theta_mix) * np.exp(1j * seg.phi0_offset)
         g[1, 2] = 0.5 * seg.omega * math.cos(0.5 * seg.theta_mix)
@@ -354,14 +359,20 @@ def frame_oracle(schedule, c_ops=None, until=None):
             gen = -1j * g
 
         def frame(t):
-            d = np.ones(3, dtype=complex)
-            d[2] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
-            return np.kron(d, d.conj()) if noisy else d
+            d = np.ones((len(t), 3), dtype=complex)
+            d[:, 2] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
+            return (d[:, :, None] * d.conj()[:, None, :]).reshape(len(t), 9) if noisy else d
 
-        t_end = min(seg.t_end, until)
-        step = expm(gen * (t_end - seg.t_start))
-        total = frame(t_end)[:, None] * step @ (frame(seg.t_start).conj()[:, None] * total)
-    return total
+        # the times inside the segment, and its end, which carries the map on
+        ends = np.append(times, seg.t_end)
+        inside = (ends > seg.t_start) & (ends <= seg.t_end)
+        inside[-1] = True
+        steps = expm(gen * (ends[inside] - seg.t_start)[:, None, None])
+        back = frame(np.array([seg.t_start]))[0].conj()[:, None] * total
+        mapped = frame(ends[inside])[:, :, None] * (steps @ back)
+        maps[inside[:-1]] = mapped[:-1]
+        total = mapped[-1]
+    return maps
 
 
 @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
@@ -444,6 +455,87 @@ class TestFrameOracle:
             unit[j // 3, j % 3] = 1.0
             final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
             assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
+
+
+def recorded_maps(sched, noise=evolve.NO_NOISE, config=evolve.DEFAULT_CONFIG):
+    """The engine's lab-frame maps at every recorded node of ``sched``."""
+    return evolve._frame_maps([sched], evolve.error_table(), noise, config, 3,
+                              evolve.QUTRIT_LEVELS, record=True)
+
+
+@pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+class TestFrameAtStart:
+    """A schedule whose drive phase is nonzero at t = 0, so that D(0) != 1.
+
+    The engine rebases piece 0 by scaling its columns with D(0)^dag; every
+    synthesized schedule starts at phi1 = 0, where that scaling is 1.
+    """
+
+    NOISE = TestFrameOracle.NOISE
+
+    @staticmethod
+    def shifted(scheme, edge_ramp=0.0):
+        sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme, edge_ramp=edge_ramp)
+        segments = tuple(dataclasses.replace(seg, phi1_offset=seg.phi1_offset + 0.9)
+                         for seg in sched.segments)
+        assert segments[0].phi1_offset == 0.9
+        return dataclasses.replace(sched, segments=segments)
+
+    def test_propagator(self, scheme):
+        sched = self.shifted(scheme)
+        assert np.max(np.abs(evolve.propagator(sched) - frame_oracle(sched))) < 1e-12
+
+    def test_channel(self, scheme):
+        sched = self.shifted(scheme)
+        exact = frame_oracle(sched, self.NOISE.scaled_ops(3))
+        assert np.max(np.abs(evolve.gate_channel(sched, self.NOISE) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_recorded_maps(self, scheme, noisy):
+        sched = self.shifted(scheme)
+        noise = self.NOISE if noisy else evolve.NO_NOISE
+        times, maps = recorded_maps(sched, noise)
+        exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
+        assert np.max(np.abs(maps[0] - exact)) < 1e-12
+
+    def test_ramped_propagator(self, scheme):
+        sched = self.shifted(scheme, edge_ramp=10e-9)
+        exact = ivp_evolve(sched, np.eye(3), [sched.duration])[0]
+        assert np.max(np.abs(evolve.propagator(sched) - exact)) < 2e-12
+
+
+class TestRecordedPowers:
+    """A recorded constant piece takes powers of one stride's map between its exponentials.
+
+    The powers move the maps from per-node exponentials by rounding that
+    grows with the node count: pinned at the default step and the finest.
+    """
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    @pytest.mark.parametrize("steps, bound", [(evolve.DEFAULT_STEPS, 1e-14), (evolve.MAX_STEPS, 1e-12)])
+    def test_near_per_node_exponentials(self, scheme, noisy, steps, bound):
+        sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme)
+        noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
+        times, maps = recorded_maps(sched, noise, evolve.IntegratorConfig(dt=sched.duration / steps))
+        assert len(times) >= steps // evolve.RECORD_STRIDE
+        exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
+        assert np.max(np.abs(maps[0] - exact)) <= bound
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_lattice_off_the_start_and_end_off_the_lattice(self, noisy):
+        # at 2,345 steps nhqc's second half starts off the stride, and the
+        # schedule ends off it: exponentials at its first node, one stride and
+        # its end, powers of the stride's map between
+        sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, "nhqc")
+        config = evolve.IntegratorConfig(dt=sched.duration / 2345)
+        second = evolve._pieces(sched, config.dt, record=True)[1]
+        assert second.wanted[0] != evolve.RECORD_STRIDE
+        assert (second.wanted[-1] - second.wanted[0]) % evolve.RECORD_STRIDE != 0
+        noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
+        times, maps = recorded_maps(sched, noise, config)
+        exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
+        assert np.max(np.abs(maps[0] - exact)) <= 1e-13
 
 
 class TestEngineChoice:

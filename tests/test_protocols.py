@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.stats import chisquare
 
@@ -590,6 +591,33 @@ class TestRobustnessScan:
     def test_resolution_guard(self):
         with pytest.raises(ValueError, match="resolution"):
             pr.robustness_scan("tounhqc", PI / 4, resolution=4)
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_noiseless_grid_matches_expm_kets(self, scheme):
+        # each grid point from explicit matrices: per segment the co-rotating frame
+        # generator with both control errors, exponentiated by scipy, rebased by
+        # D(t) = exp(-i phi1(t) |e><e|); for pure states the fidelity is |<ideal|psi>|^2
+        result = pr.robustness_scan(scheme, PI / 4, resolution=5)
+        spec = pulses.GateSpec(0.0, 0.0, PI / 4)
+        sched = pulses.synthesize(spec, pr.DEFAULT_OMEGA0, scheme)
+        ideal = np.append(ideal_single_qubit(spec) @ pr.SCAN_INITIAL[:2], 0.0)
+
+        def frame(seg, t):
+            return np.diag([1.0, 1.0, np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))])
+
+        for i, amp in enumerate(result.axis):
+            for j, det in enumerate(result.axis):
+                psi = pr.SCAN_INITIAL
+                for seg in sched.segments:
+                    g = np.zeros((3, 3), dtype=complex)
+                    drive = 0.5 * (1.0 + amp) * seg.omega
+                    g[0, 2] = drive * math.sin(0.5 * seg.theta_mix) * np.exp(1j * seg.phi0_offset)
+                    g[1, 2] = drive * math.cos(0.5 * seg.theta_mix)
+                    g[2, 0], g[2, 1] = np.conj(g[0, 2]), np.conj(g[1, 2])
+                    g[2, 2] = det * sched.omega0 - seg.phi1_slope
+                    step = expm(-1j * g * (seg.t_end - seg.t_start))
+                    psi = frame(seg, seg.t_end) @ step @ frame(seg, seg.t_start).conj() @ psi
+                assert abs(result.fidelity[i, j] - abs(ideal.conj() @ psi) ** 2) <= 1e-13
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_batched_grid_matches_pointwise_evolution(self, noisy):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestUnattenuatedFidelity:
         assert stacked.tolist() == [q.unattenuated_fidelity(rho_th, rho) for rho in rhos]
         pairs = q.unattenuated_fidelity(rhos[::-1], rhos)
         assert pairs.tolist() == [q.unattenuated_fidelity(a, b) for a, b in zip(rhos[::-1], rhos)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("shapes", [((), ()), ((), (7,)), ((7,), (7,))])
+    def test_matches_explicit_trace_sums(self, rng, dim, shapes):
+        # each trace Tr(x y) = sum_ij x_ij y_ji summed exactly over the float entries
+        def hermitian(lead):
+            m = rng.normal(size=(*lead, dim, dim)) + 1j * rng.normal(size=(*lead, dim, dim))
+            return m + m.conj().swapaxes(-1, -2)
+
+        def trace(x, y):
+            return float(sum(Fraction(x[i, j].real) * Fraction(y[j, i].real)
+                             - Fraction(x[i, j].imag) * Fraction(y[j, i].imag)
+                             for i in range(dim) for j in range(dim)))
+
+        a, b = hermitian(shapes[0]), hermitian(shapes[1])
+        got = np.atleast_1d(q.unattenuated_fidelity(a, b))
+        pairs = zip(*(m.reshape(-1, dim, dim) for m in np.broadcast_arrays(a, b)))
+        expected = [min(trace(x, y) / math.sqrt(trace(x, x) * trace(y, y)), 1.0) for x, y in pairs]
+        assert got.shape == (len(expected),)
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 class TestGateHealth:
