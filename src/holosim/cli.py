@@ -333,11 +333,9 @@ _INITIAL_STATES = {
 
 def _cmd_gate(args) -> dict:
     spec, schedule = _synthesize_from_args(args)
-    config = _integrator_from_args(args)
-    u = propagator(schedule, config=config)
+    u = propagator(schedule)
     ideal = ideal_single_qubit(spec)
     fidelity = average_channel_fidelity(np.kron(u, u.conj()), ideal)
-    delta = dt_halving_delta(schedule, config=config, u=u)
 
     entries = [
         ("scheme", args.scheme),
@@ -350,7 +348,7 @@ def _cmd_gate(args) -> dict:
         ("gate_infidelity", 1.0 - fidelity),
         ("leakage", leakage(u[:2, :2])),
         ("unitarity_defect", unitarity_defect(u)),
-        ("dt_halving_delta", delta),
+        ("dt_halving_delta", dt_halving_delta(schedule)),
         ("propagator", u),
         ("ideal_gate", ideal),
     ]
@@ -550,7 +548,7 @@ _COMMON = {
     "--out-dir": _Flag(str, ".", "output directory"),
     "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads",
                        interval=_Interval(1, lo_closed=True)),
-    "--dt-ns": _Flag(float, None, "step (ns) of edge-ramp windows and of the trajectory grid",
+    "--dt-ns": _Flag(float, None, "step (ns) of the trajectory grid",
                      interval=_POSITIVE),
 }
 
@@ -647,22 +645,14 @@ def _validate(args) -> None:
                 problems.append("--lengths must be strictly increasing")
             if len(lengths) < 3:
                 problems.append("--lengths needs at least 3 values to fit a decay")
-    # the engine's step rule for the one schedule of a gate or trajectory; it
-    # reads nearly every flag, so it runs once all of them pass
-    if args.command in ("gate", "trajectory") and not problems:
+    # the engine's step rule for a trajectory's grid; it reads the loop's
+    # flags, so it runs once all of them pass
+    if args.command == "trajectory" and not problems:
         _, schedule = _synthesize_from_args(args)
-        record = args.command == "trajectory"
-        noise = _noise_from_args(args) if record else NoiseModel()
-        half = ""
         try:
-            dt = step_size(schedule, noise, _integrator_from_args(args), record)
-            if dt is not None and not record:
-                # a gate's dt_halving_delta builds a second propagator at dt / 2
-                half = "the dt_halving_delta half step: "
-                step_size(schedule, config=IntegratorConfig(dt=dt / 2.0))
+            step_size(schedule, _integrator_from_args(args), record=True)
         except ValueError as exc:
-            problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns "
-                            f"loop: {half}{exc}")
+            problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}")
     if problems:
         raise ConfigError(problems)
 

@@ -3,42 +3,32 @@
 Every segment of a schedule has a drive phase phi1(t) that is linear in
 time, so in the co-rotating frame psi = D(t) psi~ with
 D(t) = exp(-i phi1(t) |e><e|) the generator is
-G(t) = D^dag H D - phi1' |e><e|, control errors included.  G does not
-depend on phi1, so the engine writes it straight from the segment
-parameters and the edge-ramp envelope (:func:`_frame_generators`) and
-never forms the lab Hamiltonian H.  The frame multiplies entry (i, j) of
+G = D^dag H D - phi1' |e><e|, control errors included, and it is constant
+on each segment.  G does not depend on phi1, so the engine writes it
+straight from the segment parameters (:func:`_frame_generators`) and
+never forms the lab Hamiltonian H.  Edge ramps are no exception:
+synthesis samples them into ordinary segments (``pulses.RAMP_SAMPLE_PERIOD``).
+The frame multiplies entry (i, j) of
 a collapse operator c by exp(i phi1 (delta_ie - delta_je)); the engine
 takes only collapse operators whose nonzero entries all share one such
 phase class, so every dissipator is the same in the frame as in the lab,
 and raises ValueError for any other.  One engine propagates every
-schedule in that frame.  It cuts the schedule into pieces at segment
-boundaries and edge-ramp corners:
-
-* a constant piece, where the frame generator does not vary, maps by one
-  exact exponential of its generator over the time from its start to each
-  node it is wanted at: its end for a full-schedule map.  A trajectory
-  records it at nodes one stride apart, so it takes the exponential only
-  to its first recorded node, over one stride and to an end off that
-  lattice, and fills the lattice by powers of the stride's map
-  (:func:`_powers`).  These are the ramp-free stretches of a schedule;
-* a varying piece is an edge-ramp window.  It runs a fourth-order
-  commutator-free exponential stepper (CF4) on its own grid nodes: two
-  exponentials per step, whose generators mix the frame generator at the
-  step's two Gauss-Legendre nodes, plus the dissipator.  The step maps
-  between two recorded nodes are multiplied pairwise, in log2 rounds of
-  stacked products.
+schedule in that frame.  It cuts the schedule into pieces at its segment
+boundaries, and each piece maps by one exact exponential of its
+generator over the time from its start to each node it is wanted at: its
+end for a full-schedule map.  A trajectory records a piece at nodes one
+stride apart, so it takes the exponential only to its first recorded
+node, over one stride and to an end off that lattice, and fills the
+lattice by powers of the stride's map (:func:`_powers`).
 
 Each piece's frame map is rebased to the lab frame at its ends,
 D(t_end) M D(t_start)^dag, and the pieces are chained; piece 0 starts
 from the identity, so its rebase only scales columns and rows.  Each piece
 carries its own grid nodes (:func:`_pieces`): a propagator or channel
-takes at most one exponential per constant piece, and a trajectory
-records the maps at grid nodes, which the varying pieces step through.
-The step size therefore sets only the steps of the ramp windows and the
-nodes a trajectory records.  :func:`step_size` resolves and checks it
-(duration / 100,000 <= dt <= duration / 100, rate * dt < 0.01 for the
-fastest decay rate) only there: a full-schedule map of a ramp-free
-schedule takes no step.
+takes one exponential per piece, and a trajectory records the maps at
+grid nodes.  The step size therefore sets only the nodes a trajectory
+records.  :func:`step_size` resolves and checks it (duration / 100,000
+<= dt <= duration / 100) only there: a full-schedule map takes no step.
 
 :func:`_frame_maps` is the engine's one entry point.  It alone turns the
 noise model into collapse operators and checks their phase class,
@@ -47,7 +37,7 @@ U (x) conj(U); every public function is a view of it.  One call can
 cover many schedules.  :func:`gate_channels` builds the channels of a
 list of schedules: the pieces of all of them share one stack of maps,
 each bitwise-distinct pair of frame generator and duration among their
-constant pieces is exponentiated once, in one batched call (the two
+pieces is exponentiated once, in one batched call (the two
 halves of an nhqc loop are one such pair), and piece k of every schedule
 is rebased and chained in one step on a slice of the stack.
 :func:`gate_channel` is its one-schedule case, and a channel is bitwise
@@ -79,11 +69,6 @@ MIN_STEPS = 100
 #: The finest step is duration / MAX_STEPS, 50 times the default grid: the
 #: nodes and recorded maps of a trajectory grow as 1/dt.
 MAX_STEPS = 100_000
-MAX_RATE_DT = 0.01
-#: Matrix elements (errors x steps x m^2) of the step maps of a varying
-#: piece that are built in one batched call; bounds the memory of the
-#: (errors, steps, 2, m, m) stacks of its generators and exponentials.
-MAP_CHUNK = 1 << 16
 #: Trajectories record every RECORD_STRIDE-th grid node, plus the endpoints.
 RECORD_STRIDE = 20
 
@@ -142,10 +127,6 @@ class NoiseModel:
     @property
     def is_empty(self) -> bool:
         return not any(rate > 0.0 for _, rate in self.collapse_ops)
-
-    @property
-    def max_rate(self) -> float:
-        return max((rate for _, rate in self.collapse_ops), default=0.0)
 
     def scaled_ops(self, dim: int) -> np.ndarray:
         """Stack of sqrt(rate)-scaled collapse operators, shape (K, dim, dim)."""
@@ -206,9 +187,9 @@ NO_NOISE = NoiseModel()
 class IntegratorConfig:
     """Grid settings; ``dt = None`` resolves to duration / 2000.
 
-    The grid sets the steps of varying pieces and the times a trajectory
-    records (every ``RECORD_STRIDE``-th node plus endpoints);
-    :func:`step_size` resolves and checks it.
+    The grid sets only the times a trajectory records (every
+    ``RECORD_STRIDE``-th node plus endpoints); :func:`step_size` resolves
+    and checks it.
     """
 
     dt: Optional[float] = None
@@ -400,7 +381,7 @@ def _covariant(c_ops: np.ndarray, ie: int) -> bool:
 
 
 class _Piece(NamedTuple):
-    """A stretch of a schedule between two breaks, with its own grid.
+    """A segment of a schedule, with its own grid.
 
     ``nodes`` run from its start to its end; ``wanted`` are the ascending
     indices of the nodes after the start where its map is taken, the last
@@ -408,59 +389,46 @@ class _Piece(NamedTuple):
     """
 
     seg: Segment
-    varying: bool
     nodes: np.ndarray
     wanted: np.ndarray
     owned: int
 
 
 def _pieces(schedule: PulseSchedule, dt: Optional[float], record: bool) -> list[_Piece]:
-    """The schedule cut at segment boundaries and edge-ramp corners, from 0 to ``schedule.duration``.
+    """The schedule cut at its segment boundaries, from 0 to ``schedule.duration``.
 
-    A piece varies inside a ramp window.  Its nodes are uniform and at most
-    ``dt`` apart where it is stepped (it varies) or ``record`` is set, else
-    only its two ends, and no grid is laid out; the grid thus has a node at
-    every break, so neither a phase jump nor a kink of the envelope falls
-    inside a step.  A corner within 1e-12 duration of another break is
-    dropped.  The schedule's outputs are, with ``record``, every
-    ``RECORD_STRIDE``-th node of the whole grid counted from t = 0 (t = 0
-    itself left out) and its last node; without it, the end.
+    With ``record`` a piece's nodes are uniform and at most ``dt`` apart,
+    else only its two ends, and no grid is laid out; the grid thus has a
+    node at every segment boundary.  A piece takes (b - a) / dt steps
+    rounded up, where a ratio up to 1e-12 (relative) above an integer
+    counts as that integer, so dt = duration / N lays out N steps.  The
+    schedule's outputs are, with ``record``, every ``RECORD_STRIDE``-th
+    node of the whole grid counted from t = 0 (t = 0 itself left out) and
+    its last node; without it, the end.
     """
-    duration, r = schedule.duration, schedule.edge_ramp
+    duration = schedule.duration
     breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [duration]
-    for corner in (r, duration - r) if r > 0.0 else ():
-        if min(abs(corner - b) for b in breaks) > 1e-12 * duration:
-            breaks.append(corner)
-    breaks.sort()
     pieces, first = [], 0  # first: the grid index of the piece's start
-    segments = iter(schedule.segments)
-    seg = next(segments)
-    for a, b in zip(breaks, breaks[1:]):
-        mid = 0.5 * (a + b)
-        while seg.t_end <= mid:  # the segment the piece lies in
-            seg = next(segments)
-        varying = mid < r or mid > duration - r
-        if not (varying or record):
+    for seg, a, b in zip(schedule.segments, breaks, breaks[1:]):
+        if not record:
             # one step, whose end is the only node wanted: no grid to lay out,
             # which would dominate a batch of gates
-            pieces.append(_Piece(seg, False, np.array((a, b)), np.array([1]), int(b == duration)))
-            first += 1
+            pieces.append(_Piece(seg, np.array((a, b)), np.array([1]), int(b == duration)))
             continue
-        steps = max(1, math.ceil((b - a) / dt - 1e-12))
+        steps = max(1, math.ceil((b - a) / dt * (1.0 - 1e-12)))
         # the piece's nodes k whose grid index first + k is a multiple of the stride
         stride = RECORD_STRIDE
-        output = set(range(-first % stride or stride, steps + 1, stride)) if record else set()
+        output = set(range(-first % stride or stride, steps + 1, stride))
         if b == duration:
             output.add(steps)
         nodes = np.linspace(a, b, steps + 1)
-        pieces.append(_Piece(seg, varying, nodes, np.array(sorted(output | {steps})), len(output)))
+        pieces.append(_Piece(seg, nodes, np.array(sorted(output | {steps})), len(output)))
         first += steps
     return pieces
 
 
 def _frame_generators(
     table: np.ndarray,
-    env,
     errors: np.ndarray,
     omega0,
     dim: int,
@@ -468,12 +436,11 @@ def _frame_generators(
 ) -> np.ndarray:
     """Frame generators G = D^dag H D - phi1' |e><e| of ``table`` columns, (n_err, n, d, d).
 
-    ``table`` is a :func:`segment_table` with one column per generator (or
-    one for all); ``env`` is the edge-ramp factor of each (or one for all);
+    ``table`` is a :func:`segment_table` with one column per generator;
     ``errors`` is an :func:`error_table`; ``omega0``, the nominal amplitude
     that detunings scale with, is one number or one per column.  The common
     phase phi1 drops out in the frame: with the amplitude scale
-    s = (1 + amp) omega env / 2, G couples |e> to |0> by
+    s = (1 + amp) omega / 2, G couples |e> to |0> by
     s sin(theta/2) e^{i phi0_offset} and to |1> by s cos(theta/2), and
     holds detuning_fraction * omega0 - phi1' on |e>.  ``levels`` maps the
     Lambda-system roles (|0>, |1>, |e>) onto matrix indices; the |0> slot
@@ -483,7 +450,7 @@ def _frame_generators(
     i0, i1, ie = levels
     amp, fraction = errors[:, :, None]
     scale = 0.5 * (1.0 + amp)
-    omega = table[1] * env
+    omega = table[1]
     gens = np.zeros((errors.shape[1], len(omega), dim, dim), dtype=complex)
     leg0 = omega * np.sin(0.5 * table[4])
     if i0 is None:
@@ -507,100 +474,19 @@ def _frame_phases(phi1: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarra
     return d
 
 
-# Fourth-order commutator-free scheme (Alvermann & Fehske, J. Comput. Phys.
-# 230, 5930 (2011)): per step, the map is exp(dt A2) exp(dt A1) with
-# A1 = a1 L(t1) + a2 L(t2) and A2 = a2 L(t1) + a1 L(t2), L the generator at
-# the Gauss-Legendre nodes t1, t2 of the step.
-_GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_CF_A1 = 0.25 + math.sqrt(3.0) / 6.0
-_CF_A2 = 0.25 - math.sqrt(3.0) / 6.0
-_CF_WEIGHTS = np.array([[_CF_A1, _CF_A2], [_CF_A2, _CF_A1]])
-
-
-def _run_products(steps: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Ordered products of the runs of a (n_err, n, m, m) stack of step maps.
-
-    Run r holds steps ends[r-1] to ends[r] - 1 (ends ascending, the last
-    one n); its product puts later steps on the left.  Round k multiplies,
-    inside every run, each block of 2^k steps onto the block before it in
-    one stacked matmul, so a run of n_r steps takes n_r - 1 products in
-    ceil(log2 n_r) rounds.  Overwrites ``steps``; returns (n_err, len(ends), m, m).
-    """
-    starts = np.append(0, ends[:-1])
-    lengths = ends - starts
-    # position of every step inside its run, and the steps left to the run's end
-    local = np.arange(ends[-1]) - np.repeat(starts, lengths)
-    room = np.repeat(lengths, lengths) - local
-    stride = 1
-    while stride < lengths.max():
-        left = np.flatnonzero((local % (2 * stride) == 0) & (room > stride))
-        steps[:, left] = steps[:, left + stride] @ steps[:, left]
-        stride *= 2
-    return steps[:, starts]
-
-
-def _varying_maps(
-    schedule: PulseSchedule,
-    piece: _Piece,
-    errors: np.ndarray,
-    dissipator: Optional[np.ndarray],
-    dim: int,
-    levels: tuple[Optional[int], int, int],
-) -> np.ndarray:
-    """CF4 frame maps of a varying ``piece`` at its wanted nodes, from the identity at its start.
-
-    Each step runs between two of the piece's nodes.  Without a
-    ``dissipator`` the maps are unitaries, else row-major superoperators.
-    Returns an (n_err, len(piece.wanted), m, m) stack, n_err the columns of
-    the :func:`error_table` ``errors``.
-    """
-    ie = levels[2]
-    n_err = errors.shape[1]
-    m = dim if dissipator is None else dim * dim
-    if dissipator is not None:
-        # the frame leaves the dissipator alone, so each exponential takes its weights' sum of it
-        dissipator = _CF_WEIGHTS.sum(axis=1)[:, None, None] * dissipator
-    table = segment_table([piece.seg])
-    steps = np.diff(piece.nodes)
-    wanted = piece.wanted
-    maps = np.empty((n_err, len(wanted), m, m), dtype=complex)
-    chunk = max(1, MAP_CHUNK // max(1, n_err * m * m))
-    cur, k = None, 0
-    for lo in range(0, len(steps), chunk):
-        part = steps[lo : lo + chunk]
-        hi = lo + len(part)
-        gauss = (piece.nodes[lo:hi, None] + _GL_NODES * part[:, None]).reshape(-1)
-        gens = _frame_generators(table, schedule.envelope_factor(gauss), errors,
-                                 schedule.omega0, dim, levels)
-        gens = np.einsum("ab,enbij->enaij", _CF_WEIGHTS, gens.reshape(n_err, len(part), 2, dim, dim))
-        exps = _exponentials(gens, part[:, None], dissipator, ie)
-        # runs of steps end at the wanted nodes inside the chunk and at its end
-        ends = np.append(wanted[(wanted > lo) & (wanted < hi)], hi)
-        runs = _run_products(exps[:, :, 1] @ exps[:, :, 0], ends - lo)
-        for end, run in zip(ends, runs.swapaxes(0, 1)):
-            cur = run if cur is None else run @ cur
-            if k < len(wanted) and wanted[k] == end:
-                maps[:, k] = cur
-                k += 1
-    return maps
-
-
 def step_size(
     schedule: PulseSchedule,
-    noise: NoiseModel = NO_NOISE,
     config: IntegratorConfig = DEFAULT_CONFIG,
     record: bool = False,
 ) -> Optional[float]:
     """The checked step the engine takes on ``schedule``, or None where it takes none.
 
-    A full-schedule map steps only through the edge-ramp windows, so it
-    takes no step on a ramp-free schedule; a trajectory (``record``)
-    records on the grid, so it always takes one.  The step is ``config.dt``,
-    or duration / DEFAULT_STEPS by default.  Raises ValueError unless
-    duration / MAX_STEPS <= dt <= duration / MIN_STEPS and rate * dt stays
-    below MAX_RATE_DT for the fastest decay rate of ``noise``.
+    A full-schedule map takes one exponential per piece and no step; a
+    trajectory (``record``) records on the grid, so it always takes one.
+    The step is ``config.dt``, or duration / DEFAULT_STEPS by default.
+    Raises ValueError unless duration / MAX_STEPS <= dt <= duration / MIN_STEPS.
     """
-    if not record and schedule.edge_ramp == 0.0:
+    if not record:
         return None
     duration = schedule.duration
     dt = config.dt if config.dt is not None else duration / DEFAULT_STEPS
@@ -608,11 +494,6 @@ def step_size(
         raise ValueError(f"step size {dt} too coarse: need dt <= duration/{MIN_STEPS}")
     if dt < duration / MAX_STEPS:
         raise ValueError(f"step size {dt} too fine: need dt >= duration/{MAX_STEPS}")
-    if noise.max_rate * dt >= MAX_RATE_DT:
-        raise ValueError(
-            f"step size violation: max rate * dt = {noise.max_rate * dt:.3g} "
-            f"must stay below {MAX_RATE_DT}"
-        )
     return dt
 
 
@@ -676,18 +557,16 @@ def _frame_maps(
 
     The pieces of all schedules are laid out piece k after piece k - 1
     (piece 0 of every schedule, then piece 1 of those that have one, ...),
-    and each piece's maps at its wanted nodes fill one stack.  The constant
-    pieces take one batched exponential for each bitwise-distinct pair of
-    frame generator and duration, so the two halves of an nhqc loop share
-    theirs, and a recorded piece fills its lattice of nodes by powers; each
-    varying piece is stepped by :func:`_varying_maps`.  Piece k of every
-    schedule is then rebased and chained in one step on a slice of that
-    stack.  Raises ValueError when the nonzero entries of a
+    and each piece's maps at its wanted nodes fill one stack.  The pieces
+    take one batched exponential for each bitwise-distinct pair of frame
+    generator and duration, so the two halves of an nhqc loop share theirs,
+    and a recorded piece fills its lattice of nodes by powers.  Piece k of
+    every schedule is then rebased and chained in one step on a slice of
+    that stack.  Raises ValueError when the nonzero entries of a
     collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
-    cuts = [_pieces(schedule, step_size(schedule, noise, config, record), record)
-            for schedule in schedules]
+    cuts = [_pieces(schedule, step_size(schedule, config, record), record) for schedule in schedules]
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
@@ -716,54 +595,48 @@ def _frame_maps(
     table = segment_table([p.seg for p in pieces])
     frames = np.empty((n_err, len(times), m, m), dtype=complex)
 
-    varying = [p.varying for p in pieces]
-    for i in itertools.compress(range(len(pieces)), varying):
-        frames[:, bounds[i] : bounds[i + 1]] = _varying_maps(
-            schedules[owner[i]], pieces[i], errors, dissipator, dim, levels)
-    if not all(varying):
-        exact = ~np.repeat(varying, counts)  # the entries exponentiated
-        # a recorded constant piece's wanted nodes run RECORD_STRIDE nodes apart,
-        # but for an end off that lattice: it is exponentiated only to its first
-        # node, to such an end and over one stride (unless that is its first
-        # node), and powers of the stride's map fill the lattice
-        lattices, strides = [], []  # (first entry, lattice size, takes a stride)
-        for i in itertools.compress(range(len(pieces)), [not v for v in varying] if record else ()):
-            nodes, wanted = pieces[i].nodes, pieces[i].wanted
-            size = len(wanted) - int(wanted[-1] - wanted[0] != (len(wanted) - 1) * RECORD_STRIDE)
-            if size > 1:
-                offset = wanted[0] != RECORD_STRIDE
-                exact[bounds[i] + 1 : bounds[i] + size] = False
-                lattices.append((bounds[i], size, offset))
-                if offset:
-                    strides.append((i, nodes[RECORD_STRIDE] - nodes[0]))
-        const = slice(None) if exact.all() else np.flatnonzero(exact)  # a slice does not copy
-        omega0 = np.array([schedule.omega0 for schedule in schedules])
-        # every piece's generator without a ramp; the constant pieces' are used
-        gens = _frame_generators(table, 1.0, errors, omega0[owner], dim, levels)
-        of = entry_piece[const]
-        taus = times[const] - firsts[of]
-        n_exact = len(taus)
-        if strides:
-            stride_of, stride_taus = zip(*strides)
-            of, taus = np.append(of, stride_of), np.append(taus, stride_taus)
-        # one exponential per distinct (generator, duration).  The durations
-        # within a piece all differ, so only pieces that share a generator
-        # can share an exponential
-        kinds, kind = _distinct_rows(gens.swapaxes(0, 1).reshape(len(pieces), -1))
-        distinct = inverse = slice(None)
-        if len(kinds) < len(pieces):
-            distinct, inverse = _distinct_rows(np.column_stack([kind[of], taus]))
-        exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
-        frames[:, const] = exps[:, :n_exact]
-        stride_maps = iter(exps[:, n_exact:].swapaxes(0, 1))
-        for at, size, offset in lattices:
-            lattice = frames[:, at : at + size]
+    exact = np.ones(len(times), dtype=bool)  # the entries exponentiated
+    # a recorded piece's wanted nodes run RECORD_STRIDE nodes apart, but for an
+    # end off that lattice: it is exponentiated only to its first node, to such
+    # an end and over one stride (unless that is its first node), and powers of
+    # the stride's map fill the lattice
+    lattices, strides = [], []  # (first entry, lattice size, takes a stride)
+    for i in range(len(pieces)) if record else ():
+        nodes, wanted = pieces[i].nodes, pieces[i].wanted
+        size = len(wanted) - int(wanted[-1] - wanted[0] != (len(wanted) - 1) * RECORD_STRIDE)
+        if size > 1:
+            offset = wanted[0] != RECORD_STRIDE
+            exact[bounds[i] + 1 : bounds[i] + size] = False
+            lattices.append((bounds[i], size, offset))
             if offset:
-                powers = np.empty_like(lattice[:, 1:])
-                powers[:, 0] = next(stride_maps)
-                lattice[:, 1:] = _powers(powers) @ lattice[:, :1]
-            else:  # the first node is one stride from the start
-                _powers(lattice)
+                strides.append((i, nodes[RECORD_STRIDE] - nodes[0]))
+    const = slice(None) if exact.all() else np.flatnonzero(exact)  # a slice does not copy
+    omega0 = np.array([schedule.omega0 for schedule in schedules])
+    gens = _frame_generators(table, errors, omega0[owner], dim, levels)
+    of = entry_piece[const]
+    taus = times[const] - firsts[of]
+    n_exact = len(taus)
+    if strides:
+        stride_of, stride_taus = zip(*strides)
+        of, taus = np.append(of, stride_of), np.append(taus, stride_taus)
+    # one exponential per distinct (generator, duration).  The durations
+    # within a piece all differ, so only pieces that share a generator
+    # can share an exponential
+    kinds, kind = _distinct_rows(gens.swapaxes(0, 1).reshape(len(pieces), -1))
+    distinct = inverse = slice(None)
+    if len(kinds) < len(pieces):
+        distinct, inverse = _distinct_rows(np.column_stack([kind[of], taus]))
+    exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
+    frames[:, const] = exps[:, :n_exact]
+    stride_maps = iter(exps[:, n_exact:].swapaxes(0, 1))
+    for at, size, offset in lattices:
+        lattice = frames[:, at : at + size]
+        if offset:
+            powers = np.empty_like(lattice[:, 1:])
+            powers[:, 0] = next(stride_maps)
+            lattice[:, 1:] = _powers(powers) @ lattice[:, :1]
+        else:  # the first node is one stride from the start
+            _powers(lattice)
 
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
     # and chain it onto the map at its start; maps overwrite their frame maps.
@@ -828,7 +701,7 @@ def propagator(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
-    """Full-schedule unitary: exact on constant pieces, CF4 on ramp windows."""
+    """Full-schedule unitary: one exact exponential per piece."""
     return error_maps(schedule, _one_error(err), NO_NOISE, config, dim, levels)[0]
 
 
@@ -840,19 +713,12 @@ def dt_halving_delta(
     """Accuracy diagnostic of the error-free propagator, reported alongside results.
 
     The max-norm change of :func:`propagator` when the step size is halved.
-    Only the edge-ramp windows depend on the step, so it is exactly 0.0 on
-    a ramp-free schedule, and no propagator is built there.  The half step
-    obeys :func:`step_size` too, so a step finer than 2 duration / MAX_STEPS
-    raises ValueError.  ``u`` is ``propagator(schedule, config=config)``
-    when the caller already holds it.
+    A full-schedule map takes no step, edge ramps included, so it is
+    exactly 0.0 for every schedule, and no propagator is built.  ``config``
+    and ``u``, the propagator the caller holds, are accepted for the
+    callers that pass them.
     """
-    dt = step_size(schedule, config=config)
-    if dt is None:
-        return 0.0
-    if u is None:
-        u = propagator(schedule, config=config)
-    half = IntegratorConfig(dt=dt / 2.0)
-    return float(np.max(np.abs(u - propagator(schedule, config=half))))
+    return 0.0
 
 
 def evolve_pure(
@@ -912,12 +778,11 @@ def gate_channels(
     Row-major vectorization: vec(rho_out) = S vec(rho_in).  Without noise
     each is U (x) conj(U) for the schedule propagator U; with noise, the
     chained frame maps.  One engine call covers every schedule: schedules
-    that share a (frame generator, duration) pair on a constant piece, a
+    that share a (frame generator, duration) pair on a piece, a
     repeated schedule among them, share its exponential, and each channel
     is bitwise the one its schedule gets alone.  An empty list gives a
-    (0, d^2, d^2) stack.  Raises, as :func:`gate_channel` does, when
-    :func:`step_size` rejects the step of any schedule with an edge ramp;
-    a ramp-free schedule takes no step.
+    (0, d^2, d^2) stack.  A full schedule takes no step, so ``config`` does
+    not change the channels.
     """
     return _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True).states[0]
 

@@ -28,6 +28,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 DEGENERATE_GAMMA_TOL = 1e-9
+#: Sample period of the edge ramps (s): an arbitrary waveform generator at
+#: 1 GS/s holds each sample of the drive for 1 ns.
+RAMP_SAMPLE_PERIOD = 1e-9
 
 SCHEMES = ("tounhqc", "nhqc")
 
@@ -78,11 +81,12 @@ class Segment:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Contiguous segments covering [0, duration], plus optional edge ramps.
+    """Contiguous segments covering [0, duration].
 
     ``omega0`` is the nominal peak amplitude; error injection uses it to
-    normalize relative detunings.  ``edge_ramp`` > 0 replaces the hard
-    rise/fall at the schedule boundaries by sin^2 ramps of that length.
+    normalize relative detunings.  ``edge_ramp`` is the length of the sin^2
+    edge ramps that synthesis sampled into the segments (0 for none); the
+    engine reads only the segments.
     """
 
     duration: float
@@ -105,16 +109,6 @@ class PulseSchedule:
             raise ValueError("segments must cover the full duration")
         if self.edge_ramp < 0.0 or 2.0 * self.edge_ramp > self.duration:
             raise ValueError("edge ramp must satisfy 0 <= 2*ramp <= duration")
-
-    def envelope_factor(self, t):
-        """Edge-ramp multiplier in [0, 1] at a time or an array of times; 1 when edge_ramp is 0."""
-        t = np.asarray(t, dtype=float)
-        r = self.edge_ramp
-        if r <= 0.0:
-            return np.ones_like(t)
-        # time to the nearer schedule edge: inside a ramp it is below r
-        edge = np.minimum(t, self.duration - t)
-        return np.where(edge < r, np.sin(0.5 * math.pi * edge / r) ** 2, 1.0)
 
 
 def bright_dark_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +145,49 @@ def _check_synthesis_args(spec: GateSpec, omega0: float) -> None:
         )
 
 
+def _with_edge_ramps(schedule: PulseSchedule, ramp: float) -> PulseSchedule:
+    """``schedule`` with sin^2 edge ramps of length ``ramp``, stretched to duration + ramp.
+
+    Time is reparametrized: the ramp-free schedule's time s runs as the
+    area s(t) under the envelope env(t), which rises as sin^2 over the first
+    ``ramp``, holds 1 and falls as sin^2 over the last ``ramp``.  Both the
+    drive and the chirp phi1' are scaled by env, so the frame generator is
+    env(t) times the ramp-free one at s(t), and the loop closes exactly.
+    Each ramp is sampled as an arbitrary waveform generator outputs it:
+    cut into ceil(ramp / RAMP_SAMPLE_PERIOD) equal samples, each an
+    ordinary segment whose env is the exact mean of the sin^2 over it.
+    phi1 is continuous across the samples; a ramp-free segment boundary
+    (the nhqc phase jump at s = duration / 2) keeps its s.
+    """
+    if not 0.0 <= ramp <= schedule.duration:
+        raise ValueError("edge ramp must satisfy 0 <= ramp <= the ramp-free duration")
+    if ramp == 0.0:
+        return schedule
+    tau, total = schedule.duration, schedule.duration + ramp
+    edge = np.linspace(0.0, ramp, max(1, math.ceil(ramp / RAMP_SAMPLE_PERIOD * (1.0 - 1e-12))) + 1)
+    area = 0.5 * edge - ramp / TWO_PI * np.sin(math.pi * edge / ramp)  # s at the rising samples
+    inner = [seg.t_end for seg in schedule.segments[:-1] if 0.5 * ramp < seg.t_end < tau - 0.5 * ramp]
+    t = np.concatenate([edge, np.add(inner, 0.5 * ramp), total - edge[::-1]])
+    s = np.concatenate([area, inner, tau - area[::-1]])
+    keep = np.append(True, np.diff(t) > 0.0)  # a flat top of zero length has no segment
+    t, s = t[keep], s[keep]
+    flat = (t[:-1] >= ramp) & (t[1:] <= total - ramp)
+    env = np.where(flat, 1.0, np.diff(s) / np.diff(t))
+    segments = []
+    for a, b, s_a, s_b, k in zip(t, t[1:], s, s[1:], env):
+        seg = next(x for x in schedule.segments if 0.5 * (s_a + s_b) < x.t_end)
+        segments.append(Segment(
+            t_start=a,
+            t_end=b,
+            omega=seg.omega * k,
+            phi1_offset=seg.phi1_offset + seg.phi1_slope * (s_a - seg.t_start),
+            phi1_slope=seg.phi1_slope * k,
+            theta_mix=seg.theta_mix,
+            phi0_offset=seg.phi0_offset,
+        ))
+    return PulseSchedule(total, tuple(segments), schedule.omega0, edge_ramp=ramp)
+
+
 def synthesize_tounhqc(
     spec: GateSpec, omega0: float, edge_ramp: float = 0.0
 ) -> PulseSchedule:
@@ -159,6 +196,7 @@ def synthesize_tounhqc(
     The common phase sweeps as ``2 (gamma - pi) t / tau`` (slope magnitude
     ``2 |pi - gamma| / tau``; the sign realizes the ideal gate matrix under
     the package drive convention, and flips automatically for gamma > pi).
+    ``edge_ramp`` > 0 adds sampled sin^2 ramps (:func:`_with_edge_ramps`).
     """
     _check_synthesis_args(spec, omega0)
     tau = tounhqc_duration(spec.gamma, omega0)
@@ -171,12 +209,7 @@ def synthesize_tounhqc(
         theta_mix=spec.theta,
         phi0_offset=spec.phi + math.pi,
     )
-    return PulseSchedule(
-        duration=tau,
-        segments=(segment,),
-        omega0=omega0,
-        edge_ramp=edge_ramp,
-    )
+    return _with_edge_ramps(PulseSchedule(duration=tau, segments=(segment,), omega0=omega0), edge_ramp)
 
 
 def synthesize_nhqc(
@@ -186,7 +219,8 @@ def synthesize_nhqc(
 
     Each segment holds the common phase constant; the jump of ``gamma - pi``
     at ``tau / 2`` sets the loop phase.  Total duration is ``2 pi / omega0``
-    independent of gamma.
+    independent of gamma.  ``edge_ramp`` > 0 adds sampled sin^2 ramps
+    (:func:`_with_edge_ramps`).
     """
     _check_synthesis_args(spec, omega0)
     tau = nhqc_duration(omega0)
@@ -201,12 +235,7 @@ def synthesize_nhqc(
         Segment(t_start=0.0, t_end=half, phi1_offset=0.0, **common),
         Segment(t_start=half, t_end=tau, phi1_offset=spec.gamma - math.pi, **common),
     )
-    return PulseSchedule(
-        duration=tau,
-        segments=segments,
-        omega0=omega0,
-        edge_ramp=edge_ramp,
-    )
+    return _with_edge_ramps(PulseSchedule(duration=tau, segments=segments, omega0=omega0), edge_ramp)
 
 
 def synthesize(

@@ -27,16 +27,16 @@ def rng():
 
 
 def grid_nodes(schedule, dt):
-    """Nodes at most ``dt`` apart with one at every segment boundary and ramp corner.
+    """Nodes at most ``dt`` apart with one at every segment boundary.
 
-    Built from that definition, apart from the engine: the sorted boundaries
-    and corners, then uniform nodes on each interval between two of them.
+    Built from that definition, apart from the engine: the sorted
+    boundaries, then uniform nodes on each interval between two of them, as
+    many steps as (b - a) / dt rounded up, unless it lies within 1e-12
+    (relative) above an integer.
     """
-    r = schedule.edge_ramp
-    corners = (r, schedule.duration - r) if r > 0.0 else ()
-    breaks = sorted({0.0, *(seg.t_end for seg in schedule.segments), *corners})
+    breaks = sorted({0.0, schedule.duration, *(seg.t_end for seg in schedule.segments[:-1])})
     return np.concatenate([[0.0], *(
-        np.linspace(a, b, max(1, math.ceil((b - a) / dt - 1e-12)) + 1)[1:]
+        np.linspace(a, b, max(1, math.ceil((b - a) / dt * (1 - 1e-12))) + 1)[1:]
         for a, b in zip(breaks, breaks[1:])
     )])
 
@@ -84,10 +84,10 @@ def segments_at(schedule, times):
     return [next((s for s in schedule.segments if t < s.t_end), schedule.segments[-1]) for t in times]
 
 
-def lab_hamiltonian(schedule, seg, t, dim=3, levels=(0, 1, 2)):
-    """Lab-frame H(t) inside ``seg``, from its parameters and the schedule's envelope."""
+def lab_hamiltonian(seg, t, dim=3, levels=(0, 1, 2)):
+    """Lab-frame H(t) inside ``seg``, from its parameters (a ramp sample holds its envelope)."""
     i0, i1, ie = levels
-    omega = seg.omega * schedule.envelope_factor(t)
+    omega = seg.omega
     phi1 = seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)
     h = np.zeros((dim, dim), dtype=complex)
     if i0 is not None:
@@ -101,10 +101,10 @@ def ivp_evolve(schedule, y0, times, c_ops=None, dim=3, levels=(0, 1, 2)):
 
     Integrates the Schroedinger equation on the columns of ``y0`` (d rows)
     when ``c_ops`` is None, else the Lindblad equation on row-major vec(rho)
-    columns (d^2 rows).  Each integration stops at every segment boundary,
-    ramp corner and requested time, holding the segment fixed inside, so no
-    step straddles a phase jump or a kink of the envelope.  Returns the
-    state at each of the ascending ``times``.
+    columns (d^2 rows).  Each integration stops at every segment boundary
+    (the samples of an edge ramp included) and requested time, holding the
+    segment fixed inside, so no step straddles a phase jump or a jump of
+    the drive.  Returns the state at each of the ascending ``times``.
     """
     eye = np.eye(dim)
     diss = 0.0
@@ -114,15 +114,13 @@ def ivp_evolve(schedule, y0, times, c_ops=None, dim=3, levels=(0, 1, 2)):
 
     def rhs(seg, shape):
         def f(t, y):
-            h = lab_hamiltonian(schedule, seg, t, dim, levels)
+            h = lab_hamiltonian(seg, t, dim, levels)
             gen = -1j * h if c_ops is None else -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + diss
             return (gen @ y.reshape(shape)).reshape(-1)
 
         return f
 
-    r, total = schedule.edge_ramp, schedule.duration
-    corners = {r, total - r} if r > 0.0 else set()
-    stops = sorted({0.0, total, *corners, *(s.t_end for s in schedule.segments), *times})
+    stops = sorted({0.0, schedule.duration, *(s.t_end for s in schedule.segments), *times})
     y = np.asarray(y0, dtype=complex)
     states = {0.0: y}
     for a, b in zip(stops, stops[1:]):

@@ -64,22 +64,31 @@ class TestGateCommand:
         summary = read_summary(tmp_path / "gate_summary.txt")
         assert float(summary["tau_ns"]) == pytest.approx(115.47, abs=0.05)
 
-    @pytest.mark.parametrize("ramp, calls", [("0", 1), ("10", 2)])
-    def test_step_halving_builds_a_second_propagator_only_for_ramps(
-        self, tmp_path, monkeypatch, ramp, calls
-    ):
-        # dt_halving_delta is exactly 0.0 when no piece is stepped
+    @pytest.mark.parametrize("ramp", ["0", "10"])
+    def test_gate_builds_one_propagator(self, tmp_path, monkeypatch, ramp):
+        # no piece is stepped, ramp samples included: dt_halving_delta is exactly 0.0
         seen = []
         frame_maps = evolve._frame_maps
         monkeypatch.setattr(evolve, "_frame_maps", lambda *a, **k: seen.append(a) or frame_maps(*a, **k))
         assert run(tmp_path, "gate", "--edge-ramp-ns", ramp) == 0
-        assert len(seen) == calls
-        delta = float(read_summary(tmp_path / "gate_summary.txt")["dt_halving_delta"])
-        assert (delta == 0.0) == (calls == 1)
+        assert len(seen) == 1
+        assert read_summary(tmp_path / "gate_summary.txt")["dt_halving_delta"] == "0"
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_ramped_gate_closes_the_loop(self, tmp_path, scheme):
+        # the ramps stretch the loop by their length and leak nothing
+        assert run(tmp_path / "free", "gate", "--scheme", scheme) == 0
+        assert run(tmp_path / "ramped", "gate", "--scheme", scheme, "--edge-ramp-ns", "10") == 0
+        free = read_summary(tmp_path / "free" / "gate_summary.txt")
+        ramped = read_summary(tmp_path / "ramped" / "gate_summary.txt")
+        assert float(ramped["tau_ns"]) == pytest.approx(float(free["tau_ns"]) + 10.0, rel=1e-15)
+        assert float(ramped["leakage"]) < 1e-12
+        assert float(ramped["gate_infidelity"]) < 1e-14
+        assert ramped["dt_halving_delta"] == "0"
 
     def test_ramped_nhqc_gate_is_unitary_to_rounding(self, tmp_path):
-        # with closed-form step exponentials the stepped ramp windows keep
-        # the propagator unitary to 1.4e-14; eigendecompositions left 4.7e-13
+        # closed-form exponentials of the ramp samples keep the propagator
+        # unitary to rounding
         assert run(tmp_path, "gate", "--scheme", "nhqc", "--edge-ramp-ns", "10") == 0
         summary = read_summary(tmp_path / "gate_summary.txt")
         assert float(summary["unitarity_defect"]) < 5e-14
@@ -205,12 +214,10 @@ def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, fi
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (("gate", "--edge-ramp-ns", "10", "--dt-ns", "5"), "too coarse"),
     (("trajectory", "--dt-ns", "5"), "too coarse"),
-    (("trajectory", "--t1-1e-us", "0.05", "--dt-ns", "1"), "step size violation"),
-], ids=["gate-ramp", "trajectory", "trajectory-rate"])
+], ids=["trajectory"])
 def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, argv, reason):
-    # the engine's step rule: 100 steps per loop at least, and rate * dt below 0.01
+    # the engine's step rule: 100 steps per loop at least
     assert run(tmp_path, *argv) == 1
     (problem,) = problem_lines(capsys.readouterr().err)
     assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
@@ -218,9 +225,8 @@ def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize("argv", [
-    ("gate", "--edge-ramp-ns", "10", "--dt-ns", "0.0005"),
     ("trajectory", "--dt-ns", "0.0005"),
-], ids=["gate-ramp", "trajectory"])
+], ids=["trajectory"])
 def test_step_too_fine_for_a_stepped_run_is_config_error(tmp_path, capsys, argv):
     # 100,000 steps per loop at most: 0.0005 ns is twice as fine as the 100 ns loop allows
     assert run(tmp_path, *argv) == 1
@@ -237,12 +243,27 @@ def test_step_too_fine_is_ignored_where_nothing_steps(tmp_path, argv):
     assert run(tmp_path, *argv) == 0
 
 
-def test_half_step_of_a_ramped_gate_is_config_error(tmp_path, capsys):
-    # dt_halving_delta steps at dt / 2: 0.0015 ns obeys the step rule, its half does not
-    assert run(tmp_path, "gate", "--edge-ramp-ns", "10", "--dt-ns", "0.0015") == 1
-    (problem,) = problem_lines(capsys.readouterr().err)
-    assert problem == ("  - --dt-ns does not suit the 100.003 ns loop: the dt_halving_delta "
-                       "half step: step size 7.5e-13 too fine: need dt >= duration/100000")
+@pytest.mark.parametrize("dt_ns", ["5", "0.0005", "0.0015"], ids=["coarse", "fine", "half-step"])
+def test_ramped_gate_takes_no_step(tmp_path, dt_ns):
+    # the ramp samples are constant pieces, so a step too coarse or too fine
+    # for a trajectory of the loop, or one whose half is, changes nothing below
+    # the "#" lines, which hold config_hash and so differ by dt_ns
+    assert run(tmp_path / "default", "gate", "--edge-ramp-ns", "10") == 0
+    assert run(tmp_path / "explicit", "gate", "--edge-ramp-ns", "10", "--dt-ns", dt_ns) == 0
+    name = "gate_summary.txt"
+    assert data_lines(tmp_path / "explicit" / name) == data_lines(tmp_path / "default" / name)
+
+
+def test_fast_decay_needs_no_finer_trajectory_step(tmp_path):
+    # every recorded map is exact, so a decay rate of 0.02 per step is no
+    # reason to refine the grid: the end matches that of the default grid
+    argv = ("trajectory", "--t1-1e-us", "0.05")
+    assert run(tmp_path / "coarse", *argv, "--dt-ns", "1") == 0
+    assert run(tmp_path / "default", *argv) == 0
+    coarse = read_summary(tmp_path / "coarse" / "trajectory_summary.txt")
+    default = read_summary(tmp_path / "default" / "trajectory_summary.txt")
+    for key in ("final_p0", "final_p1", "final_pe"):
+        assert float(coarse[key]) == pytest.approx(float(default[key]), abs=1e-13)
 
 
 @pytest.mark.parametrize("argv", [
@@ -640,9 +661,9 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path, argv, files):
     assert outputs[0] == outputs[1]
 
 
-#: Commands that between them reach every propagation path: the constant
-#: frame pieces (unitary and noisy), the stepped ramp windows (unitary and
-#: noisy), the five-level model, the batched scan, the batched channels of
+#: Commands that between them reach every propagation path: the frame
+#: pieces (unitary and noisy), the sampled edge ramps (unitary and noisy),
+#: the five-level model, the batched scan, the batched channels of
 #: compare and of RB, and the RB fit.
 NUMPY_ONLY_COMMANDS = [
     ["gate"],
@@ -726,28 +747,6 @@ def test_command_level_errors_exit_1(argv):
     proc = _python("-m", "holosim.cli", *argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("configuration error:")
-
-
-def test_ramped_gate_builds_each_stepper_propagator_once(tmp_path, monkeypatch):
-    # a ramped gate builds two propagators: its own, which doubles as the
-    # coarse half of dt_halving_delta, and the one at half the step.  Each
-    # steps both ramp windows, one _varying_maps call per window, so every
-    # (window, step count) pair comes once; a ramp-free gate steps nothing
-    calls = []
-    stepped = evolve._varying_maps
-
-    def counted(schedule, piece, *args, **kwargs):
-        calls.append((piece.nodes[0], len(piece.nodes) - 1))
-        return stepped(schedule, piece, *args, **kwargs)
-
-    monkeypatch.setattr(evolve, "_varying_maps", counted)
-    assert run(tmp_path, "gate", "--edge-ramp-ns", "10") == 0
-    windows, steps = map(set, zip(*calls))
-    assert len(windows) == len(steps) == 2
-    assert sorted(calls) == sorted((w, n) for w in windows for n in steps)
-    calls.clear()
-    assert run(tmp_path, "gate") == 0
-    assert calls == []
 
 
 def test_rb_builds_every_channel_in_one_exponential_call(tmp_path, monkeypatch):

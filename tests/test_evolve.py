@@ -33,8 +33,7 @@ def frame_generator(sched, t, err=evolve.NO_ERROR):
     """The engine's qutrit frame generator at time ``t`` of ``sched``."""
     table = pulses.segment_table(segments_at(sched, [t]))
     errors = evolve.error_table(err.amp_fraction, err.detuning_fraction)
-    env = sched.envelope_factor(np.array([t]))
-    return evolve._frame_generators(table, env, errors, sched.omega0, 3, evolve.QUTRIT_LEVELS)[0, 0]
+    return evolve._frame_generators(table, errors, sched.omega0, 3, evolve.QUTRIT_LEVELS)[0, 0]
 
 
 class TestAssembleHamiltonian:
@@ -124,24 +123,6 @@ class TestPropagator:
                                  - evolve.propagator(sched, config=fine)))
         assert evolve.dt_halving_delta(sched, config=cfg) == expected
 
-    def test_fourth_order_across_ramp_corners(self):
-        # the sin^2 envelope's second derivative jumps where the ramps meet
-        # the plateau; with grid nodes there the ramp-window stepper stays
-        # fourth order
-        spec = pulses.GateSpec(theta=1.1, phi=0.4, gamma=2.3)
-        sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=25e-9)
-        # the corners fall between the uniform nodes of all three grids
-        for steps in (100, 200, 400):
-            offset = (sched.edge_ramp / (sched.duration / steps)) % 1.0
-            assert 0.05 < offset < 0.95
-
-        def unitary(steps):
-            cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-            return evolve.propagator(sched, config=cfg)
-
-        u1, u2, u3 = unitary(100), unitary(200), unitary(400)
-        assert 10.0 < np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u3)) < 22.0
-
 
 class TestEvolvePure:
     def test_sqrt_x_endpoint_from_ground(self, sqrt_x_spec):
@@ -221,13 +202,12 @@ class TestEvolvePure:
         segs = (pulses.Segment(0.0, 40e-9, OMEGA0, 0.0, 2e7, 1.1, 0.4),
                 pulses.Segment(40e-9, duration * (1 - 5e-13), OMEGA0, 0.3, -1e7, 1.1, 0.4))
         psi0 = basis_state(3, 0)
-        for ramp in (0.0, 10e-9):
-            sched = pulses.PulseSchedule(duration=duration, segments=segs, omega0=OMEGA0, edge_ramp=ramp)
-            assert segs[-1].t_end != sched.duration
-            traj = evolve.evolve_pure(psi0, sched)
-            assert traj.times[-1] == sched.duration
-            u = evolve.propagator(sched)
-            assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
+        sched = pulses.PulseSchedule(duration=duration, segments=segs, omega0=OMEGA0)
+        assert segs[-1].t_end != sched.duration
+        traj = evolve.evolve_pure(psi0, sched)
+        assert traj.times[-1] == sched.duration
+        u = evolve.propagator(sched)
+        assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
 
 
 class TestEvolveDensity:
@@ -274,28 +254,17 @@ class TestEvolveDensity:
         for rho in traj.states[:: len(traj.states) // 10 + 1]:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
-    def test_fourth_order_on_smooth_segment(self, sqrt_x_spec):
-        # with edge_ramp = duration / 2 every piece is a ramp window, so the
-        # whole noisy run is stepped, across the nhqc phase jump too: halving
-        # dt divides the error by ~16 away from the roundoff floor
-        noise = default_noise_model()
-        rho0 = density(basis_state(3, 0))
-        for scheme in pulses.SCHEMES:
-            duration = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme).duration
-            sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=duration / 2)
-
-            def final(steps):
-                cfg = evolve.IntegratorConfig(dt=sched.duration / steps)
-                return evolve.evolve_density(rho0, sched, noise, config=cfg).states[-1]
-
-            r1, r2, r3 = final(100), final(200), final(400)
-            assert 10.0 < np.max(np.abs(r1 - r2)) / np.max(np.abs(r2 - r3)) < 22.0
-
     def test_step_size_violation_raises(self, sqrt_x_spec):
+        # a grid finer than duration / MAX_STEPS; no decay rate bounds the
+        # step, since every recorded map is exact
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        harsh = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=1e-12)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / (2 * evolve.MAX_STEPS))
         with pytest.raises(ValueError, match="step size"):
-            evolve.evolve_density(density(basis_state(3, 0)), sched, harsh)
+            evolve.evolve_density(density(basis_state(3, 0)), sched, config=cfg)
+        harsh = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=1e-12)
+        traj = evolve.evolve_density(density(basis_state(3, 2)), sched, harsh)
+        assert np.max(np.abs(np.einsum("nii->n", traj.states) - 1.0)) < 1e-10
+        assert traj.states[-1][2, 2].real < 1e-8
 
     def test_coarse_dt_rejected(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
@@ -420,7 +389,8 @@ class TestFrameOracle:
             final = evolve.evolve_density(unit, sched, noise, config=cfg).states[-1]
             assert np.max(np.abs(channel[:, j] - final.reshape(-1))) < 1e-13
 
-    # ramp windows, stepped in the frame, against an independent integration
+    # edge-ramped schedules, whose sampled ramps the engine maps piece by
+    # piece, against DOP853 on the sampled lab-frame Hamiltonian
 
     def test_stepped_propagator_matches_oracle(self, scheme):
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
@@ -499,9 +469,56 @@ class TestFrameAtStart:
         assert np.max(np.abs(maps[0] - exact)) < 1e-12
 
     def test_ramped_propagator(self, scheme):
+        # DOP853 on the sampled ramps' lab-frame Hamiltonian
         sched = self.shifted(scheme, edge_ramp=10e-9)
         exact = ivp_evolve(sched, np.eye(3), [sched.duration])[0]
         assert np.max(np.abs(evolve.propagator(sched) - exact)) < 2e-12
+
+
+class TestEdgeRamps:
+    """Sampled, reparametrized edge ramps: every sample is an ordinary constant segment."""
+
+    NOISE = TestFrameOracle.NOISE
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_noiseless_maps_equal_the_ramp_free_ones(self, rng, scheme):
+        # each sample maps by exp(-i env G~ dt) with G~ the ramp-free generator,
+        # amplitude errors included, and the env dt of all samples add up to the
+        # loop.  Rounding grows with the sample count: ramps up to 30 ns
+        errors = evolve.error_table(rng.uniform(-0.1, 0.1, 5))
+        for _ in range(20):
+            spec = random_gate_spec(rng, gamma_margin=0.3)
+            free = pulses.synthesize(spec, OMEGA0, scheme)
+            for ramp in (10e-9, rng.uniform(0.0, 30e-9)):
+                ramped = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=ramp)
+                assert ramped.duration == free.duration + ramp
+                got = evolve.error_maps(ramped, errors)
+                assert np.max(np.abs(got - evolve.error_maps(free, errors))) < 1e-14
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_noisy_channel_and_trajectory_match_per_segment_expm(self, scheme):
+        sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+        c_ops = self.NOISE.scaled_ops(3)
+        assert np.max(np.abs(evolve.gate_channel(sched, self.NOISE) - frame_oracle(sched, c_ops))) < 1e-12
+        rho0 = TestFrameOracle.RHO0
+        traj = evolve.evolve_density(rho0, sched, self.NOISE)
+        exact = frame_oracle_at(sched, traj.times, c_ops) @ rho0.reshape(-1)
+        assert np.max(np.abs(traj.states.reshape(len(exact), -1) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_noisy_map_converges_at_second_order_in_the_sample_period(self, monkeypatch, scheme):
+        # under noise the samples differ from the continuous ramp, by O(period^2)
+        def channel(period):
+            monkeypatch.setattr(pulses, "RAMP_SAMPLE_PERIOD", period)
+            sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
+            return evolve.gate_channel(sched, default_noise_model())
+
+        fine = channel(0.125e-9)
+        errs = [np.max(np.abs(channel(period) - fine)) for period in (2e-9, 1e-9, 0.5e-9)]
+        assert errs[1] < 1e-6
+        # against the 0.125 ns reference the errors go as period^2 - (0.125 ns)^2,
+        # so the ratios are near 4.05 and 4.2
+        assert 3.5 < errs[0] / errs[1] < 5.0 and 3.5 < errs[1] / errs[2] < 5.0
 
 
 class TestRecordedPowers:
@@ -518,7 +535,8 @@ class TestRecordedPowers:
         sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme)
         noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
         times, maps = recorded_maps(sched, noise, evolve.IntegratorConfig(dt=sched.duration / steps))
-        assert len(times) >= steps // evolve.RECORD_STRIDE
+        # dt = duration / steps lays out exactly that many steps
+        assert len(times) == steps // evolve.RECORD_STRIDE
         exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
         assert np.max(np.abs(maps[0] - exact)) <= bound
 
@@ -579,20 +597,15 @@ class TestEngineChoice:
         assert evolve._covariant(twoqubit.ancilla_decay(20e-6).scaled_ops(5), 4)
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    def test_qubit_decay_on_composite_model_takes_exact_path(self, monkeypatch, scheme):
+    def test_qubit_decay_on_composite_model_takes_exact_path(self, scheme):
         # a qubit's T1, |00><01| + |10><11|, never touches |a>, so the frame
-        # leaves its dissipator alone and nothing is stepped
+        # leaves its dissipator alone and every piece maps exactly
         t1 = np.zeros((5, 5), dtype=complex)
         t1[0, 1] = t1[2, 3] = 1.0
         noise = evolve.NoiseModel(
             collapse_ops=((t1, 1.0 / 20e-6), *twoqubit.ancilla_decay(10e-6).collapse_ops)
         )
         sched = twoqubit.build_cphase_schedule(PI / 4, twoqubit.DEFAULT_G_EFF, scheme)
-
-        def stepped(*args):
-            raise AssertionError("a phase-covariant collapse operator was stepped")
-
-        monkeypatch.setattr(evolve, "_varying_maps", stepped)
         kwargs = dict(dim=5, levels=twoqubit.LEVELS)
         psi = np.array([0.5, 0.5j, -0.5, 0.5, 0.0])
         rho0 = np.outer(psi, psi.conj())
@@ -605,51 +618,8 @@ class TestEngineChoice:
         assert np.max(np.abs(channel - exact)) < 2e-12
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    def test_maps_do_not_depend_on_chunk_size(self, monkeypatch, scheme):
-        # one step per batched call against every step of a piece in one call
-        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
-        errors = evolve.error_table((-0.04, 0.0, 0.03), (0.02, 0.0, -0.05))
-        rho0 = TestFrameOracle.RHO0
-
-        def maps():
-            return [
-                evolve.error_maps(sched, errors, config=cfg),
-                evolve.error_maps(sched, errors, TestFrameOracle.NOISE, cfg),
-                evolve.evolve_pure(basis_state(3, 0), sched, config=cfg).states,
-                evolve.evolve_density(rho0, sched, TestFrameOracle.NOISE, config=cfg).states,
-            ]
-
-        monkeypatch.setattr(evolve, "MAP_CHUNK", 1)
-        single = maps()
-        monkeypatch.setattr(evolve, "MAP_CHUNK", 1 << 40)
-        for one, whole in zip(single, maps(), strict=True):
-            assert np.max(np.abs(one - whole)) <= 1e-14
-
-    def test_generators_are_built_one_chunk_at_a_time(self, monkeypatch):
-        # MAP_CHUNK bounds every stack of a varying piece, its generators too
-        sched = pulses.synthesize(self.SPEC, OMEGA0, "nhqc", edge_ramp=10e-9)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
-        errors = evolve.error_table((-0.04, 0.0, 0.03))
-        sizes = []
-        generators = evolve._frame_generators
-
-        def counted(table, env, *args):
-            sizes.append(np.size(env))
-            return generators(table, env, *args)
-
-        monkeypatch.setattr(evolve, "_frame_generators", counted)
-        monkeypatch.setattr(evolve, "MAP_CHUNK", 3 * 9 * 5)
-        for noise, chunk in ((evolve.NO_NOISE, 5), (TestFrameOracle.NOISE, 1)):
-            sizes.clear()
-            evolve.error_maps(sched, errors, noise, cfg)
-            # two Gauss nodes per step; the constant piece takes one envelope factor for all
-            stepped = [size // 2 for size in sizes if size > 1]
-            assert sum(stepped) == 2 * math.ceil(10e-9 / cfg.dt - 1e-12)
-            assert max(stepped) == chunk
-
-    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_ramped_schedule_runs_on_stepper(self, scheme):
+        # a trajectory over the sampled ramps ends where the propagator does
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
         psi0 = basis_state(3, 0)
@@ -678,7 +648,7 @@ class TestEngineChoice:
             for a in (-0.04, 0.0, 0.03)
             for d in (-0.02, 0.05)
         ]
-        # with ramps, the windows of every error are stepped together
+        # with ramps, the samples of every error are exponentiated together
         for ramp in (0.0, 10e-9):
             sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=ramp)
             unitaries = evolve.error_maps(sched, errors)
@@ -750,8 +720,7 @@ class TestClosedFormExponential:
             times = rng.uniform(0.0, sched.duration, size=50)
             table = pulses.segment_table(segments_at(sched, times))
             errors = evolve.error_table(rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 7))
-            gens = evolve._frame_generators(table, sched.envelope_factor(times), errors,
-                                            sched.omega0, dim, levels)
+            gens = evolve._frame_generators(table, errors, sched.omega0, dim, levels)
             rest = np.arange(dim) != levels[2]
             assert np.abs(gens[:, :, levels[1], levels[2]]).max() > 0.0
             assert not np.any(gens[:, :, rest][:, :, :, rest])
@@ -775,13 +744,12 @@ class TestFrameGenerator:
             sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=edge_ramp)
             times = rng.uniform(0.0, sched.duration, size=40)
             segs = segments_at(sched, times)
-            gens = evolve._frame_generators(pulses.segment_table(segs), sched.envelope_factor(times),
-                                            errors, sched.omega0, dim, levels)
+            gens = evolve._frame_generators(pulses.segment_table(segs), errors, sched.omega0, dim, levels)
             for k, (t, seg) in enumerate(zip(times, segs)):
                 d = np.ones(dim, dtype=complex)
                 d[ie] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
                 for e, (amp, det) in enumerate(zip(amps, dets)):
-                    h = (1.0 + amp) * lab_hamiltonian(sched, seg, t, dim, levels)
+                    h = (1.0 + amp) * lab_hamiltonian(seg, t, dim, levels)
                     h[ie, ie] += det * OMEGA0
                     expected = d.conj()[:, None] * h * d
                     expected[ie, ie] -= seg.phi1_slope
@@ -842,8 +810,8 @@ class TestPadeExpm:
         assert np.array_equal(out, np.broadcast_to(np.eye(4), (2, 4, 4)))
 
     def test_small_exponent_rounds_like_its_series(self, rng):
-        # CF4 step maps are the identity plus a small correction, which must
-        # not pick up roundoff of the identity's size
+        # the map of a short piece is the identity plus a small correction,
+        # which must not pick up roundoff of the identity's size
         a = (rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))) * 1e-6
         correction, term = np.zeros_like(a), np.broadcast_to(np.eye(9), a.shape)
         for k in range(1, 6):  # the next term is below 1e-35
@@ -861,27 +829,11 @@ class TestPadeExpm:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_liouvillians(self, scheme):
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        gens = evolve._frame_generators(pulses.segment_table(sched.segments), 1.0, evolve.error_table(),
+        gens = evolve._frame_generators(pulses.segment_table(sched.segments), evolve.error_table(),
                                         OMEGA0, 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
         dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))
         assert_matches_scipy_expm(taus[:, None, None] * evolve._liouvillians(gens, dissipator))
-
-    def test_cf4_liouvillians(self, monkeypatch):
-        # every stack a noisy run exponentiates when the ramps span the whole loop
-        stacks = []
-        pade = evolve._expm
-        monkeypatch.setattr(evolve, "_expm", lambda a: stacks.append(a) or pade(a))
-        spec = pulses.GateSpec(1.1, 0.4, 2.3)
-        duration = pulses.synthesize(spec, OMEGA0, "tounhqc").duration
-        sched = pulses.synthesize(spec, OMEGA0, "tounhqc", edge_ramp=duration / 2)
-        noise = default_noise_model()
-        evolve.gate_channel(sched, noise, config=evolve.IntegratorConfig(dt=sched.duration / 200))
-        monkeypatch.undo()
-        nodes = grid_nodes(sched, sched.duration / 200)
-        assert sum(map(len, stacks)) == 2 * (len(nodes) - 1)
-        for stack in stacks:
-            assert_matches_scipy_expm(stack)
 
 
 class TestNoiseModel:
@@ -964,18 +916,17 @@ class TestGateChannels:
         return stacks
 
     @staticmethod
-    def distinct_constant_pairs(scheds, dt=None):
-        """The number of bitwise-distinct (frame generator, duration) pairs among the constant pieces.
+    def distinct_pairs(scheds):
+        """The number of bitwise-distinct (frame generator, duration) pairs among the pieces.
 
         Counted from each piece's segment and ends, apart from the engine's keys.
         """
         pairs = set()
         for sched in scheds:
-            for piece in evolve._pieces(sched, dt, record=False):
-                if not piece.varying:
-                    gen = evolve._frame_generators(pulses.segment_table([piece.seg]), 1.0, evolve.error_table(),
-                                                   sched.omega0, 3, evolve.QUTRIT_LEVELS)
-                    pairs.add((gen.tobytes(), (piece.nodes[-1] - piece.nodes[0]).hex()))
+            for piece in evolve._pieces(sched, None, record=False):
+                gen = evolve._frame_generators(pulses.segment_table([piece.seg]), evolve.error_table(),
+                                               sched.omega0, 3, evolve.QUTRIT_LEVELS)
+                pairs.add((gen.tobytes(), (piece.nodes[-1] - piece.nodes[0]).hex()))
         return len(pairs)
 
     def test_one_exponential_per_distinct_generator_and_duration(self, monkeypatch):
@@ -990,7 +941,7 @@ class TestGateChannels:
         assert len(stacks) == 1
         pieces = sum(len(evolve._pieces(sched, None, record=False)) for sched in scheds)
         assert pieces == 2 * len(scheds) == 128
-        assert len(stacks[0]) == self.distinct_constant_pairs(scheds) == 59
+        assert len(stacks[0]) == self.distinct_pairs(scheds) == 59
         assert len({mat.tobytes() for mat in stacks[0]}) == len(stacks[0])
         monkeypatch.undo()
         for got, sched in zip(channels, scheds):
@@ -998,7 +949,7 @@ class TestGateChannels:
 
     def test_mixed_batch_with_repeats_exponentiates_each_pair_once(self, rng, monkeypatch):
         noise, config = default_noise_model(), evolve.IntegratorConfig(dt=0.5e-9)
-        # loops of at least 100 ns, so that 10 ns ramps and 0.5 ns steps suit them all
+        # loops of at least 100 ns, as the other tests of the class take
         specs = [pulses.GateSpec(rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI), rng.uniform(1.6, 2 * PI - 1.6))
                  for _ in range(3)]
         kinds = [(scheme, ramp) for scheme in ("tounhqc", "nhqc") for ramp in (0.0, 10e-9)]
@@ -1007,44 +958,39 @@ class TestGateChannels:
         batch = once + once[::3] + once[5:8]
         stacks = self.recorded_expm(monkeypatch)
         channels = evolve.gate_channels(batch, noise, config=config)
-        # the ramp windows are stepped for every copy, two exponentials a step
-        steps = sum(len(p.nodes) - 1 for sched in batch
-                    for p in evolve._pieces(sched, evolve.step_size(sched, noise, config), False) if p.varying)
-        constant = self.distinct_constant_pairs(once, 0.5e-9)
-        assert sum(map(len, stacks)) == constant + 2 * steps
+        # the ramp samples are pieces like any other, in the one batched call
+        assert len(stacks) == 1
+        assert len(stacks[0]) == self.distinct_pairs(once)
         monkeypatch.undo()
         for got, sched in zip(channels, batch):
             assert np.array_equal(got, evolve.gate_channel(sched, noise, config=config))
 
     def test_any_bad_schedule_raises_as_gate_channel(self, rng):
-        # only schedules with an edge ramp take steps, so only they are checked
-        scheds = self.schedules(rng)
-        # a 68 ns loop among loops of at least 100 ns: only it is too short for 0.9 ns steps
-        short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc", edge_ramp=10e-9)
-        coarse = evolve.IntegratorConfig(dt=0.9e-9)
-        with pytest.raises(ValueError, match="too coarse") as single:
-            evolve.gate_channel(short, config=coarse)
+        # on a bare pair of levels only loops with theta = 0 leave the unmapped |0> leg undriven
+        pair = dict(dim=2, levels=(None, 0, 1))
+        scheds = [pulses.synthesize(pulses.GateSpec(0.0, 0.0, rng.uniform(1.6, 2 * PI - 1.6)), OMEGA0, scheme,
+                                    edge_ramp=ramp)
+                  for scheme in pulses.SCHEMES for ramp in (0.0, 10e-9)]
+        assert evolve.gate_channels(scheds, **pair).shape == (4, 4, 4)
+        bad = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0, "nhqc", edge_ramp=10e-9)
+        with pytest.raises(ValueError, match="no level is mapped") as single:
+            evolve.gate_channel(bad, **pair)
         with pytest.raises(ValueError) as batched:
-            evolve.gate_channels([*scheds[:5], short, *scheds[5:]], config=coarse)
-        assert str(batched.value) == str(single.value)
-        # a 462 ns loop resolves to 0.23 ns steps, the only ones too long for 5e7/s
-        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc", edge_ramp=10e-9)
-        fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
-        with pytest.raises(ValueError, match="step size violation") as single:
-            evolve.gate_channel(slow, fast)
-        with pytest.raises(ValueError) as batched:
-            evolve.gate_channels([*scheds[:5], slow, *scheds[5:]], fast)
+            evolve.gate_channels([*scheds[:2], bad, *scheds[2:]], **pair)
         assert str(batched.value) == str(single.value)
 
     def test_ramp_free_schedule_takes_no_step(self):
-        # the steps that would be rejected on a ramp do not exist without one
+        # a channel takes no step, with or without a ramp: a step too coarse
+        # for a trajectory of the loop changes nothing
         short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
         coarse = evolve.IntegratorConfig(dt=0.9e-9)
-        assert np.array_equal(evolve.gate_channel(short, config=coarse), evolve.gate_channel(short))
-        assert evolve.dt_halving_delta(short, coarse) == 0.0
-        slow = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 2.0), OMEGA0 / 4, "nhqc")
         fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
-        assert np.array_equal(evolve.gate_channel(slow, fast, config=coarse), evolve.gate_channel(slow, fast))
+        for ramp in (0.0, 10e-9):
+            sched = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc", edge_ramp=ramp)
+            for noise in (evolve.NO_NOISE, fast):
+                channel = evolve.gate_channel(sched, noise, config=coarse)
+                assert np.array_equal(channel, evolve.gate_channel(sched, noise))
+            assert evolve.dt_halving_delta(sched, coarse) == 0.0
         with pytest.raises(ValueError, match="too coarse"):
             evolve.evolve_pure(np.eye(3)[0], short, config=coarse)
 
@@ -1056,51 +1002,54 @@ class TestStepSize:
     RAMPED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
 
     def test_ramp_free_full_map_takes_no_step(self):
-        # even a step that breaks every limit is never looked at
-        for dt in (None, self.SCHED.duration, self.SCHED.duration * 1e-9):
-            config = evolve.IntegratorConfig(dt=dt)
-            assert evolve.step_size(self.SCHED, default_noise_model(), config) is None
+        # even a step that breaks every limit is never looked at, ramped or not
+        for sched in (self.SCHED, self.RAMPED):
+            for dt in (None, sched.duration, sched.duration * 1e-9):
+                assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) is None
 
     def test_default_step(self):
-        default = self.SCHED.duration / evolve.DEFAULT_STEPS
-        assert evolve.step_size(self.SCHED, record=True) == default
-        assert evolve.step_size(self.RAMPED) == self.RAMPED.duration / evolve.DEFAULT_STEPS
+        for sched in (self.SCHED, self.RAMPED):
+            assert evolve.step_size(sched, record=True) == sched.duration / evolve.DEFAULT_STEPS
 
     @pytest.mark.parametrize("record", [False, True])
     def test_coarse_and_fine_limits(self, record):
+        # the limits hold for a trajectory's grid; a full map takes no step to limit
         sched = self.RAMPED
         coarse = sched.duration / evolve.MIN_STEPS
         fine = sched.duration / evolve.MAX_STEPS
         for dt in (coarse, fine):
-            assert evolve.step_size(sched, config=evolve.IntegratorConfig(dt=dt), record=record) == dt
+            assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt), record) == (dt if record else None)
+        if not record:
+            for dt in (coarse * 1.01, fine * 0.99):
+                assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) is None
+            return
         with pytest.raises(ValueError, match=f"too coarse: need dt <= duration/{evolve.MIN_STEPS}"):
-            evolve.step_size(sched, config=evolve.IntegratorConfig(dt=coarse * 1.01), record=record)
+            evolve.step_size(sched, evolve.IntegratorConfig(dt=coarse * 1.01), record)
         with pytest.raises(ValueError, match=f"too fine: need dt >= duration/{evolve.MAX_STEPS}"):
-            evolve.step_size(sched, config=evolve.IntegratorConfig(dt=fine * 0.99), record=record)
+            evolve.step_size(sched, evolve.IntegratorConfig(dt=fine * 0.99), record)
 
-    def test_rate_rule(self):
-        dt = self.RAMPED.duration / 1000
-        config = evolve.IntegratorConfig(dt=dt)
-        below = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=dt / (0.99 * evolve.MAX_RATE_DT))
-        at = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=dt / evolve.MAX_RATE_DT)
-        assert evolve.step_size(self.RAMPED, below, config) == dt
-        with pytest.raises(ValueError, match="step size violation"):
-            evolve.step_size(self.RAMPED, at, config)
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    @pytest.mark.parametrize("steps", [50_000, evolve.MAX_STEPS])
+    def test_dt_of_duration_over_n_lays_out_n_steps(self, scheme, steps):
+        # (b - a) / dt carries rounding of the ratio's size, far above 1e-12 at these counts
+        sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
+        pieces = evolve._pieces(sched, sched.duration / steps, record=True)
+        assert sum(len(p.nodes) - 1 for p in pieces) == steps
 
     def test_engine_applies_the_rule(self):
         too_fine = evolve.IntegratorConfig(dt=self.SCHED.duration / (2 * evolve.MAX_STEPS))
         psi0 = basis_state(3, 0)
-        with pytest.raises(ValueError, match="too fine"):
-            evolve.evolve_pure(psi0, self.SCHED, config=too_fine)
-        with pytest.raises(ValueError, match="too fine"):
-            evolve.propagator(self.RAMPED, config=too_fine)
-        assert np.array_equal(evolve.propagator(self.SCHED, config=too_fine), evolve.propagator(self.SCHED))
+        for sched in (self.SCHED, self.RAMPED):
+            with pytest.raises(ValueError, match="too fine"):
+                evolve.evolve_pure(psi0, sched, config=too_fine)
+            assert np.array_equal(evolve.propagator(sched, config=too_fine), evolve.propagator(sched))
 
     def test_dt_halving_delta_is_zero_without_a_step(self, monkeypatch):
-        # no propagator is built for a ramp-free schedule, whatever the step
+        # no propagator is built, whatever the step, with a ramp too
         def built(*args, **kwargs):
             raise AssertionError("a propagator was built")
 
         monkeypatch.setattr(evolve, "_frame_maps", built)
-        for dt in (None, self.SCHED.duration, self.SCHED.duration * 1e-9):
-            assert evolve.dt_halving_delta(self.SCHED, evolve.IntegratorConfig(dt=dt)) == 0.0
+        for sched in (self.SCHED, self.RAMPED):
+            for dt in (None, sched.duration, sched.duration * 1e-9):
+                assert evolve.dt_halving_delta(sched, evolve.IntegratorConfig(dt=dt)) == 0.0

@@ -127,8 +127,7 @@ def sample(sched, n):
     """
     times = np.linspace(0.0, sched.duration, n + 1)
     table = pulses.segment_table(segments_at(sched, times))
-    gens = evolve._frame_generators(table, sched.envelope_factor(times), evolve.error_table(),
-                                    sched.omega0, 3, evolve.QUTRIT_LEVELS)[0]
+    gens = evolve._frame_generators(table, evolve.error_table(), sched.omega0, 3, evolve.QUTRIT_LEVELS)[0]
     return times, table, gens
 
 
@@ -164,13 +163,13 @@ class TestSampling:
         assert phi1[mid] == phi1[-1]
 
     def test_amplitude_pythagoras_pointwise(self, rng):
-        # omega_0e^2 + omega_1e^2 = omega^2 including ramped envelopes
+        # omega_0e^2 + omega_1e^2 = omega^2 including the samples of ramped envelopes
         spec = random_gate_spec(rng)
         sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=5e-9)
-        times, _, gens = sample(sched, 500)
+        _, table, gens = sample(sched, 500)
         om0e, om1e = legs(gens)
-        env = np.array([sched.envelope_factor(tk) for tk in times])
-        assert np.allclose(om0e**2 + om1e**2, (OMEGA0 * env) ** 2, rtol=1e-12, atol=1e-12)
+        assert np.any(table[1] < OMEGA0)
+        assert np.allclose(om0e**2 + om1e**2, table[1] ** 2, rtol=1e-12, atol=1e-12)
 
     def test_phase_difference_fixed_between_legs(self, rng):
         # the legs' relative phase phi_0 - phi_1 is constant: the dark state stays decoupled
@@ -180,20 +179,76 @@ class TestSampling:
         assert np.ptp(np.angle(gens[:, 0, 2] * gens[:, 1, 2].conj())) < 1e-12
 
 
+def envelope(sched):
+    """Each segment's drive amplitude over omega0: the env it was sampled at."""
+    return np.array([seg.omega for seg in sched.segments]) / sched.omega0
+
+
 class TestEnvelope:
+    """Edge ramps sampled into segments, on the reparametrized time s(t)."""
+
     def test_sin_squared_ramps_and_flat_top(self):
-        sched = pulses.synthesize_tounhqc(pulses.GateSpec(1.0, 0.0, 2.0), OMEGA0, edge_ramp=10e-9)
-        r, total = sched.edge_ramp, sched.duration
-        times = np.array([0.0, 0.5 * r, r, 0.5 * total, total - 0.5 * r, total])
-        assert np.allclose(sched.envelope_factor(times), [0.0, 0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-15)
-        scalars = [sched.envelope_factor(t) for t in times]
-        assert np.array_equal(sched.envelope_factor(times), scalars)
+        spec = pulses.GateSpec(1.0, 0.0, 2.0)
+        sched = pulses.synthesize_tounhqc(spec, OMEGA0, edge_ramp=10e-9)
+        r = sched.edge_ramp
+        assert sched.duration == pulses.tounhqc_duration(spec.gamma, OMEGA0) + r
+        env = envelope(sched)
+        # ten 1 ns samples rise and ten fall, around one flat top at omega0
+        assert len(env) == 21 and env[10] == 1.0
+        starts = np.array([seg.t_start for seg in sched.segments])
+        assert np.allclose(np.diff(starts[:11]), 1e-9, rtol=1e-12, atol=0.0)
+        # each sample holds the mean of sin^2(pi t / 2r) over it, by 16-point Gauss-Legendre
+        x, w = np.polynomial.legendre.leggauss(16)
+        for k in range(10):
+            t = (k + 0.5 + 0.5 * x) * 1e-9
+            mean = 0.5 * np.sum(w * np.sin(0.5 * PI * t / r) ** 2)
+            assert env[k] == pytest.approx(mean, rel=1e-14)
+            assert env[20 - k] == pytest.approx(mean, rel=1e-14)
+        assert np.all(np.diff(env[:11]) > 0.0) and np.all(np.diff(env[10:]) < 0.0)
 
     def test_ramp_free_envelope_is_one(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        times = np.linspace(0.0, sched.duration, 7)
-        assert np.array_equal(sched.envelope_factor(times), np.ones(7))
-        assert sched.envelope_factor(0.0) == 1.0
+        for scheme in pulses.SCHEMES:
+            sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme)
+            assert sched.edge_ramp == 0.0
+            assert np.array_equal(envelope(sched), np.ones(len(sched.segments)))
+            assert sched == pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=0.0)
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_sample_areas_sum_to_the_ramp_free_area(self, rng, scheme):
+        # the env-weighted durations add up to the ramp-free loop, so it closes
+        for _ in range(10):
+            spec = random_gate_spec(rng, gamma_margin=0.3)
+            free = pulses.synthesize(spec, OMEGA0, scheme)
+            for ramp in (10e-9, 2.5e-9, rng.uniform(0.0, free.duration)):
+                sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=ramp)
+                area = sum(seg.omega * (seg.t_end - seg.t_start) for seg in sched.segments) / OMEGA0
+                assert area == pytest.approx(free.duration, rel=1e-15)
+                # ceil(ramp / 1 ns) equal samples per ramp
+                widths = [seg.t_end - seg.t_start for seg in sched.segments if seg.omega < OMEGA0]
+                assert len(widths) == 2 * math.ceil(ramp / pulses.RAMP_SAMPLE_PERIOD)
+                assert np.allclose(widths, widths[0], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_phase_is_continuous_across_samples(self, rng, scheme):
+        # phi1 at each segment's end is the next one's offset; only nhqc's
+        # jump of gamma - pi breaks it, at s = tau / 2, the middle of the stretched loop
+        for _ in range(10):
+            spec = random_gate_spec(rng, gamma_margin=0.3)
+            free = pulses.synthesize(spec, OMEGA0, scheme)
+            sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=rng.uniform(1e-9, free.duration))
+            segs = sched.segments
+            table = pulses.segment_table(segs)
+            ends = pulses.segment_phase(table, np.array([seg.t_end for seg in segs]))
+            jumps = table[2][1:] - ends[:-1]
+            if scheme == "nhqc":
+                mid = [seg.phi1_offset != 0.0 for seg in segs].index(True) - 1  # the last before it
+                assert segs[mid].t_end == pytest.approx(0.5 * sched.duration, rel=1e-15)
+                assert jumps[mid] == pytest.approx(spec.gamma - PI, rel=1e-14)
+                jumps = np.delete(jumps, mid)
+            assert np.max(np.abs(jumps)) <= 1e-14
+            # the loop's end phase is the ramp-free one
+            free_end = pulses.segment_phase(pulses.segment_table(free.segments[-1:]), np.array([free.duration]))
+            assert ends[-1] == pytest.approx(free_end[0], rel=1e-14, abs=1e-15)
 
 
 class TestSteppingGrid:
@@ -208,33 +263,36 @@ class TestSteppingGrid:
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_nodes_at_ramp_corners(self, sqrt_x_spec, scheme):
-        # a full map steps only the ramp windows; a trajectory records on every piece
+        # every ramp sample is a piece; a trajectory records on a grid inside each
         sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=13e-9)
         dt = sched.duration / 1000
         for record in (False, True):
             pieces = evolve._pieces(sched, dt, record)
+            assert [p.seg for p in pieces] == list(sched.segments)
             ends = [p.nodes[-1] for p in pieces]
             for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
                 assert corner in ends
             for p in pieces:
-                inside = p.nodes[-1] <= sched.edge_ramp or p.nodes[0] >= sched.duration - sched.edge_ramp
-                assert p.varying == inside
-                if p.varying or record:
+                if record:
                     assert np.all(np.diff(p.nodes) <= dt * (1 + 1e-12))
                 else:
                     assert len(p.nodes) == 2
         assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
 
     def test_meeting_ramps_share_one_corner(self, sqrt_x_spec):
-        # 2 * ramp = duration: both corners and the nhqc boundary coincide
+        # ramp = the ramp-free duration, so 2 * ramp is the stretched one: both
+        # corners and the nhqc boundary coincide, and no flat top is left
         sched = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0)
-        ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=0.5 * sched.duration)
-        dt = sched.duration / 100
-        first, second = evolve._pieces(ramped, dt, record=False)
-        assert first.varying and second.varying
-        assert first.nodes[-1] == second.nodes[0] == sched.segments[0].t_end
-        assert np.array_equal(engine_grid(ramped, dt), engine_grid(sched, dt))
-        assert np.array_equal(engine_grid(ramped, dt), grid_nodes(sched, dt))
+        ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=sched.duration)
+        assert ramped.duration == 2 * sched.duration
+        samples = math.ceil(sched.duration / pulses.RAMP_SAMPLE_PERIOD)
+        pieces = evolve._pieces(ramped, None, record=False)
+        assert len(pieces) == 2 * samples
+        first, second = pieces[samples - 1], pieces[samples]
+        assert first.nodes[-1] == second.nodes[0] == sched.duration
+        assert first.seg.phi1_offset == 0.0 and second.seg.phi1_offset == sched.segments[1].phi1_offset
+        dt = ramped.duration / 1000
+        assert np.array_equal(engine_grid(ramped, dt), grid_nodes(ramped, dt))
 
     def test_step_sizes_cover_duration(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
