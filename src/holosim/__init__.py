@@ -9,7 +9,6 @@ from .evolve import (
     IntegratorConfig,
     NoiseModel,
     Trajectory,
-    dt_halving_delta,
     evolve_density,
     evolve_pure,
     gate_channel,

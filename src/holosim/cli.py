@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: gate, trajectory, ramsey, rb, scan, compare.  Each returns its
-files by name, a comma-separated table as (header, rows) and a key-value
-summary as its entries; ``main`` writes them into ``--out-dir`` below the same
-``#``-prefixed metadata lines.  Floats are printed with 17 significant digits
-so every table round-trips exactly; outputs are byte-identical across reruns
-with the same configuration and seed.
+files by name, a comma-separated table as (header, 2-d float array) and a
+key-value summary as its entries; ``main`` writes them into ``--out-dir``
+below the same ``#``-prefixed metadata lines.  Floats are printed with 17
+significant digits so every table round-trips exactly; outputs are
+byte-identical across reruns with the same configuration and seed.
 
 Units at this interface: frequencies in MHz (the f/2pi convention), times
 in ns, angles in radians.  Internally everything is rad/s and seconds.
@@ -17,8 +17,9 @@ puts flags over ``--config`` file values over defaults, checks each number
 against its interval and then the few rules that join flags, and reports
 every problem at once; ``--help`` prints the same intervals.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure or an
-allocation that fails.
+Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
+floating-point overflow, division by zero or invalid operation included) or
+an allocation that fails.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .evolve import (
     ErrorInjection,
     IntegratorConfig,
     NoiseModel,
-    dt_halving_delta,
     propagator,
     step_size,
 )
@@ -90,20 +90,16 @@ def _metadata_lines(command: str, config_hash: str) -> list[str]:
     ]
 
 
-def _table_lines(header: list[str], rows: list[Sequence] | np.ndarray) -> list[str]:
-    """``header`` and ``rows`` (row sequences, or a 2-d float array) as comma-separated lines.
+def _table_lines(header: list[str], rows: np.ndarray) -> list[str]:
+    """``header`` and ``rows``, a 2-d float array, as comma-separated lines.
 
-    An array is formatted in one call over its flattened values, in the format
-    _fmt gives a float; row sequences, which may hold integer columns, go
-    through _fmt cell by cell.
+    The array is formatted in one call over its flattened values, in the
+    format _fmt gives a float.
     """
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        if len(rows):
-            line = ",".join(["%.17g"] * rows.shape[1])
-            lines.extend(("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())).split("\n"))
-    else:
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
+    if len(rows):
+        line = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())).split("\n"))
     return lines
 
 
@@ -348,7 +344,8 @@ def _cmd_gate(args) -> dict:
         ("gate_infidelity", 1.0 - fidelity),
         ("leakage", leakage(u[:2, :2])),
         ("unitarity_defect", unitarity_defect(u)),
-        ("dt_halving_delta", dt_halving_delta(schedule)),
+        # no full-schedule map takes a step; the field stays for its readers
+        ("dt_halving_delta", 0.0),
         ("propagator", u),
         ("ideal_gate", ideal),
     ]
@@ -428,10 +425,13 @@ def _cmd_rb(args) -> dict:
     )
     result = protocols.rb_run(config)
 
-    rows = []
-    for m in result.lengths:
-        for i_seq, value in enumerate(result.per_sequence[m]):
-            rows.append((m, i_seq, value))
+    # integer-valued floats print as their integers in %.17g
+    n = args.sequences
+    survival = np.column_stack([
+        np.repeat(result.lengths, n),
+        np.tile(np.arange(n), len(result.lengths)),
+        np.concatenate([result.per_sequence[m] for m in result.lengths]),
+    ])
     entries: list[tuple[str, object]] = [
         ("scheme", args.scheme),
         ("seed", args.seed),
@@ -456,7 +456,7 @@ def _cmd_rb(args) -> dict:
     if fit.message:
         entries.append(("fit_message", fit.message))
     return {
-        "rb_survival.csv": (["m", "sequence_index", "survival"], rows),
+        "rb_survival.csv": (["m", "sequence_index", "survival"], survival),
         "rb_summary.txt": entries,
     }
 
@@ -650,7 +650,7 @@ def _validate(args) -> None:
     if args.command == "trajectory" and not problems:
         _, schedule = _synthesize_from_args(args)
         try:
-            step_size(schedule, _integrator_from_args(args), record=True)
+            step_size(schedule, _integrator_from_args(args))
         except ValueError as exc:
             problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}")
     if problems:
@@ -681,7 +681,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     command = _COMMANDS[args.command][0]
     try:
-        outputs = command(args)
+        # floating-point overflow, x/0 and invalid operations raise FloatingPointError,
+        # an ArithmeticError, instead of writing inf or NaN; underflow stays silent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outputs = command(args)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

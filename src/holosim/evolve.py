@@ -27,19 +27,22 @@ from the identity, so its rebase only scales columns and rows.  Each piece
 carries its own grid nodes (:func:`_pieces`): a propagator or channel
 takes one exponential per piece, and a trajectory records the maps at
 grid nodes.  The step size therefore sets only the nodes a trajectory
-records.  :func:`step_size` resolves and checks it (duration / 100,000
-<= dt <= duration / 100) only there: a full-schedule map takes no step.
+records, and only the trajectory views (:func:`evolve_pure`,
+:func:`evolve_density`) read an :class:`IntegratorConfig`:
+:func:`step_size` resolves and checks its step (duration / 100,000
+<= dt <= duration / 100) and they pass it on.  A full-schedule map takes
+no step.
 
 :func:`_frame_maps` is the engine's one entry point.  It alone turns the
-noise model into collapse operators and checks their phase class,
-applies the step rule, and lifts noiseless unitaries to channels
-U (x) conj(U); every public function is a view of it.  One call can
-cover many schedules.  :func:`gate_channels` builds the channels of a
-list of schedules: the pieces of all of them share one stack of maps,
-each bitwise-distinct pair of frame generator and duration among their
-pieces is exponentiated once, in one batched call (the two
-halves of an nhqc loop are one such pair), and piece k of every schedule
-is rebased and chained in one step on a slice of the stack.
+noise model into collapse operators and checks their phase class, and
+lifts noiseless unitaries to channels U (x) conj(U); every public
+function is a view of it.  One call can cover many schedules.
+:func:`gate_channels` builds the channels of a list of schedules: the
+pieces of all of them share one stack of maps, each bitwise-distinct pair
+of frame generator and duration among their pieces is exponentiated once,
+in one batched call (the two halves of an nhqc loop are one such pair),
+and piece k of every schedule is rebased and chained in one step on a
+slice of the stack.
 :func:`gate_channel` is its one-schedule case, and a channel is bitwise
 the same alone or in a batch.
 
@@ -394,23 +397,23 @@ class _Piece(NamedTuple):
     owned: int
 
 
-def _pieces(schedule: PulseSchedule, dt: Optional[float], record: bool) -> list[_Piece]:
+def _pieces(schedule: PulseSchedule, dt: Optional[float]) -> list[_Piece]:
     """The schedule cut at its segment boundaries, from 0 to ``schedule.duration``.
 
-    With ``record`` a piece's nodes are uniform and at most ``dt`` apart,
-    else only its two ends, and no grid is laid out; the grid thus has a
-    node at every segment boundary.  A piece takes (b - a) / dt steps
-    rounded up, where a ratio up to 1e-12 (relative) above an integer
-    counts as that integer, so dt = duration / N lays out N steps.  The
-    schedule's outputs are, with ``record``, every ``RECORD_STRIDE``-th
+    With a step ``dt`` a piece's nodes are uniform and at most ``dt``
+    apart; with None only its two ends, and no grid is laid out.  The grid
+    thus has a node at every segment boundary.  A piece takes (b - a) / dt
+    steps rounded up, where a ratio up to 1e-12 (relative) above an
+    integer counts as that integer, so dt = duration / N lays out N steps.
+    The schedule's outputs are, with a step, every ``RECORD_STRIDE``-th
     node of the whole grid counted from t = 0 (t = 0 itself left out) and
-    its last node; without it, the end.
+    its last node; without one, the end.
     """
     duration = schedule.duration
     breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [duration]
     pieces, first = [], 0  # first: the grid index of the piece's start
     for seg, a, b in zip(schedule.segments, breaks, breaks[1:]):
-        if not record:
+        if dt is None:
             # one step, whose end is the only node wanted: no grid to lay out,
             # which would dominate a batch of gates
             pieces.append(_Piece(seg, np.array((a, b)), np.array([1]), int(b == duration)))
@@ -474,20 +477,12 @@ def _frame_phases(phi1: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarra
     return d
 
 
-def step_size(
-    schedule: PulseSchedule,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    record: bool = False,
-) -> Optional[float]:
-    """The checked step the engine takes on ``schedule``, or None where it takes none.
+def step_size(schedule: PulseSchedule, config: IntegratorConfig = DEFAULT_CONFIG) -> float:
+    """The checked step of a trajectory of ``schedule``: the grid it records on.
 
-    A full-schedule map takes one exponential per piece and no step; a
-    trajectory (``record``) records on the grid, so it always takes one.
     The step is ``config.dt``, or duration / DEFAULT_STEPS by default.
     Raises ValueError unless duration / MAX_STEPS <= dt <= duration / MIN_STEPS.
     """
-    if not record:
-        return None
     duration = schedule.duration
     dt = config.dt if config.dt is not None else duration / DEFAULT_STEPS
     if dt > duration / MIN_STEPS:
@@ -536,24 +531,22 @@ def _frame_maps(
     schedules: Sequence[PulseSchedule],
     errors: np.ndarray,
     noise: NoiseModel,
-    config: IntegratorConfig,
     dim: int,
     levels: tuple[Optional[int], int, int],
-    record: bool = False,
+    dt: Optional[float] = None,
     superop: bool = False,
 ) -> Trajectory:
     """The engine: maps from t = 0 of each schedule, for every error.
 
-    ``errors`` is an :func:`error_table` of n_err columns.  By default each
-    schedule's map is taken at its end; with ``record``, at the recorded
-    grid nodes after t = 0 (see :func:`_pieces`).  Returns one Trajectory
-    of every schedule's outputs, schedule after schedule: their times and
-    the (n_err, len(times), m, m) maps at them, unitaries (m = d) when
+    ``errors`` is an :func:`error_table` of n_err columns.  With ``dt``
+    None each schedule's map is taken at its end; with a step, which
+    :func:`step_size` has checked, at the grid nodes after t = 0 that a
+    trajectory records (see :func:`_pieces`).  Returns one Trajectory of
+    every schedule's outputs, schedule after schedule: their times and the
+    (n_err, len(times), m, m) maps at them, unitaries (m = d) when
     ``noise`` is empty, row-major superoperators (m = d^2) otherwise, or
-    U (x) conj(U) for ``superop`` without noise.  Without ``record`` every
+    U (x) conj(U) for ``superop`` without noise.  Without a step every
     schedule has exactly one output, so map k is schedule k's.
-    :func:`step_size` resolves and checks the step of each schedule, which
-    is None where none is taken.
 
     The pieces of all schedules are laid out piece k after piece k - 1
     (piece 0 of every schedule, then piece 1 of those that have one, ...),
@@ -566,7 +559,7 @@ def _frame_maps(
     collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
-    cuts = [_pieces(schedule, step_size(schedule, config, record), record) for schedule in schedules]
+    cuts = [_pieces(schedule, dt) for schedule in schedules]
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
@@ -601,7 +594,7 @@ def _frame_maps(
     # an end and over one stride (unless that is its first node), and powers of
     # the stride's map fill the lattice
     lattices, strides = [], []  # (first entry, lattice size, takes a stride)
-    for i in range(len(pieces)) if record else ():
+    for i in range(len(pieces)) if dt is not None else ():
         nodes, wanted = pieces[i].nodes, pieces[i].wanted
         size = len(wanted) - int(wanted[-1] - wanted[0] != (len(wanted) - 1) * RECORD_STRIDE)
         if size > 1:
@@ -681,7 +674,6 @@ def error_maps(
     schedule: PulseSchedule,
     errors: np.ndarray,
     noise: NoiseModel = NO_NOISE,
-    config: IntegratorConfig = DEFAULT_CONFIG,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
@@ -691,7 +683,7 @@ def error_maps(
     superoperators (n_err, d^2, d^2).  Every error's exponentials come from
     the same batched calls.
     """
-    return _frame_maps([schedule], errors, noise, config, dim, levels).states[:, 0]
+    return _frame_maps([schedule], errors, noise, dim, levels).states[:, 0]
 
 
 def propagator(
@@ -701,24 +693,12 @@ def propagator(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
-    """Full-schedule unitary: one exact exponential per piece."""
-    return error_maps(schedule, _one_error(err), NO_NOISE, config, dim, levels)[0]
+    """Full-schedule unitary: one exact exponential per piece.
 
-
-def dt_halving_delta(
-    schedule: PulseSchedule,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-    u: Optional[np.ndarray] = None,
-) -> float:
-    """Accuracy diagnostic of the error-free propagator, reported alongside results.
-
-    The max-norm change of :func:`propagator` when the step size is halved.
-    A full-schedule map takes no step, edge ramps included, so it is
-    exactly 0.0 for every schedule, and no propagator is built.  ``config``
-    and ``u``, the propagator the caller holds, are accepted for the
-    callers that pass them.
+    A full-schedule map takes no step, so ``config`` is accepted and not
+    read: the unitary is the same for every step.
     """
-    return 0.0
+    return error_maps(schedule, _one_error(err), NO_NOISE, dim, levels)[0]
 
 
 def evolve_pure(
@@ -734,9 +714,10 @@ def evolve_pure(
     if psi.shape != (dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
+    # a NaN norm would pass "abs(norm - 1) > 1e-9"
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, config, dim, levels, record=True)
+    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, dim, levels, step_size(schedule, config))
     return Trajectory(np.append(0.0, times), np.concatenate([psi[None], maps[0] @ psi]))
 
 
@@ -759,8 +740,8 @@ def evolve_density(
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
-    times, maps = _frame_maps([schedule], _one_error(err), noise, config, dim, levels,
-                              record=True, superop=True)
+    times, maps = _frame_maps([schedule], _one_error(err), noise, dim, levels,
+                              step_size(schedule, config), superop=True)
     states = (maps[0] @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(np.append(0.0, times), np.concatenate([rho[None], states]))
 
@@ -769,7 +750,6 @@ def gate_channels(
     schedules: Sequence[PulseSchedule],
     noise: NoiseModel = NO_NOISE,
     err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
@@ -781,19 +761,17 @@ def gate_channels(
     that share a (frame generator, duration) pair on a piece, a
     repeated schedule among them, share its exponential, and each channel
     is bitwise the one its schedule gets alone.  An empty list gives a
-    (0, d^2, d^2) stack.  A full schedule takes no step, so ``config`` does
-    not change the channels.
+    (0, d^2, d^2) stack.
     """
-    return _frame_maps(schedules, _one_error(err), noise, config, dim, levels, superop=True).states[0]
+    return _frame_maps(schedules, _one_error(err), noise, dim, levels, superop=True).states[0]
 
 
 def gate_channel(
     schedule: PulseSchedule,
     noise: NoiseModel = NO_NOISE,
     err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> np.ndarray:
     """Superoperator of one full schedule: :func:`gate_channels` of it alone."""
-    return gate_channels([schedule], noise, err, config, dim, levels)[0]
+    return gate_channels([schedule], noise, err, dim, levels)[0]

@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evolve
-from .evolve import (
-    DEFAULT_CONFIG,
-    NO_ERROR,
-    NO_NOISE,
-    ErrorInjection,
-    IntegratorConfig,
-    NoiseModel,
-)
+from .evolve import NO_ERROR, NO_NOISE, ErrorInjection, NoiseModel
 from .gates import _rotation
 from .pulses import GateSpec, PulseSchedule, synthesize
 from .quantum import basis_state, leakage
@@ -70,7 +63,6 @@ def cphase_propagator(
     model: CompositeModel,
     schedule: PulseSchedule,
     err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> tuple[np.ndarray, float]:
     """Computational-block operator and leakage of the two-qubit gate.
 
@@ -83,7 +75,7 @@ def cphase_propagator(
     :func:`holosim.evolve.evolve_density` with ``dim=DIM, levels=LEVELS``
     traces the five populations under it.
     """
-    u4 = evolve.propagator(schedule, err, config, dim=DIM, levels=LEVELS)[:4, :4]
+    u4 = evolve.propagator(schedule, err, dim=DIM, levels=LEVELS)[:4, :4]
     return u4, leakage(u4)
 
 

@@ -41,9 +41,9 @@ def grid_nodes(schedule, dt):
     )])
 
 
-def engine_grid(schedule, dt, record=True):
-    """The nodes of the engine's pieces of ``schedule``, end to end."""
-    return np.concatenate([[0.0], *(p.nodes[1:] for p in evolve._pieces(schedule, dt, record))])
+def engine_grid(schedule, dt):
+    """The nodes of the engine's pieces of ``schedule`` on the step ``dt``, end to end."""
+    return np.concatenate([[0.0], *(p.nodes[1:] for p in evolve._pieces(schedule, dt))])
 
 
 def random_state(rng, dim):

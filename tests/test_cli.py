@@ -280,6 +280,21 @@ def test_allocation_failure_is_reported_without_traceback(tmp_path, capsys, argv
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "--detuning-error", "1e300"),
+    ("trajectory", "--detuning-error", "1e300"),
+    ("trajectory", "--amp-error", "1e300"),
+    ("rb", "--lengths", "2,4,8", "--sequences", "10", "--detuning-error", "1e300"),
+], ids=["compare", "trajectory-detuning", "trajectory-amp", "rb"])
+def test_overflow_is_a_numeric_failure(tmp_path, capsys, argv):
+    # the closed-form exponential squares tau G[e, e], which overflows here; left
+    # to numpy's default handling, these runs wrote NaN results and exited 0
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestScanCommand:
     def test_default_grid_size(self, tmp_path):
         assert run(tmp_path, "scan", "--threads", "4") == 0
@@ -795,18 +810,20 @@ TABLE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(-10**18, 10**18), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
+@given(rows=st.lists(st.tuples(st.integers(-2**53, 2**53), TABLE_FLOATS, TABLE_FLOATS), max_size=20))
 def test_table_cells_render_as_fmt(rows):
-    # float cells print as _fmt prints them, from row tuples and from float
-    # arrays (formatted in one call) of 1, 2 and 5 columns, and an array
-    # without rows gives the header alone; an integer column stays integer:
-    # 10**17, not 1e+17
+    # float cells print as _fmt prints them, from float arrays (formatted in
+    # one call) of 1, 2 and 5 columns, and an array without rows gives the
+    # header alone; a float that holds an integer exactly prints as that
+    # integer, as the m and sequence_index columns of rb_survival.csv do
     def cells(table, header):
         lines = cli._table_lines(header, table)
         assert lines[0] == ",".join(header)
         return [line.split(",") for line in lines[1:]]
 
-    assert cells(rows, ["m", "x", "y"]) == [[str(m), cli._fmt(x), cli._fmt(y)] for m, x, y in rows]
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    expected = [[str(m), cli._fmt(x), cli._fmt(y)] for m, x, y in rows]
+    assert cells(table, ["m", "x", "y"]) == expected
     values = [x for row in rows for x in row[1:]]
     for width in (1, 2, 5):
         kept = values[: len(values) - len(values) % width]

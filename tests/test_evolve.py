@@ -104,25 +104,6 @@ class TestPropagator:
             defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
             assert defect < 1e-9
 
-    def test_dt_halving_convergence(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        assert evolve.dt_halving_delta(sched) < 1e-6
-
-    def test_delta_is_zero_when_ramp_free(self, sqrt_x_spec):
-        # nothing is stepped without ramps, so the step size cannot matter
-        for scheme in pulses.SCHEMES:
-            sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme)
-            cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
-            assert evolve.dt_halving_delta(sched, config=cfg) == 0.0
-
-    def test_delta_halves_dt_on_ramped_schedule(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=10e-9)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 300)
-        fine = evolve.IntegratorConfig(dt=sched.duration / 600)
-        expected = np.max(np.abs(evolve.propagator(sched, config=cfg)
-                                 - evolve.propagator(sched, config=fine)))
-        assert evolve.dt_halving_delta(sched, config=cfg) == expected
-
 
 class TestEvolvePure:
     def test_sqrt_x_endpoint_from_ground(self, sqrt_x_spec):
@@ -168,6 +149,12 @@ class TestEvolvePure:
         with pytest.raises(ValueError, match="norm"):
             evolve.evolve_pure(np.array([1.0, 1.0, 0.0]), sched)
 
+    def test_rejects_nan_state(self, sqrt_x_spec):
+        # a NaN norm fails every comparison, "> 1 + 1e-9" included
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+        with pytest.raises(ValueError, match="nan.* deviates from 1"):
+            evolve.evolve_pure(np.array([np.nan, 0.0, 0.0]), sched)
+
     def test_recorded_times_include_endpoints(self, sqrt_x_spec):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         traj = evolve.evolve_pure(basis_state(3, 0), sched)
@@ -187,7 +174,7 @@ class TestEvolvePure:
             for stride in range(1, n + 3):
                 monkeypatch.setattr(evolve, "RECORD_STRIDE", stride)
                 got, first = [0], 0
-                for piece in evolve._pieces(sched, 1.0, record=True):
+                for piece in evolve._pieces(sched, 1.0):
                     steps = len(piece.nodes) - 1
                     assert piece.nodes.tolist() == list(range(first, first + steps + 1))
                     assert piece.wanted[-1] == steps  # the end, for chaining
@@ -382,7 +369,7 @@ class TestFrameOracle:
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
-        channel = evolve.gate_channel(sched, noise, config=cfg)
+        channel = evolve.gate_channel(sched, noise)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
             unit[j // 3, j % 3] = 1.0
@@ -419,7 +406,7 @@ class TestFrameOracle:
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, edge_ramp=10e-9)
         noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6, tphi_1=10e-6)
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
-        channel = evolve.gate_channel(sched, noise, config=cfg)
+        channel = evolve.gate_channel(sched, noise)
         for j in range(9):
             unit = np.zeros((3, 3), dtype=complex)
             unit[j // 3, j % 3] = 1.0
@@ -429,8 +416,8 @@ class TestFrameOracle:
 
 def recorded_maps(sched, noise=evolve.NO_NOISE, config=evolve.DEFAULT_CONFIG):
     """The engine's lab-frame maps at every recorded node of ``sched``."""
-    return evolve._frame_maps([sched], evolve.error_table(), noise, config, 3,
-                              evolve.QUTRIT_LEVELS, record=True)
+    return evolve._frame_maps([sched], evolve.error_table(), noise, 3, evolve.QUTRIT_LEVELS,
+                              evolve.step_size(sched, config))
 
 
 @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
@@ -547,7 +534,7 @@ class TestRecordedPowers:
         # its end, powers of the stride's map between
         sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, "nhqc")
         config = evolve.IntegratorConfig(dt=sched.duration / 2345)
-        second = evolve._pieces(sched, config.dt, record=True)[1]
+        second = evolve._pieces(sched, config.dt)[1]
         assert second.wanted[0] != evolve.RECORD_STRIDE
         assert (second.wanted[-1] - second.wanted[0]) % evolve.RECORD_STRIDE != 0
         noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
@@ -624,7 +611,7 @@ class TestEngineChoice:
         cfg = evolve.IntegratorConfig(dt=sched.duration / 200)
         psi0 = basis_state(3, 0)
         traj = evolve.evolve_pure(psi0, sched, config=cfg)
-        u = evolve.propagator(sched, config=cfg)
+        u = evolve.propagator(sched)
         assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
@@ -877,12 +864,12 @@ class TestGateChannels:
     @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "nhqc_only", "duplicates"])
     def test_bitwise_equal_to_single_schedule_calls(self, rng, case):
         default = default_noise_model()
-        noise, ramp, config = {
-            "noiseless": (evolve.NO_NOISE, 0.0, evolve.DEFAULT_CONFIG),
-            "default_noise": (default, 0.0, evolve.DEFAULT_CONFIG),
-            "edge_ramp": (default, 10e-9, evolve.IntegratorConfig(dt=0.5e-9)),
-            "nhqc_only": (default, 0.0, evolve.DEFAULT_CONFIG),
-            "duplicates": (default, 0.0, evolve.DEFAULT_CONFIG),
+        noise, ramp = {
+            "noiseless": (evolve.NO_NOISE, 0.0),
+            "default_noise": (default, 0.0),
+            "edge_ramp": (default, 10e-9),
+            "nhqc_only": (default, 0.0),
+            "duplicates": (default, 0.0),
         }[case]
         scheds = self.schedules(rng, ramp)
         if case == "nhqc_only":
@@ -891,13 +878,13 @@ class TestGateChannels:
             # repeats share their pieces' exponentials with the first copy
             scheds = [scheds[i] for i in (0, 3, 0, 5, 3, 3, 8, 1, 8, 0)]
         err = evolve.ErrorInjection(amp_fraction=0.02, detuning_fraction=-0.01)
-        together = evolve.gate_channels(scheds, noise, err, config)
+        together = evolve.gate_channels(scheds, noise, err)
         assert together.shape == (len(scheds), 9, 9)
         for got, sched in zip(together, scheds):
-            assert np.array_equal(got, evolve.gate_channel(sched, noise, err, config))
+            assert np.array_equal(got, evolve.gate_channel(sched, noise, err))
             if noise.is_empty:
                 # the Kronecker product of the propagator, as a single gate builds it
-                u = evolve.propagator(sched, err, config)
+                u = evolve.propagator(sched, err)
                 assert np.array_equal(got, np.kron(u, u.conj()))
 
     @pytest.mark.parametrize("noise", [evolve.NO_NOISE, default_noise_model()], ids=["noiseless", "noisy"])
@@ -923,7 +910,7 @@ class TestGateChannels:
         """
         pairs = set()
         for sched in scheds:
-            for piece in evolve._pieces(sched, None, record=False):
+            for piece in evolve._pieces(sched, None):
                 gen = evolve._frame_generators(pulses.segment_table([piece.seg]), evolve.error_table(),
                                                sched.omega0, 3, evolve.QUTRIT_LEVELS)
                 pairs.add((gen.tobytes(), (piece.nodes[-1] - piece.nodes[0]).hex()))
@@ -939,7 +926,7 @@ class TestGateChannels:
         stacks = self.recorded_expm(monkeypatch)
         channels = evolve.gate_channels(scheds, config.noise)
         assert len(stacks) == 1
-        pieces = sum(len(evolve._pieces(sched, None, record=False)) for sched in scheds)
+        pieces = sum(len(evolve._pieces(sched, None)) for sched in scheds)
         assert pieces == 2 * len(scheds) == 128
         assert len(stacks[0]) == self.distinct_pairs(scheds) == 59
         assert len({mat.tobytes() for mat in stacks[0]}) == len(stacks[0])
@@ -948,7 +935,7 @@ class TestGateChannels:
             assert np.array_equal(got, evolve.gate_channel(sched, config.noise))
 
     def test_mixed_batch_with_repeats_exponentiates_each_pair_once(self, rng, monkeypatch):
-        noise, config = default_noise_model(), evolve.IntegratorConfig(dt=0.5e-9)
+        noise = default_noise_model()
         # loops of at least 100 ns, as the other tests of the class take
         specs = [pulses.GateSpec(rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI), rng.uniform(1.6, 2 * PI - 1.6))
                  for _ in range(3)]
@@ -957,13 +944,13 @@ class TestGateChannels:
                 for spec in specs for scheme, ramp in kinds]
         batch = once + once[::3] + once[5:8]
         stacks = self.recorded_expm(monkeypatch)
-        channels = evolve.gate_channels(batch, noise, config=config)
+        channels = evolve.gate_channels(batch, noise)
         # the ramp samples are pieces like any other, in the one batched call
         assert len(stacks) == 1
         assert len(stacks[0]) == self.distinct_pairs(once)
         monkeypatch.undo()
         for got, sched in zip(channels, batch):
-            assert np.array_equal(got, evolve.gate_channel(sched, noise, config=config))
+            assert np.array_equal(got, evolve.gate_channel(sched, noise))
 
     def test_any_bad_schedule_raises_as_gate_channel(self, rng):
         # on a bare pair of levels only loops with theta = 0 leave the unmapped |0> leg undriven
@@ -980,60 +967,46 @@ class TestGateChannels:
         assert str(batched.value) == str(single.value)
 
     def test_ramp_free_schedule_takes_no_step(self):
-        # a channel takes no step, with or without a ramp: a step too coarse
-        # for a trajectory of the loop changes nothing
+        # a channel takes no step, with or without a ramp: a loop too short for
+        # a trajectory at a 0.9 ns step still gets its channel, under fast decay too
         short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
-        coarse = evolve.IntegratorConfig(dt=0.9e-9)
         fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
         for ramp in (0.0, 10e-9):
             sched = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc", edge_ramp=ramp)
             for noise in (evolve.NO_NOISE, fast):
-                channel = evolve.gate_channel(sched, noise, config=coarse)
-                assert np.array_equal(channel, evolve.gate_channel(sched, noise))
-            assert evolve.dt_halving_delta(sched, coarse) == 0.0
+                assert np.all(np.isfinite(evolve.gate_channel(sched, noise)))
         with pytest.raises(ValueError, match="too coarse"):
-            evolve.evolve_pure(np.eye(3)[0], short, config=coarse)
+            evolve.evolve_pure(np.eye(3)[0], short, config=evolve.IntegratorConfig(dt=0.9e-9))
 
 
 class TestStepSize:
-    """The one step rule: where the engine steps, and which steps it takes."""
+    """The one step rule: the steps a trajectory takes."""
 
     SCHED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc")
     RAMPED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
 
-    def test_ramp_free_full_map_takes_no_step(self):
-        # even a step that breaks every limit is never looked at, ramped or not
-        for sched in (self.SCHED, self.RAMPED):
-            for dt in (None, sched.duration, sched.duration * 1e-9):
-                assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) is None
-
     def test_default_step(self):
         for sched in (self.SCHED, self.RAMPED):
-            assert evolve.step_size(sched, record=True) == sched.duration / evolve.DEFAULT_STEPS
+            assert evolve.step_size(sched) == sched.duration / evolve.DEFAULT_STEPS
 
-    @pytest.mark.parametrize("record", [False, True])
-    def test_coarse_and_fine_limits(self, record):
-        # the limits hold for a trajectory's grid; a full map takes no step to limit
-        sched = self.RAMPED
+    @pytest.mark.parametrize("ramped", [False, True])
+    def test_coarse_and_fine_limits(self, ramped):
+        sched = self.RAMPED if ramped else self.SCHED
         coarse = sched.duration / evolve.MIN_STEPS
         fine = sched.duration / evolve.MAX_STEPS
         for dt in (coarse, fine):
-            assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt), record) == (dt if record else None)
-        if not record:
-            for dt in (coarse * 1.01, fine * 0.99):
-                assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) is None
-            return
+            assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) == dt
         with pytest.raises(ValueError, match=f"too coarse: need dt <= duration/{evolve.MIN_STEPS}"):
-            evolve.step_size(sched, evolve.IntegratorConfig(dt=coarse * 1.01), record)
+            evolve.step_size(sched, evolve.IntegratorConfig(dt=coarse * 1.01))
         with pytest.raises(ValueError, match=f"too fine: need dt >= duration/{evolve.MAX_STEPS}"):
-            evolve.step_size(sched, evolve.IntegratorConfig(dt=fine * 0.99), record)
+            evolve.step_size(sched, evolve.IntegratorConfig(dt=fine * 0.99))
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     @pytest.mark.parametrize("steps", [50_000, evolve.MAX_STEPS])
     def test_dt_of_duration_over_n_lays_out_n_steps(self, scheme, steps):
         # (b - a) / dt carries rounding of the ratio's size, far above 1e-12 at these counts
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        pieces = evolve._pieces(sched, sched.duration / steps, record=True)
+        pieces = evolve._pieces(sched, sched.duration / steps)
         assert sum(len(p.nodes) - 1 for p in pieces) == steps
 
     def test_engine_applies_the_rule(self):
@@ -1043,13 +1016,3 @@ class TestStepSize:
             with pytest.raises(ValueError, match="too fine"):
                 evolve.evolve_pure(psi0, sched, config=too_fine)
             assert np.array_equal(evolve.propagator(sched, config=too_fine), evolve.propagator(sched))
-
-    def test_dt_halving_delta_is_zero_without_a_step(self, monkeypatch):
-        # no propagator is built, whatever the step, with a ramp too
-        def built(*args, **kwargs):
-            raise AssertionError("a propagator was built")
-
-        monkeypatch.setattr(evolve, "_frame_maps", built)
-        for sched in (self.SCHED, self.RAMPED):
-            for dt in (None, sched.duration, sched.duration * 1e-9):
-                assert evolve.dt_halving_delta(sched, evolve.IntegratorConfig(dt=dt)) == 0.0

@@ -257,7 +257,7 @@ class TestSteppingGrid:
     def test_nodes_align_to_segment_boundary(self):
         sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, 1.0), OMEGA0)
         dt = sched.duration / 1000
-        first, second = evolve._pieces(sched, dt, record=True)
+        first, second = evolve._pieces(sched, dt)
         assert first.nodes[-1] == second.nodes[0] == sched.segments[0].t_end
         assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
 
@@ -266,17 +266,17 @@ class TestSteppingGrid:
         # every ramp sample is a piece; a trajectory records on a grid inside each
         sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=13e-9)
         dt = sched.duration / 1000
-        for record in (False, True):
-            pieces = evolve._pieces(sched, dt, record)
+        for step in (None, dt):
+            pieces = evolve._pieces(sched, step)
             assert [p.seg for p in pieces] == list(sched.segments)
             ends = [p.nodes[-1] for p in pieces]
             for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
                 assert corner in ends
             for p in pieces:
-                if record:
-                    assert np.all(np.diff(p.nodes) <= dt * (1 + 1e-12))
-                else:
+                if step is None:
                     assert len(p.nodes) == 2
+                else:
+                    assert np.all(np.diff(p.nodes) <= dt * (1 + 1e-12))
         assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
 
     def test_meeting_ramps_share_one_corner(self, sqrt_x_spec):
@@ -286,7 +286,7 @@ class TestSteppingGrid:
         ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=sched.duration)
         assert ramped.duration == 2 * sched.duration
         samples = math.ceil(sched.duration / pulses.RAMP_SAMPLE_PERIOD)
-        pieces = evolve._pieces(ramped, None, record=False)
+        pieces = evolve._pieces(ramped, None)
         assert len(pieces) == 2 * samples
         first, second = pieces[samples - 1], pieces[samples]
         assert first.nodes[-1] == second.nodes[0] == sched.duration
@@ -303,7 +303,7 @@ class TestSteppingGrid:
         assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
         # the pieces of a full map chain from 0 to the end
         ramped = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=13e-9)
-        pieces = evolve._pieces(ramped, dt, record=False)
+        pieces = evolve._pieces(ramped, None)
         assert pieces[0].nodes[0] == 0.0 and pieces[-1].nodes[-1] == ramped.duration
         for a, b in zip(pieces, pieces[1:]):
             assert a.nodes[-1] == b.nodes[0]
