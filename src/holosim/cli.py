@@ -620,13 +620,14 @@ def _validate(args) -> None:
                             f"overflows in ns, got {valid[name]}")
             del valid[name]  # the rules below read only loops with finite times
     if {"--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
-        # the loop's duration, by synthesis's own rule; theta and phi do not change it
-        loop = synthesize(GateSpec(0.0, 0.0, args.gamma), TWO_PI * args.omega0_mhz * 1e6, args.scheme)
-        if 2.0 * args.edge_ramp_ns * 1e-9 > loop.duration:
-            problems.append(
-                f"--edge-ramp-ns must be at most half the {loop.duration * 1e9:.6g} ns loop, "
-                f"got {args.edge_ramp_ns}"
-            )
+        # synthesis's own ramp rule, on the phase loop; theta and phi do not change its duration
+        spec, omega0 = GateSpec(0.0, 0.0, args.gamma), TWO_PI * args.omega0_mhz * 1e6
+        try:
+            synthesize(spec, omega0, args.scheme, edge_ramp=args.edge_ramp_ns * 1e-9)
+        except ValueError as exc:
+            free = synthesize(spec, omega0, args.scheme).duration
+            problems.append(f"--edge-ramp-ns does not suit the {free * 1e9:.6g} ns ramp-free loop: "
+                            f"{exc}, got {args.edge_ramp_ns}")
     if valid.get("--resolution", 1) % 2 == 0:
         # the summary's fidelity_origin is the centre point of the grid
         problems.append(f"--resolution must be odd, got {args.resolution}")

@@ -49,8 +49,8 @@ the same alone or in a batch.
 Every frame generator is zero outside the |e> row and column, so its
 exponential has a closed form, computed elementwise over the whole stack
 (:func:`_step_propagators`).  Liouvillians, which are not normal, go
-through :func:`_expm`, a batched scaling-and-squaring Pade exponential
-(Higham 2005) on numpy alone.
+through :func:`_expm`, a batched [13/13] Pade exponential with
+per-matrix scaling and squaring (Higham 2005) on numpy alone.
 """
 from __future__ import annotations
 
@@ -163,23 +163,19 @@ class NoiseModel:
         |k> and a non-dephasing level decays at 1/Tphi.  ``None`` disables a
         channel.
         """
+        # (time, nonzero entry, rate * time), in the order the dissipator sums them
+        table = (
+            (t1_e_to_0, (0, 2), 1.0),
+            (t1_1_to_e, (2, 1), 1.0),
+            (tphi_e, (2, 2), 2.0),
+            (tphi_1, (1, 1), 2.0),
+        )
         ops = []
-        if t1_e_to_0 is not None:
-            lower = np.zeros((3, 3), dtype=complex)
-            lower[0, 2] = 1.0
-            ops.append((lower, 1.0 / t1_e_to_0))
-        if t1_1_to_e is not None:
-            lower = np.zeros((3, 3), dtype=complex)
-            lower[2, 1] = 1.0
-            ops.append((lower, 1.0 / t1_1_to_e))
-        if tphi_e is not None:
-            proj = np.zeros((3, 3), dtype=complex)
-            proj[2, 2] = 1.0
-            ops.append((proj, 2.0 / tphi_e))
-        if tphi_1 is not None:
-            proj = np.zeros((3, 3), dtype=complex)
-            proj[1, 1] = 1.0
-            ops.append((proj, 2.0 / tphi_1))
+        for time, entry, scale in table:
+            if time is not None:
+                op = np.zeros((3, 3), dtype=complex)
+                op[entry] = 1.0
+                ops.append((op, scale / time))
         return cls(collapse_ops=tuple(ops))
 
 
@@ -238,82 +234,50 @@ def _step_propagators(gens: np.ndarray, taus: np.ndarray, ie: int) -> np.ndarray
     return out
 
 
-# Scaling and squaring with Pade approximants (Higham, SIAM J. Matrix Anal.
-# Appl. 26, 1179 (2005)): the [m/m] approximant of exp(A) is accurate to
-# double precision while ||A||_1 <= theta_m.
-_PADE_THETAS = np.array([1.495585217958292e-2, 2.539398330063230e-1,
-                         9.504178996162932e-1, 2.097847961257068e0, 5.371920351148152e0])
-_PADE_COEFFS = (
-    (120.0, 60.0, 12.0, 1.0),
-    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-     2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-)
-
-
-def _pade_rows(b: tuple) -> np.ndarray:
-    """Coefficients that combine (1, A^2, A^4, ...) into the approximant's parts.
-
-    Rows give U' and V of exp(A) ~ (V - A U')^-1 (V + A U'), the odd part
-    A U' = b1 A + b3 A^3 + ... and the even part V = b0 + b2 A^2 + ... of
-    the numerator.  Degree 13 factors A^6 out of its high powers, so it
-    needs only 1, A^2, A^4 and A^6: its first two rows are the high parts,
-    its last two the low ones.
-    """
-    if len(b) == 14:
-        return np.array([(0.0, *b[9::2]), (0.0, *b[8::2]), b[1:8:2], b[0:7:2]])
-    return np.array([b[1::2], b[0::2]])
-
-
-_PADE_ROWS = tuple(_pade_rows(b) for b in _PADE_COEFFS)
-
-
-def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Pade approximant of exp on an (n, d, d) stack, from :func:`_pade_rows`."""
-    n, d, _ = a.shape
-    powers = np.empty((rows.shape[1], n, d, d), dtype=a.dtype)
-    powers[0] = np.eye(d)
-    np.matmul(a, a, out=powers[1])
-    for j in range(2, len(powers)):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    # one small product per matrix: a single product over the flattened
-    # stack is large enough for the BLAS library to split across threads,
-    # which at these sizes costs far more than it saves
-    parts = rows @ powers.reshape(len(powers), n, d * d).swapaxes(0, 1)
-    parts = parts.swapaxes(0, 1).reshape(len(rows), n, d, d)
-    if len(rows) == 4:
-        parts = powers[3] @ parts[:2] + parts[2:]
-    u, v = a @ parts[0], parts[1]
-    # (V - U)^-1 (V + U) = 1 + 2 (V - U)^-1 U: the identity is added exactly,
-    # so a small exponent keeps its relative accuracy
-    return powers[0] + np.linalg.solve(v - u, 2.0 * u)
+# Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005)): it is accurate to double precision
+# while ||A||_1 <= theta_13.
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# rows that combine (1, A^2, A^4, A^6) into the high and low parts of U' and
+# V, where A U' = b1 A + b3 A^3 + ... and V = b0 + b2 A^2 + ...: A^6 is
+# factored out of the high parts
+_PADE_ROWS = np.array([(0.0, *_PADE_13[9::2]), (0.0, *_PADE_13[8::2]), _PADE_13[1:8:2], _PADE_13[0:7:2]])
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponentials of an (n, d, d) stack.
 
-    Each matrix gets the lowest Pade degree (3, 5, 7, 9 or 13) whose theta
-    bounds its 1-norm.  Above theta_13 it is scaled by 2^-s into range, with
-    its own s, and only the matrices with s > k are squared in round k.
+    Each matrix is scaled by 2^-s into the range of theta_13, with its own
+    s (0 if its 1-norm is in range already), and the whole stack takes the
+    [13/13] approximant exp(A) ~ (V - U)^-1 (V + U), with odd part U = A U'
+    and even part V.  Only the matrices with s > k are squared in round k,
+    so each matrix is bitwise its own exponential alone.
     """
     a = np.asarray(a, dtype=np.result_type(a, float))
+    n, d, _ = a.shape
     norms = np.abs(a).sum(axis=1).max(axis=1)
-    degree = np.searchsorted(_PADE_THETAS, norms)
-    top = len(_PADE_THETAS) - 1
-    squarings = np.zeros(len(a), dtype=int)
-    high = degree > top
-    if high.any():
-        squarings[high] = np.ceil(np.log2(norms[high] / _PADE_THETAS[top]))
-        degree[high] = top
-        a = a * np.exp2(-squarings)[:, None, None]
-    out = np.empty_like(a)
-    for k in set(degree.tolist()):
-        sel = degree == k
-        out[sel] = _pade(a[sel], _PADE_ROWS[k])
+    squarings = np.zeros(n, dtype=int)
+    high = norms > _THETA_13
+    squarings[high] = np.ceil(np.log2(norms[high] / _THETA_13))
+    a = a * np.exp2(-squarings)[:, None, None]
+    powers = np.empty((4, n, d, d), dtype=a.dtype)
+    powers[0] = np.eye(d)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    # one small product per matrix: a single product over the flattened
+    # stack is large enough for the BLAS library to split across threads,
+    # which at these sizes costs far more than it saves
+    parts = _PADE_ROWS @ powers.reshape(4, n, d * d).swapaxes(0, 1)
+    parts = parts.swapaxes(0, 1).reshape(4, n, d, d)
+    u_part, v = powers[3] @ parts[:2] + parts[2:]
+    u = a @ u_part
+    # (V - U)^-1 (V + U) = 1 + 2 (V - U)^-1 U: the identity is added exactly,
+    # so a small exponent keeps its relative accuracy
+    out = powers[0] + np.linalg.solve(v - u, 2.0 * u)
     for k in range(squarings.max(initial=0)):
         sel = squarings > k
         out[sel] = out[sel] @ out[sel]
@@ -612,13 +576,10 @@ def _frame_maps(
     if strides:
         stride_of, stride_taus = zip(*strides)
         of, taus = np.append(of, stride_of), np.append(taus, stride_taus)
-    # one exponential per distinct (generator, duration).  The durations
-    # within a piece all differ, so only pieces that share a generator
-    # can share an exponential
-    kinds, kind = _distinct_rows(gens.swapaxes(0, 1).reshape(len(pieces), -1))
-    distinct = inverse = slice(None)
-    if len(kinds) < len(pieces):
-        distinct, inverse = _distinct_rows(np.column_stack([kind[of], taus]))
+    # one exponential per distinct (generator, duration): rows of the
+    # generator's bytes, for every error, and the duration
+    keys = gens.swapaxes(0, 1).reshape(len(pieces), -1).view(float)[of]
+    distinct, inverse = _distinct_rows(np.column_stack([keys, taus]))
     exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
     frames[:, const] = exps[:, :n_exact]
     stride_maps = iter(exps[:, n_exact:].swapaxes(0, 1))
@@ -735,11 +696,15 @@ def evolve_density(
     Records states at the grid nodes :func:`evolve_pure` records.  With an
     empty noise model this reproduces the pure-state evolution of the
     corresponding projector.  Raises where :func:`step_size` rejects the
-    step.
+    step, and for a non-finite entry of ``rho0``.  The trace is not checked:
+    the map is linear, so any matrix, a trace-0 matrix unit among them,
+    evolves as its part of a density matrix would.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dim {dim}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite entry")
     times, maps = _frame_maps([schedule], _one_error(err), noise, dim, levels,
                               step_size(schedule, config), superop=True)
     states = (maps[0] @ rho.reshape(-1)).reshape(-1, dim, dim)

@@ -86,6 +86,19 @@ class TestGateCommand:
         assert float(ramped["gate_infidelity"]) < 1e-14
         assert ramped["dt_halving_delta"] == "0"
 
+    def test_ramp_limit_is_synthesis_own(self, tmp_path, capsys):
+        # synthesis takes any ramp up to the ramp-free loop, more than half of it
+        assert run(tmp_path / "free", "gate") == 0
+        assert run(tmp_path / "long", "gate", "--edge-ramp-ns", "60") == 0
+        free = read_summary(tmp_path / "free" / "gate_summary.txt")
+        long = read_summary(tmp_path / "long" / "gate_summary.txt")
+        assert float(long["tau_ns"]) == pytest.approx(float(free["tau_ns"]) + 60.0, rel=1e-15)
+        assert float(long["leakage"]) < 1e-12
+        capsys.readouterr()
+        assert run(tmp_path / "over", "gate", "--edge-ramp-ns", "101") == 1
+        (problem,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+        assert "--edge-ramp-ns" in problem and "100.003 ns ramp-free loop" in problem
+
     def test_ramped_nhqc_gate_is_unitary_to_rounding(self, tmp_path):
         # closed-form exponentials of the ramp samples keep the propagator
         # unitary to rounding
@@ -624,7 +637,7 @@ def test_loop_angle_interval_agrees_with_synthesis_to_the_float():
     ],
 )
 def test_value_outside_its_interval_skips_the_rules_that_join_flags(tmp_path, capsys, argv):
-    # the half-loop ramp rule and the odd-resolution rule read only values
+    # the ramp rule and the odd-resolution rule read only values
     # that passed their intervals, so the bad flag is listed once
     assert run(tmp_path, *argv) == 1
     (problem,) = problem_lines(capsys.readouterr().err)

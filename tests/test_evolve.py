@@ -259,6 +259,16 @@ class TestEvolveDensity:
         with pytest.raises(ValueError, match="too coarse"):
             evolve.evolve_density(density(basis_state(3, 0)), sched, config=cfg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_state(self, sqrt_x_spec, bad):
+        # the map is linear, so the trace is not checked; a non-finite entry
+        # would fill every recorded state
+        rho = density(basis_state(3, 0))
+        rho[1, 0] = bad
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve.evolve_density(rho, sched)
+
 
 class TestGateChannel:
     def test_matches_propagator_without_noise(self, sqrt_x_spec):
@@ -783,14 +793,18 @@ class TestPadeExpm:
         a *= rng.uniform(0.01, 3.0, size=20)[:, None, None] / size
         assert_matches_scipy_expm(a)
 
-    def test_mixed_norms_take_own_degree_and_scaling(self, rng):
-        # 1-norms from 1e-8 to 40: every Pade degree, and 0 to 3 squarings
-        norms = np.array([1e-8, 1e-2, 0.2, 0.8, 2.0, 5.0, 12.0, 40.0])
-        a = rng.normal(size=(8, 6, 6)) + 1j * rng.normal(size=(8, 6, 6))
+    def test_mixed_norms_take_own_scaling(self, rng):
+        # 1-norms from 1e-8 to 40: every matrix takes the one approximant,
+        # after 0 to 3 squarings of its own
+        norms = np.array([1e-8, 1e-2, 0.2, 0.8, 2.0, 5.0, 8.0, 12.0, 40.0])
+        a = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
         a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
-        degree = np.searchsorted(evolve._PADE_THETAS, norms)
-        assert set(degree) == {0, 1, 2, 3, 4, 5}
+        squarings = np.ceil(np.log2(np.maximum(norms / evolve._THETA_13, 1.0)))
+        assert set(squarings) == {0, 1, 2, 3}
         assert_matches_scipy_expm(a)
+        batch = evolve._expm(a)
+        for k in range(len(a)):
+            assert np.array_equal(batch[k], evolve._expm(a[k : k + 1])[0])
 
     def test_zero_matrix_is_identity(self):
         out = evolve._expm(np.zeros((2, 4, 4), dtype=complex))
@@ -834,6 +848,16 @@ class TestNoiseModel:
         # fill the scaled operators with NaN
         with pytest.raises(ValueError, match=f"finite and non-negative, got {rate}"):
             evolve.NoiseModel(collapse_ops=((np.eye(3), rate),))
+
+    def test_relaxation_operators_in_dissipator_order(self):
+        # e -> 0 and 1 -> e decay at 1/T1, then |e> and |1> dephase at 2/Tphi
+        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2.0, t1_1_to_e=4.0, tphi_e=8.0, tphi_1=16.0)
+        entries = [tuple(np.argwhere(op)[0]) for op, _ in noise.collapse_ops]
+        assert entries == [(0, 2), (2, 1), (2, 2), (1, 1)]
+        assert [rate for _, rate in noise.collapse_ops] == [0.5, 0.25, 0.25, 0.125]
+        assert all(np.count_nonzero(op) == 1 and op.sum() == 1.0 for op, _ in noise.collapse_ops)
+        only = evolve.NoiseModel.qutrit_relaxation(tphi_e=8.0)
+        assert [tuple(np.argwhere(op)[0]) for op, _ in only.collapse_ops] == [(2, 2)]
 
     def test_empty_means_unitary(self):
         assert evolve.NoiseModel().is_empty
