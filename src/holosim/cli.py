@@ -653,7 +653,8 @@ def _validate(args) -> None:
         try:
             step_size(schedule, _integrator_from_args(args))
         except ValueError as exc:
-            problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}")
+            problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}, "
+                            f"got {args.dt_ns}")
     if problems:
         raise ConfigError(problems)
 

@@ -450,9 +450,9 @@ def step_size(schedule: PulseSchedule, config: IntegratorConfig = DEFAULT_CONFIG
     duration = schedule.duration
     dt = config.dt if config.dt is not None else duration / DEFAULT_STEPS
     if dt > duration / MIN_STEPS:
-        raise ValueError(f"step size {dt} too coarse: need dt <= duration/{MIN_STEPS}")
+        raise ValueError(f"step size too coarse: need dt <= duration/{MIN_STEPS}")
     if dt < duration / MAX_STEPS:
-        raise ValueError(f"step size {dt} too fine: need dt >= duration/{MAX_STEPS}")
+        raise ValueError(f"step size too fine: need dt >= duration/{MAX_STEPS}")
     return dt
 
 

@@ -3,12 +3,10 @@
 Randomized benchmarking draws each (length, sequence) slot from its own
 ``random.Random``, keyed by the master seed, the length and the sequence,
 so results are bitwise identical for a given configuration; only shot
-sampling loads ``numpy.random``.  A run handles all its lengths at once:
-one column loop tracks the ideal products of every sequence and one call
-compiles their recoveries; a simulated run builds the channels of all
-its gates in one engine call, then applies them to every sequence of
-every length in one column loop, longest sequences first, so the rows a
-column touches are a prefix of them.
+sampling loads ``numpy.random``.  Each length runs its own column loop
+over its sequences, for their ideal products and, in a simulated run,
+for their channels; one call compiles the recoveries of every length,
+and one engine call builds the channels of every gate.
 """
 from __future__ import annotations
 
@@ -292,8 +290,8 @@ class SimulatedSequenceExecutor:
     Every gate acts on the density matrix through its superoperator.
     :meth:`survivals` runs many sequences together: it builds the channels
     of all gates it has not cached in one :func:`gate_channels` call, then
-    applies one column of gates of every sequence, whatever its length, as
-    one stacked product.
+    applies each column of gates of a length's sequences as one stacked
+    product.
     Channels of recurring gates (the Cliffords plus any declared extras)
     stay cached across calls; one-off gates such as per-sequence recovery
     rotations are built for the call and dropped.
@@ -320,17 +318,13 @@ class SimulatedSequenceExecutor:
     def survivals(
         self, gates: Sequence[Optional[GateSpec]], sequences: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
-        """|0> survival after each sequence of gates, all sequences at once.
+        """|0> survival after each sequence of gates.
 
         Each (n, L) integer array in ``sequences`` holds n sequences of L
-        indices into ``gates``, applied in order to |0><0|; a None gate is
-        the identity.  Returns one length-n array per index array.  The
-        sequences run together in one column loop, longest first and
-        aligned at their last gate, so the rows that have begun by a column
-        are a prefix; none is padded.
+        indices into ``gates``, applied in order to |0><0|, one column of
+        all n at a time; a None gate is the identity.  Returns one length-n
+        array per index array.
         """
-        if not sequences:
-            return []
         missing = list(dict.fromkeys(
             spec for spec in gates if spec is not None and spec not in self._cache
         ))
@@ -343,20 +337,14 @@ class SimulatedSequenceExecutor:
         stack = np.array([eye if spec is None else built[spec] for spec in gates])
         self._cache.update((spec, built[spec]) for spec in missing if spec in self._cacheable)
 
-        order = sorted(range(len(sequences)), key=lambda g: -sequences[g].shape[1])
-        flat = np.concatenate([sequences[g].ravel() for g in order])
-        counts = [len(sequences[g]) for g in order]
-        row_lengths = np.repeat([sequences[g].shape[1] for g in order], counts)
-        longest = int(row_lengths.max(initial=0))
-        # row r's gate at column c is flat[shift[r] + c], once c >= longest - L_r
-        shift = np.cumsum(row_lengths) - longest
-        begun = np.searchsorted(-row_lengths, np.arange(longest) - longest, side="right")
         rho0 = density(basis_state(3, 0)).reshape(-1, 1)
-        vecs = np.repeat(rho0[None], len(row_lengths), axis=0)
-        for c, rows in enumerate(begun.tolist()):
-            vecs[:rows] = stack[flat[shift[:rows] + c]] @ vecs[:rows]
-        parts = np.split(vecs[:, 0, 0].real, np.cumsum(counts)[:-1])
-        return [parts[i] for i in np.argsort(order).tolist()]
+        out = []
+        for idx in sequences:
+            vecs = np.repeat(rho0[None], len(idx), axis=0)
+            for column in idx.T:
+                vecs = stack[column] @ vecs
+            out.append(vecs[:, 0, 0].real)
+        return out
 
     def __call__(self, specs: Sequence[Optional[GateSpec]]) -> float:
         return float(self.survivals(specs, [np.arange(len(specs))[None]])[0][0])
@@ -388,15 +376,15 @@ def _draw_sequences(config: RBConfig):
 
     Slot (m, j), sequence j of length m, draws its m Cliffords from its own
     ``random.Random`` keyed by the string f"{seed}/{m}/{j}", so a length's
-    sequences do not depend on which other lengths run.  The draws of all
-    slots share one flat index array, allocated before any stream is built,
-    so numpy refuses a size that cannot fit at once.  Its rows run longest
-    first, so the sequences still running at Clifford c are a prefix of
-    them, and one column loop tracks the ideal products of all sequences of
-    every length.  Returns the gate table (the 24 compiled Cliffords, then
-    the interleaved target and one recovery per sequence when there is a
-    target), one (n, L) array of table indices per length, and each
-    length's n slot streams, which the shot sampling continues.
+    sequences do not depend on which other lengths run.  Each length's
+    draws are a block of one flat index array, allocated before any stream
+    is built, so numpy refuses a size that cannot fit at once, and each
+    length's column loop tracks the ideal products of its sequences; one
+    call finds the recoveries of all lengths.  Returns the gate table (the
+    24 compiled Cliffords, then the interleaved target and one recovery
+    per sequence when there is a target), one (n, L) array of table
+    indices per length, and each length's n slot streams, which the shot
+    sampling continues.
     """
     cliffords = np.array(clifford_group())
     gates: list[Optional[GateSpec]] = [compile_clifford(i) for i in range(len(cliffords))]
@@ -409,26 +397,22 @@ def _draw_sequences(config: RBConfig):
     choices = range(len(cliffords))
     # counted in Python integers, so that a total past 64 bits is refused, not wrapped
     drawn = np.empty(n * sum(lengths), dtype=int)
-    # rows n i to n (i + 1) - 1 hold length lengths[-1 - i]; row r starts at starts[r]
-    row_lengths = np.repeat(lengths[::-1], n)
-    starts = np.cumsum(row_lengths) - row_lengths
-    # where each length's rows start, in ascending order of lengths
-    firsts = starts[::n][::-1].tolist()
-    streams = []
-    for m, first in zip(lengths, firsts):
+    blocks, streams, inverses, start = [], [], [], 0
+    for m in lengths:
+        block = drawn[start : start + n * m].reshape(n, m)
+        start += n * m
         rngs = [random.Random(f"{config.seed}/{m}/{j}") for j in range(n)]
-        for j, rng in enumerate(rngs):
-            drawn[first + j * m : first + (j + 1) * m] = rng.choices(choices, k=m)
+        for row, rng in zip(block, rngs):
+            row[:] = rng.choices(choices, k=m)
+        u_total = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+        for column in block.T:
+            u_total = cliffords[column] @ u_total
+            if target is not None:
+                u_total = target_u @ u_total
+        blocks.append(block)
         streams.append(rngs)
-    u_total = np.empty((len(row_lengths), 2, 2), dtype=complex)
-    u_total[:] = np.eye(2)
-    # the rows longer than c, a prefix, apply their Clifford c
-    running = np.searchsorted(-row_lengths, -np.arange(lengths[-1]), side="left")
-    for c, rows in enumerate(running.tolist()):
-        u_total[:rows] = cliffords[drawn[starts[:rows] + c]] @ u_total[:rows]
-        if target is not None:
-            u_total[:rows] = target_u @ u_total[:rows]
-    inverse = u_total.conj().transpose(0, 2, 1).reshape(len(lengths), n, 2, 2)[::-1]
+        inverses.append(u_total.conj().transpose(0, 2, 1))
+    inverse = np.array(inverses)
     if target is None:
         # the inverse of a Clifford product is a Clifford: look it up
         recovery = clifford_index_of(inverse)
@@ -438,8 +422,7 @@ def _draw_sequences(config: RBConfig):
         recovery = len(gates) + np.arange(len(lengths) * n).reshape(len(lengths), n)
         gates.extend(gate_spec_from_unitary(inverse.reshape(-1, 2, 2)))
     sequences = []
-    for m, first, last in zip(lengths, firsts, recovery):
-        block = drawn[first : first + n * m].reshape(n, m)
+    for m, block, last in zip(lengths, blocks, recovery):
         if target is None:
             idx = np.column_stack([block, last])
         else:
@@ -457,9 +440,9 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
     interleaved target after each) closed by the recovery gate inverting
     the ideal product.  Survival is the |0> population of the qutrit, so
     leakage counts as failure.  Deterministic for a given config and seed.
-    A :class:`SimulatedSequenceExecutor` (the default) runs all sequences
-    at once; any other ``sequence_executor(specs)`` is called once per
-    sequence.
+    A :class:`SimulatedSequenceExecutor` (the default) runs each length's
+    sequences together; any other ``sequence_executor(specs)`` is called
+    once per sequence.
     """
     executor = sequence_executor or SimulatedSequenceExecutor(
         config.scheme,

@@ -235,6 +235,8 @@ def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, arg
     (problem,) = problem_lines(capsys.readouterr().err)
     assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
     assert reason in problem
+    # the flag's own value in ns, as every problem line ends, not the engine's seconds
+    assert problem.endswith(", got 5.0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,6 +248,7 @@ def test_step_too_fine_for_a_stepped_run_is_config_error(tmp_path, capsys, argv)
     (problem,) = problem_lines(capsys.readouterr().err)
     assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
     assert "too fine: need dt >= duration/100000" in problem
+    assert problem.endswith(", got 0.0005")
 
 
 @pytest.mark.parametrize("argv", [

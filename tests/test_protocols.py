@@ -323,6 +323,23 @@ class TestSequenceDraws:
         assert len(shared) >= 20
         assert all(base[slot] == moved[slot] for slot in shared)
 
+    @pytest.mark.parametrize("lengths, n", [((2, 4, 10**18), 10), ((2, 4, 8), 10**17)],
+                             ids=["lengths", "sequences"])
+    def test_impossible_size_is_refused_before_any_stream_is_seeded(self, monkeypatch, lengths, n):
+        # both totals pass the int64 byte limit, so numpy refuses them without allocating
+        seeded = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                seeded.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        config = pr.RBConfig(sequence_lengths=lengths, sequences_per_length=n)
+        with pytest.raises((ValueError, MemoryError)):
+            pr._draw_sequences(config)
+        assert seeded == []
+
     def test_cliffords_are_uniform(self):
         draws = self.drawn(11, (1000, 1500), 10)
         counts = np.bincount(np.concatenate(list(draws.values())), minlength=24)
@@ -377,8 +394,8 @@ def per_length_survivals(stack, sequences):
     return out
 
 
-class TestAllLengthsAtOnce:
-    """One column loop over every length gives each length's per-length results bitwise."""
+class TestPerLengthReference:
+    """_draw_sequences and survivals give the per-length references' results bitwise."""
 
     @staticmethod
     def spec_bits(table):
@@ -408,6 +425,20 @@ class TestAllLengthsAtOnce:
             got = executor.survivals(table, sequences[order])
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[order], strict=True))
 
+    @pytest.mark.parametrize("scheme", ["nhqc", "tounhqc"])
+    @pytest.mark.parametrize("target", [None, pulses.GateSpec(0.0, 0.0, 0.7854)],
+                             ids=["reference", "interleaved"])
+    @pytest.mark.parametrize("shots", [None, 50], ids=["exact", "shots"])
+    def test_a_lengths_survivals_do_not_depend_on_the_other_lengths(self, scheme, target, shots):
+        def per_sequence(lengths):
+            config = pr.RBConfig(sequence_lengths=lengths, sequences_per_length=10, seed=4, scheme=scheme,
+                                 interleaved_target=target, noise=pr.default_noise_model(), shots=shots)
+            return pr.rb_run(config).per_sequence
+
+        base, moved = per_sequence((2, 4, 8, 16)), per_sequence((4, 12, 16))
+        for m in (4, 16):
+            assert base[m].tobytes() == moved[m].tobytes()
+
 
 class TestRBSimulated:
     def test_ideal_gates_give_unit_survival(self):
@@ -431,7 +462,7 @@ class TestRBSimulated:
             assert np.array_equal(a.per_sequence[m], b.per_sequence[m])
 
     def test_batched_run_matches_per_sequence_calls(self):
-        # the simulator runs all sequences at once; called as a plain
+        # the simulator runs each length's sequences together; called as a plain
         # executor it runs the same sequences one by one
         noise = pr.default_noise_model()
         for target in (None, pulses.GateSpec(0.0, 0.0, PI / 4)):
