@@ -10,6 +10,11 @@ byte-identical across reruns with the same configuration and seed.
 Units at this interface: frequencies in MHz (the f/2pi convention), times
 in ns, angles in radians.  Internally everything is rad/s and seconds.
 
+``--dt-ns`` is read by ``trajectory`` alone: its loop takes
+ceil(duration / dt) equal steps, 100 without the flag, and each table
+has a row at t = 0 and at the end of each step.  The other five commands
+accept the flag and ignore it: none of their gates takes a step.
+
 One table, ``_COMMANDS``, lists each command's flags with their types,
 defaults, choices, help and, for a number flag, the interval its value must
 lie in.  ``main`` reads argv against it (a unique prefix abbreviates a flag),
@@ -40,7 +45,7 @@ from .evolve import (
     IntegratorConfig,
     NoiseModel,
     propagator,
-    step_size,
+    trajectory_steps,
 )
 from .gates import ideal_single_qubit
 from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
@@ -548,7 +553,8 @@ _COMMON = {
     "--out-dir": _Flag(str, ".", "output directory"),
     "--threads": _Flag(int, os.cpu_count() or 1, "accepted for compatibility; no command runs threads",
                        interval=_Interval(1, lo_closed=True)),
-    "--dt-ns": _Flag(float, None, "step (ns) of the trajectory grid",
+    "--dt-ns": _Flag(float, None, "trajectory step (ns): ceil(duration / dt) equal steps, "
+                     "100 by default; the other commands ignore it",
                      interval=_POSITIVE),
 }
 
@@ -646,12 +652,12 @@ def _validate(args) -> None:
                 problems.append("--lengths must be strictly increasing")
             if len(lengths) < 3:
                 problems.append("--lengths needs at least 3 values to fit a decay")
-    # the engine's step rule for a trajectory's grid; it reads the loop's
+    # the engine's limit on a trajectory's steps; it reads the loop's
     # flags, so it runs once all of them pass
     if args.command == "trajectory" and not problems:
         _, schedule = _synthesize_from_args(args)
         try:
-            step_size(schedule, _integrator_from_args(args))
+            trajectory_steps(schedule, _integrator_from_args(args))
         except ValueError as exc:
             problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}, "
                             f"got {args.dt_ns}")

@@ -15,23 +15,23 @@ phase class, so every dissipator is the same in the frame as in the lab,
 and raises ValueError for any other.  One engine propagates every
 schedule in that frame.  It cuts the schedule into pieces at its segment
 boundaries, and each piece maps by one exact exponential of its
-generator over the time from its start to each node it is wanted at: its
-end for a full-schedule map.  A trajectory records a piece at nodes one
-stride apart, so it takes the exponential only to its first recorded
-node, over one stride and to an end off that lattice, and fills the
-lattice by powers of the stride's map (:func:`_powers`).
+generator over the time from its start to each time it is wanted at: its
+end for a full-schedule map.  A trajectory takes N equal steps and
+records the map at the end of each, N + 1 rows at
+np.linspace(0, duration, N + 1): each piece takes the rows in (start, end],
+and its end, for chaining, when that is not a row.  Without noise each row
+takes its own closed-form exponential.  With noise a piece takes the Pade
+exponential only to its first row, over one step and to an end that is
+not a row, and the rows between are powers of the step's map times the
+first row's (:func:`_powers`).
 
 Each piece's frame map is rebased to the lab frame at its ends,
 D(t_end) M D(t_start)^dag, and the pieces are chained; piece 0 starts
-from the identity, so its rebase only scales columns and rows.  Each piece
-carries its own grid nodes (:func:`_pieces`): a propagator or channel
-takes one exponential per piece, and a trajectory records the maps at
-grid nodes.  The step size therefore sets only the nodes a trajectory
-records, and only the trajectory views (:func:`evolve_pure`,
-:func:`evolve_density`) read an :class:`IntegratorConfig`:
-:func:`step_size` resolves and checks its step (duration / 100,000
-<= dt <= duration / 100) and they pass it on.  A full-schedule map takes
-no step.
+from the identity, so its rebase only scales columns and rows.  Only the
+trajectory views (:func:`evolve_pure`, :func:`evolve_density`) read an
+:class:`IntegratorConfig`: :func:`trajectory_steps` turns its step into N
+(DEFAULT_STEPS without one, at most MAX_STEPS) and they pass N on.  A
+full-schedule map takes no step.
 
 :func:`_frame_maps` is the engine's one entry point.  It alone turns the
 noise model into collapse operators and checks their phase class, and
@@ -54,6 +54,7 @@ per-matrix scaling and squaring (Higham 2005) on numpy alone.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,13 +68,11 @@ from .pulses import PulseSchedule, Segment, segment_phase, segment_table
 QUTRIT_LEVELS = (0, 1, 2)
 QUTRIT_DIM = 3
 
-DEFAULT_STEPS = 2000
-MIN_STEPS = 100
-#: The finest step is duration / MAX_STEPS, 50 times the default grid: the
-#: nodes and recorded maps of a trajectory grow as 1/dt.
-MAX_STEPS = 100_000
-#: Trajectories record every RECORD_STRIDE-th grid node, plus the endpoints.
-RECORD_STRIDE = 20
+#: The equal steps of a trajectory without a step size.
+DEFAULT_STEPS = 100
+#: The most steps a trajectory takes, 50 times the default: its recorded
+#: maps grow as 1/dt.
+MAX_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,18 @@ NO_NOISE = NoiseModel()
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Grid settings; ``dt = None`` resolves to duration / 2000.
+    """The step size of a trajectory; ``dt = None`` takes ``DEFAULT_STEPS`` steps.
 
-    The grid sets only the times a trajectory records (every
-    ``RECORD_STRIDE``-th node plus endpoints); :func:`step_size` resolves
-    and checks it.
+    It sets only the times a trajectory records; :func:`trajectory_steps`
+    turns it into a number of equal steps.
     """
 
     dt: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # a NaN step would pass "dt <= 0"
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -347,51 +346,10 @@ def _covariant(c_ops: np.ndarray, ie: int) -> bool:
     return True
 
 
-class _Piece(NamedTuple):
-    """A segment of a schedule, with its own grid.
-
-    ``nodes`` run from its start to its end; ``wanted`` are the ascending
-    indices of the nodes after the start where its map is taken, the last
-    one its end; the first ``owned`` of them are the schedule's outputs.
-    """
-
-    seg: Segment
-    nodes: np.ndarray
-    wanted: np.ndarray
-    owned: int
-
-
-def _pieces(schedule: PulseSchedule, dt: Optional[float]) -> list[_Piece]:
-    """The schedule cut at its segment boundaries, from 0 to ``schedule.duration``.
-
-    With a step ``dt`` a piece's nodes are uniform and at most ``dt``
-    apart; with None only its two ends, and no grid is laid out.  The grid
-    thus has a node at every segment boundary.  A piece takes (b - a) / dt
-    steps rounded up, where a ratio up to 1e-12 (relative) above an
-    integer counts as that integer, so dt = duration / N lays out N steps.
-    The schedule's outputs are, with a step, every ``RECORD_STRIDE``-th
-    node of the whole grid counted from t = 0 (t = 0 itself left out) and
-    its last node; without one, the end.
-    """
-    duration = schedule.duration
-    breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [duration]
-    pieces, first = [], 0  # first: the grid index of the piece's start
-    for seg, a, b in zip(schedule.segments, breaks, breaks[1:]):
-        if dt is None:
-            # one step, whose end is the only node wanted: no grid to lay out,
-            # which would dominate a batch of gates
-            pieces.append(_Piece(seg, np.array((a, b)), np.array([1]), int(b == duration)))
-            continue
-        steps = max(1, math.ceil((b - a) / dt * (1.0 - 1e-12)))
-        # the piece's nodes k whose grid index first + k is a multiple of the stride
-        stride = RECORD_STRIDE
-        output = set(range(-first % stride or stride, steps + 1, stride))
-        if b == duration:
-            output.add(steps)
-        nodes = np.linspace(a, b, steps + 1)
-        pieces.append(_Piece(seg, nodes, np.array(sorted(output | {steps})), len(output)))
-        first += steps
-    return pieces
+def _pieces(schedule: PulseSchedule) -> list[tuple[Segment, float, float]]:
+    """The schedule cut at its segment boundaries: (segment, start, end) from 0 to its duration."""
+    breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [schedule.duration]
+    return list(zip(schedule.segments, breaks, breaks[1:]))
 
 
 def _frame_generators(
@@ -441,33 +399,35 @@ def _frame_phases(phi1: np.ndarray, dim: int, ie: int, noisy: bool) -> np.ndarra
     return d
 
 
-def step_size(schedule: PulseSchedule, config: IntegratorConfig = DEFAULT_CONFIG) -> float:
-    """The checked step of a trajectory of ``schedule``: the grid it records on.
+def trajectory_steps(schedule: PulseSchedule, config: IntegratorConfig = DEFAULT_CONFIG) -> int:
+    """The number N of equal steps a trajectory of ``schedule`` takes.
 
-    The step is ``config.dt``, or duration / DEFAULT_STEPS by default.
-    Raises ValueError unless duration / MAX_STEPS <= dt <= duration / MIN_STEPS.
+    N is DEFAULT_STEPS without ``config.dt``, else duration / dt rounded
+    up, where a ratio up to 1e-12 (relative) above an integer counts as
+    that integer, so dt = duration / N gives N.  Raises ValueError for
+    more than MAX_STEPS.
     """
-    duration = schedule.duration
-    dt = config.dt if config.dt is not None else duration / DEFAULT_STEPS
-    if dt > duration / MIN_STEPS:
-        raise ValueError(f"step size too coarse: need dt <= duration/{MIN_STEPS}")
-    if dt < duration / MAX_STEPS:
+    if config.dt is None:
+        return DEFAULT_STEPS
+    ratio = schedule.duration / config.dt * (1.0 - 1e-12)
+    if not ratio <= MAX_STEPS:
         raise ValueError(f"step size too fine: need dt >= duration/{MAX_STEPS}")
-    return dt
+    return max(1, math.ceil(ratio))
 
 
-def _powers(out: np.ndarray) -> np.ndarray:
-    """Fill an (n_err, n, m, m) stack with out[:, j] = out[:, 0]^(j + 1), in place; returns it.
+def _powers(rows: np.ndarray, step: np.ndarray) -> None:
+    """Fill rows[:, j] = step^j @ rows[:, 0] of an (n_err, n, m, m) stack in place.
 
-    Each round doubles the powers known, in one stacked product:
-    out[n : n + k] = out[n - 1] @ out[:k].
+    ``step`` is (n_err, m, m).  Each round doubles the rows known, in one
+    stacked product with a power of the step: rows[:, n : n + k] = step^n @ rows[:, :k].
     """
-    n = 1
-    while n < out.shape[1]:
-        k = min(n, out.shape[1] - n)
-        out[:, n : n + k] = out[:, n - 1 : n] @ out[:, :k]
+    power, n = step[:, None], 1
+    while n < rows.shape[1]:
+        k = min(n, rows.shape[1] - n)
+        rows[:, n : n + k] = power @ rows[:, :k]
         n += k
-    return out
+        if n < rows.shape[1]:
+            power = power @ power
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,33 +457,33 @@ def _frame_maps(
     noise: NoiseModel,
     dim: int,
     levels: tuple[Optional[int], int, int],
-    dt: Optional[float] = None,
+    steps: Optional[int] = None,
     superop: bool = False,
 ) -> Trajectory:
     """The engine: maps from t = 0 of each schedule, for every error.
 
-    ``errors`` is an :func:`error_table` of n_err columns.  With ``dt``
-    None each schedule's map is taken at its end; with a step, which
-    :func:`step_size` has checked, at the grid nodes after t = 0 that a
-    trajectory records (see :func:`_pieces`).  Returns one Trajectory of
-    every schedule's outputs, schedule after schedule: their times and the
-    (n_err, len(times), m, m) maps at them, unitaries (m = d) when
-    ``noise`` is empty, row-major superoperators (m = d^2) otherwise, or
-    U (x) conj(U) for ``superop`` without noise.  Without a step every
-    schedule has exactly one output, so map k is schedule k's.
+    ``errors`` is an :func:`error_table` of n_err columns.  With ``steps``
+    None each schedule's map is taken at its end; with N steps, at the ends
+    of its N equal steps, np.linspace(0, duration, N + 1)[1:].  Returns one
+    Trajectory of every schedule's rows, schedule after schedule: their
+    times and the (n_err, len(times), m, m) maps at them, unitaries (m = d)
+    when ``noise`` is empty, row-major superoperators (m = d^2) otherwise,
+    or U (x) conj(U) for ``superop`` without noise.  Without steps every
+    schedule has exactly one row, so map k is schedule k's.
 
     The pieces of all schedules are laid out piece k after piece k - 1
     (piece 0 of every schedule, then piece 1 of those that have one, ...),
-    and each piece's maps at its wanted nodes fill one stack.  The pieces
-    take one batched exponential for each bitwise-distinct pair of frame
-    generator and duration, so the two halves of an nhqc loop share theirs,
-    and a recorded piece fills its lattice of nodes by powers.  Piece k of
-    every schedule is then rebased and chained in one step on a slice of
-    that stack.  Raises ValueError when the nonzero entries of a
+    and each piece's maps at its rows in (start, end], then at its end when
+    that is not a row, fill one stack.  The pieces take one batched
+    exponential for each bitwise-distinct pair of frame generator and
+    duration, so the two halves of an nhqc loop share theirs; with noise a
+    piece fills its rows after the first by powers of one step's map.
+    Piece k of every schedule is then rebased and chained in one step on a
+    slice of that stack.  Raises ValueError when the nonzero entries of a
     collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
-    cuts = [_pieces(schedule, dt) for schedule in schedules]
+    cuts = [_pieces(schedule) for schedule in schedules]
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
@@ -543,54 +503,48 @@ def _frame_maps(
     edges = [i for i in range(len(order)) if i == 0 or order[i][1] != order[i - 1][1]] + [len(order)]
     pieces = [cuts[s][k] for s, k in order]
     owner = np.array([s for s, _ in order])
-    # their maps' entries in one stack: piece i's are frames[:, bounds[i] : bounds[i + 1]]
-    counts = [len(p.wanted) for p in pieces]
+    rows = [np.linspace(0.0, sched.duration, steps + 1)[1:].tolist() if steps else [sched.duration]
+            for sched in schedules]
+    # piece i's entries: its owned[i] rows, then its end unless that is a row
+    times, owned, counts = [], [], []
+    for (s, _), (_, a, b) in zip(order, pieces):
+        own = rows[s][bisect.bisect_right(rows[s], a) : bisect.bisect_right(rows[s], b)]
+        entries = own if own and own[-1] == b else [*own, b]
+        times += entries
+        owned.append(len(own))
+        counts.append(len(entries))
+    # their maps in one stack: piece i's are frames[:, bounds[i] : bounds[i + 1]]
     bounds = [0, *itertools.accumulate(counts)]
     entry_piece = np.repeat(np.arange(len(pieces)), counts)
-    times = np.concatenate([p.nodes[p.wanted] for p in pieces])
-    firsts = np.array([p.nodes[0] for p in pieces])
-    table = segment_table([p.seg for p in pieces])
+    times = np.array(times)
+    firsts = np.array([a for _, a, _ in pieces])
+    table = segment_table([seg for seg, _, _ in pieces])
     frames = np.empty((n_err, len(times), m, m), dtype=complex)
 
+    # with noise a piece of two rows or more is exponentiated only to its
+    # first row, over one step and to an end that is not a row
+    powered = [i for i in range(len(pieces)) if noisy and owned[i] > 1]
     exact = np.ones(len(times), dtype=bool)  # the entries exponentiated
-    # a recorded piece's wanted nodes run RECORD_STRIDE nodes apart, but for an
-    # end off that lattice: it is exponentiated only to its first node, to such
-    # an end and over one stride (unless that is its first node), and powers of
-    # the stride's map fill the lattice
-    lattices, strides = [], []  # (first entry, lattice size, takes a stride)
-    for i in range(len(pieces)) if dt is not None else ():
-        nodes, wanted = pieces[i].nodes, pieces[i].wanted
-        size = len(wanted) - int(wanted[-1] - wanted[0] != (len(wanted) - 1) * RECORD_STRIDE)
-        if size > 1:
-            offset = wanted[0] != RECORD_STRIDE
-            exact[bounds[i] + 1 : bounds[i] + size] = False
-            lattices.append((bounds[i], size, offset))
-            if offset:
-                strides.append((i, nodes[RECORD_STRIDE] - nodes[0]))
+    for i in powered:
+        exact[bounds[i] + 1 : bounds[i] + owned[i]] = False
     const = slice(None) if exact.all() else np.flatnonzero(exact)  # a slice does not copy
     omega0 = np.array([schedule.omega0 for schedule in schedules])
     gens = _frame_generators(table, errors, omega0[owner], dim, levels)
     of = entry_piece[const]
     taus = times[const] - firsts[of]
     n_exact = len(taus)
-    if strides:
-        stride_of, stride_taus = zip(*strides)
-        of, taus = np.append(of, stride_of), np.append(taus, stride_taus)
+    if powered:
+        of = np.append(of, powered)
+        taus = np.append(taus, [schedules[owner[i]].duration / steps for i in powered])
     # one exponential per distinct (generator, duration): rows of the
     # generator's bytes, for every error, and the duration
     keys = gens.swapaxes(0, 1).reshape(len(pieces), -1).view(float)[of]
     distinct, inverse = _distinct_rows(np.column_stack([keys, taus]))
     exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
     frames[:, const] = exps[:, :n_exact]
-    stride_maps = iter(exps[:, n_exact:].swapaxes(0, 1))
-    for at, size, offset in lattices:
-        lattice = frames[:, at : at + size]
-        if offset:
-            powers = np.empty_like(lattice[:, 1:])
-            powers[:, 0] = next(stride_maps)
-            lattice[:, 1:] = _powers(powers) @ lattice[:, :1]
-        else:  # the first node is one stride from the start
-            _powers(lattice)
+    # the rows after the first: powers of the step's map times the first row's
+    for i, step in zip(powered, exps[:, n_exact:].swapaxes(0, 1)):
+        _powers(frames[:, bounds[i] : bounds[i] + owned[i]], step)
 
     # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
     # and chain it onto the map at its start; maps overwrite their frame maps.
@@ -614,10 +568,10 @@ def _frame_maps(
             else:
                 start[alive] = ends
 
-    # the first ``owned`` entries of every piece, schedule after schedule
+    # the rows of every piece, schedule after schedule
     at = {key: i for i, key in enumerate(order)}
     picks = np.array([bounds[at[s, k]] + j
-                      for s, ps in enumerate(cuts) for k, p in enumerate(ps) for j in range(p.owned)])
+                      for s, ps in enumerate(cuts) for k in range(len(ps)) for j in range(owned[at[s, k]])])
     maps = frames[:, picks]
     if superop and not noisy:
         # U (x) conj(U) as one broadcast product, bitwise equal to np.kron
@@ -670,7 +624,11 @@ def evolve_pure(
     dim: int = QUTRIT_DIM,
     levels: tuple[Optional[int], int, int] = QUTRIT_LEVELS,
 ) -> Trajectory:
-    """Propagate a pure state, recording every ``RECORD_STRIDE``-th grid node."""
+    """Propagate a pure state over :func:`trajectory_steps` equal steps.
+
+    Records N + 1 states, at np.linspace(0, duration, N + 1); each is the
+    closed-form unitary from t = 0 to its time applied to ``psi0``.
+    """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
@@ -678,7 +636,8 @@ def evolve_pure(
     # a NaN norm would pass "abs(norm - 1) > 1e-9"
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm!r} deviates from 1")
-    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, dim, levels, step_size(schedule, config))
+    times, maps = _frame_maps([schedule], _one_error(err), NO_NOISE, dim, levels,
+                              trajectory_steps(schedule, config))
     return Trajectory(np.append(0.0, times), np.concatenate([psi[None], maps[0] @ psi]))
 
 
@@ -693,12 +652,12 @@ def evolve_density(
 ) -> Trajectory:
     """Evolve a density matrix under the Lindblad master equation.
 
-    Records states at the grid nodes :func:`evolve_pure` records.  With an
+    Records states at the times :func:`evolve_pure` records.  With an
     empty noise model this reproduces the pure-state evolution of the
-    corresponding projector.  Raises where :func:`step_size` rejects the
-    step, and for a non-finite entry of ``rho0``.  The trace is not checked:
-    the map is linear, so any matrix, a trace-0 matrix unit among them,
-    evolves as its part of a density matrix would.
+    corresponding projector.  Raises where :func:`trajectory_steps`
+    refuses the step, and for a non-finite entry of ``rho0``.  The trace
+    is not checked: the map is linear, so any matrix, a trace-0 matrix unit
+    among them, evolves as its part of a density matrix would.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
@@ -706,7 +665,7 @@ def evolve_density(
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has a non-finite entry")
     times, maps = _frame_maps([schedule], _one_error(err), noise, dim, levels,
-                              step_size(schedule, config), superop=True)
+                              trajectory_steps(schedule, config), superop=True)
     states = (maps[0] @ rho.reshape(-1)).reshape(-1, dim, dim)
     return Trajectory(np.append(0.0, times), np.concatenate([rho[None], states]))
 

@@ -6,6 +6,12 @@ effective coupling ``g_eff`` runs the same loop schedules as the
 single-qutrit gates on the |01> <-> |a> pair, with |01> playing the bright
 state, so |01> acquires the loop phase while |00>, |10>, |11> are exact
 spectators.
+
+The conditioned-phase gate and the Ramsey protocol take full-schedule maps,
+which take no step.  Five-level trajectories come from
+:func:`holosim.evolve.evolve_pure` and :func:`holosim.evolve.evolve_density`
+with ``dim=DIM, levels=LEVELS``: rows at the ends of equal steps, as for
+the qutrit.
 """
 from __future__ import annotations
 

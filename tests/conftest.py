@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from holosim import evolve
 from holosim.pulses import GateSpec
 
 #: Drive amplitude used in the hardware runs this package reproduces.
@@ -24,26 +23,6 @@ def sqrt_x_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def grid_nodes(schedule, dt):
-    """Nodes at most ``dt`` apart with one at every segment boundary.
-
-    Built from that definition, apart from the engine: the sorted
-    boundaries, then uniform nodes on each interval between two of them, as
-    many steps as (b - a) / dt rounded up, unless it lies within 1e-12
-    (relative) above an integer.
-    """
-    breaks = sorted({0.0, schedule.duration, *(seg.t_end for seg in schedule.segments[:-1])})
-    return np.concatenate([[0.0], *(
-        np.linspace(a, b, max(1, math.ceil((b - a) / dt * (1 - 1e-12))) + 1)[1:]
-        for a, b in zip(breaks, breaks[1:])
-    )])
-
-
-def engine_grid(schedule, dt):
-    """The nodes of the engine's pieces of ``schedule`` on the step ``dt``, end to end."""
-    return np.concatenate([[0.0], *(p.nodes[1:] for p in evolve._pieces(schedule, dt))])
 
 
 def random_state(rng, dim):

@@ -219,35 +219,37 @@ def data_lines(path):
     (("scan", "--gamma", "0.05", "--resolution", "5"), "0.5", ("scan_grid.csv", "scan_summary.txt")),
 ], ids=["rb-seed0", "rb-seed5", "compare", "scan"])
 def test_explicit_step_leaves_ramp_free_commands_alone(tmp_path, argv, dt_ns, files):
-    # ramp-free gates take no step, so a step too coarse for a short loop is never checked
+    # ramp-free gates take no step, so --dt-ns changes none of their outputs
     assert run(tmp_path / "default", *argv) == 0
     assert run(tmp_path / "explicit", *argv, "--dt-ns", dt_ns) == 0
     for name in files:
         assert data_lines(tmp_path / "explicit" / name) == data_lines(tmp_path / "default" / name)
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (("trajectory", "--dt-ns", "5"), "too coarse"),
-], ids=["trajectory"])
-def test_step_too_coarse_for_a_stepped_run_is_config_error(tmp_path, capsys, argv, reason):
-    # the engine's step rule: 100 steps per loop at least
-    assert run(tmp_path, *argv) == 1
-    (problem,) = problem_lines(capsys.readouterr().err)
-    assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
-    assert reason in problem
-    # the flag's own value in ns, as every problem line ends, not the engine's seconds
-    assert problem.endswith(", got 5.0")
+@pytest.mark.parametrize("dt_ns, rows", [("5", 22), ("100", 3), ("1000", 2), (None, 101)],
+                         ids=["5ns", "100ns", "longer-than-the-loop", "default"])
+def test_trajectory_rows_are_the_ends_of_equal_steps(tmp_path, dt_ns, rows):
+    # the 100.003 ns loop takes ceil(100.003 / dt_ns) equal steps, or 100 by
+    # default, and writes a row at t = 0 and at the end of each
+    argv = ("trajectory",) if dt_ns is None else ("trajectory", "--dt-ns", dt_ns)
+    assert run(tmp_path, *argv) == 0
+    tau_ns = float(read_summary(tmp_path / "trajectory_summary.txt")["tau_ns"])
+    for name in ("trajectory_populations.csv", "trajectory_bloch.csv"):
+        t_ns = np.array([float(line.split(",")[0]) for line in data_lines(tmp_path / name)[1:]])
+        assert len(t_ns) == rows
+        assert np.array_equal(t_ns, np.linspace(0.0, tau_ns * 1e-9, rows) * 1e9)
 
 
 @pytest.mark.parametrize("argv", [
     ("trajectory", "--dt-ns", "0.0005"),
 ], ids=["trajectory"])
 def test_step_too_fine_for_a_stepped_run_is_config_error(tmp_path, capsys, argv):
-    # 100,000 steps per loop at most: 0.0005 ns is twice as fine as the 100 ns loop allows
+    # 5,000 steps per loop at most: 0.0005 ns is 40 times as fine as the 100 ns loop allows
     assert run(tmp_path, *argv) == 1
     (problem,) = problem_lines(capsys.readouterr().err)
     assert problem.startswith("  - --dt-ns does not suit the 100.003 ns loop: step size ")
-    assert "too fine: need dt >= duration/100000" in problem
+    assert "too fine: need dt >= duration/5000" in problem
+    # the flag's own value in ns, as every problem line ends, not the engine's seconds
     assert problem.endswith(", got 0.0005")
 
 
@@ -261,8 +263,8 @@ def test_step_too_fine_is_ignored_where_nothing_steps(tmp_path, argv):
 
 @pytest.mark.parametrize("dt_ns", ["5", "0.0005", "0.0015"], ids=["coarse", "fine", "half-step"])
 def test_ramped_gate_takes_no_step(tmp_path, dt_ns):
-    # the ramp samples are constant pieces, so a step too coarse or too fine
-    # for a trajectory of the loop, or one whose half is, changes nothing below
+    # the ramp samples are constant pieces, so a step of any size, one too
+    # fine for a trajectory of the loop included, changes nothing below
     # the "#" lines, which hold config_hash and so differ by dt_ns
     assert run(tmp_path / "default", "gate", "--edge-ramp-ns", "10") == 0
     assert run(tmp_path / "explicit", "gate", "--edge-ramp-ns", "10", "--dt-ns", dt_ns) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from holosim.quantum import average_gate_fidelity, basis_state, density
 
 from conftest import (
     OMEGA0,
-    grid_nodes,
     ivp_evolve,
     lab_hamiltonian,
     phase_aligned_distance,
@@ -162,26 +162,21 @@ class TestEvolvePure:
         assert traj.times[-1] == pytest.approx(sched.duration, rel=1e-12)
         assert len(traj.times) == len(traj.states)
 
-    def test_recorded_nodes_are_every_stride_th_plus_endpoints(self, monkeypatch):
-        # every stride-th node of the whole grid, counted from t = 0 across the
-        # pieces, and the last, increasing and without repeats: the index set
-        # np.unique makes of the union.  Unit steps on an n-step schedule cut
-        # at n // 3 and 2n // 3 make node k sit at t = k.
+    def test_rows_are_the_ends_of_equal_steps(self):
+        # N equal steps from t = 0 whatever the segment cuts: N + 1 rows at
+        # np.linspace(0, duration, N + 1), bitwise, with dt = duration / N as
+        # without a step (N = DEFAULT_STEPS).  Unit steps on an n-step
+        # schedule cut at n // 3 and 2n // 3 put rows on the cuts
+        psi0 = basis_state(3, 0)
         for n in range(1, 41):
             breaks = sorted({0, n // 3, 2 * n // 3, n})
             segs = tuple(pulses.Segment(a, b, 0.0, 0.0, 0.0, 0.0, 0.0) for a, b in zip(breaks, breaks[1:]))
             sched = pulses.PulseSchedule(duration=float(n), segments=segs, omega0=1.0)
-            for stride in range(1, n + 3):
-                monkeypatch.setattr(evolve, "RECORD_STRIDE", stride)
-                got, first = [0], 0
-                for piece in evolve._pieces(sched, 1.0):
-                    steps = len(piece.nodes) - 1
-                    assert piece.nodes.tolist() == list(range(first, first + steps + 1))
-                    assert piece.wanted[-1] == steps  # the end, for chaining
-                    got += (first + piece.wanted[: piece.owned]).tolist()
-                    first += steps
-                expected = np.unique(np.append(np.arange(0, n + 1, stride), n))
-                assert got == expected.tolist(), (n, stride)
+            for steps in range(1, n + 3):
+                traj = evolve.evolve_pure(psi0, sched, config=evolve.IntegratorConfig(dt=n / steps))
+                assert np.array_equal(traj.times, np.linspace(0.0, n, steps + 1)), (n, steps)
+            default = np.linspace(0.0, n, evolve.DEFAULT_STEPS + 1)
+            assert np.array_equal(evolve.evolve_pure(psi0, sched).times, default)
 
     def test_trajectory_and_map_end_at_the_schedule_duration(self):
         # a hand-built last segment may end up to 1e-12 duration short of it
@@ -242,8 +237,8 @@ class TestEvolveDensity:
             assert np.linalg.eigvalsh(rho).min() > -1e-7
 
     def test_step_size_violation_raises(self, sqrt_x_spec):
-        # a grid finer than duration / MAX_STEPS; no decay rate bounds the
-        # step, since every recorded map is exact
+        # a step finer than duration / MAX_STEPS; no decay rate bounds the
+        # step, since every row's map is exact
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
         cfg = evolve.IntegratorConfig(dt=sched.duration / (2 * evolve.MAX_STEPS))
         with pytest.raises(ValueError, match="step size"):
@@ -253,11 +248,16 @@ class TestEvolveDensity:
         assert np.max(np.abs(np.einsum("nii->n", traj.states) - 1.0)) < 1e-10
         assert traj.states[-1][2, 2].real < 1e-8
 
-    def test_coarse_dt_rejected(self, sqrt_x_spec):
+    def test_step_longer_than_the_loop_takes_one_step(self, sqrt_x_spec):
+        # no step is too coarse: every row's map is exact
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 10)
-        with pytest.raises(ValueError, match="too coarse"):
-            evolve.evolve_density(density(basis_state(3, 0)), sched, config=cfg)
+        noise = default_noise_model()
+        rho0 = density(basis_state(3, 0))
+        end = evolve.gate_channel(sched, noise) @ rho0.reshape(-1)
+        for dt, rows in ((sched.duration / 10, 11), (2 * sched.duration, 2)):
+            traj = evolve.evolve_density(rho0, sched, noise, config=evolve.IntegratorConfig(dt=dt))
+            assert len(traj.times) == rows
+            assert np.max(np.abs(traj.states[-1].reshape(-1) - end)) < 1e-14
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_state(self, sqrt_x_spec, bad):
@@ -425,9 +425,9 @@ class TestFrameOracle:
 
 
 def recorded_maps(sched, noise=evolve.NO_NOISE, config=evolve.DEFAULT_CONFIG):
-    """The engine's lab-frame maps at every recorded node of ``sched``."""
+    """The engine's lab-frame maps at every row of a trajectory of ``sched`` after t = 0."""
     return evolve._frame_maps([sched], evolve.error_table(), noise, 3, evolve.QUTRIT_LEVELS,
-                              evolve.step_size(sched, config))
+                              evolve.trajectory_steps(sched, config))
 
 
 @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
@@ -518,39 +518,42 @@ class TestEdgeRamps:
         assert 3.5 < errs[0] / errs[1] < 5.0 and 3.5 < errs[1] / errs[2] < 5.0
 
 
-class TestRecordedPowers:
-    """A recorded constant piece takes powers of one stride's map between its exponentials.
+class TestRows:
+    """A trajectory's rows against one scipy exponential per row.
 
-    The powers move the maps from per-node exponentials by rounding that
-    grows with the node count: pinned at the default step and the finest.
+    Without noise each row takes its own closed-form exponential.  With
+    noise the rows after a piece's first are powers of one step's map, whose
+    rounding grows with the row count: pinned at the default count and the
+    most.
     """
 
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    @pytest.mark.parametrize("steps, bound", [(evolve.DEFAULT_STEPS, 1e-14), (evolve.MAX_STEPS, 1e-12)])
-    def test_near_per_node_exponentials(self, scheme, noisy, steps, bound):
+    @pytest.mark.parametrize("steps", [evolve.DEFAULT_STEPS, evolve.MAX_STEPS])
+    def test_rows_match_per_row_exponentials(self, scheme, noisy, steps):
         sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme)
         noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
         times, maps = recorded_maps(sched, noise, evolve.IntegratorConfig(dt=sched.duration / steps))
-        # dt = duration / steps lays out exactly that many steps
-        assert len(times) == steps // evolve.RECORD_STRIDE
+        assert np.array_equal(np.append(0.0, times), np.linspace(0.0, sched.duration, steps + 1))
         exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
+        bound = 1e-12 if noisy and steps == evolve.MAX_STEPS else 1e-14
         assert np.max(np.abs(maps[0] - exact)) <= bound
 
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_lattice_off_the_start_and_end_off_the_lattice(self, noisy):
-        # at 2,345 steps nhqc's second half starts off the stride, and the
-        # schedule ends off it: exponentials at its first node, one stride and
-        # its end, powers of the stride's map between
+    def test_a_row_on_the_phase_jump_is_right_in_either_piece(self, noisy):
+        # the middle row of 2, 6 and 22 steps rounds onto, after and before the
+        # half of the nhqc loop, where its phase jumps: the row falls in the
+        # first piece, as its end, or in the second, a rounding after its start
         sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, "nhqc")
-        config = evolve.IntegratorConfig(dt=sched.duration / 2345)
-        second = evolve._pieces(sched, config.dt)[1]
-        assert second.wanted[0] != evolve.RECORD_STRIDE
-        assert (second.wanted[-1] - second.wanted[0]) % evolve.RECORD_STRIDE != 0
+        half = sched.segments[0].t_end
         noise = TestFrameOracle.NOISE if noisy else evolve.NO_NOISE
-        times, maps = recorded_maps(sched, noise, config)
-        exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
-        assert np.max(np.abs(maps[0] - exact)) <= 1e-13
+        sides = []
+        for steps in (2, 6, 22):
+            times, maps = recorded_maps(sched, noise, evolve.IntegratorConfig(dt=sched.duration / steps))
+            sides.append(np.sign(times[steps // 2 - 1] - half))
+            exact = frame_oracle_at(sched, times, noise.scaled_ops(3) if noisy else None)
+            assert np.max(np.abs(maps[0] - exact)) <= 1e-14
+        assert sides == [0.0, 1.0, -1.0]
 
 
 class TestEngineChoice:
@@ -625,16 +628,16 @@ class TestEngineChoice:
         assert np.max(np.abs(traj.states[-1] - u @ psi0)) < 1e-14
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    def test_frame_records_the_stepper_times(self, scheme):
+    def test_trajectory_records_the_ends_of_its_steps(self, scheme):
+        # duration / 333.5 rounds up to 334 steps
         sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
-        cfg = evolve.IntegratorConfig(dt=sched.duration / 333)
+        cfg = evolve.IntegratorConfig(dt=sched.duration / 333.5)
         psi0 = basis_state(3, 0)
         traj = evolve.evolve_pure(psi0, sched, config=cfg)
-        nodes = grid_nodes(sched, cfg.dt)
-        assert np.array_equal(traj.times, np.append(nodes[:: evolve.RECORD_STRIDE], nodes[-1]))
+        assert np.array_equal(traj.times, np.linspace(0.0, sched.duration, 335))
         assert np.array_equal(traj.states[0], psi0)
         for t, psi in zip(traj.times, traj.states):
-            assert np.max(np.abs(psi - frame_oracle(sched, until=t) @ psi0)) < 1e-12
+            assert np.max(np.abs(psi - frame_oracle(sched, until=t) @ psi0)) < 1e-14
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_error_maps_match_single_error_calls(self, scheme):
@@ -934,10 +937,10 @@ class TestGateChannels:
         """
         pairs = set()
         for sched in scheds:
-            for piece in evolve._pieces(sched, None):
-                gen = evolve._frame_generators(pulses.segment_table([piece.seg]), evolve.error_table(),
+            for seg, start, end in evolve._pieces(sched):
+                gen = evolve._frame_generators(pulses.segment_table([seg]), evolve.error_table(),
                                                sched.omega0, 3, evolve.QUTRIT_LEVELS)
-                pairs.add((gen.tobytes(), (piece.nodes[-1] - piece.nodes[0]).hex()))
+                pairs.add((gen.tobytes(), (end - start).hex()))
         return len(pairs)
 
     def test_one_exponential_per_distinct_generator_and_duration(self, monkeypatch):
@@ -950,7 +953,7 @@ class TestGateChannels:
         stacks = self.recorded_expm(monkeypatch)
         channels = evolve.gate_channels(scheds, config.noise)
         assert len(stacks) == 1
-        pieces = sum(len(evolve._pieces(sched, None)) for sched in scheds)
+        pieces = sum(len(evolve._pieces(sched)) for sched in scheds)
         assert pieces == 2 * len(scheds) == 128
         assert len(stacks[0]) == self.distinct_pairs(scheds) == 59
         assert len({mat.tobytes() for mat in stacks[0]}) == len(stacks[0])
@@ -991,47 +994,74 @@ class TestGateChannels:
         assert str(batched.value) == str(single.value)
 
     def test_ramp_free_schedule_takes_no_step(self):
-        # a channel takes no step, with or without a ramp: a loop too short for
-        # a trajectory at a 0.9 ns step still gets its channel, under fast decay too
+        # a channel takes no step, with or without a ramp, under fast decay too;
+        # a trajectory of a short loop at a step longer than the loop takes one
+        # step and ends where its propagator does
         short = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc")
         fast = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=2e-8)
         for ramp in (0.0, 10e-9):
             sched = pulses.synthesize(pulses.GateSpec(0.3, 0.2, 0.6), OMEGA0, "tounhqc", edge_ramp=ramp)
             for noise in (evolve.NO_NOISE, fast):
                 assert np.all(np.isfinite(evolve.gate_channel(sched, noise)))
-        with pytest.raises(ValueError, match="too coarse"):
-            evolve.evolve_pure(np.eye(3)[0], short, config=evolve.IntegratorConfig(dt=0.9e-9))
+        psi0 = np.eye(3)[0]
+        traj = evolve.evolve_pure(psi0, short, config=evolve.IntegratorConfig(dt=2 * short.duration))
+        assert np.array_equal(traj.times, [0.0, short.duration])
+        assert np.array_equal(traj.states[-1], evolve.propagator(short) @ psi0)
 
 
-class TestStepSize:
-    """The one step rule: the steps a trajectory takes."""
+class TestTrajectorySteps:
+    """The one step rule: the number of equal steps a trajectory takes."""
 
     SCHED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc")
     RAMPED = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, "tounhqc", edge_ramp=10e-9)
 
-    def test_default_step(self):
+    def test_default_steps(self):
         for sched in (self.SCHED, self.RAMPED):
-            assert evolve.step_size(sched) == sched.duration / evolve.DEFAULT_STEPS
+            assert evolve.trajectory_steps(sched) == evolve.DEFAULT_STEPS
+            times = evolve.evolve_pure(basis_state(3, 0), sched).times
+            assert np.array_equal(times, np.linspace(0.0, sched.duration, evolve.DEFAULT_STEPS + 1))
 
     @pytest.mark.parametrize("ramped", [False, True])
-    def test_coarse_and_fine_limits(self, ramped):
+    def test_steps_round_up(self, ramped):
         sched = self.RAMPED if ramped else self.SCHED
-        coarse = sched.duration / evolve.MIN_STEPS
-        fine = sched.duration / evolve.MAX_STEPS
-        for dt in (coarse, fine):
-            assert evolve.step_size(sched, evolve.IntegratorConfig(dt=dt)) == dt
-        with pytest.raises(ValueError, match=f"too coarse: need dt <= duration/{evolve.MIN_STEPS}"):
-            evolve.step_size(sched, evolve.IntegratorConfig(dt=coarse * 1.01))
-        with pytest.raises(ValueError, match=f"too fine: need dt >= duration/{evolve.MAX_STEPS}"):
-            evolve.step_size(sched, evolve.IntegratorConfig(dt=fine * 0.99))
+        for ratio in (0.3, 1.5, 20.000001, 99.9, 777.25, 4999.5):
+            config = evolve.IntegratorConfig(dt=sched.duration / ratio)
+            assert evolve.trajectory_steps(sched, config) == math.ceil(ratio)
+        rho0 = density(basis_state(3, 0))
+        traj = evolve.evolve_density(rho0, sched, config=evolve.IntegratorConfig(dt=sched.duration / 7.5))
+        assert np.array_equal(traj.times, np.linspace(0.0, sched.duration, 9))
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    @pytest.mark.parametrize("steps", [50_000, evolve.MAX_STEPS])
-    def test_dt_of_duration_over_n_lays_out_n_steps(self, scheme, steps):
-        # (b - a) / dt carries rounding of the ratio's size, far above 1e-12 at these counts
+    def test_dt_of_duration_over_n_gives_n_steps(self, scheme):
+        # duration / (duration / N) may round above N, by far less than the
+        # 1e-12 tolerance
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        pieces = evolve._pieces(sched, sched.duration / steps)
-        assert sum(len(p.nodes) - 1 for p in pieces) == steps
+        for steps in range(1, evolve.MAX_STEPS + 1):
+            assert evolve.trajectory_steps(sched, evolve.IntegratorConfig(dt=sched.duration / steps)) == steps
+        for steps in (1, 3, 4999, evolve.MAX_STEPS):
+            config = evolve.IntegratorConfig(dt=sched.duration / steps)
+            times = evolve.evolve_pure(basis_state(3, 0), sched, config=config).times
+            assert np.array_equal(times, np.linspace(0.0, sched.duration, steps + 1))
+
+    @pytest.mark.parametrize("ramped", [False, True])
+    def test_fine_limit(self, ramped):
+        sched = self.RAMPED if ramped else self.SCHED
+        fine = sched.duration / evolve.MAX_STEPS
+        assert evolve.trajectory_steps(sched, evolve.IntegratorConfig(dt=fine)) == evolve.MAX_STEPS
+        # 5e-324 s, the smallest float, makes duration / dt overflow to inf
+        for dt in (fine * 0.99, 5e-324):
+            with pytest.raises(ValueError, match=f"too fine: need dt >= duration/{evolve.MAX_STEPS}"):
+                evolve.trajectory_steps(sched, evolve.IntegratorConfig(dt=dt))
+
+    def test_no_step_is_too_coarse(self):
+        for dt in (self.SCHED.duration, 1e3 * self.SCHED.duration, 1e300):
+            assert evolve.trajectory_steps(self.SCHED, evolve.IntegratorConfig(dt=dt)) == 1
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-9])
+    def test_step_must_be_positive_and_finite(self, dt):
+        # a NaN step fails every comparison, "dt <= 0" included
+        with pytest.raises(ValueError, match=re.escape(f"dt must be positive and finite, got {dt}")):
+            evolve.IntegratorConfig(dt=dt)
 
     def test_engine_applies_the_rule(self):
         too_fine = evolve.IntegratorConfig(dt=self.SCHED.duration / (2 * evolve.MAX_STEPS))

@@ -5,7 +5,7 @@ import pytest
 
 from holosim import evolve, pulses
 
-from conftest import OMEGA0, engine_grid, grid_nodes, random_gate_spec, segments_at
+from conftest import OMEGA0, random_gate_spec, segments_at
 
 PI = math.pi
 
@@ -251,33 +251,24 @@ class TestEnvelope:
             assert ends[-1] == pytest.approx(free_end[0], rel=1e-14, abs=1e-15)
 
 
-class TestSteppingGrid:
-    """The engine's grid, as its pieces (``evolve._pieces``) carry it."""
+class TestPieces:
+    """The schedule as the engine cuts it (``evolve._pieces``): (segment, start, end)."""
 
-    def test_nodes_align_to_segment_boundary(self):
+    def test_pieces_meet_at_the_segment_boundary(self):
         sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, 1.0), OMEGA0)
-        dt = sched.duration / 1000
-        first, second = evolve._pieces(sched, dt)
-        assert first.nodes[-1] == second.nodes[0] == sched.segments[0].t_end
-        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
+        (seg0, _, end), (seg1, start, _) = evolve._pieces(sched)
+        assert (seg0, seg1) == sched.segments
+        assert end == start == sched.segments[0].t_end
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    def test_nodes_at_ramp_corners(self, sqrt_x_spec, scheme):
-        # every ramp sample is a piece; a trajectory records on a grid inside each
+    def test_ramp_corners_are_piece_ends(self, sqrt_x_spec, scheme):
+        # every ramp sample is a piece
         sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=13e-9)
-        dt = sched.duration / 1000
-        for step in (None, dt):
-            pieces = evolve._pieces(sched, step)
-            assert [p.seg for p in pieces] == list(sched.segments)
-            ends = [p.nodes[-1] for p in pieces]
-            for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
-                assert corner in ends
-            for p in pieces:
-                if step is None:
-                    assert len(p.nodes) == 2
-                else:
-                    assert np.all(np.diff(p.nodes) <= dt * (1 + 1e-12))
-        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
+        pieces = evolve._pieces(sched)
+        assert [seg for seg, _, _ in pieces] == list(sched.segments)
+        ends = [end for _, _, end in pieces]
+        for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
+            assert corner in ends
 
     def test_meeting_ramps_share_one_corner(self, sqrt_x_spec):
         # ramp = the ramp-free duration, so 2 * ramp is the stretched one: both
@@ -286,27 +277,20 @@ class TestSteppingGrid:
         ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=sched.duration)
         assert ramped.duration == 2 * sched.duration
         samples = math.ceil(sched.duration / pulses.RAMP_SAMPLE_PERIOD)
-        pieces = evolve._pieces(ramped, None)
+        pieces = evolve._pieces(ramped)
         assert len(pieces) == 2 * samples
-        first, second = pieces[samples - 1], pieces[samples]
-        assert first.nodes[-1] == second.nodes[0] == sched.duration
-        assert first.seg.phi1_offset == 0.0 and second.seg.phi1_offset == sched.segments[1].phi1_offset
-        dt = ramped.duration / 1000
-        assert np.array_equal(engine_grid(ramped, dt), grid_nodes(ramped, dt))
+        (first, _, end), (second, start, _) = pieces[samples - 1 : samples + 1]
+        assert end == start == sched.duration
+        assert first.phi1_offset == 0.0 and second.phi1_offset == sched.segments[1].phi1_offset
 
-    def test_step_sizes_cover_duration(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        dt = sched.duration / 777
-        dts = np.diff(engine_grid(sched, dt))
-        assert dts.sum() == pytest.approx(sched.duration, rel=1e-12)
-        assert np.all(dts > 0)
-        assert np.array_equal(engine_grid(sched, dt), grid_nodes(sched, dt))
-        # the pieces of a full map chain from 0 to the end
-        ramped = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=13e-9)
-        pieces = evolve._pieces(ramped, None)
-        assert pieces[0].nodes[0] == 0.0 and pieces[-1].nodes[-1] == ramped.duration
-        for a, b in zip(pieces, pieces[1:]):
-            assert a.nodes[-1] == b.nodes[0]
+    @pytest.mark.parametrize("edge_ramp", [0.0, 13e-9])
+    def test_pieces_chain_from_zero_to_the_duration(self, sqrt_x_spec, edge_ramp):
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=edge_ramp)
+        pieces = evolve._pieces(sched)
+        assert pieces[0][1] == 0.0 and pieces[-1][2] == sched.duration
+        for (_, _, end), (_, start, _) in zip(pieces, pieces[1:]):
+            assert start == end
+        assert all(start < end for _, start, end in pieces)
 
 
 class TestScheduleValidation:
