@@ -49,7 +49,7 @@ from .evolve import (
 )
 from .gates import ideal_single_qubit
 from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
-from .quantum import average_channel_fidelity, leakage, unitarity_defect
+from .quantum import average_channel_fidelity, leakage, unitarity_defect, unitary_channel
 
 TWO_PI = 2.0 * math.pi
 
@@ -336,7 +336,7 @@ def _cmd_gate(args) -> dict:
     spec, schedule = _synthesize_from_args(args)
     u = propagator(schedule)
     ideal = ideal_single_qubit(spec)
-    fidelity = average_channel_fidelity(np.kron(u, u.conj()), ideal)
+    fidelity = average_channel_fidelity(unitary_channel(u), ideal)
 
     entries = [
         ("scheme", args.scheme),
@@ -625,6 +625,9 @@ def _validate(args) -> None:
             problems.append(f"{name} is too small: its 2 pi / omega loop "
                             f"overflows in ns, got {valid[name]}")
             del valid[name]  # the rules below read only loops with finite times
+    # a positive step that rounds to 0 s is too small for any loop
+    if args.command == "trajectory" and valid.get("--dt-ns", 1.0) * 1e-9 == 0.0:
+        problems.append(f"--dt-ns is too small: it rounds to 0 s, got {args.dt_ns}")
     if {"--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
         # synthesis's own ramp rule, on the phase loop; theta and phi do not change its duration
         spec, omega0 = GateSpec(0.0, 0.0, args.gamma), TWO_PI * args.omega0_mhz * 1e6

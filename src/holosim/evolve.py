@@ -5,18 +5,19 @@ time, so in the co-rotating frame psi = D(t) psi~ with
 D(t) = exp(-i phi1(t) |e><e|) the generator is
 G = D^dag H D - phi1' |e><e|, control errors included, and it is constant
 on each segment.  G does not depend on phi1, so the engine writes it
-straight from the segment parameters (:func:`_frame_generators`) and
-never forms the lab Hamiltonian H.  Edge ramps are no exception:
-synthesis samples them into ordinary segments (``pulses.RAMP_SAMPLE_PERIOD``).
-The frame multiplies entry (i, j) of
-a collapse operator c by exp(i phi1 (delta_ie - delta_je)); the engine
-takes only collapse operators whose nonzero entries all share one such
-phase class, so every dissipator is the same in the frame as in the lab,
-and raises ValueError for any other.  One engine propagates every
-schedule in that frame.  It cuts the schedule into pieces at its segment
-boundaries, and each piece maps by one exact exponential of its
-generator over the time from its start to each time it is wanted at: its
-end for a full-schedule map.  A trajectory takes N equal steps and
+straight from the columns of the schedule's parameter table
+(``PulseSchedule.table``, :func:`_frame_generators`) and never forms the
+lab Hamiltonian H.  Edge ramps are no exception: synthesis samples them
+into ordinary columns (``pulses.RAMP_SAMPLE_PERIOD``).  The frame
+multiplies entry (i, j) of a collapse operator c by
+exp(i phi1 (delta_ie - delta_je)); the engine takes only collapse
+operators whose nonzero entries all share one such phase class, so every
+dissipator is the same in the frame as in the lab, and raises ValueError
+for any other.  One engine propagates every schedule in that frame.  Each
+segment is a piece, from its start in the table to the next start (the
+last to the duration), and each piece maps by one exact exponential of
+its generator over the time from its start to each time it is wanted at:
+its end for a full-schedule map.  A trajectory takes N equal steps and
 records the map at the end of each, N + 1 rows at
 np.linspace(0, duration, N + 1): each piece takes the rows in (start, end],
 and its end, for chaining, when that is not a row.  Without noise each row
@@ -62,7 +63,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .pulses import PulseSchedule, Segment, segment_phase, segment_table
+from .pulses import PulseSchedule, segment_phase
+from .quantum import unitary_channel
 
 #: Qutrit basis ordering used throughout: (|0>, |1>, |e>).
 QUTRIT_LEVELS = (0, 1, 2)
@@ -346,12 +348,6 @@ def _covariant(c_ops: np.ndarray, ie: int) -> bool:
     return True
 
 
-def _pieces(schedule: PulseSchedule) -> list[tuple[Segment, float, float]]:
-    """The schedule cut at its segment boundaries: (segment, start, end) from 0 to its duration."""
-    breaks = [0.0] + [seg.t_end for seg in schedule.segments[:-1]] + [schedule.duration]
-    return list(zip(schedule.segments, breaks, breaks[1:]))
-
-
 def _frame_generators(
     table: np.ndarray,
     errors: np.ndarray,
@@ -361,7 +357,8 @@ def _frame_generators(
 ) -> np.ndarray:
     """Frame generators G = D^dag H D - phi1' |e><e| of ``table`` columns, (n_err, n, d, d).
 
-    ``table`` is a :func:`segment_table` with one column per generator;
+    ``table`` holds columns of schedule tables (:attr:`PulseSchedule.table`),
+    one per generator;
     ``errors`` is an :func:`error_table`; ``omega0``, the nominal amplitude
     that detunings scale with, is one number or one per column.  The common
     phase phi1 drops out in the frame: with the amplitude scale
@@ -483,7 +480,6 @@ def _frame_maps(
     collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
-    cuts = [_pieces(schedule) for schedule in schedules]
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):
         raise ValueError(
@@ -497,17 +493,23 @@ def _frame_maps(
         size = m * m if superop and not noisy else m
         return Trajectory(np.empty(0), np.empty((n_err, 0, size, size), dtype=complex))
 
-    # the pieces run piece k after piece k - 1: pieces[edges[k] : edges[k + 1]]
-    # are piece k of every schedule that has one; order[i] is (schedule, k) of pieces[i]
-    order = [(s, k) for k in range(max(map(len, cuts))) for s, ps in enumerate(cuts) if len(ps) > k]
+    # piece k of a schedule is its segment k, from its start to its end.  The
+    # pieces run piece k after piece k - 1: pieces edges[k] to edges[k + 1]
+    # are piece k of every schedule that has one; order[i] is (schedule, k) of piece i
+    sizes = [schedule.table.shape[1] for schedule in schedules]
+    order = [(s, k) for k in range(max(sizes)) for s, n in enumerate(sizes) if n > k]
     edges = [i for i in range(len(order)) if i == 0 or order[i][1] != order[i - 1][1]] + [len(order)]
-    pieces = [cuts[s][k] for s, k in order]
     owner = np.array([s for s, _ in order])
+    offsets = [0, *itertools.accumulate(sizes)]
+    columns = [offsets[s] + k for s, k in order]
+    table = np.concatenate([schedule.table for schedule in schedules], axis=1)[:, columns]
+    firsts = table[0]
+    ends = [end for schedule in schedules for end in schedule.ends]
     rows = [np.linspace(0.0, sched.duration, steps + 1)[1:].tolist() if steps else [sched.duration]
             for sched in schedules]
     # piece i's entries: its owned[i] rows, then its end unless that is a row
     times, owned, counts = [], [], []
-    for (s, _), (_, a, b) in zip(order, pieces):
+    for (s, _), a, b in zip(order, firsts.tolist(), [ends[c] for c in columns]):
         own = rows[s][bisect.bisect_right(rows[s], a) : bisect.bisect_right(rows[s], b)]
         entries = own if own and own[-1] == b else [*own, b]
         times += entries
@@ -515,15 +517,13 @@ def _frame_maps(
         counts.append(len(entries))
     # their maps in one stack: piece i's are frames[:, bounds[i] : bounds[i + 1]]
     bounds = [0, *itertools.accumulate(counts)]
-    entry_piece = np.repeat(np.arange(len(pieces)), counts)
+    entry_piece = np.repeat(np.arange(len(order)), counts)
     times = np.array(times)
-    firsts = np.array([a for _, a, _ in pieces])
-    table = segment_table([seg for seg, _, _ in pieces])
     frames = np.empty((n_err, len(times), m, m), dtype=complex)
 
     # with noise a piece of two rows or more is exponentiated only to its
     # first row, over one step and to an end that is not a row
-    powered = [i for i in range(len(pieces)) if noisy and owned[i] > 1]
+    powered = [i for i in range(len(order)) if noisy and owned[i] > 1]
     exact = np.ones(len(times), dtype=bool)  # the entries exponentiated
     for i in powered:
         exact[bounds[i] + 1 : bounds[i] + owned[i]] = False
@@ -538,7 +538,7 @@ def _frame_maps(
         taus = np.append(taus, [schedules[owner[i]].duration / steps for i in powered])
     # one exponential per distinct (generator, duration): rows of the
     # generator's bytes, for every error, and the duration
-    keys = gens.swapaxes(0, 1).reshape(len(pieces), -1).view(float)[of]
+    keys = gens.swapaxes(0, 1).reshape(len(order), -1).view(float)[of]
     distinct, inverse = _distinct_rows(np.column_stack([keys, taus]))
     exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
     frames[:, const] = exps[:, :n_exact]
@@ -571,12 +571,10 @@ def _frame_maps(
     # the rows of every piece, schedule after schedule
     at = {key: i for i, key in enumerate(order)}
     picks = np.array([bounds[at[s, k]] + j
-                      for s, ps in enumerate(cuts) for k in range(len(ps)) for j in range(owned[at[s, k]])])
+                      for s, n in enumerate(sizes) for k in range(n) for j in range(owned[at[s, k]])])
     maps = frames[:, picks]
     if superop and not noisy:
-        # U (x) conj(U) as one broadcast product, bitwise equal to np.kron
-        maps = (maps[..., :, None, :, None] * maps.conj()[..., None, :, None, :]).reshape(
-            *maps.shape[:2], m * m, m * m)
+        maps = unitary_channel(maps)
     return Trajectory(times[picks], maps)
 
 

@@ -18,11 +18,17 @@ at all times, and the extra ``pi`` together with the slope sign
 ``2 (gamma - pi) / tau`` makes the realized qubit block equal the ideal
 rotation matrix, which :mod:`holosim.gates` builds, up to a global phase,
 for both schedule families.
+
+A schedule is one parameter array (:class:`PulseSchedule`): synthesis
+writes a column per segment of constant drive, edge-ramp samples
+included, and the engine reads the columns.  :class:`Segment` is a
+read-only view of a column, for code that reads one segment at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,13 +61,12 @@ class GateSpec:
             )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One piecewise-defined stretch of a schedule.
+class Segment(NamedTuple):
+    """One stretch of a schedule: a column of its table, with the time it ends.
 
     ``phi1(t) = phi1_offset + phi1_slope * (t - t_start)`` is the common
     drive phase; ``phi0_offset`` is the constant extra phase on the
-    |0>-|e> drive.
+    |0>-|e> drive.  Only :attr:`PulseSchedule.segments` builds these.
     """
 
     t_start: float
@@ -72,43 +77,55 @@ class Segment:
     theta_mix: float
     phi0_offset: float
 
-    def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("segment must have positive duration")
-        if self.omega < 0.0:
-            raise ValueError("drive amplitude must be non-negative")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSchedule:
-    """Contiguous segments covering [0, duration].
+    """Piecewise-constant drive parameters over [0, duration], one column per segment.
 
-    ``omega0`` is the nominal peak amplitude; error injection uses it to
-    normalize relative detunings.  ``edge_ramp`` is the length of the sin^2
-    edge ramps that synthesis sampled into the segments (0 for none); the
-    engine reads only the segments.
+    ``table`` is a read-only float (6, n) array whose rows are t_start,
+    omega, phi1_offset, phi1_slope, theta_mix and phi0_offset, the fields
+    of :class:`Segment`.  Segment k ends where segment k + 1 starts and
+    the last ends at ``duration``, so the segments cover [0, duration]
+    without a gap.  ``omega0`` is the nominal peak amplitude; error
+    injection uses it to normalize relative detunings.  ``edge_ramp`` is
+    the length of the sin^2 edge ramps that synthesis sampled into the
+    table (0 for none); the engine reads only the table.
     """
 
     duration: float
-    segments: tuple[Segment, ...]
+    table: np.ndarray
     omega0: float
     edge_ramp: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
             raise ValueError(f"schedule duration must be positive and finite, got {self.duration}")
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        if abs(self.segments[0].t_start) > 1e-15 * self.duration:
+        table = np.array(self.table, dtype=float)  # the schedule's own copy
+        if table.ndim != 2 or table.shape[0] != 6 or table.shape[1] == 0:
+            raise ValueError(f"schedule table must have shape (6, n) with n >= 1, got {table.shape}")
+        starts = table[0]
+        if starts[0] != 0.0:
             raise ValueError("first segment must start at t = 0")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if not math.isclose(a.t_end, b.t_start, rel_tol=0.0, abs_tol=1e-12 * self.duration):
-                raise ValueError("segments must be contiguous")
-        last = self.segments[-1]
-        if not math.isclose(last.t_end, self.duration, rel_tol=0.0, abs_tol=1e-12 * self.duration):
-            raise ValueError("segments must cover the full duration")
-        if self.edge_ramp < 0.0 or 2.0 * self.edge_ramp > self.duration:
+        # written so that a NaN fails
+        if not ((starts[1:] > starts[:-1]).all() and starts[-1] < self.duration):
+            raise ValueError("segment starts must increase strictly and lie below the duration")
+        if not (table[1] >= 0.0).all():
+            raise ValueError("drive amplitude must be non-negative")
+        if not 0.0 <= 2.0 * self.edge_ramp <= self.duration:  # a NaN fails
             raise ValueError("edge ramp must satisfy 0 <= 2*ramp <= duration")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @property
+    def ends(self) -> tuple[float, ...]:
+        """The time each segment ends: the next one's start, and ``duration`` for the last."""
+        return (*self.table[0, 1:].tolist(), self.duration)
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The table's columns as :class:`Segment` views."""
+        starts, *rest = self.table.tolist()
+        return tuple(map(Segment, starts, self.ends, *rest))
 
 
 def bright_dark_basis(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,26 +183,19 @@ def _with_edge_ramps(schedule: PulseSchedule, ramp: float) -> PulseSchedule:
     tau, total = schedule.duration, schedule.duration + ramp
     edge = np.linspace(0.0, ramp, max(1, math.ceil(ramp / RAMP_SAMPLE_PERIOD * (1.0 - 1e-12))) + 1)
     area = 0.5 * edge - ramp / TWO_PI * np.sin(math.pi * edge / ramp)  # s at the rising samples
-    inner = [seg.t_end for seg in schedule.segments[:-1] if 0.5 * ramp < seg.t_end < tau - 0.5 * ramp]
-    t = np.concatenate([edge, np.add(inner, 0.5 * ramp), total - edge[::-1]])
+    bounds = schedule.table[0, 1:]  # the ramp-free segment boundaries
+    inner = bounds[(0.5 * ramp < bounds) & (bounds < tau - 0.5 * ramp)]
+    t = np.concatenate([edge, inner + 0.5 * ramp, total - edge[::-1]])
     s = np.concatenate([area, inner, tau - area[::-1]])
     keep = np.append(True, np.diff(t) > 0.0)  # a flat top of zero length has no segment
     t, s = t[keep], s[keep]
     flat = (t[:-1] >= ramp) & (t[1:] <= total - ramp)
     env = np.where(flat, 1.0, np.diff(s) / np.diff(t))
-    segments = []
-    for a, b, s_a, s_b, k in zip(t, t[1:], s, s[1:], env):
-        seg = next(x for x in schedule.segments if 0.5 * (s_a + s_b) < x.t_end)
-        segments.append(Segment(
-            t_start=a,
-            t_end=b,
-            omega=seg.omega * k,
-            phi1_offset=seg.phi1_offset + seg.phi1_slope * (s_a - seg.t_start),
-            phi1_slope=seg.phi1_slope * k,
-            theta_mix=seg.theta_mix,
-            phi0_offset=seg.phi0_offset,
-        ))
-    return PulseSchedule(total, tuple(segments), schedule.omega0, edge_ramp=ramp)
+    # each sample's ramp-free segment: the one that holds its midpoint in s
+    source = np.searchsorted(bounds, 0.5 * (s[:-1] + s[1:]), side="right")
+    start, omega, offset, slope, theta, phi0 = schedule.table[:, source]
+    table = np.array([t[:-1], omega * env, offset + slope * (s[:-1] - start), slope * env, theta, phi0])
+    return PulseSchedule(total, table, schedule.omega0, edge_ramp=ramp)
 
 
 def synthesize_tounhqc(
@@ -200,16 +210,9 @@ def synthesize_tounhqc(
     """
     _check_synthesis_args(spec, omega0)
     tau = tounhqc_duration(spec.gamma, omega0)
-    segment = Segment(
-        t_start=0.0,
-        t_end=tau,
-        omega=omega0,
-        phi1_offset=0.0,
-        phi1_slope=2.0 * (spec.gamma - math.pi) / tau,
-        theta_mix=spec.theta,
-        phi0_offset=spec.phi + math.pi,
-    )
-    return _with_edge_ramps(PulseSchedule(duration=tau, segments=(segment,), omega0=omega0), edge_ramp)
+    table = np.array([[0.0], [omega0], [0.0], [2.0 * (spec.gamma - math.pi) / tau], [spec.theta],
+                      [spec.phi + math.pi]])
+    return _with_edge_ramps(PulseSchedule(tau, table, omega0), edge_ramp)
 
 
 def synthesize_nhqc(
@@ -224,18 +227,9 @@ def synthesize_nhqc(
     """
     _check_synthesis_args(spec, omega0)
     tau = nhqc_duration(omega0)
-    half = 0.5 * tau
-    common = dict(
-        omega=omega0,
-        phi1_slope=0.0,
-        theta_mix=spec.theta,
-        phi0_offset=spec.phi + math.pi,
-    )
-    segments = (
-        Segment(t_start=0.0, t_end=half, phi1_offset=0.0, **common),
-        Segment(t_start=half, t_end=tau, phi1_offset=spec.gamma - math.pi, **common),
-    )
-    return _with_edge_ramps(PulseSchedule(duration=tau, segments=segments, omega0=omega0), edge_ramp)
+    table = np.array([[0.0, 0.5 * tau], [omega0] * 2, [0.0, spec.gamma - math.pi], [0.0] * 2,
+                      [spec.theta] * 2, [spec.phi + math.pi] * 2])
+    return _with_edge_ramps(PulseSchedule(tau, table, omega0), edge_ramp)
 
 
 def synthesize(
@@ -247,22 +241,6 @@ def synthesize(
     if scheme == "nhqc":
         return synthesize_nhqc(spec, omega0, edge_ramp)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-
-def segment_table(segments) -> np.ndarray:
-    """Segment parameters as the rows of a (6, len(segments)) array.
-
-    The rows are t_start, omega, phi1_offset, phi1_slope, theta_mix and
-    phi0_offset; column k belongs to ``segments[k]``.
-    """
-    return np.array([
-        [seg.t_start for seg in segments],
-        [seg.omega for seg in segments],
-        [seg.phi1_offset for seg in segments],
-        [seg.phi1_slope for seg in segments],
-        [seg.theta_mix for seg in segments],
-        [seg.phi0_offset for seg in segments],
-    ])
 
 
 def segment_phase(table: np.ndarray, times: np.ndarray) -> np.ndarray:

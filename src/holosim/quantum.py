@@ -74,6 +74,16 @@ def unattenuated_fidelity(rho_th: np.ndarray, rho_out: np.ndarray) -> float | np
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
+def unitary_channel(u: np.ndarray) -> np.ndarray:
+    """Row-major superoperator U (x) conj(U) of rho -> U rho U^dag.
+
+    ``u`` is one (d, d) matrix or a (..., d, d) stack.  One broadcast
+    product, bitwise equal to ``np.kron(U, U.conj())`` on each matrix.
+    """
+    d = u.shape[-1]
+    return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*u.shape[:-2], d * d, d * d)
+
+
 def average_channel_fidelity(superop: np.ndarray, u_ideal: np.ndarray) -> float:
     """Average fidelity of a row-major (D^2, D^2) channel on D >= d levels against a d x d unitary.
 
@@ -87,7 +97,7 @@ def average_channel_fidelity(superop: np.ndarray, u_ideal: np.ndarray) -> float:
     if s.shape != (levels**2, levels**2) or levels < d:
         raise ValueError(f"superoperator shape {s.shape} does not hold d={d} levels")
     keep = (levels * np.arange(d)[:, None] + np.arange(d)).ravel()  # row-major pairs (i, j < d)
-    s_u = np.kron(u, u.conj())
+    s_u = unitary_channel(u)
     f_pro = float(np.trace(s_u.conj().T @ s[np.ix_(keep, keep)]).real) / (d * d)
     return min((d * f_pro + 1.0) / (d + 1.0), 1.0)
 
@@ -101,7 +111,7 @@ def average_gate_fidelity(u_ideal: np.ndarray, u_actual: np.ndarray) -> float:
     b = np.asarray(u_actual, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return average_channel_fidelity(np.kron(b, b.conj()), a)
+    return average_channel_fidelity(unitary_channel(b), a)
 
 
 def bloch_rows(rhos: np.ndarray) -> np.ndarray:

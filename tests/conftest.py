@@ -63,6 +63,11 @@ def segments_at(schedule, times):
     return [next((s for s in schedule.segments if t < s.t_end), schedule.segments[-1]) for t in times]
 
 
+def table_at(schedule, times):
+    """The table columns of :func:`segments_at`, one per time."""
+    return schedule.table[:, np.searchsorted(schedule.table[0], times, side="right") - 1]
+
+
 def lab_hamiltonian(seg, t, dim=3, levels=(0, 1, 2)):
     """Lab-frame H(t) inside ``seg``, from its parameters (a ramp sample holds its envelope)."""
     i0, i1, ie = levels

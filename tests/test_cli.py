@@ -253,6 +253,14 @@ def test_step_too_fine_for_a_stepped_run_is_config_error(tmp_path, capsys, argv)
     assert problem.endswith(", got 0.0005")
 
 
+def test_step_that_rounds_to_zero_seconds_is_one_problem(tmp_path, capsys):
+    # 1e-320 ns is positive, but 1e-329 s underflows to 0: the line names the flag's value once
+    assert run(tmp_path, "trajectory", "--dt-ns", "1e-320") == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert problem == "  - --dt-ns is too small: it rounds to 0 s, got 1e-320"
+    assert problem.count("got") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("gate", "--dt-ns", "0.0005"),
     ("rb", "--lengths", "1,2,4", "--sequences", "10", "--dt-ns", "0.0005"),

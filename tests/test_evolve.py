@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -19,19 +18,19 @@ from conftest import (
     phase_aligned_distance,
     random_gate_spec,
     segments_at,
+    table_at,
 )
 
 PI = math.pi
 
 
 def zero_schedule(duration=100e-9):
-    seg = pulses.Segment(0.0, duration, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return pulses.PulseSchedule(duration=duration, segments=(seg,), omega0=OMEGA0)
+    return pulses.PulseSchedule(duration, np.zeros((6, 1)), OMEGA0)
 
 
 def frame_generator(sched, t, err=evolve.NO_ERROR):
     """The engine's qutrit frame generator at time ``t`` of ``sched``."""
-    table = pulses.segment_table(segments_at(sched, [t]))
+    table = table_at(sched, [t])
     errors = evolve.error_table(err.amp_fraction, err.detuning_fraction)
     return evolve._frame_generators(table, errors, sched.omega0, 3, evolve.QUTRIT_LEVELS)[0, 0]
 
@@ -170,8 +169,9 @@ class TestEvolvePure:
         psi0 = basis_state(3, 0)
         for n in range(1, 41):
             breaks = sorted({0, n // 3, 2 * n // 3, n})
-            segs = tuple(pulses.Segment(a, b, 0.0, 0.0, 0.0, 0.0, 0.0) for a, b in zip(breaks, breaks[1:]))
-            sched = pulses.PulseSchedule(duration=float(n), segments=segs, omega0=1.0)
+            table = np.zeros((6, len(breaks) - 1))
+            table[0] = breaks[:-1]
+            sched = pulses.PulseSchedule(float(n), table, 1.0)
             for steps in range(1, n + 3):
                 traj = evolve.evolve_pure(psi0, sched, config=evolve.IntegratorConfig(dt=n / steps))
                 assert np.array_equal(traj.times, np.linspace(0.0, n, steps + 1)), (n, steps)
@@ -179,13 +179,12 @@ class TestEvolvePure:
             assert np.array_equal(evolve.evolve_pure(psi0, sched).times, default)
 
     def test_trajectory_and_map_end_at_the_schedule_duration(self):
-        # a hand-built last segment may end up to 1e-12 duration short of it
+        # a hand-built table: its last segment ends at the duration, where the last row is
         duration = 100e-9
-        segs = (pulses.Segment(0.0, 40e-9, OMEGA0, 0.0, 2e7, 1.1, 0.4),
-                pulses.Segment(40e-9, duration * (1 - 5e-13), OMEGA0, 0.3, -1e7, 1.1, 0.4))
+        table = np.array([[0.0, 40e-9], [OMEGA0] * 2, [0.0, 0.3], [2e7, -1e7], [1.1] * 2, [0.4] * 2])
         psi0 = basis_state(3, 0)
-        sched = pulses.PulseSchedule(duration=duration, segments=segs, omega0=OMEGA0)
-        assert segs[-1].t_end != sched.duration
+        sched = pulses.PulseSchedule(duration, table, OMEGA0)
+        assert sched.segments[-1].t_end == sched.duration
         traj = evolve.evolve_pure(psi0, sched)
         assert traj.times[-1] == sched.duration
         u = evolve.propagator(sched)
@@ -443,10 +442,10 @@ class TestFrameAtStart:
     @staticmethod
     def shifted(scheme, edge_ramp=0.0):
         sched = pulses.synthesize(TestFrameOracle.SPEC, OMEGA0, scheme, edge_ramp=edge_ramp)
-        segments = tuple(dataclasses.replace(seg, phi1_offset=seg.phi1_offset + 0.9)
-                         for seg in sched.segments)
-        assert segments[0].phi1_offset == 0.9
-        return dataclasses.replace(sched, segments=segments)
+        table = sched.table.copy()
+        table[2] += 0.9
+        assert table[2, 0] == 0.9
+        return pulses.PulseSchedule(sched.duration, table, sched.omega0, sched.edge_ramp)
 
     def test_propagator(self, scheme):
         sched = self.shifted(scheme)
@@ -718,7 +717,7 @@ class TestClosedFormExponential:
         for scheme in pulses.SCHEMES:
             sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=5e-9)
             times = rng.uniform(0.0, sched.duration, size=50)
-            table = pulses.segment_table(segments_at(sched, times))
+            table = table_at(sched, times)
             errors = evolve.error_table(rng.uniform(-0.5, 0.5, 7), rng.uniform(-0.5, 0.5, 7))
             gens = evolve._frame_generators(table, errors, sched.omega0, dim, levels)
             rest = np.arange(dim) != levels[2]
@@ -744,7 +743,7 @@ class TestFrameGenerator:
             sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=edge_ramp)
             times = rng.uniform(0.0, sched.duration, size=40)
             segs = segments_at(sched, times)
-            gens = evolve._frame_generators(pulses.segment_table(segs), errors, sched.omega0, dim, levels)
+            gens = evolve._frame_generators(table_at(sched, times), errors, sched.omega0, dim, levels)
             for k, (t, seg) in enumerate(zip(times, segs)):
                 d = np.ones(dim, dtype=complex)
                 d[ie] = np.exp(-1j * (seg.phi1_offset + seg.phi1_slope * (t - seg.t_start)))
@@ -833,7 +832,7 @@ class TestPadeExpm:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_frame_liouvillians(self, scheme):
         sched = pulses.synthesize(pulses.GateSpec(1.1, 0.4, 2.3), OMEGA0, scheme)
-        gens = evolve._frame_generators(pulses.segment_table(sched.segments), evolve.error_table(),
+        gens = evolve._frame_generators(sched.table, evolve.error_table(),
                                         OMEGA0, 3, evolve.QUTRIT_LEVELS)[0]
         taus = np.array([seg.t_end - seg.t_start for seg in sched.segments])
         dissipator = evolve._dissipator(self.NOISE.scaled_ops(3))
@@ -933,14 +932,14 @@ class TestGateChannels:
     def distinct_pairs(scheds):
         """The number of bitwise-distinct (frame generator, duration) pairs among the pieces.
 
-        Counted from each piece's segment and ends, apart from the engine's keys.
+        Counted from each segment's column and ends, apart from the engine's keys.
         """
         pairs = set()
         for sched in scheds:
-            for seg, start, end in evolve._pieces(sched):
-                gen = evolve._frame_generators(pulses.segment_table([seg]), evolve.error_table(),
+            for k, seg in enumerate(sched.segments):
+                gen = evolve._frame_generators(sched.table[:, k : k + 1], evolve.error_table(),
                                                sched.omega0, 3, evolve.QUTRIT_LEVELS)
-                pairs.add((gen.tobytes(), (end - start).hex()))
+                pairs.add((gen.tobytes(), (seg.t_end - seg.t_start).hex()))
         return len(pairs)
 
     def test_one_exponential_per_distinct_generator_and_duration(self, monkeypatch):
@@ -953,7 +952,7 @@ class TestGateChannels:
         stacks = self.recorded_expm(monkeypatch)
         channels = evolve.gate_channels(scheds, config.noise)
         assert len(stacks) == 1
-        pieces = sum(len(evolve._pieces(sched)) for sched in scheds)
+        pieces = sum(len(sched.segments) for sched in scheds)
         assert pieces == 2 * len(scheds) == 128
         assert len(stacks[0]) == self.distinct_pairs(scheds) == 59
         assert len({mat.tobytes() for mat in stacks[0]}) == len(stacks[0])

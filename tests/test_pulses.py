@@ -5,7 +5,7 @@ import pytest
 
 from holosim import evolve, pulses
 
-from conftest import OMEGA0, random_gate_spec, segments_at
+from conftest import OMEGA0, random_gate_spec, table_at
 
 PI = math.pi
 
@@ -126,7 +126,7 @@ def sample(sched, n):
     Exact segment boundaries take the later segment.
     """
     times = np.linspace(0.0, sched.duration, n + 1)
-    table = pulses.segment_table(segments_at(sched, times))
+    table = table_at(sched, times)
     gens = evolve._frame_generators(table, evolve.error_table(), sched.omega0, 3, evolve.QUTRIT_LEVELS)[0]
     return times, table, gens
 
@@ -211,7 +211,9 @@ class TestEnvelope:
             sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme)
             assert sched.edge_ramp == 0.0
             assert np.array_equal(envelope(sched), np.ones(len(sched.segments)))
-            assert sched == pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=0.0)
+            same = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=0.0)
+            assert (same.duration, same.edge_ramp) == (sched.duration, 0.0)
+            assert np.array_equal(same.table, sched.table)
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_sample_areas_sum_to_the_ramp_free_area(self, rng, scheme):
@@ -236,8 +238,7 @@ class TestEnvelope:
             spec = random_gate_spec(rng, gamma_margin=0.3)
             free = pulses.synthesize(spec, OMEGA0, scheme)
             sched = pulses.synthesize(spec, OMEGA0, scheme, edge_ramp=rng.uniform(1e-9, free.duration))
-            segs = sched.segments
-            table = pulses.segment_table(segs)
+            segs, table = sched.segments, sched.table
             ends = pulses.segment_phase(table, np.array([seg.t_end for seg in segs]))
             jumps = table[2][1:] - ends[:-1]
             if scheme == "nhqc":
@@ -247,28 +248,97 @@ class TestEnvelope:
                 jumps = np.delete(jumps, mid)
             assert np.max(np.abs(jumps)) <= 1e-14
             # the loop's end phase is the ramp-free one
-            free_end = pulses.segment_phase(pulses.segment_table(free.segments[-1:]), np.array([free.duration]))
+            free_end = pulses.segment_phase(free.table[:, -1:], np.array([free.duration]))
             assert ends[-1] == pytest.approx(free_end[0], rel=1e-14, abs=1e-15)
 
 
-class TestPieces:
-    """The schedule as the engine cuts it (``evolve._pieces``): (segment, start, end)."""
+def per_sample_ramps(schedule, ramp):
+    """The edge-ramped segments as they were built one sample at a time, before the table.
 
-    def test_pieces_meet_at_the_segment_boundary(self):
-        sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, 1.0), OMEGA0)
-        (seg0, _, end), (seg1, start, _) = evolve._pieces(sched)
-        assert (seg0, seg1) == sched.segments
-        assert end == start == sched.segments[0].t_end
+    The samples' times t, ramp-free times s and envelopes are computed as
+    in ``pulses._with_edge_ramps``; each sample then finds its ramp-free
+    segment by a scan for the first that ends after its midpoint in s.
+    Returns the segments' fields as an (n, 7) array.
+    """
+    tau, total = schedule.duration, schedule.duration + ramp
+    edge = np.linspace(0.0, ramp, max(1, math.ceil(ramp / pulses.RAMP_SAMPLE_PERIOD * (1.0 - 1e-12))) + 1)
+    area = 0.5 * edge - ramp / (2.0 * PI) * np.sin(PI * edge / ramp)
+    inner = [seg.t_end for seg in schedule.segments[:-1] if 0.5 * ramp < seg.t_end < tau - 0.5 * ramp]
+    t = np.concatenate([edge, np.add(inner, 0.5 * ramp), total - edge[::-1]])
+    s = np.concatenate([area, inner, tau - area[::-1]])
+    keep = np.append(True, np.diff(t) > 0.0)
+    t, s = t[keep], s[keep]
+    flat = (t[:-1] >= ramp) & (t[1:] <= total - ramp)
+    env = np.where(flat, 1.0, np.diff(s) / np.diff(t))
+    rows = []
+    for a, b, s_a, s_b, k in zip(t, t[1:], s, s[1:], env):
+        seg = next(x for x in schedule.segments if 0.5 * (s_a + s_b) < x.t_end)
+        rows.append((a, b, seg.omega * k, seg.phi1_offset + seg.phi1_slope * (s_a - seg.t_start),
+                     seg.phi1_slope * k, seg.theta_mix, seg.phi0_offset))
+    return np.array(rows)
+
+
+class TestTable:
+    """A schedule is one read-only (6, n) parameter array; ``segments`` is its column view."""
+
+    SPEC = pulses.GateSpec(1.1, 0.4, 2.3)
+    #: the fields of each plain schedule's segments at SPEC and OMEGA0, pinned from the
+    #: tuple-of-segments schedules that the table replaced
+    PLAIN = {
+        "tounhqc": [("0x0.0p+0", "0x1.ddd3e06028587p-24", "0x1.9f2230614d6bep+25", "0x0.0p+0",
+                     "-0x1.cdb61d99e0199p+23", "0x1.199999999999ap+0", "0x1.c552e8777604bp+1")],
+        "nhqc": [("0x0.0p+0", "0x1.eff464258fe6fp-25", "0x1.9f2230614d6bep+25", "0x0.0p+0",
+                  "0x0.0p+0", "0x1.199999999999ap+0", "0x1.c552e8777604bp+1"),
+                 ("0x1.eff464258fe6fp-25", "0x1.eff464258fe6fp-24", "0x1.9f2230614d6bep+25",
+                  "-0x1.aee53b7771ac8p-1", "0x0.0p+0", "0x1.199999999999ap+0", "0x1.c552e8777604bp+1")],
+    }
 
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
-    def test_ramp_corners_are_piece_ends(self, sqrt_x_spec, scheme):
-        # every ramp sample is a piece
+    @pytest.mark.parametrize("edge_ramp", [0.0, 10e-9, "tau"])
+    def test_table_is_read_only_float_6_by_n(self, scheme, edge_ramp):
+        free = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, free.duration if edge_ramp == "tau" else edge_ramp)
+        table = sched.table
+        assert table.dtype == np.float64 and table.shape == (6, len(sched.segments))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 0] = 0.0
+
+    def test_table_is_the_schedules_own_copy(self):
+        table = np.array([[0.0, 1.0], [1.0, 2.0], [0.0] * 2, [0.0] * 2, [0.0] * 2, [0.0] * 2])
+        sched = pulses.PulseSchedule(2.0, table, 1.0)
+        table[1, 0] = 5.0
+        assert sched.table[1, 0] == 1.0 and table.flags.writeable
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_plain_segments_are_pinned_bitwise(self, scheme):
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        assert [tuple(float(x).hex() for x in seg) for seg in sched.segments] == self.PLAIN[scheme]
+        assert sched.segments[-1].t_end == sched.duration
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    @pytest.mark.parametrize("edge_ramp", [10e-9, "tau"])
+    def test_ramped_segments_equal_the_per_sample_build_bitwise(self, scheme, edge_ramp):
+        # np.sin's last bit may depend on the CPU's vector path, so the ramps
+        # are checked against the sample-by-sample build, not pinned digits
+        free = pulses.synthesize(self.SPEC, OMEGA0, scheme)
+        ramp = free.duration if edge_ramp == "tau" else edge_ramp
+        sched = pulses.synthesize(self.SPEC, OMEGA0, scheme, ramp)
+        got = np.array(sched.segments)
+        assert got.tobytes() == per_sample_ramps(free, ramp).tobytes()
+
+    def test_segments_meet_at_the_phase_jump(self):
+        sched = pulses.synthesize_nhqc(pulses.GateSpec(0.0, 0.0, 1.0), OMEGA0)
+        first, second = sched.segments
+        assert first.t_end == second.t_start == 0.5 * sched.duration
+        assert np.array_equal(sched.ends, [0.5 * sched.duration, sched.duration])
+
+    @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
+    def test_ramp_corners_are_segment_ends(self, sqrt_x_spec, scheme):
+        # every ramp sample is a segment
         sched = pulses.synthesize(sqrt_x_spec, OMEGA0, scheme, edge_ramp=13e-9)
-        pieces = evolve._pieces(sched)
-        assert [seg for seg, _, _ in pieces] == list(sched.segments)
-        ends = [end for _, _, end in pieces]
         for corner in (sched.edge_ramp, sched.duration - sched.edge_ramp):
-            assert corner in ends
+            assert corner in sched.ends
 
     def test_meeting_ramps_share_one_corner(self, sqrt_x_spec):
         # ramp = the ramp-free duration, so 2 * ramp is the stretched one: both
@@ -277,40 +347,56 @@ class TestPieces:
         ramped = pulses.synthesize_nhqc(sqrt_x_spec, OMEGA0, edge_ramp=sched.duration)
         assert ramped.duration == 2 * sched.duration
         samples = math.ceil(sched.duration / pulses.RAMP_SAMPLE_PERIOD)
-        pieces = evolve._pieces(ramped)
-        assert len(pieces) == 2 * samples
-        (first, _, end), (second, start, _) = pieces[samples - 1 : samples + 1]
-        assert end == start == sched.duration
+        segs = ramped.segments
+        assert len(segs) == 2 * samples
+        first, second = segs[samples - 1 : samples + 1]
+        assert first.t_end == second.t_start == sched.duration
         assert first.phi1_offset == 0.0 and second.phi1_offset == sched.segments[1].phi1_offset
 
     @pytest.mark.parametrize("edge_ramp", [0.0, 13e-9])
-    def test_pieces_chain_from_zero_to_the_duration(self, sqrt_x_spec, edge_ramp):
+    def test_segments_chain_from_zero_to_the_duration(self, sqrt_x_spec, edge_ramp):
         sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0, edge_ramp=edge_ramp)
-        pieces = evolve._pieces(sched)
-        assert pieces[0][1] == 0.0 and pieces[-1][2] == sched.duration
-        for (_, _, end), (_, start, _) in zip(pieces, pieces[1:]):
-            assert start == end
-        assert all(start < end for _, start, end in pieces)
+        segs = sched.segments
+        assert segs[0].t_start == 0.0 and segs[-1].t_end == sched.duration
+        for a, b in zip(segs, segs[1:]):
+            assert b.t_start == a.t_end
+        assert all(seg.t_start < seg.t_end for seg in segs)
+
+
+def plain_table(starts=(0.0, 1.0), omega=1.0):
+    """A drive table with the given starts, amplitude ``omega`` and zero phases."""
+    n = len(starts)
+    return np.array([starts, np.broadcast_to(omega, n), *np.zeros((4, n))])
 
 
 class TestScheduleValidation:
-    def test_gap_between_segments_rejected(self):
-        seg1 = pulses.Segment(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        seg2 = pulses.Segment(1.5, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="contiguous"):
-            pulses.PulseSchedule(duration=2.0, segments=(seg1, seg2), omega0=1.0)
-
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, duration):
-        seg = pulses.Segment(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="positive and finite"):
-            pulses.PulseSchedule(duration=duration, segments=(seg,), omega0=1.0)
+            pulses.PulseSchedule(duration, plain_table(), 1.0)
 
-    def test_coverage_enforced(self):
-        seg = pulses.Segment(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="cover"):
-            pulses.PulseSchedule(duration=2.0, segments=(seg,), omega0=1.0)
+    @pytest.mark.parametrize("table", [np.zeros((6, 0)), np.zeros((5, 2)), np.zeros(6), np.zeros((1, 6, 1))],
+                             ids=["empty", "five-rows", "one-dim", "three-dim"])
+    def test_empty_or_wrong_shape_table_rejected(self, table):
+        with pytest.raises(ValueError, match=r"shape \(6, n\)"):
+            pulses.PulseSchedule(2.0, table, 1.0)
 
-    def test_negative_amplitude_rejected(self):
+    def test_first_start_must_be_zero(self):
+        with pytest.raises(ValueError, match="t = 0"):
+            pulses.PulseSchedule(2.0, plain_table((0.5, 1.0)), 1.0)
+
+    @pytest.mark.parametrize("starts", [(0.0, 1.0, 1.0), (0.0, 1.5, 1.0), (0.0, math.nan), (0.0, 2.0), (0.0, 3.0)],
+                             ids=["repeated", "decreasing", "nan", "at-the-duration", "past-the-duration"])
+    def test_starts_must_increase_below_the_duration(self, starts):
+        with pytest.raises(ValueError, match="increase strictly"):
+            pulses.PulseSchedule(2.0, plain_table(starts), 1.0)
+
+    @pytest.mark.parametrize("omega", [-1.0, math.nan])
+    def test_negative_or_nan_amplitude_rejected(self, omega):
         with pytest.raises(ValueError, match="non-negative"):
-            pulses.Segment(0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+            pulses.PulseSchedule(2.0, plain_table(omega=[1.0, omega]), 1.0)
+
+    @pytest.mark.parametrize("edge_ramp", [-1.0, 1.5, math.nan])
+    def test_edge_ramp_outside_half_the_duration_rejected(self, edge_ramp):
+        with pytest.raises(ValueError, match="edge ramp"):
+            pulses.PulseSchedule(2.0, plain_table(), 1.0, edge_ramp)

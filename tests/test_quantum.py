@@ -98,6 +98,19 @@ class TestGateHealth:
         assert not q.is_unitary(mat)
 
 
+class TestUnitaryChannel:
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_equals_kron_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        mats = [random_unitary(rng, dim), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))]
+        for mat in mats:
+            assert q.unitary_channel(mat).tobytes() == np.kron(mat, mat.conj()).tobytes()
+        # a stack lifts matrix by matrix
+        stack = q.unitary_channel(np.stack(mats))
+        assert stack.shape == (2, dim * dim, dim * dim)
+        assert all(np.array_equal(s, np.kron(m, m.conj())) for s, m in zip(stack, mats))
+
+
 class TestAverageGateFidelity:
     def test_equal_unitaries(self, rng):
         u = np.eye(2)
