@@ -39,11 +39,11 @@ noise model into collapse operators and checks their phase class, and
 lifts noiseless unitaries to channels U (x) conj(U); every public
 function is a view of it.  One call can cover many schedules.
 :func:`gate_channels` builds the channels of a list of schedules: the
-pieces of all of them share one stack of maps, each bitwise-distinct pair
-of frame generator and duration among their pieces is exponentiated once,
-in one batched call (the two halves of an nhqc loop are one such pair),
-and piece k of every schedule is rebased and chained in one step on a
-slice of the stack.
+pieces of all of them share one stack of maps, laid out schedule after
+schedule, each bitwise-distinct pair of frame generator and duration among
+their pieces is exponentiated once, in one batched call (the two halves of
+an nhqc loop are one such pair), and piece k of every schedule is rebased
+and chained in one step, onto the end of the piece before it.
 :func:`gate_channel` is its one-schedule case, and a channel is bitwise
 the same alone or in a batch.
 
@@ -56,7 +56,6 @@ per-matrix scaling and squaring (Higham 2005) on numpy alone.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -468,16 +467,16 @@ def _frame_maps(
     or U (x) conj(U) for ``superop`` without noise.  Without steps every
     schedule has exactly one row, so map k is schedule k's.
 
-    The pieces of all schedules are laid out piece k after piece k - 1
-    (piece 0 of every schedule, then piece 1 of those that have one, ...),
-    and each piece's maps at its rows in (start, end], then at its end when
-    that is not a row, fill one stack.  The pieces take one batched
-    exponential for each bitwise-distinct pair of frame generator and
-    duration, so the two halves of an nhqc loop share theirs; with noise a
-    piece fills its rows after the first by powers of one step's map.
-    Piece k of every schedule is then rebased and chained in one step on a
-    slice of that stack.  Raises ValueError when the nonzero entries of a
-    collapse operator do not share one phase class.
+    The pieces of all schedules are laid out in the order their tables
+    concatenate, schedule after schedule, and each piece's maps at its rows
+    in (start, end], then at its end when that is not a row, fill one
+    stack.  The pieces take one batched exponential for each
+    bitwise-distinct pair of frame generator and duration, so the two
+    halves of an nhqc loop share theirs; with noise a piece fills its rows
+    after the first by powers of one step's map.  The pieces of each rank,
+    column k of their schedule's table, are then rebased and chained in one
+    step onto the end of the piece before them.  Raises ValueError when the
+    nonzero entries of a collapse operator do not share one phase class.
     """
     c_ops = noise.scaled_ops(dim)
     noisy = not noise.is_empty
@@ -493,52 +492,50 @@ def _frame_maps(
         size = m * m if superop and not noisy else m
         return Trajectory(np.empty(0), np.empty((n_err, 0, size, size), dtype=complex))
 
-    # piece k of a schedule is its segment k, from its start to its end.  The
-    # pieces run piece k after piece k - 1: pieces edges[k] to edges[k + 1]
-    # are piece k of every schedule that has one; order[i] is (schedule, k) of piece i
+    # piece i is column i of the schedules' tables laid end to end, from its
+    # start to its end.  Its rank is its column in its own schedule's table,
+    # so piece i - 1 precedes it wherever its rank is above 0
     sizes = [schedule.table.shape[1] for schedule in schedules]
-    order = [(s, k) for k in range(max(sizes)) for s, n in enumerate(sizes) if n > k]
-    edges = [i for i in range(len(order)) if i == 0 or order[i][1] != order[i - 1][1]] + [len(order)]
-    owner = np.array([s for s, _ in order])
-    offsets = [0, *itertools.accumulate(sizes)]
-    columns = [offsets[s] + k for s, k in order]
-    table = np.concatenate([schedule.table for schedule in schedules], axis=1)[:, columns]
+    table = np.concatenate([schedule.table for schedule in schedules], axis=1)
     firsts = table[0]
-    ends = [end for schedule in schedules for end in schedule.ends]
-    rows = [np.linspace(0.0, sched.duration, steps + 1)[1:].tolist() if steps else [sched.duration]
-            for sched in schedules]
-    # piece i's entries: its owned[i] rows, then its end unless that is a row
-    times, owned, counts = [], [], []
-    for (s, _), a, b in zip(order, firsts.tolist(), [ends[c] for c in columns]):
-        own = rows[s][bisect.bisect_right(rows[s], a) : bisect.bisect_right(rows[s], b)]
-        entries = own if own and own[-1] == b else [*own, b]
-        times += entries
-        owned.append(len(own))
-        counts.append(len(entries))
-    # their maps in one stack: piece i's are frames[:, bounds[i] : bounds[i + 1]]
-    bounds = [0, *itertools.accumulate(counts)]
-    entry_piece = np.repeat(np.arange(len(order)), counts)
+    # piece i's entries start at bounds[i]: its owned[i] rows, then its end
+    # unless that is a row.  picks are the rows' entries, in schedule order,
+    # and ranks[k] the entries of the pieces of rank k
+    times, bounds, owned, picks = [], [], [], []
+    ranks = [[] for _ in range(max(sizes))]
+    for schedule in schedules:
+        rows = np.linspace(0.0, schedule.duration, steps + 1)[1:].tolist() if steps else [schedule.duration]
+        for k, (a, b) in enumerate(zip(schedule.table[0].tolist(), schedule.ends)):
+            own = rows[bisect.bisect_right(rows, a) : bisect.bisect_right(rows, b)]
+            entries = own if own and own[-1] == b else [*own, b]
+            start = len(times)
+            bounds.append(start)
+            owned.append(len(own))
+            picks += range(start, start + len(own))
+            ranks[k] += range(start, start + len(entries))
+            times += entries
+    entry_piece = np.repeat(np.arange(len(bounds)), np.diff([*bounds, len(times)]))
+    bounds = np.array(bounds)
     times = np.array(times)
     frames = np.empty((n_err, len(times), m, m), dtype=complex)
 
     # with noise a piece of two rows or more is exponentiated only to its
     # first row, over one step and to an end that is not a row
-    powered = [i for i in range(len(order)) if noisy and owned[i] > 1]
+    powered = [i for i in range(len(owned)) if noisy and owned[i] > 1]
     exact = np.ones(len(times), dtype=bool)  # the entries exponentiated
     for i in powered:
         exact[bounds[i] + 1 : bounds[i] + owned[i]] = False
     const = slice(None) if exact.all() else np.flatnonzero(exact)  # a slice does not copy
-    omega0 = np.array([schedule.omega0 for schedule in schedules])
-    gens = _frame_generators(table, errors, omega0[owner], dim, levels)
+    gens = _frame_generators(table, errors, np.repeat([s.omega0 for s in schedules], sizes), dim, levels)
     of = entry_piece[const]
     taus = times[const] - firsts[of]
     n_exact = len(taus)
     if powered:
         of = np.append(of, powered)
-        taus = np.append(taus, [schedules[owner[i]].duration / steps for i in powered])
+        taus = np.append(taus, np.repeat([s.duration / steps for s in schedules], sizes)[powered])
     # one exponential per distinct (generator, duration): rows of the
     # generator's bytes, for every error, and the duration
-    keys = gens.swapaxes(0, 1).reshape(len(order), -1).view(float)[of]
+    keys = gens.swapaxes(0, 1).reshape(len(owned), -1).view(float)[of]
     distinct, inverse = _distinct_rows(np.column_stack([keys, taus]))
     exps = _exponentials(gens[:, of[distinct]], taus[distinct], dissipator, levels[2])[:, inverse]
     frames[:, const] = exps[:, :n_exact]
@@ -546,32 +543,22 @@ def _frame_maps(
     for i, step in zip(powered, exps[:, n_exact:].swapaxes(0, 1)):
         _powers(frames[:, bounds[i] : bounds[i] + owned[i]], step)
 
-    # rebase piece k of every schedule to the lab frame, D(t) M D(t_start)^dag,
-    # and chain it onto the map at its start; maps overwrite their frame maps.
-    # Piece 0 starts from the identity, so its rebase only scales columns
+    # rebase the pieces of rank k to the lab frame, D(t) M D(t_start)^dag,
+    # and chain each onto the map at the end of the piece before it; maps
+    # overwrite their frame maps.  Rank 0 starts from the identity, so its
+    # rebase only scales columns
     phases = _frame_phases(segment_phase(table[:, entry_piece], times), dim, levels[2], noisy)
     backs = _frame_phases(segment_phase(table, firsts), dim, levels[2], noisy).conj()
-    start = None  # (schedules, n_err, m, m): every schedule's map at the start of piece k
-    for lo, hi in zip(edges, edges[1:]):
-        alive = owner[lo:hi]
-        span = slice(bounds[lo], bounds[hi])
-        if start is None:
-            frame = frames[:, span] * backs[entry_piece[span], None, :]
+    for k, sel in enumerate(ranks):
+        # a rank's entries are contiguous for one schedule, and a slice does not copy
+        sel = slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] == len(sel) - 1 else np.array(sel)
+        piece = entry_piece[sel]
+        if k == 0:
+            frame = frames[:, sel] * backs[piece, None, :]
         else:
-            back = backs[lo:hi, None, :, None] * start[alive]
-            frame = frames[:, span] @ back[entry_piece[span] - lo].swapaxes(0, 1)
-        frames[:, span] = phases[span, :, None] * frame
-        if hi < len(order):
-            ends = frames[:, [end - 1 for end in bounds[lo + 1 : hi + 1]]].swapaxes(0, 1)
-            if start is None:
-                start = ends
-            else:
-                start[alive] = ends
+            frame = frames[:, sel] @ (backs[piece, :, None] * frames[:, bounds[piece] - 1])
+        frames[:, sel] = phases[sel, :, None] * frame
 
-    # the rows of every piece, schedule after schedule
-    at = {key: i for i, key in enumerate(order)}
-    picks = np.array([bounds[at[s, k]] + j
-                      for s, n in enumerate(sizes) for k in range(n) for j in range(owned[at[s, k]])])
     maps = frames[:, picks]
     if superop and not noisy:
         maps = unitary_channel(maps)

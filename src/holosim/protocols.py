@@ -11,6 +11,7 @@ and one engine call builds the channels of every gate.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -241,13 +242,22 @@ def interleaved_gate_error(p_ref: float, p_int: float) -> InterleavedEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy integers included; ValueError naming ``name`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} takes integers, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class RBConfig:
     """Configuration of a randomized-benchmarking run.
 
     ``interleaved_target`` inserts that gate after every random Clifford;
     ``shots = None`` records exact survival probabilities, an integer
-    samples binomially.
+    samples binomially.  The sizes are integers, numpy's among them: a
+    float is refused, not truncated.
     """
 
     sequence_lengths: tuple[int, ...]
@@ -261,11 +271,14 @@ class RBConfig:
     shots: Optional[int] = None
 
     def __post_init__(self):
-        lengths = tuple(int(m) for m in self.sequence_lengths)
+        lengths = tuple(_integer("sequence_lengths", m) for m in self.sequence_lengths)
         if not lengths or any(m <= 0 for m in lengths):
             raise ValueError("sequence lengths must be positive integers")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("sequence lengths must be strictly increasing")
+        _integer("sequences_per_length", self.sequences_per_length)
+        if self.shots is not None:
+            _integer("shots", self.shots)
         if self.sequences_per_length < 10:
             raise ValueError("need at least 10 sequences per length for fitting")
         if self.shots is not None and self.shots < 1:

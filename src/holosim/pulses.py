@@ -39,6 +39,8 @@ DEGENERATE_GAMMA_TOL = 1e-9
 RAMP_SAMPLE_PERIOD = 1e-9
 
 SCHEMES = ("tounhqc", "nhqc")
+# the rows of PulseSchedule.table, by name
+_TABLE_ROWS = ("t_start", "omega", "phi1_offset", "phi1_slope", "theta_mix", "phi0_offset")
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ class PulseSchedule:
     omega, phi1_offset, phi1_slope, theta_mix and phi0_offset, the fields
     of :class:`Segment`.  Segment k ends where segment k + 1 starts and
     the last ends at ``duration``, so the segments cover [0, duration]
-    without a gap.  ``omega0`` is the nominal peak amplitude; error
+    without a gap.  Every entry is finite and every omega non-negative.
+    ``omega0``, positive and finite, is the nominal peak amplitude; error
     injection uses it to normalize relative detunings.  ``edge_ramp`` is
     the length of the sin^2 edge ramps that synthesis sampled into the
     table (0 for none); the engine reads only the table.
@@ -100,6 +103,8 @@ class PulseSchedule:
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
             raise ValueError(f"schedule duration must be positive and finite, got {self.duration}")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError(f"schedule omega0 must be positive and finite, got {self.omega0}")
         table = np.array(self.table, dtype=float)  # the schedule's own copy
         if table.ndim != 2 or table.shape[0] != 6 or table.shape[1] == 0:
             raise ValueError(f"schedule table must have shape (6, n) with n >= 1, got {table.shape}")
@@ -111,6 +116,9 @@ class PulseSchedule:
             raise ValueError("segment starts must increase strictly and lie below the duration")
         if not (table[1] >= 0.0).all():
             raise ValueError("drive amplitude must be non-negative")
+        if not np.isfinite(table).all():
+            row = _TABLE_ROWS[np.isfinite(table).all(axis=1).argmin()]
+            raise ValueError(f"schedule table row {row} must be finite")
         if not 0.0 <= 2.0 * self.edge_ramp <= self.duration:  # a NaN fails
             raise ValueError("edge ramp must satisfy 0 <= 2*ramp <= duration")
         table.flags.writeable = False

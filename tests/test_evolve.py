@@ -887,7 +887,8 @@ class TestGateChannels:
             for scheme in ("tounhqc", "nhqc")
         ]
 
-    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "nhqc_only", "duplicates"])
+    @pytest.mark.parametrize("case", ["noiseless", "default_noise", "edge_ramp", "nhqc_only", "duplicates",
+                                      "mixed_ramps"])
     def test_bitwise_equal_to_single_schedule_calls(self, rng, case):
         default = default_noise_model()
         noise, ramp = {
@@ -896,6 +897,7 @@ class TestGateChannels:
             "edge_ramp": (default, 10e-9),
             "nhqc_only": (default, 0.0),
             "duplicates": (default, 0.0),
+            "mixed_ramps": (default, 0.0),
         }[case]
         scheds = self.schedules(rng, ramp)
         if case == "nhqc_only":
@@ -903,6 +905,11 @@ class TestGateChannels:
         elif case == "duplicates":
             # repeats share their pieces' exponentials with the first copy
             scheds = [scheds[i] for i in (0, 3, 0, 5, 3, 3, 8, 1, 8, 0)]
+        elif case == "mixed_ramps":
+            # schedules of 1 to 76 pieces, interleaved: each piece chains onto its own predecessor
+            scheds += [sched for ramp in (3e-9, 10e-9, 37e-9) for sched in self.schedules(rng, ramp)]
+            rng.shuffle(scheds)
+            assert {s.table.shape[1] for s in scheds} == {1, 2, 7, 8, 21, 22, 75, 76}
         err = evolve.ErrorInjection(amp_fraction=0.02, detuning_fraction=-0.01)
         together = evolve.gate_channels(scheds, noise, err)
         assert together.shape == (len(scheds), 9, 9)

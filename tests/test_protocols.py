@@ -510,6 +510,23 @@ class TestRBSimulated:
         with pytest.raises(ValueError, match="10 sequences"):
             pr.RBConfig(sequence_lengths=(2, 4), sequences_per_length=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sequence_lengths", (2.5, 4.9, 8)),
+        ("sequence_lengths", (2, 4.0)),
+        ("sequences_per_length", 12.5),
+        ("shots", 2.5),
+    ])
+    def test_non_integer_sizes_rejected_not_truncated(self, field, value):
+        sizes = {"sequence_lengths": (2, 4), "sequences_per_length": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} takes integers"):
+            pr.RBConfig(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = pr.RBConfig(sequence_lengths=np.array([2, 4]), sequences_per_length=np.int64(12),
+                             shots=np.int32(7))
+        assert config.sequence_lengths == (2, 4)
+        assert all(type(m) is int for m in config.sequence_lengths)
+
 
 def lifted_clifford_group():
     """The single-qubit Cliffords lifted to SU(2): element k + 24 s is (-1)^s C_k.

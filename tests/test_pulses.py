@@ -396,6 +396,25 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="non-negative"):
             pulses.PulseSchedule(2.0, plain_table(omega=[1.0, omega]), 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", range(6), ids=pulses._TABLE_ROWS)
+    def test_non_finite_table_entry_rejected(self, row, value):
+        table = plain_table()
+        table[row, 1] = value
+        if row == 0:
+            fault = "increase strictly"
+        elif row == 1 and not value > 0.0:
+            fault = "non-negative"
+        else:
+            fault = f"row {pulses._TABLE_ROWS[row]} must be finite"
+        with pytest.raises(ValueError, match=fault):
+            pulses.PulseSchedule(2.0, table, 1.0)
+
+    @pytest.mark.parametrize("omega0", [math.nan, math.inf, 0.0, -1.0])
+    def test_omega0_must_be_positive_and_finite(self, omega0):
+        with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+            pulses.PulseSchedule(2.0, plain_table(), omega0)
+
     @pytest.mark.parametrize("edge_ramp", [-1.0, 1.5, math.nan])
     def test_edge_ramp_outside_half_the_duration_rejected(self, edge_ramp):
         with pytest.raises(ValueError, match="edge ramp"):
