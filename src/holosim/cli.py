@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from . import protocols, twoqubit
+from . import evolve, protocols, twoqubit
 from .evolve import (
     ErrorInjection,
     IntegratorConfig,
@@ -49,7 +49,8 @@ from .evolve import (
 )
 from .gates import ideal_single_qubit
 from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
-from .quantum import average_channel_fidelity, leakage, unitarity_defect, unitary_channel
+from .quantum import (average_channel_fidelity, bloch_rows, density, leakage, unitarity_defect,
+                      unitary_channel)
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,31 +360,27 @@ def _cmd_gate(args) -> dict:
 
 def _cmd_trajectory(args) -> dict:
     _, schedule = _synthesize_from_args(args)
-    report = protocols.trajectory_report(
-        schedule,
-        _INITIAL_STATES[args.initial],
-        noise=_noise_from_args(args),
-        err=_err_from_args(args),
-        config=_integrator_from_args(args),
-    )
-    t_ns = report.times * 1e9
-    populations = np.column_stack([t_ns, report.populations])
-    bloch = np.column_stack([t_ns, report.bloch])
-    final_p = report.populations[-1]
+    # called on the module, whose names a tracer may wrap
+    traj = evolve.evolve_density(density(_INITIAL_STATES[args.initial]), schedule,
+                                 _noise_from_args(args), _err_from_args(args), _integrator_from_args(args))
+    populations = np.einsum("nii->ni", traj.states).real
+    bloch = bloch_rows(traj.states)
+    t_ns = traj.times * 1e9
     entries = [
         ("scheme", args.scheme),
         ("initial", args.initial),
         ("tau_ns", schedule.duration * 1e9),
-        ("final_p0", final_p[0]),
-        ("final_p1", final_p[1]),
-        ("final_pe", final_p[2]),
-        ("final_bloch_x", report.bloch[-1][0]),
-        ("final_bloch_y", report.bloch[-1][1]),
-        ("final_bloch_z", report.bloch[-1][2]),
+        ("final_p0", populations[-1][0]),
+        ("final_p1", populations[-1][1]),
+        ("final_pe", populations[-1][2]),
+        ("final_bloch_x", bloch[-1][0]),
+        ("final_bloch_y", bloch[-1][1]),
+        ("final_bloch_z", bloch[-1][2]),
     ]
     return {
-        "trajectory_populations.csv": (["t_ns", "p0", "p1", "pe"], populations),
-        "trajectory_bloch.csv": (["t_ns", "x", "y", "z", "subspace_population"], bloch),
+        "trajectory_populations.csv": (["t_ns", "p0", "p1", "pe"], np.column_stack([t_ns, populations])),
+        "trajectory_bloch.csv": (["t_ns", "x", "y", "z", "subspace_population"],
+                                 np.column_stack([t_ns, bloch])),
         "trajectory_summary.txt": entries,
     }
 

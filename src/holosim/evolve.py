@@ -126,6 +126,8 @@ class NoiseModel:
             mat = np.asarray(op)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError("collapse operators must be square matrices")
+            if not np.isfinite(mat).all():
+                raise ValueError("collapse operator has a non-finite entry")
 
     @property
     def is_empty(self) -> bool:
@@ -476,8 +478,13 @@ def _frame_maps(
     after the first by powers of one step's map.  The pieces of each rank,
     column k of their schedule's table, are then rebased and chained in one
     step onto the end of the piece before them.  Raises ValueError when the
-    nonzero entries of a collapse operator do not share one phase class.
+    nonzero entries of a collapse operator do not share one phase class,
+    and for a non-finite error.
     """
+    if not np.isfinite(errors).all():
+        rows = [name for name, row in zip(("amp_fraction", "detuning_fraction"), errors)
+                if not np.isfinite(row).all()]
+        raise ValueError(f"control errors must be finite, got a non-finite {' and '.join(rows)}")
     c_ops = noise.scaled_ops(dim)
     noisy = not noise.is_empty
     if noisy and not _covariant(c_ops, levels[2]):

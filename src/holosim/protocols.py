@@ -1,4 +1,4 @@
-"""Experiment-level procedures: randomized benchmarking, fits, and scans.
+"""Experiments: randomized benchmarking and its fits, robustness scans, scheme comparisons.
 
 Randomized benchmarking draws each (length, sequence) slot from its own
 ``random.Random``, keyed by the master seed, the length and the sequence,
@@ -18,16 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import evolve as _evolve
-from .evolve import (
-    DEFAULT_CONFIG,
-    NO_ERROR,
-    NO_NOISE,
-    ErrorInjection,
-    IntegratorConfig,
-    NoiseModel,
-    gate_channels,
-)
+from .evolve import NO_ERROR, NO_NOISE, ErrorInjection, NoiseModel, error_maps, error_table, gate_channels
 from .gates import (
     clifford_group,
     clifford_index_of,
@@ -35,8 +26,8 @@ from .gates import (
     gate_spec_from_unitary,
     ideal_single_qubit,
 )
-from .pulses import GateSpec, PulseSchedule, synthesize
-from .quantum import average_channel_fidelity, basis_state, bloch_rows, density, unattenuated_fidelity
+from .pulses import GateSpec, synthesize
+from .quantum import average_channel_fidelity, basis_state, density, unattenuated_fidelity
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 8.660e6
 
@@ -243,11 +234,13 @@ def interleaved_gate_error(p_ref: float, p_int: float) -> InterleavedEstimate:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy integers included; ValueError naming ``name`` for a non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} takes integers, got {value!r}") from None
+    """``value`` as an int, numpy's included; ValueError naming ``name`` for a non-integer or a bool."""
+    if not isinstance(value, bool):  # True would pass as 1; numpy's bool has no index
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} takes integers, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +249,9 @@ class RBConfig:
 
     ``interleaved_target`` inserts that gate after every random Clifford;
     ``shots = None`` records exact survival probabilities, an integer
-    samples binomially.  The sizes are integers, numpy's among them: a
-    float is refused, not truncated.
+    samples binomially.  The sizes and the seed are integers, numpy's
+    among them, and the seed is at least 0: a float or a bool is refused,
+    not truncated.
     """
 
     sequence_lengths: tuple[int, ...]
@@ -277,6 +271,8 @@ class RBConfig:
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("sequence lengths must be strictly increasing")
         _integer("sequences_per_length", self.sequences_per_length)
+        if _integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shots is not None:
             _integer("shots", self.shots)
         if self.sequences_per_length < 10:
@@ -542,8 +538,8 @@ def robustness_scan(
     ideal = ideal_single_qubit(spec) @ SCAN_INITIAL[:2]
     rho_th = density(np.append(ideal, 0.0))
 
-    errors = _evolve.error_table(*np.meshgrid(axis, axis, indexing="ij"))
-    maps = _evolve.error_maps(schedule, errors, noise)
+    errors = error_table(*np.meshgrid(axis, axis, indexing="ij"))
+    maps = error_maps(schedule, errors, noise)
     # noiseless maps are unitaries: scoring the kets skips lifting each to a superoperator
     if noise.is_empty:
         psis = maps @ SCAN_INITIAL
@@ -608,35 +604,3 @@ def compare_schemes(
         error_nhqc=e_n,
         error_reduction=reduction,
     )
-
-
-# ---------------------------------------------------------------------------
-# Trajectory reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryReport:
-    """Population and Bloch-vector time series of one schedule run.
-
-    ``populations`` rows are (P0, P1, Pe); ``bloch`` rows are
-    (x, y, z, subspace population), NaN where the qubit subspace is empty.
-    """
-
-    times: np.ndarray
-    populations: np.ndarray
-    bloch: np.ndarray
-
-
-def trajectory_report(
-    schedule: PulseSchedule,
-    initial: np.ndarray,
-    noise: NoiseModel = NO_NOISE,
-    err: ErrorInjection = NO_ERROR,
-    config: IntegratorConfig = DEFAULT_CONFIG,
-) -> TrajectoryReport:
-    """Populations and qubit-subspace Bloch coordinates along a schedule from a ket."""
-    traj = _evolve.evolve_density(density(initial), schedule, noise, err, config)
-    rhos = traj.states
-    populations = np.einsum("nii->ni", rhos).real
-    return TrajectoryReport(times=traj.times, populations=populations, bloch=bloch_rows(rhos))

@@ -44,8 +44,9 @@ class CompositeModel:
     g_eff: float = DEFAULT_G_EFF
 
     def __post_init__(self):
-        if self.g_eff <= 0.0:
-            raise ValueError("g_eff must be positive")
+        # an infinite coupling makes a zero-length loop; a NaN one would pass "<= 0"
+        if not 0.0 < self.g_eff < math.inf:
+            raise ValueError(f"g_eff must be positive and finite, got {self.g_eff}")
 
 
 def build_cphase_schedule(gamma: float, g_eff: float, scheme: str) -> PulseSchedule:

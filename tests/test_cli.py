@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim import cli, evolve, pulses
+from holosim import cli, evolve, protocols, pulses
+from holosim.quantum import basis_state, bloch_coordinates, density
+
+from conftest import OMEGA0
 
 PI = math.pi
 
@@ -158,6 +161,54 @@ class TestTrajectoryCommand:
         _, header, rows = read_table(tmp_path / "trajectory_populations.csv")
         assert header == ["t_ns", "p0", "p1", "pe"]
         assert len(rows) > 50
+
+    @staticmethod
+    def tables(tmp_path, *argv):
+        """The populations and Bloch columns, time dropped, of a trajectory run."""
+        assert run(tmp_path, "trajectory", *argv) == 0
+        return [np.array(read_table(tmp_path / name)[2], dtype=float)[:, 1:]
+                for name in ("trajectory_populations.csv", "trajectory_bloch.csv")]
+
+    def test_default_gate_is_sqrt_x(self, tmp_path, sqrt_x_spec):
+        args = cli._parse_args(["trajectory"])
+        assert pulses.GateSpec(args.theta, args.phi, args.gamma) == sqrt_x_spec
+        assert 2 * PI * args.omega0_mhz * 1e6 == OMEGA0
+        assert args.scheme == "tounhqc" and args.edge_ramp_ns == 0.0
+        populations, bloch = self.tables(tmp_path)
+        assert populations[-1, 0] == pytest.approx(0.5, abs=1e-4)
+        assert populations[-1, 1] == pytest.approx(0.5, abs=1e-4)
+        assert populations[-1, 2] < 1e-4
+        assert np.allclose(bloch[0, :3], (0, 0, 1), atol=1e-9)
+        assert np.allclose(bloch[-1, :3], (0, -1, 0), atol=1e-4)
+
+    def test_dark_state_bloch_is_constant(self, tmp_path, sqrt_x_spec):
+        seg = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0).segments[0]
+        _, dark = pulses.bright_dark_basis(seg.theta_mix, seg.phi0_offset)
+        # --initial plus is the loop's dark state up to a global phase
+        assert abs(np.vdot(dark, cli._INITIAL_STATES["plus"])) == pytest.approx(1.0, abs=1e-12)
+        _, bloch = self.tables(tmp_path, "--initial", "plus")
+        assert np.max(np.ptp(bloch[:, :3], axis=0)) < 1e-9
+
+    def test_stacked_bloch_rows_equal_per_row_coordinates(self, tmp_path, sqrt_x_spec):
+        # |e> start under decay: rows go from NaN (empty subspace) to finite
+        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
+        noise = protocols.default_noise_model()
+        _, bloch = self.tables(tmp_path, "--default-noise", "--initial", "e")
+        rhos = evolve.evolve_density(density(basis_state(3, 2)), sched, noise).states
+        expected = []
+        for rho in rhos:
+            try:
+                expected.append(bloch_coordinates(rho))
+            except ValueError:
+                expected.append((np.nan,) * 4)
+        empty = np.isnan(bloch).all(axis=1)
+        assert empty[0] and not empty.all()
+        np.testing.assert_array_equal(bloch, np.array(expected), strict=True)
+
+    def test_auxiliary_start_yields_nan_bloch(self, tmp_path):
+        populations, bloch = self.tables(tmp_path, "--initial", "e")
+        assert np.isnan(bloch[0]).all()
+        assert populations[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRamseyCommand:

@@ -94,6 +94,28 @@ class TestPropagator:
             target = np.diag([np.exp(1j * spec.gamma), 1.0])
             assert phase_aligned_distance(target, block) < 1e-9
 
+    @pytest.mark.parametrize("build, row", [
+        (lambda s: evolve.propagator(s, evolve.ErrorInjection(math.nan, 0.0)), "amp_fraction"),
+        (lambda s: evolve.propagator(s, evolve.ErrorInjection(0.0, math.inf)), "detuning_fraction"),
+        (lambda s: evolve.error_maps(s, evolve.error_table([0.0, math.nan], 0.0)), "amp_fraction"),
+        (lambda s: evolve.error_maps(s, evolve.error_table(-math.inf, math.nan)),
+         "amp_fraction and detuning_fraction"),
+        (lambda s: evolve.gate_channel(s, default_noise_model(), evolve.ErrorInjection(0.0, -math.inf)),
+         "detuning_fraction"),
+        (lambda s: evolve.evolve_pure(basis_state(3, 0), s, evolve.ErrorInjection(math.inf, 0.0)),
+         "amp_fraction"),
+    ], ids=["propagator-nan", "propagator-inf", "error-maps-column", "error-maps-both",
+            "gate-channel", "evolve-pure"])
+    def test_non_finite_error_rejected(self, sqrt_x_spec, build, row):
+        # each map would otherwise hold NaN; the message names the error's row
+        sched = pulses.synthesize(sqrt_x_spec, OMEGA0, "tounhqc")
+        with pytest.raises(ValueError, match=f"got a non-finite {row}$"):
+            build(sched)
+
+    def test_empty_error_table_passes(self, sqrt_x_spec):
+        sched = pulses.synthesize(sqrt_x_spec, OMEGA0, "tounhqc")
+        assert evolve.error_maps(sched, evolve.error_table([], [])).shape == (0, 3, 3)
+
     def test_unitary_for_random_schedules(self, rng):
         for _ in range(100):
             spec = random_gate_spec(rng)
@@ -850,6 +872,14 @@ class TestNoiseModel:
         # fill the scaled operators with NaN
         with pytest.raises(ValueError, match=f"finite and non-negative, got {rate}"):
             evolve.NoiseModel(collapse_ops=((np.eye(3), rate),))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_operator_entry_rejected(self, entry):
+        # gate_channel would otherwise return NaN
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 2] = entry
+        with pytest.raises(ValueError, match="non-finite entry"):
+            evolve.NoiseModel(collapse_ops=((op, 1.0),))
 
     def test_relaxation_operators_in_dissipator_order(self):
         # e -> 0 and 1 -> e decay at 1/T1, then |e> and |1> dephase at 2/Tphi

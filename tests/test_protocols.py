@@ -16,7 +16,7 @@ from holosim import evolve, gates, pulses
 from holosim import protocols as pr
 from holosim.evolve import ErrorInjection, NoiseModel
 from holosim.gates import ideal_single_qubit
-from holosim.quantum import basis_state, bloch_coordinates, density, unattenuated_fidelity
+from holosim.quantum import basis_state, density, unattenuated_fidelity
 
 from conftest import OMEGA0
 
@@ -515,6 +515,14 @@ class TestRBSimulated:
         ("sequence_lengths", (2, 4.0)),
         ("sequences_per_length", 12.5),
         ("shots", 2.5),
+        # True would pass as 1: one shot, a length-1 sequence
+        ("shots", True),
+        ("sequence_lengths", (True, 2, 4)),
+        ("sequences_per_length", np.True_),
+        # a float or bool seed would key the slot streams "1.0/m/j" or "True/m/j"
+        ("seed", 1.0),
+        ("seed", 1.5),
+        ("seed", True),
     ])
     def test_non_integer_sizes_rejected_not_truncated(self, field, value):
         sizes = {"sequence_lengths": (2, 4), "sequences_per_length": 10, field: value}
@@ -523,9 +531,18 @@ class TestRBSimulated:
 
     def test_numpy_integer_sizes_accepted(self):
         config = pr.RBConfig(sequence_lengths=np.array([2, 4]), sequences_per_length=np.int64(12),
-                             shots=np.int32(7))
+                             shots=np.int32(7), seed=np.uint8(3))
         assert config.sequence_lengths == (2, 4)
         assert all(type(m) is int for m in config.sequence_lengths)
+        # a numpy seed keys the slot streams as its int does
+        plain = dataclasses.replace(config, seed=3)
+        for a, b in zip(pr._draw_sequences(config)[1], pr._draw_sequences(plain)[1], strict=True):
+            assert np.array_equal(a, b)
+
+    def test_negative_seed_rejected(self):
+        # --seed takes integers from 0 up; the library takes the same
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            pr.RBConfig(sequence_lengths=(2, 4), sequences_per_length=10, seed=-1)
 
 
 def lifted_clifford_group():
@@ -640,6 +657,11 @@ class TestRobustnessScan:
         with pytest.raises(ValueError, match="resolution"):
             pr.robustness_scan("tounhqc", PI / 4, resolution=4)
 
+    def test_nan_span_rejected(self):
+        # the engine refuses the NaN axis instead of scoring NaN maps
+        with pytest.raises(ValueError, match="non-finite amp_fraction and detuning_fraction"):
+            pr.robustness_scan("tounhqc", PI / 4, span=math.nan, resolution=5)
+
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_noiseless_grid_matches_expm_kets(self, scheme):
         # each grid point from explicit matrices: per segment the co-rotating frame
@@ -734,43 +756,3 @@ class TestCompareSchemes:
         assert report.error_reduction is not None
         assert report.error_reduction > 0.0
 
-
-class TestTrajectoryReport:
-    def test_sqrt_x_endpoints(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        report = pr.trajectory_report(sched, basis_state(3, 0))
-        p_final = report.populations[-1]
-        assert p_final[0] == pytest.approx(0.5, abs=1e-4)
-        assert p_final[1] == pytest.approx(0.5, abs=1e-4)
-        assert p_final[2] < 1e-4
-        assert np.allclose(report.bloch[0, :3], (0, 0, 1), atol=1e-9)
-        assert np.allclose(report.bloch[-1, :3], (0, -1, 0), atol=1e-4)
-
-    def test_dark_state_bloch_is_constant(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        seg = sched.segments[0]
-        _, dark = pulses.bright_dark_basis(seg.theta_mix, seg.phi0_offset)
-        report = pr.trajectory_report(sched, dark)
-        assert np.max(np.ptp(report.bloch[:, :3], axis=0)) < 1e-9
-
-    def test_stacked_bloch_rows_equal_per_row_coordinates(self, sqrt_x_spec):
-        # |e> start under decay: rows go from NaN (empty subspace) to finite
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        noise = pr.default_noise_model()
-        report = pr.trajectory_report(sched, basis_state(3, 2), noise=noise)
-        rhos = evolve.evolve_density(density(basis_state(3, 2)), sched, noise).states
-        expected = []
-        for rho in rhos:
-            try:
-                expected.append(bloch_coordinates(rho))
-            except ValueError:
-                expected.append((np.nan,) * 4)
-        empty = np.isnan(report.bloch).all(axis=1)
-        assert empty[0] and not empty.all()
-        np.testing.assert_array_equal(report.bloch, np.array(expected), strict=True)
-
-    def test_auxiliary_start_yields_nan_bloch(self, sqrt_x_spec):
-        sched = pulses.synthesize_tounhqc(sqrt_x_spec, OMEGA0)
-        report = pr.trajectory_report(sched, basis_state(3, 2))
-        assert np.isnan(report.bloch[0]).all()
-        assert report.populations[0, 2] == pytest.approx(1.0, abs=1e-12)

@@ -35,6 +35,13 @@ class TestScheduleDurations:
         assert sched.duration == pytest.approx(math.sqrt(3) * PI / G_EFF, rel=1e-12)
 
 
+@pytest.mark.parametrize("g_eff", [math.inf, math.nan, 0.0, -G_EFF])
+def test_coupling_must_be_positive_and_finite(g_eff):
+    # inf made synthesis divide by zero, and NaN failed only at the schedule duration
+    with pytest.raises(ValueError, match=f"g_eff must be positive and finite, got {g_eff}"):
+        tq.CompositeModel(g_eff=g_eff)
+
+
 class TestCphasePropagator:
     @pytest.mark.parametrize("scheme", ["tounhqc", "nhqc"])
     def test_control_t(self, model, scheme):
