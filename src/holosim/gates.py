@@ -183,7 +183,8 @@ def clifford_index_of(u: np.ndarray):
     # average gate fidelity (|Tr(C^dag U)|^2 + d) / (d (d + 1)) against each C
     traces = np.einsum("kij,...ij->...k", np.conj(_CLIFFORD_UNITARIES), mat)
     fidelities = (np.abs(traces) ** 2 + 2.0) / 6.0
-    if np.any(1.0 - fidelities.max(axis=-1) > 1e-9):
+    # negated so that a NaN fidelity fails
+    if not np.all(1.0 - fidelities.max(axis=-1) <= 1e-9):
         raise ValueError("matrix does not match any Clifford up to global phase")
     best = np.argmax(fidelities, axis=-1)
     return int(best) if best.ndim == 0 else best

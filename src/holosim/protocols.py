@@ -298,12 +298,11 @@ class SimulatedSequenceExecutor:
 
     Every gate acts on the density matrix through its superoperator.
     :meth:`survivals` runs many sequences together: it builds the channels
-    of all gates it has not cached in one :func:`gate_channels` call, then
+    of all its distinct gates in one :func:`gate_channels` call, then
     applies each column of gates of a length's sequences as one stacked
-    product.
-    Channels of recurring gates (the Cliffords plus any declared extras)
-    stay cached across calls; one-off gates such as per-sequence recovery
-    rotations are built for the call and dropped.
+    product.  Nothing is kept between calls, so a changed attribute takes
+    effect on the next one, and ``extra_cached`` is accepted and not read:
+    there is no cache to name gates for.
     """
 
     def __init__(
@@ -318,11 +317,6 @@ class SimulatedSequenceExecutor:
         self.omega0 = omega0
         self.noise = noise
         self.err = err
-        self._cache: dict[GateSpec, np.ndarray] = {}
-        cacheable = {compile_clifford(i) for i in range(24)}
-        cacheable.update(extra_cached)
-        cacheable.discard(None)
-        self._cacheable: set[GateSpec] = cacheable
 
     def survivals(
         self, gates: Sequence[Optional[GateSpec]], sequences: Sequence[np.ndarray]
@@ -334,17 +328,11 @@ class SimulatedSequenceExecutor:
         all n at a time; a None gate is the identity.  Returns one length-n
         array per index array.
         """
-        missing = list(dict.fromkeys(
-            spec for spec in gates if spec is not None and spec not in self._cache
-        ))
-        built = {}
-        if missing:
-            schedules = [synthesize(spec, self.omega0, self.scheme) for spec in missing]
-            built = dict(zip(missing, gate_channels(schedules, self.noise, self.err)))
-        built.update(self._cache)
+        distinct = list(dict.fromkeys(spec for spec in gates if spec is not None))
+        schedules = [synthesize(spec, self.omega0, self.scheme) for spec in distinct]
+        built = dict(zip(distinct, gate_channels(schedules, self.noise, self.err)))
         eye = np.eye(9, dtype=complex)
         stack = np.array([eye if spec is None else built[spec] for spec in gates])
-        self._cache.update((spec, built[spec]) for spec in missing if spec in self._cacheable)
 
         rho0 = density(basis_state(3, 0)).reshape(-1, 1)
         out = []
@@ -354,9 +342,6 @@ class SimulatedSequenceExecutor:
                 vecs = stack[column] @ vecs
             out.append(vecs[:, 0, 0].real)
         return out
-
-    def __call__(self, specs: Sequence[Optional[GateSpec]]) -> float:
-        return float(self.survivals(specs, [np.arange(len(specs))[None]])[0][0])
 
 
 def depolarizing_executor(lam: float) -> Callable:
@@ -450,16 +435,21 @@ def rb_run(config: RBConfig, sequence_executor: Optional[Callable] = None) -> RB
     the ideal product.  Survival is the |0> population of the qutrit, so
     leakage counts as failure.  Deterministic for a given config and seed.
     A :class:`SimulatedSequenceExecutor` (the default) runs each length's
-    sequences together; any other ``sequence_executor(specs)`` is called
-    once per sequence.
+    sequences together, and a passed one must simulate the config's scheme,
+    omega0, err and noise (ValueError otherwise); any other
+    ``sequence_executor(specs)`` is called once per sequence.
     """
     executor = sequence_executor or SimulatedSequenceExecutor(
-        config.scheme,
-        config.omega0,
-        config.noise,
-        config.err,
-        extra_cached=(config.interleaved_target,),
+        config.scheme, config.omega0, config.noise, config.err
     )
+    if isinstance(sequence_executor, SimulatedSequenceExecutor):
+        differ = [name for name in ("scheme", "omega0", "err")
+                  if getattr(executor, name) != getattr(config, name)]
+        # NoiseModel compares by identity: equal models built apart must match
+        if executor.noise.scaled_ops(3).tobytes() != config.noise.scaled_ops(3).tobytes():
+            differ.append("noise")
+        if differ:
+            raise ValueError(f"sequence_executor differs from the config in {', '.join(differ)}")
     gates, sequences, streams = _draw_sequences(config)
     if isinstance(executor, SimulatedSequenceExecutor):
         survivals = executor.survivals(gates, sequences)
@@ -529,6 +519,7 @@ def robustness_scan(
     all grid points are built in one batch (:func:`holosim.evolve.error_maps`)
     and scored in one :func:`unattenuated_fidelity` call.
     """
+    resolution = _integer("resolution", resolution)
     if resolution < 5:
         raise ValueError("scan resolution must be at least 5 per axis")
     spec = GateSpec(theta=0.0, phi=0.0, gamma=gamma)

@@ -60,7 +60,9 @@ def build_cphase_schedule(gamma: float, g_eff: float, scheme: str) -> PulseSched
 
 
 def ancilla_decay(t1_a: float) -> NoiseModel:
-    """Relaxation of the ancilla level |a> back to |01> at rate 1/t1_a."""
+    """Relaxation of the ancilla level |a> back to |01> at rate 1/t1_a; t1_a = inf turns it off."""
+    if not t1_a > 0.0:  # written so that NaN fails too
+        raise ValueError(f"t1_a must be positive, got {t1_a}")
     op = np.zeros((DIM, DIM), dtype=complex)
     op[BRIGHT_INDEX, ANCILLA_INDEX] = 1.0
     return NoiseModel(collapse_ops=((op, 1.0 / t1_a),))

@@ -891,6 +891,19 @@ class TestNoiseModel:
         only = evolve.NoiseModel.qutrit_relaxation(tphi_e=8.0)
         assert [tuple(np.argwhere(op)[0]) for op, _ in only.collapse_ops] == [(2, 2)]
 
+    @pytest.mark.parametrize("time", [0.0, -0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("name", ["t1_e_to_0", "t1_1_to_e", "tphi_e", "tphi_1"])
+    def test_relaxation_time_must_be_positive(self, name, time):
+        # 0 would divide by zero, and NaN would pass a "time <= 0" check
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            evolve.NoiseModel.qutrit_relaxation(**{name: time})
+
+    def test_infinite_relaxation_time_turns_its_channel_off(self):
+        noise = evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=math.inf, tphi_1=8.0)
+        assert [rate for _, rate in noise.collapse_ops] == [0.0, 0.25]
+        assert noise.scaled_ops(3).shape == (1, 3, 3)
+        assert evolve.NoiseModel.qutrit_relaxation(tphi_e=math.inf).is_empty
+
     def test_empty_means_unitary(self):
         assert evolve.NoiseModel().is_empty
         assert not evolve.NoiseModel.qutrit_relaxation(t1_e_to_0=1e-6).is_empty

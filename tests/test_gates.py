@@ -159,6 +159,18 @@ class TestCliffordGroup:
         for mat in (np.eye(2), SX, SZ, HADAMARD, S_GATE):
             gates.clifford_index_of(mat)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_nan_matrix_matches_no_clifford(self, shape):
+        # every fidelity is NaN, and "1 - nan > 1e-9" is false
+        with pytest.raises(ValueError, match="does not match any Clifford"):
+            gates.clifford_index_of(np.full(shape, np.nan))
+
+    def test_one_nan_matrix_in_a_stack_fails_the_stack(self):
+        stack = np.array(gates.clifford_group()[:3])
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="does not match any Clifford"):
+            gates.clifford_index_of(stack)
+
     def test_each_element_recomposes_from_decomposition(self):
         for u in gates.clifford_group():
             spec = gates.gate_spec_from_unitary(u)

@@ -462,18 +462,88 @@ class TestRBSimulated:
             assert np.array_equal(a.per_sequence[m], b.per_sequence[m])
 
     def test_batched_run_matches_per_sequence_calls(self):
-        # the simulator runs each length's sequences together; called as a plain
-        # executor it runs the same sequences one by one
+        # the simulator runs each length's sequences together; a plain executor
+        # that builds each gate's channel alone and applies them in order runs
+        # the same sequences one by one
         noise = pr.default_noise_model()
+        rho0 = density(basis_state(3, 0)).reshape(-1, 1)
+
+        def one_by_one(specs):
+            vec = rho0
+            for spec in specs:
+                if spec is not None:
+                    vec = evolve.gate_channel(pulses.synthesize(spec, OMEGA0, "nhqc"), noise) @ vec
+            return float(vec[0, 0].real)
+
         for target in (None, pulses.GateSpec(0.0, 0.0, PI / 4)):
             for shots in (None, 100):
                 config = pr.RBConfig(sequence_lengths=(1, 2, 4, 8), sequences_per_length=10, seed=9,
                                      scheme="nhqc", interleaved_target=target, noise=noise, shots=shots)
-                executor = pr.SimulatedSequenceExecutor("nhqc", OMEGA0, noise, extra_cached=(target,))
+                executor = pr.SimulatedSequenceExecutor("nhqc", OMEGA0, noise)
                 batched = pr.rb_run(config, sequence_executor=executor)
-                single = pr.rb_run(config, sequence_executor=lambda specs: executor(specs))
+                single = pr.rb_run(config, sequence_executor=one_by_one)
                 for m in config.sequence_lengths:
                     assert np.array_equal(batched.per_sequence[m], single.per_sequence[m])
+
+    def test_reused_executor_gives_fresh_executors_results(self):
+        # criterion 8's pattern: one executor per scheme over several seeds, and
+        # reference runs on the same executor
+        noise = pr.default_noise_model()
+        target = pulses.GateSpec(0.0, 0.0, PI / 4)
+        for scheme in ("tounhqc", "nhqc"):
+            executor = pr.SimulatedSequenceExecutor(scheme, OMEGA0, noise)
+            for seed in range(5):
+                for interleaved in (target, None):
+                    config = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=seed,
+                                         scheme=scheme, interleaved_target=interleaved, noise=noise)
+                    reused = pr.rb_run(config, sequence_executor=executor).per_sequence
+                    fresh = pr.rb_run(config).per_sequence
+                    assert all(reused[m].tobytes() == fresh[m].tobytes() for m in config.sequence_lengths)
+
+    def test_changed_executor_noise_takes_effect(self):
+        # nothing is kept between runs: no channel of the noisy run survives
+        executor = pr.SimulatedSequenceExecutor("tounhqc", OMEGA0, pr.default_noise_model())
+        noisy = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=1,
+                            noise=executor.noise)
+        assert pr.rb_run(noisy, sequence_executor=executor).survival_mean[2] < 0.99
+        executor.noise = NoiseModel()
+        clean = dataclasses.replace(noisy, noise=evolve.NO_NOISE)
+        reused = pr.rb_run(clean, sequence_executor=executor).per_sequence
+        fresh = pr.rb_run(clean).per_sequence
+        assert all(reused[m].tobytes() == fresh[m].tobytes() for m in clean.sequence_lengths)
+        assert fresh[2] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "nhqc"),
+        ("omega0", 2.0 * OMEGA0),
+        ("err", ErrorInjection(0.01, 0.0)),
+        ("noise", evolve.NO_NOISE),
+        ("noise", NoiseModel.qutrit_relaxation(t1_e_to_0=5e-6)),
+    ])
+    def test_executor_that_differs_from_the_config_is_refused(self, field, value):
+        # the run would otherwise fit the executor's physics under the config's name
+        config = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=3,
+                             noise=pr.default_noise_model())
+        physics = dict(scheme=config.scheme, omega0=config.omega0, noise=config.noise, err=config.err)
+        executor = pr.SimulatedSequenceExecutor(**{**physics, field: value})
+        with pytest.raises(ValueError, match=f"differs from the config in {field}$"):
+            pr.rb_run(config, sequence_executor=executor)
+
+    def test_executor_differing_in_every_field_names_each(self):
+        config = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=3)
+        executor = pr.SimulatedSequenceExecutor("nhqc", 1.0, pr.default_noise_model(), ErrorInjection(0.0, 0.01))
+        with pytest.raises(ValueError, match="in scheme, omega0, err, noise$"):
+            pr.rb_run(config, sequence_executor=executor)
+
+    def test_equal_noise_models_built_apart_match(self):
+        # NoiseModel compares by identity; the check compares the scaled operators
+        config = pr.RBConfig(sequence_lengths=(2, 4, 8), sequences_per_length=10, seed=3, scheme="nhqc",
+                             noise=pr.default_noise_model(), err=ErrorInjection(0.0, 0.0))
+        executor = pr.SimulatedSequenceExecutor("nhqc", float(OMEGA0), pr.default_noise_model())
+        assert executor.noise is not config.noise
+        got = pr.rb_run(config, sequence_executor=executor).per_sequence
+        want = pr.rb_run(config).per_sequence
+        assert all(got[m].tobytes() == want[m].tobytes() for m in config.sequence_lengths)
 
     def test_shot_sampling_deterministic_and_noisy(self):
         config = pr.RBConfig(
@@ -610,14 +680,13 @@ class TestExactRBOracle:
         noise = pr.default_noise_model()
         config = pr.RBConfig(sequence_lengths=self.LENGTHS, sequences_per_length=self.SEQUENCES,
                              seed=4, scheme=scheme, interleaved_target=target, noise=noise)
-        executor = pr.SimulatedSequenceExecutor(scheme, OMEGA0, noise, extra_cached=(target,))
-        result = pr.rb_run(config, sequence_executor=executor)
+        result = pr.rb_run(config)
 
-        # the map is built from the channels the run cached: the 23 non-identity
-        # Cliffords, among them the target (the S gate), and no recovery
+        # the map is built from the channels of the 23 non-identity Cliffords,
+        # bitwise the ones the run built; the target is the S gate among them
         specs = [gates.compile_clifford(k) for k in range(24)]
-        assert set(executor._cache) == set(specs[1:])
-        channels = np.array([np.eye(9)] + [executor._cache[spec] for spec in specs[1:]])
+        built = evolve.gate_channels([pulses.synthesize(spec, OMEGA0, scheme) for spec in specs[1:]], noise)
+        channels = np.array([np.eye(9), *built])
         elements, _ = lifted_clifford_group()
         inverses = elements.conj().transpose(0, 2, 1)
         if target is None:
@@ -627,7 +696,7 @@ class TestExactRBOracle:
             built = iter(evolve.gate_channels(
                 [pulses.synthesize(spec, OMEGA0, scheme) for spec in closing if spec is not None], noise))
             recoveries = np.array([np.eye(9) if spec is None else next(built) for spec in closing])
-            lifted = (int(lifted_index(ideal_single_qubit(target))), executor._cache[target])
+            lifted = (int(lifted_index(ideal_single_qubit(target))), channels[specs.index(target)])
         exact = exact_rb_means(channels, recoveries, self.LENGTHS, lifted)
         for m in self.LENGTHS:
             error = result.survival_std[m] / math.sqrt(self.SEQUENCES)
@@ -656,6 +725,17 @@ class TestRobustnessScan:
     def test_resolution_guard(self):
         with pytest.raises(ValueError, match="resolution"):
             pr.robustness_scan("tounhqc", PI / 4, resolution=4)
+
+    @pytest.mark.parametrize("resolution", [21.0, True])
+    def test_non_integer_resolution_rejected(self, resolution):
+        # 21.0 would fail in numpy with a TypeError, and True would pass as 1
+        with pytest.raises(ValueError, match="resolution takes integers"):
+            pr.robustness_scan("tounhqc", PI / 4, resolution=resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        plain = pr.robustness_scan("tounhqc", PI / 4, resolution=5)
+        numpy = pr.robustness_scan("tounhqc", PI / 4, resolution=np.int64(5))
+        assert numpy.fidelity.tobytes() == plain.fidelity.tobytes()
 
     def test_nan_span_rejected(self):
         # the engine refuses the NaN axis instead of scoring NaN maps

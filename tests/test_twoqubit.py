@@ -150,6 +150,18 @@ class TestRamsey:
         assert amp(noisy) < amp(clean)
 
 
+class TestAncillaDecay:
+    @pytest.mark.parametrize("t1_a", [0.0, -0.0, -1e-6, math.nan])
+    def test_time_must_be_positive(self, t1_a):
+        # 0 would divide by zero, and NaN would pass a "t1_a <= 0" check
+        with pytest.raises(ValueError, match="t1_a must be positive"):
+            tq.ancilla_decay(t1_a)
+
+    def test_infinite_time_turns_the_channel_off(self):
+        assert tq.ancilla_decay(math.inf).is_empty
+        assert [rate for _, rate in tq.ancilla_decay(2e-6).collapse_ops] == [5e5]
+
+
 class TestPopulationTrace:
     """Five-level trajectories straight from the engine, on the composite levels."""
 
