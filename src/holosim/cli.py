@@ -18,9 +18,11 @@ accept the flag and ignore it: none of their gates takes a step.
 One table, ``_COMMANDS``, lists each command's flags with their types,
 defaults, choices, help and, for a number flag, the interval its value must
 lie in.  ``main`` reads argv against it (a unique prefix abbreviates a flag),
-puts flags over ``--config`` file values over defaults, checks each number
-against its interval and then the few rules that join flags, and reports
-every problem at once; ``--help`` prints the same intervals.
+puts flags over ``--config`` file values over defaults, checks each value
+against its flag's interval as it reads it, keeps a value that fails out of
+the few rules that join flags, and lists every fault in one report; only a
+command without one makes its output directory.  ``--help`` prints the
+same intervals.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure (a
 floating-point overflow, division by zero or invalid operation included) or
@@ -48,7 +50,7 @@ from .evolve import (
     trajectory_steps,
 )
 from .gates import ideal_single_qubit
-from .pulses import DEGENERATE_GAMMA_TOL, GateSpec, nhqc_duration, synthesize
+from .pulses import LOOP_ANGLES, GateSpec, nhqc_duration, synthesize
 from .quantum import (average_channel_fidelity, bloch_rows, density, leakage, unitarity_defect,
                       unitary_channel)
 
@@ -155,16 +157,6 @@ class _Interval(NamedTuple):
         return f"{left}{self.lo!r}, {self.hi!r}{right}"
 
 
-class _LoopAngles(_Interval):
-    """Loop angles that synthesis does not find degenerate, by its own comparison."""
-
-    def __contains__(self, gamma) -> bool:
-        return gamma >= DEGENERATE_GAMMA_TOL and TWO_PI - gamma >= DEGENERATE_GAMMA_TOL
-
-    def __str__(self) -> str:
-        return f"[{DEGENERATE_GAMMA_TOL:g}, 2 pi - {DEGENERATE_GAMMA_TOL:g}]"
-
-
 class _Flag(NamedTuple):
     """One flag of the table; ``type`` bool marks a switch, which takes no value.
 
@@ -183,7 +175,7 @@ def _convert(flag: _Flag, value):
 
     A string goes through the flag's type; a JSON number keeps its own type,
     so an int given for a float flag stays an int, if a float can hold it.
-    ValueError names the fault.
+    A number must lie in the flag's interval.  ValueError names the fault.
     """
     if value is None and flag.default is None:
         return None
@@ -203,6 +195,8 @@ def _convert(flag: _Flag, value):
             raise ValueError("expected float, got an integer too large for one") from None
     if flag.choices and value not in flag.choices:
         raise ValueError(f"must be one of {', '.join(flag.choices)}, got {value!r}")
+    if flag.type in (int, float) and value not in flag.interval:
+        raise ValueError(f"must lie in {flag.interval}, got {value}")
     return value
 
 
@@ -226,49 +220,50 @@ def _config_values(path: str, table: dict, problems: list[str]) -> dict:
             problems.append(f"unknown config key {key!r}")
         except ValueError as exc:
             problems.append(f"config key {key!r}: {exc}")
+            values[name] = None  # kept out of the rules, as in _parse_args
     return values
 
 
 def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """Flags over config-file values over defaults; every fault in one ConfigError."""
-    if not argv or argv[0] not in _COMMANDS:
-        fault = f"unknown command {argv[0]!r}" if argv else "no command given"
-        raise ConfigError([f"{fault}; choose from {', '.join(_COMMANDS)}"])
+    """Flags over config-file values over defaults for command ``argv[0]``; every fault in one ConfigError.
+
+    A value that does not read or lies outside its interval is listed and set to None, as if unset.
+    """
     table = _COMMANDS[argv[0]][2]
     values = {name: flag.default for name, flag in table.items()}
     given, problems = {}, []
     tokens = list(argv[1:])
     while tokens:
         token = tokens.pop(0)
-        name, has_value, value = token.partition("=")
+        name, sep, value = token.partition("=")
         matches = [name] if name in table else [n for n in table if n.startswith(name)]
-        flag = table[matches[0]] if len(matches) == 1 else None
         if not token.startswith("--"):
             problems.append(f"unexpected value {token!r}")
-        elif flag is None:
+        elif len(matches) != 1:
             problems.append(f"ambiguous flag {name} could match {', '.join(matches)}"
                             if matches else f"unknown flag {name}")
-            if not has_value and tokens and not tokens[0].startswith("--"):
+            if not sep and tokens and not tokens[0].startswith("--"):
                 tokens.pop(0)  # its value, so that one fault is listed once
-        elif flag.type is bool and has_value:
-            problems.append(f"{matches[0]} takes no value")
-        elif flag.type is bool:
-            given[matches[0]] = True
-        elif not has_value and (not tokens or tokens[0].startswith("--")):
-            problems.append(f"{matches[0]} expects a value")
         else:
+            name, flag = matches[0], table[matches[0]]
+            if not sep and flag.type is not bool and tokens and not tokens[0].startswith("--"):
+                sep, value = "=", tokens.pop(0)
             try:
-                given[matches[0]] = _convert(flag, value if has_value else tokens.pop(0))
+                if bool(sep) == (flag.type is bool):  # a switch takes no value, any other flag one
+                    raise ValueError("takes no value" if sep else "expects a value")
+                given[name] = _convert(flag, value) if sep else True
             except ValueError as exc:
-                problems.append(f"{matches[0]}: {exc}")
-    if "--config" in given:
+                problems.append(f"{name} {exc}")
+                given[name] = None
+    if given.get("--config") is not None:
         values.update(_config_values(given["--config"], table, problems))
+    values.update(given)
+    args = SimpleNamespace(command=argv[0],
+                           **{name[2:].replace("-", "_"): value for name, value in values.items()})
+    _validate(args, {name: value for name, value in values.items() if value is not None}, problems)
     if problems:
         raise ConfigError(problems)
-    values.update(given)
-    return SimpleNamespace(
-        command=argv[0], **{name[2:].replace("-", "_"): value for name, value in values.items()}
-    )
+    return args
 
 
 def _usage(commands: Sequence[str]) -> str:
@@ -407,8 +402,13 @@ def _cmd_ramsey(args) -> dict:
     }
 
 
+def _lengths(text: str) -> tuple[int, ...]:
+    """The sequence lengths of a --lengths value; ValueError for a token that is no integer."""
+    return tuple(int(tok) for tok in text.split(","))
+
+
 def _cmd_rb(args) -> dict:
-    lengths = tuple(int(tok) for tok in str(args.lengths).split(","))
+    lengths = _lengths(args.lengths)
     target = (
         GateSpec(theta=0.0, phi=0.0, gamma=args.interleaved_gamma)
         if args.interleaved_gamma is not None
@@ -520,7 +520,7 @@ def _cmd_compare(args) -> dict:
 
 
 _POSITIVE = _Interval(0.0)
-_LOOP_ANGLE = _LoopAngles(DEGENERATE_GAMMA_TOL, TWO_PI - DEGENERATE_GAMMA_TOL, True, True)
+_LOOP_ANGLE = _Interval(*LOOP_ANGLES, True, True)
 _SCHEME = {"--scheme": _Flag(str, "tounhqc", choices=("tounhqc", "nhqc"))}
 _OMEGA0 = {"--omega0-mhz": _Flag(float, 8.660, interval=_POSITIVE)}
 _QUARTER_PI_GAMMA = {"--gamma": _Flag(float, 0.25 * math.pi, interval=_LOOP_ANGLE)}
@@ -601,21 +601,8 @@ _COMMANDS = {
 }
 
 
-def _validate(args) -> None:
-    """Check each number against its flag's interval, then the rules that join flags.
-
-    A rule reads only values inside their intervals, so each bad flag is listed once.
-    """
-    problems: list[str] = []
-    valid = {}
-    for name, flag in _COMMANDS[args.command][2].items():
-        value = getattr(args, name[2:].replace("-", "_"))
-        if flag.type not in (int, float) or value is None:
-            continue
-        if value in flag.interval:
-            valid[name] = value
-        else:
-            problems.append(f"{name} must lie in {flag.interval}, got {value}")
+def _validate(args, valid: dict, problems: list[str]) -> None:
+    """Append each broken rule that joins flags to ``problems``; a rule reads only flags in ``valid``."""
     # so weak a drive that its longest loop, 2 pi / omega, overflows in ns has no times
     for name in ("--omega0-mhz", "--g-eff-mhz"):
         if name in valid and not math.isfinite(nhqc_duration(TWO_PI * valid[name] * 1e6) * 1e9):
@@ -625,7 +612,7 @@ def _validate(args) -> None:
     # a positive step that rounds to 0 s is too small for any loop
     if args.command == "trajectory" and valid.get("--dt-ns", 1.0) * 1e-9 == 0.0:
         problems.append(f"--dt-ns is too small: it rounds to 0 s, got {args.dt_ns}")
-    if {"--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
+    if {"--scheme", "--edge-ramp-ns", "--gamma", "--omega0-mhz"} <= valid.keys():
         # synthesis's own ramp rule, on the phase loop; theta and phi do not change its duration
         spec, omega0 = GateSpec(0.0, 0.0, args.gamma), TWO_PI * args.omega0_mhz * 1e6
         try:
@@ -637,12 +624,12 @@ def _validate(args) -> None:
     if valid.get("--resolution", 1) % 2 == 0:
         # the summary's fidelity_origin is the centre point of the grid
         problems.append(f"--resolution must be odd, got {args.resolution}")
-    rates = [name for name in _NOISE if name in valid]
+    rates = [name for name, flag in _NOISE.items() if flag.type is float and name in valid]
     if rates and args.default_noise:
         problems.append(f"--default-noise sets every rate, so it excludes {', '.join(rates)}")
-    if args.command == "rb":
+    if "--lengths" in valid:
         try:
-            lengths = tuple(int(tok) for tok in str(args.lengths).split(","))
+            lengths = _lengths(args.lengths)
         except ValueError:
             problems.append(f"--lengths must be comma-separated integers, got {args.lengths!r}")
         else:
@@ -661,8 +648,6 @@ def _validate(args) -> None:
         except ValueError as exc:
             problems.append(f"--dt-ns does not suit the {schedule.duration * 1e9:.6g} ns loop: {exc}, "
                             f"got {args.dt_ns}")
-    if problems:
-        raise ConfigError(problems)
 
 
 def _make_out_dir(path: str) -> None:
@@ -678,8 +663,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_usage([argv[0]] if argv[0] in _COMMANDS else list(_COMMANDS)))
         return 0
     try:
+        if not argv or argv[0] not in _COMMANDS:
+            fault = f"unknown command {argv[0]!r}" if argv else "no command given"
+            raise ConfigError([f"{fault}; choose from {', '.join(_COMMANDS)}"])
         args = _parse_args(argv)
-        _validate(args)
         _make_out_dir(args.out_dir)
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)

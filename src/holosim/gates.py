@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .pulses import DEGENERATE_GAMMA_TOL, TWO_PI, GateSpec
-from .quantum import is_unitary
+from .pulses import DEGENERATE_GAMMA_TOL, LOOP_ANGLES, TWO_PI, GateSpec
+from .quantum import _integer, is_unitary
 
 
 def _rotation(theta: float, phi, gamma: float) -> np.ndarray:
@@ -64,6 +64,7 @@ def ideal_control_rk(k: int) -> np.ndarray:
     The phase sits on |01>; k = 1 is controlled-Z (up to which qubit is
     labeled control), k = 3 is the controlled-T used in the two-qubit runs.
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     return np.diag([1.0, np.exp(2j * math.pi / 2**k), 1.0, 1.0]).astype(complex)
@@ -72,9 +73,9 @@ def ideal_control_rk(k: int) -> np.ndarray:
 def _gate_spec(axis: tuple[float, float, float], angle: float) -> Optional[GateSpec]:
     """GateSpec rotating by ``angle`` in [0, 2 pi) about the unit ``axis``; None for the identity.
 
-    The identity is any angle that synthesis finds a degenerate loop angle.
+    The identity is any angle outside synthesis's ``LOOP_ANGLES``.
     """
-    if angle < DEGENERATE_GAMMA_TOL or TWO_PI - angle < DEGENERATE_GAMMA_TOL:
+    if not LOOP_ANGLES[0] <= angle <= LOOP_ANGLES[1]:
         return None
     nx, ny, nz = axis
     # atan2 keeps theta accurate near the poles, where acos(nz) loses half its digits
@@ -167,7 +168,7 @@ def compile_clifford(index: int) -> Optional[GateSpec]:
 
     The returned spec realizes the Clifford in a single holonomic loop.
     """
-    if not 0 <= index < len(_CLIFFORD_SPECS):
+    if not 0 <= _integer("Clifford index", index) < len(_CLIFFORD_SPECS):
         raise ValueError(f"Clifford index {index} out of range [0, 24)")
     return _CLIFFORD_SPECS[index]
 

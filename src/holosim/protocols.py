@@ -11,7 +11,6 @@ and one engine call builds the channels of every gate.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,7 +26,7 @@ from .gates import (
     ideal_single_qubit,
 )
 from .pulses import GateSpec, synthesize
-from .quantum import average_channel_fidelity, basis_state, density, unattenuated_fidelity
+from .quantum import _integer, average_channel_fidelity, basis_state, density, unattenuated_fidelity
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 8.660e6
 
@@ -164,11 +163,17 @@ def fit_decay(m_values: Sequence[int], f_values: Sequence[float]) -> FitResult:
     bracketing down to adjacent floats; there is no step cap.  Standard
     errors come from the pseudo-inverse of J^T J at the optimum times the
     residual variance sum(r^2) / (n - 3), and are infinite when n <= 3.
-    Constant data is reported as degenerate with p = 1; non-finite data
-    yields an explicit non-success result instead of raising.
+    Constant data is reported as degenerate with p = 1; non-finite survival
+    data yields an explicit non-success result instead of raising.  Lengths
+    and survivals of different shapes, or a non-finite length, raise
+    ValueError.
     """
     ms = np.asarray(m_values, dtype=float)
     fs = np.asarray(f_values, dtype=float)
+    if ms.shape != fs.shape:
+        raise ValueError(f"need one survival per sequence length, got shapes {ms.shape} and {fs.shape}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("sequence lengths must be finite")
     if len(set(m_values)) < 3:
         raise ValueError("need at least 3 distinct sequence lengths to fit")
     if not np.all(np.isfinite(fs)):
@@ -231,16 +236,6 @@ def interleaved_gate_error(p_ref: float, p_int: float) -> InterleavedEstimate:
 # ---------------------------------------------------------------------------
 # Randomized benchmarking
 # ---------------------------------------------------------------------------
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy's included; ValueError naming ``name`` for a non-integer or a bool."""
-    if not isinstance(value, bool):  # True would pass as 1; numpy's bool has no index
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} takes integers, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

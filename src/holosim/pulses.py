@@ -34,6 +34,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 DEGENERATE_GAMMA_TOL = 1e-9
+#: The closed interval of loop angles that synthesis takes: an angle within
+#: DEGENERATE_GAMMA_TOL of 0 or 2 pi closes the loop with zero phase.
+LOOP_ANGLES = (DEGENERATE_GAMMA_TOL, TWO_PI - DEGENERATE_GAMMA_TOL)
 #: Sample period of the edge ramps (s): an arbitrary waveform generator at
 #: 1 GS/s holds each sample of the drive for 1 ns.
 RAMP_SAMPLE_PERIOD = 1e-9
@@ -164,7 +167,7 @@ def nhqc_duration(omega0: float) -> float:
 def _check_synthesis_args(spec: GateSpec, omega0: float) -> None:
     if omega0 <= 0.0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
-    if spec.gamma < DEGENERATE_GAMMA_TOL or TWO_PI - spec.gamma < DEGENERATE_GAMMA_TOL:
+    if not LOOP_ANGLES[0] <= spec.gamma <= LOOP_ANGLES[1]:
         raise ValueError(
             f"gamma = {spec.gamma} is degenerate: the loop closes with zero phase"
         )

@@ -13,12 +13,23 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
 ATOL = 1e-9
 EMPTY_SUBSPACE_TOL = 1e-12
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy's included; ValueError naming ``name`` for a non-integer or a bool."""
+    if not isinstance(value, bool):  # True would pass as 1; numpy's bool has no index
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} takes integers, got {value!r}")
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

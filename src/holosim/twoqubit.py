@@ -140,12 +140,13 @@ def fringe_phase(thetas: Sequence[float], probs: Sequence[float]) -> float:
     """Phase of a fringe P(theta) = B + A cos(theta + phase).
 
     Least-squares in the quadrature basis (cos theta, sin theta, 1), exact
-    for noiseless fringes on any grid of three or more distinct angles.
+    for noiseless fringes on any grid of three or more angles distinct
+    modulo 2 pi; fewer leave the basis rank-deficient and are refused.
     """
     t = np.asarray(thetas, dtype=float)
     p = np.asarray(probs, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least 3 fringe points")
+    if len(set((t % (2.0 * math.pi)).tolist())) < 3:
+        raise ValueError("need at least 3 fringe angles distinct modulo 2 pi")
     design = np.column_stack([np.cos(t), np.sin(t), np.ones_like(t)])
     coeff, *_ = np.linalg.lstsq(design, p, rcond=None)
     # B + a cos(t) + b sin(t) = B + A cos(t + phase) with a = A cos(phase),

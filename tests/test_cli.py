@@ -538,6 +538,8 @@ CHECKED_FLAGS = {
     "compare": ("--omega0-mhz", *NOISE_FLAGS, *ERROR_FLAGS),
 }
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: values that no number flag reads
+UNPARSABLE = st.sampled_from(["abc", "", "1,5", "0x1", "1e"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -547,6 +549,10 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
     flags = data.draw(st.lists(st.sampled_from(CHECKED_FLAGS[command]), min_size=1, unique=True))
     argv = [command]
     for flag in flags:
+        if data.draw(st.booleans()):
+            value = data.draw(UNPARSABLE)
+            argv.append(f"{flag}={value}")
+            continue
         if flag == "--amp-error":
             value = data.draw(st.floats(max_value=-1.0) | NON_FINITE)
         elif flag == "--error-range":
@@ -560,6 +566,10 @@ def test_bad_inputs_exit_1_listing_every_problem(tmp_path_factory, data):
         else:
             value = data.draw(st.floats(min_value=-1e6, max_value=0.0) | NON_FINITE)
         argv.append(f"{flag}={value!r}")
+    if data.draw(st.booleans()):
+        # an unknown flag is one more fault of the same report
+        flags.append("--no-such-flag")
+        argv.insert(data.draw(st.integers(1, len(argv))), "--no-such-flag=1")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([*argv, "--out-dir", str(tmp_path_factory.getbasetemp())])
@@ -698,14 +708,56 @@ def test_loop_angle_interval_agrees_with_synthesis_to_the_float():
         ("trajectory", "--edge-ramp-ns", "inf"),
         ("gate", "--gamma", "nan", "--edge-ramp-ns", "10"),
         ("scan", "--resolution", "4"),
+        # a value that does not read is kept out of the rules the same way,
+        # not replaced by its default
+        ("gate", "--scheme", "foo", "--edge-ramp-ns", "101"),
+        ("gate", "--gamma", "--edge-ramp-ns", "101"),
+        ("trajectory", "--gamma", "abc", "--dt-ns", "0.0005"),
+        ("compare", "--t1-e0-us", "abc", "--default-noise"),
     ],
 )
 def test_value_outside_its_interval_skips_the_rules_that_join_flags(tmp_path, capsys, argv):
-    # the ramp rule and the odd-resolution rule read only values
-    # that passed their intervals, so the bad flag is listed once
+    # the ramp, odd-resolution, default-noise and step rules read only
+    # values that passed their intervals, so the bad flag is listed once
     assert run(tmp_path, *argv) == 1
     (problem,) = problem_lines(capsys.readouterr().err)
     assert argv[1] in problem
+
+
+@pytest.mark.parametrize(
+    "argv, faults",
+    [
+        (("gate", "--theta", "abc", "--phi", "100"), ("--theta", "--phi")),
+        (("gate", "--config", "/nonexistent/run.json", "--theta", "9"), ("config file", "--theta")),
+        (("rb", "--lengths", "2,4,8", "--sequences", "10", "--seeed", "3", "--shots", "0"),
+         ("unknown flag --seeed", "--shots")),
+        (("gate", "--theta=abc", "--phi", "100", "--gamma", "1e-12", "--edge-ramp-ns", "10"),
+         ("--theta", "--phi", "--gamma")),
+    ],
+)
+def test_read_and_interval_faults_share_one_report(tmp_path, capsys, argv, faults):
+    # a flag that fails to read hides no fault of the other flags
+    assert run(tmp_path / "out", *argv) == 1
+    problems = problem_lines(capsys.readouterr().err)
+    assert len(problems) == len(faults), problems
+    for fault in faults:
+        assert sum(fault in problem for problem in problems) == 1, problems
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("gate", "--edge-ramp-ns", "101"), {"scheme": "foo"}),
+        (("rb", "--default-noise"), {"tphi_e_us": "abc"}),
+    ],
+)
+def test_config_value_that_fails_to_read_joins_no_rule(tmp_path, capsys, argv, config):
+    # without the file's value, the rule would read the default instead
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert run(tmp_path / "out", *argv, "--config", str(tmp_path / "run.json")) == 1
+    (problem,) = problem_lines(capsys.readouterr().err)
+    assert repr(next(iter(config))) in problem
 
 
 @pytest.mark.parametrize(

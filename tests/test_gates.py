@@ -59,6 +59,17 @@ class TestControlRk:
         with pytest.raises(ValueError):
             gates.ideal_control_rk(0)
 
+    @pytest.mark.parametrize("k", [1.5, 3.0, True, np.float64(2.0)])
+    def test_rejects_non_integers(self, k):
+        # 1.5 would give the phase 2 pi / 2^1.5, and True the controlled-Z
+        with pytest.raises(ValueError, match="k takes integers"):
+            gates.ideal_control_rk(k)
+
+    @pytest.mark.parametrize("k", [3, 70])
+    def test_numpy_integer_is_its_int(self, k):
+        # 2**k in numpy's int64 would wrap to 0 at k = 70
+        assert np.array_equal(gates.ideal_control_rk(np.int64(k)), gates.ideal_control_rk(k))
+
 
 class TestAxisAngleDecompose:
     """gate_spec_from_unitary: the axis (theta, phi) and angle gamma of a 2x2 unitary."""
@@ -205,6 +216,14 @@ class TestCompileClifford:
     def test_index_range(self):
         with pytest.raises(ValueError):
             gates.compile_clifford(24)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, np.float64(4.0)])
+    def test_rejects_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="Clifford index takes integers"):
+            gates.compile_clifford(index)
+
+    def test_numpy_integer_index(self):
+        assert gates.compile_clifford(np.int32(10)) == gates.compile_clifford(10)
 
     def test_compiled_specs_match_group_matrices(self):
         group = gates.clifford_group()

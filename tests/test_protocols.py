@@ -54,6 +54,16 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="distinct"):
             pr.fit_decay([3, 3, 3], [0.9, 0.9, 0.9])
 
+    @pytest.mark.parametrize("ms, fs, match", [
+        ([1, 2, 3, 4], [0.9, 0.8, 0.7], "one survival per sequence length"),
+        ([1, 2, 3], [0.9, 0.8, 0.7, 0.6], "one survival per sequence length"),
+        ([1, 2, float("nan"), 4], [0.9, 0.8, 0.7, 0.6], "lengths must be finite"),
+        ([1, 2, 3, float("inf")], [0.9, 0.8, 0.7, 0.6], "lengths must be finite"),
+    ], ids=["fewer-survivals", "more-survivals", "nan-length", "inf-length"])
+    def test_malformed_lengths_rejected_by_name(self, ms, fs, match):
+        with pytest.raises(ValueError, match=match):
+            pr.fit_decay(ms, fs)
+
     def test_non_finite_data_reported_not_raised(self):
         fit = pr.fit_decay([1, 2, 3, 4], [0.9, 0.8, float("nan"), 0.6])
         assert not fit.success

@@ -89,6 +89,17 @@ class TestRamsey:
         fringe = tq.ramsey_protocol(model, False, PI / 4, thetas)
         assert abs(tq.fringe_phase(*zip(*fringe))) < 1e-9
 
+    @pytest.mark.parametrize("thetas", [[0.0, 0.0, 0.0], [0.0, 2 * PI, 4 * PI], [0.0, 1.0, 1.0, 2 * PI]])
+    def test_fewer_than_three_distinct_angles_rejected(self, thetas):
+        # the basis (cos, sin, 1) is rank-deficient on fewer than 3 points of the circle
+        probs = np.linspace(1.0, 0.2, len(thetas))
+        with pytest.raises(ValueError, match="distinct modulo 2 pi"):
+            tq.fringe_phase(thetas, probs)
+
+    def test_three_distinct_angles_fit(self):
+        thetas = np.array([0.0, 1.0, 2 * PI + 2.0])
+        assert tq.fringe_phase(thetas, 0.5 + 0.4 * np.cos(thetas + 0.3)) == pytest.approx(0.3, abs=1e-12)
+
     @pytest.mark.parametrize("gamma", [PI / 4, PI / 2])
     def test_extracted_shift_matches_loop_phase(self, model, gamma):
         thetas = np.linspace(0, 2 * PI, 24, endpoint=False)
